@@ -148,12 +148,7 @@ class BoundaryTriplet:
 
 def _row_rank_full(m: np.ndarray) -> bool:
     rows = m.shape[0]
-    if rows == 0:
-        return True
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return False
-    return int(np.sum(s > sub.RANK_TOL * s[0])) == rows
+    return rows == 0 or sub.numerical_rank(np.linalg.svd(m, compute_uv=False)) == rows
 
 
 def _identity_report(lhs: np.ndarray, rhs: np.ndarray, tol: float):
@@ -196,18 +191,33 @@ def verify_triplet(t: BoundaryTriplet, tol: float = sub.ORTH_TOL) -> Verificatio
     )
 
 
+def require_valid_system(s: BoundarySystem, tol: float = sub.ORTH_TOL):
+    """Raise InvalidSystem unless the system verifies."""
+    report = verify_system(s, tol)
+    if not report.ok:
+        raise InvalidSystem(
+            f"boundary system fails verification (residual {report.residual:.3e}, "
+            f"surjective={report.surjective})"
+        )
+
+
+def require_valid_triplet(t: BoundaryTriplet, tol: float = sub.ORTH_TOL):
+    """Raise InvalidTriplet unless the triplet verifies."""
+    report = verify_triplet(t, tol)
+    if not report.ok:
+        raise InvalidTriplet(
+            f"boundary triplet fails verification (residual {report.residual:.3e}, "
+            f"surjective={report.surjective})"
+        )
+
+
 def triplet_to_system(t: BoundaryTriplet, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     """The boundary system induced by a triplet.
 
     F stacks (Gamma1 + Gamma2)/sqrt(2) over (Gamma1 - Gamma2)/sqrt(2), with
     both boundary spaces equal to the triplet space.
     """
-    report = verify_triplet(t, tol)
-    if not report.ok:
-        raise InvalidTriplet(
-            f"triplet fails verification (residual {report.residual:.3e}, "
-            f"surjective={report.surjective})"
-        )
+    require_valid_triplet(t, tol)
     f = np.vstack([(t.gamma1 + t.gamma2) / _SQRT2, (t.gamma1 - t.gamma2) / _SQRT2])
     return BoundarySystem(
         base=t.base, adjoint_graph=t.adjoint_graph, g1=t.g, g2=t.g, f_matrix=f
@@ -234,12 +244,7 @@ def system_to_triplet(
         )
     if not is_unitary(l0, UNITARY_TOL):
         raise NotUnitary("L0 is not unitary within tolerance")
-    report = verify_system(s, tol)
-    if not report.ok:
-        raise InvalidSystem(
-            f"system fails verification (residual {report.residual:.3e}, "
-            f"surjective={report.surjective})"
-        )
+    require_valid_system(s, tol)
     l0_inv_f2 = l0.conj().T @ s.f2
     return BoundaryTriplet(
         base=s.base,
@@ -258,31 +263,13 @@ def canonical_decomposition(h0: Relation, tol: float = sub.ORTH_TOL):
     pieces are pairwise orthogonal and sum to Graph(H0*); a failure of that
     assertion (a numerical-rank problem) raises DecompositionFailure.
     """
-    _, pieces = _canonical_pieces(h0, tol)
-    return pieces
+    return canonical_pieces(canonical_system(h0, tol))
 
 
-def _canonical_pieces(h0: Relation, tol: float):
-    if not rel.is_skew_symmetric(h0, tol):
-        raise NotSkewSymmetric("canonical decomposition needs a skew-symmetric base")
-    n = h0.space_dim
-    adj = rel.adjoint(h0)
-    defic = rel._deficiency_of_adjoint(adj)
-
-    g_neg = rel.negate(h0).graph
-    ghat1 = _hat_space(defic.g1, sign=+1.0)
-    ghat2 = _hat_space(defic.g2, sign=-1.0)
-
-    dims_ok = g_neg.dim + ghat1.dim + ghat2.dim == adj.graph_dim
-    contained = all(
-        sub.contains_subspace(adj.graph, piece, tol)
-        for piece in (g_neg, ghat1, ghat2)
-    )
-    if not (dims_ok and contained and _pairwise_orthogonal((g_neg, ghat1, ghat2), tol)):
-        raise DecompositionFailure(
-            "graph pieces fail the orthogonal-sum assertion at tolerance"
-        )
-    return (adj, defic), (g_neg, ghat1, ghat2)
+def canonical_pieces(s: BoundarySystem):
+    """The pieces (G_neg, Ghat1, Ghat2) of a canonical system, read off its
+    base and boundary spaces without any rank decision."""
+    return rel.negate(s.base).graph, _hat_space(s.g1, +1.0), _hat_space(s.g2, -1.0)
 
 
 def _hat_space(g: Subspace, sign: float) -> Subspace:
@@ -302,24 +289,32 @@ def _pairwise_orthogonal(pieces, tol: float) -> bool:
 def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     """The canonical boundary system of a skew-symmetric relation.
 
-    Every graph basis element of Graph(H0*) is split along the canonical
-    decomposition; the boundary map returns sqrt(2) times the g1 and g2
-    coordinates of the two deficiency components.  The resulting system
-    always verifies, regardless of whether the deficiency indices agree.
+    The boundary map returns sqrt(2) times the g1 and g2 coordinates of the
+    two deficiency components of a graph element u = (x, x').  The pieces of
+    the canonical decomposition are asserted orthonormal, pairwise orthogonal
+    and summing to Graph(H0*), so the Ghat_i component of u is the orthogonal
+    projection Ghat_i Ghat_i^H u, and its scaled coordinates are the plain
+    inner products Ghat_i^H u = g_i^H (x +- x') / sqrt(2).  The resulting
+    system always verifies, regardless of whether the deficiency indices
+    agree.
     """
-    (adj, defic), pieces = _canonical_pieces(h0, tol)
-    g_neg, ghat1, ghat2 = pieces
-    n = h0.space_dim
-    d = adj.graph_dim
-    k1, k2 = defic.g1.dim, defic.g2.dim
-
-    f = np.zeros((k1 + k2, d), dtype=complex)
-    for j in range(d):
-        u = adj.graph.basis[:, j]
-        _, comp1, comp2 = sub.oblique_project((g_neg, ghat1, ghat2), u, tol)
-        f[:k1, j] = _SQRT2 * (defic.g1.basis.conj().T @ comp1[:n])
-        f[k1:, j] = _SQRT2 * (defic.g2.basis.conj().T @ comp2[:n])
-
-    return BoundarySystem(
+    if not rel.is_skew_symmetric(h0, tol):
+        raise NotSkewSymmetric("canonical decomposition needs a skew-symmetric base")
+    adj = rel.adjoint(h0)
+    defic = rel._deficiency_of_adjoint(adj)
+    x, xp = adj.blocks()
+    f = np.vstack(
+        [defic.g1.basis.conj().T @ (x + xp), defic.g2.basis.conj().T @ (x - xp)]
+    ) / _SQRT2
+    s = BoundarySystem(
         base=h0, adjoint_graph=adj.graph, g1=defic.g1, g2=defic.g2, f_matrix=f
     )
+
+    pieces = canonical_pieces(s)
+    dims_ok = sum(p.dim for p in pieces) == adj.graph_dim
+    contained = all(sub.contains_subspace(adj.graph, p, tol) for p in pieces)
+    if not (dims_ok and contained and _pairwise_orthogonal(pieces, tol)):
+        raise DecompositionFailure(
+            "graph pieces fail the orthogonal-sum assertion at tolerance"
+        )
+    return s

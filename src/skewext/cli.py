@@ -83,7 +83,8 @@ def cmd_analyze(args) -> int:
         payload["reason"] = "input relation is not skew-symmetric"
         status = "error"
     else:
-        report = ext.existence_report(relation, args.tol)
+        system = bd.canonical_system(relation, args.tol)
+        report = ext.existence_report(system, args.tol)
         payload.update(
             {
                 "indices": list(report.indices),
@@ -105,13 +106,13 @@ def cmd_canonical(args) -> int:
     relation, digest = _load_relation(args.input, args.rank_tol)
     system = bd.canonical_system(relation, args.tol)
     report = bd.verify_system(system, args.tol)
-    dissip = ext.canonical_max_dissipative(relation, args.tol)
+    dissip = ext.canonical_max_dissipative(system)
     checks = {
         "system_surjective": report.surjective,
         "system_identity_holds": report.identity_holds,
         "extension_dissipative": rel.is_dissipative(dissip, args.tol),
         "extension_maximal": ext.is_maximal_dissipative(dissip, args.tol),
-        "adjoint_formula_holds": ext.adjoint_formula_check(relation, args.tol),
+        "adjoint_formula_holds": ext.adjoint_formula_check(system, args.tol),
     }
     payload = {
         "system": fmt.system_to_json(system),
@@ -357,8 +358,8 @@ def _sweep_instance(seed: int, tol: float) -> dict:
     relation = rel.random_skew_symmetric(n, k, seed)
     system = bd.canonical_system(relation, tol)
     sreport = bd.verify_system(system, tol)
-    report = ext.existence_report(relation, tol)
-    dissip = ext.canonical_max_dissipative(relation, tol)
+    report = ext.existence_report(system, tol)
+    dissip = ext.canonical_max_dissipative(system)
 
     g_dim = system.g1.dim
     l0 = random_unitary(g_dim, rng)
@@ -379,7 +380,7 @@ def _sweep_instance(seed: int, tol: float) -> dict:
             "bridge_holds": ext.bridge_check(system, l0, l, tol),
             "extension_dissipative": rel.is_dissipative(dissip, tol),
             "extension_maximal": ext.is_maximal_dissipative(dissip, tol),
-            "adjoint_formula_holds": ext.adjoint_formula_check(relation, tol),
+            "adjoint_formula_holds": ext.adjoint_formula_check(system, tol),
         },
     }
 
@@ -407,9 +408,6 @@ def _add_common(parser):
         help="relative singular-value threshold for rank decisions",
     )
     parser.add_argument("--out", help="report path (stdout when omitted)")
-    parser.add_argument(
-        "--format", choices=["json"], default="json", help="report format"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

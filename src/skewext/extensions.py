@@ -30,22 +30,21 @@ from . import subspace as sub
 from .boundary import (
     BoundarySystem,
     BoundaryTriplet,
-    canonical_decomposition,
-    canonical_system,
+    canonical_pieces,
+    canonical_system,  # noqa: F401  re-export; perfbench/test_smoke.py traces it
+    require_valid_system,
+    require_valid_triplet,
     system_to_triplet,
-    verify_system,
     verify_triplet,
 )
 from .errors import (
     IllDefined,
     InvalidSystem,
-    InvalidTriplet,
     NotContraction,
     NotDissipative,
     NotMaximal,
     NotRestriction,
     NotSkewSelfAdjoint,
-    NotSkewSymmetric,
     NotUnitary,
     ReadoffSingular,
 )
@@ -103,22 +102,6 @@ class ExistenceReport:
         return len(set(self.booleans)) == 1
 
 
-def _require_valid_system(s: BoundarySystem, tol: float):
-    report = verify_system(s, tol)
-    if not report.ok:
-        raise InvalidSystem(
-            f"boundary system fails verification (residual {report.residual:.3e})"
-        )
-
-
-def _require_valid_triplet(t: BoundaryTriplet, tol: float):
-    report = verify_triplet(t, tol)
-    if not report.ok:
-        raise InvalidTriplet(
-            f"boundary triplet fails verification (residual {report.residual:.3e})"
-        )
-
-
 def _require_unitary(m: np.ndarray, rows: int, cols: int, name: str):
     if m.shape != (rows, cols) or not is_unitary(m, UNITARY_TOL):
         raise NotUnitary(
@@ -134,7 +117,7 @@ def system_unitary_extension(
     The graph is the portion of Graph(H0*) on which L F1 = F2 holds,
     computed as the kernel of L F1 - F2 in graph coordinates.
     """
-    _require_valid_system(s, tol)
+    require_valid_system(s, tol)
     l = np.asarray(l, dtype=complex)
     _require_unitary(l, s.g2.dim, s.g1.dim, "L")
     coords = null_space(l @ s.f1 - s.f2)
@@ -150,7 +133,7 @@ def system_unitary_readoff(s: BoundarySystem, h: Relation, tol: float = sub.ORTH
     basis; a rank-deficient image F1[Graph(H)] signals a violated
     bijection premise and raises ReadoffSingular.
     """
-    _require_valid_system(s, tol)
+    require_valid_system(s, tol)
     if not rel.is_skew_self_adjoint(h, tol):
         raise NotSkewSelfAdjoint("read-off needs a skew-self-adjoint relation")
     if not sub.contains_subspace(s.adjoint_graph, h.graph, tol):
@@ -159,13 +142,11 @@ def system_unitary_readoff(s: BoundarySystem, h: Relation, tol: float = sub.ORTH
     image1 = s.f1 @ coords
     image2 = s.f2 @ coords
     k1 = s.g1.dim
-    if k1:
-        sv = np.linalg.svd(image1, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0 or int(np.sum(sv > sub.RANK_TOL * sv[0])) < k1:
-            raise ReadoffSingular(
-                "F1 image of the graph is rank-deficient; input violates the "
-                "bijection premise"
-            )
+    if k1 and sub.numerical_rank(np.linalg.svd(image1, compute_uv=False)) < k1:
+        raise ReadoffSingular(
+            "F1 image of the graph is rank-deficient; input violates the "
+            "bijection premise"
+        )
     return image2 @ np.linalg.pinv(image1)
 
 
@@ -178,7 +159,7 @@ def triplet_unitary_extension(
     solved inside Graph(H0*) and the selected portion is sign-flipped,
     since the extension acts as -H0* on its domain.
     """
-    _require_valid_triplet(t, tol)
+    require_valid_triplet(t, tol)
     l = np.asarray(l, dtype=complex)
     k = t.g.dim
     _require_unitary(l, k, k, "L")
@@ -234,7 +215,7 @@ def boundary_contraction_of(
     restricts H0*.  Maximality makes the sums Gamma1 + Gamma2 of boundary
     values cover all of G; if they do not, IllDefined is raised.
     """
-    _require_valid_triplet(t, tol)
+    require_valid_triplet(t, tol)
     if not rel.is_dissipative(h, tol):
         raise NotDissipative("relation is not dissipative")
     if _range_of_one_minus(h) != h.space_dim:
@@ -243,12 +224,8 @@ def boundary_contraction_of(
     plus = (t.gamma1 + t.gamma2) @ coords
     minus = (t.gamma1 - t.gamma2) @ coords
     k = t.g.dim
-    if k:
-        sv = np.linalg.svd(plus, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0 or int(np.sum(sv > sub.RANK_TOL * sv[0])) < k:
-            raise IllDefined(
-                "boundary sums do not span G; maximality premise violated"
-            )
+    if k and sub.numerical_rank(np.linalg.svd(plus, compute_uv=False)) < k:
+        raise IllDefined("boundary sums do not span G; maximality premise violated")
     kmat = minus @ np.linalg.pinv(plus)
     if matrix_2norm(kmat @ plus - minus) > tol * max(1.0, matrix_2norm(minus)):
         raise IllDefined("boundary map is not single-valued on G")
@@ -263,7 +240,7 @@ def extension_from_contraction(
     The graph is the sign-flipped portion of Graph(H0*) on which
     K(Gamma1 + Gamma2) = Gamma1 - Gamma2 holds.
     """
-    _require_valid_triplet(t, tol)
+    require_valid_triplet(t, tol)
     k = np.asarray(k, dtype=complex)
     dim = t.g.dim
     if k.shape != (dim, dim) or not is_contraction(k, UNITARY_TOL):
@@ -292,19 +269,18 @@ def unitarity_equivalence_check(
     return (sksa == unitary) and (sksa == vanishes)
 
 
-def existence_report(h0: Relation, tol: float = sub.ORTH_TOL) -> ExistenceReport:
+def existence_report(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> ExistenceReport:
     """Evaluate the four equivalent existence conditions for skew-self-adjoint
     extensions, each by its own computation path.
 
-    Equality of the deficiency indices is read off the deficiency spaces;
-    the extension condition is checked constructively by building one
-    extension from a basis-matching unitary on the canonical system; the
-    triplet condition by attempting the system-to-triplet conversion; and
-    the equal-dimension system condition from the canonical system itself.
+    ``s`` is the canonical system of the relation (``canonical_system``), so
+    its boundary spaces are the deficiency spaces.  Equality of the
+    deficiency indices is read off their dimensions; the extension condition
+    is checked constructively by building one extension from a
+    basis-matching unitary on the system; the triplet condition by
+    attempting the system-to-triplet conversion; and the equal-dimension
+    system condition from the system itself.
     """
-    if not rel.is_skew_symmetric(h0, tol):
-        raise NotSkewSymmetric("existence report needs a skew-symmetric relation")
-    s = canonical_system(h0, tol)
     k1, k2 = s.g1.dim, s.g2.dim
     equal_indices = k1 == k2
 
@@ -327,22 +303,23 @@ def existence_report(h0: Relation, tol: float = sub.ORTH_TOL) -> ExistenceReport
     )
 
 
-def canonical_max_dissipative(h0: Relation, tol: float = sub.ORTH_TOL) -> Relation:
-    """The canonical maximal dissipative extension of a skew-symmetric relation.
+def canonical_max_dissipative(s: BoundarySystem) -> Relation:
+    """The canonical maximal dissipative extension of the base of a canonical
+    system (``canonical_system``).
 
     Its graph is the orthogonal sum of Graph(-H0) and the g2 deficiency
     piece {(x, -x)}; it always exists, also when no skew-self-adjoint
     extension does.
     """
-    g_neg, _, ghat2 = canonical_decomposition(h0, tol)
-    graph = sub.sum_of(g_neg, ghat2)
-    return Relation(h0.space_dim, graph)
+    g_neg, _, ghat2 = canonical_pieces(s)
+    return Relation(s.base.space_dim, sub.sum_of(g_neg, ghat2))
 
 
-def adjoint_formula_check(h0: Relation, tol: float = sub.ORTH_TOL) -> bool:
+def adjoint_formula_check(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> bool:
     """Whether the adjoint of the canonical extension equals the sign-flipped
-    sum of Graph(-H0) and the g1 deficiency piece."""
-    g_neg, ghat1, _ = canonical_decomposition(h0, tol)
-    lhs = rel.adjoint(canonical_max_dissipative(h0, tol))
-    rhs = rel.negate(Relation(h0.space_dim, sub.sum_of(g_neg, ghat1)))
+    sum of Graph(-H0) and the g1 deficiency piece, for the base of a
+    canonical system (``canonical_system``)."""
+    g_neg, ghat1, _ = canonical_pieces(s)
+    lhs = rel.adjoint(canonical_max_dissipative(s))
+    rhs = rel.negate(Relation(s.base.space_dim, sub.sum_of(g_neg, ghat1)))
     return sub.distance(lhs.graph, rhs.graph) <= tol

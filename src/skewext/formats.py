@@ -93,10 +93,6 @@ def relation_from_json(obj, rank_tol=None) -> Relation:
     return rel.from_graph(n, vectors, tol=RANK_TOL if rank_tol is None else rank_tol)
 
 
-def extension_param_to_json(p: ExtensionParam) -> dict:
-    return {"kind": p.kind, "matrix": matrix_to_json(p.matrix)}
-
-
 def extension_param_from_json(obj) -> ExtensionParam:
     if not isinstance(obj, dict):
         raise ValueError("parameter file must hold a JSON object")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .subspace import RANK_TOL
+from .subspace import RANK_TOL, numerical_rank
 
 #: Allowed deviation of singular values from 1 for unitary matrices, and
 #: allowed excess above 1 for contractions.
@@ -53,5 +53,4 @@ def null_space(m, tol: float = RANK_TOL) -> np.ndarray:
     if rows == 0 or not np.any(m):
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[rank:].conj().T
+    return vh[numerical_rank(s, tol) :].conj().T

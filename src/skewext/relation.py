@@ -105,12 +105,6 @@ def domain(t: Relation) -> Subspace:
     return sub.span_matrix(x) if t.graph_dim else sub.zero(t.space_dim)
 
 
-def range_(t: Relation) -> Subspace:
-    """Second-component projection of the graph."""
-    _, xp = t.blocks()
-    return sub.span_matrix(xp) if t.graph_dim else sub.zero(t.space_dim)
-
-
 def kernel(t: Relation) -> Subspace:
     """{x : (x, 0) in graph}."""
     n = t.space_dim

@@ -23,6 +23,15 @@ RANK_TOL = 1e-10
 ORTH_TOL = 1e-9
 
 
+def numerical_rank(singular_values, tol: float = RANK_TOL) -> int:
+    """Count of singular values (in descending order, as ``np.linalg.svd``
+    returns them) above ``tol`` times the largest; 0 when there are none."""
+    s = np.asarray(singular_values)
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
 def _as_matrix(vectors, m=None):
     """Stack a sequence of vectors into an m-by-N complex matrix."""
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
@@ -137,8 +146,7 @@ def span_matrix(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     if a.shape[1] == 0 or not np.any(a):
         return zero(m)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0]))
-    return Subspace(m, _canonical_phases(u[:, :rank]))
+    return Subspace(m, _canonical_phases(u[:, : numerical_rank(s, tol)]))
 
 
 def orthocomplement(s: Subspace) -> Subspace:

@@ -196,7 +196,7 @@ def test_criterion_7_canonical_extension_and_adjoint_formula():
     worst_eig = -np.inf
     for i in range(200):
         h0, _ = _random_skew(i)
-        h = ext.canonical_max_dissipative(h0)
+        h = ext.canonical_max_dissipative(bd.canonical_system(h0))
         x, xp = h.blocks()
         if h.graph_dim:
             eig = float(np.max(np.linalg.eigvalsh(xp.conj().T @ x + x.conj().T @ xp)))
@@ -206,7 +206,7 @@ def test_criterion_7_canonical_extension_and_adjoint_formula():
         worst_eig = max(worst_eig, eig)
         range_dim = sub.span_matrix(x - xp, tol=1e-10).dim if h.graph_dim else 0
         assert range_dim == h.space_dim
-        assert ext.adjoint_formula_check(h0, 1e-9)
+        assert ext.adjoint_formula_check(bd.canonical_system(h0), 1e-9)
     _passed(7, f"200 relations, max dissipativity eigenvalue {worst_eig:.2e}")
 
 
@@ -261,7 +261,7 @@ def test_criterion_8_halfline_exactness():
 def test_criterion_9_existence_coherence():
     for i in range(200):
         h0, _ = _random_skew(i)
-        report = ext.existence_report(h0)
+        report = ext.existence_report(bd.canonical_system(h0))
         assert report.agree
         assert report.equal_indices  # finite-dimensional substrate
     summary = hl.existence_summary()

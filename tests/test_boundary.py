@@ -211,6 +211,14 @@ def test_canonical_system_verifies(params):
     report = bd.verify_system(s)
     assert report.ok
     assert report.residual <= 1e-9
+    # closed-form F against the oblique-projection reference, column by column
+    pieces = bd.canonical_pieces(s)
+    for j in range(s.adjoint_graph.dim):
+        _, comp1, comp2 = sub.oblique_project(pieces, s.adjoint_graph.basis[:, j])
+        column = SQRT2 * np.concatenate(
+            [s.g1.basis.conj().T @ comp1[:n], s.g2.basis.conj().T @ comp2[:n]]
+        )
+        assert np.max(np.abs(s.f_matrix[:, j] - column), initial=0.0) <= 1e-10
 
 
 @settings(deadline=None, max_examples=50)

@@ -156,20 +156,20 @@ def test_unitarity_equivalence_examples():
 
 
 def test_existence_report_zero_relation():
-    report = ext.existence_report(rel.zero_relation(1))
+    report = ext.existence_report(bd.canonical_system(rel.zero_relation(1)))
     assert report.indices == (1, 1)
     assert report.booleans == (True, True, True, True)
     assert report.agree
 
 
 def test_existence_report_mult_i():
-    report = ext.existence_report(mult_by(1j))
+    report = ext.existence_report(bd.canonical_system(mult_by(1j)))
     assert report.indices == (0, 0)
     assert report.agree and report.has_sksa_extension
 
 
 def test_canonical_max_dissipative_zero_relation():
-    h = ext.canonical_max_dissipative(rel.zero_relation(1))
+    h = ext.canonical_max_dissipative(bd.canonical_system(rel.zero_relation(1)))
     assert sub.equal(h.graph, sub.span([(1, -1)]))  # mult by -1
     assert rel.is_dissipative(h)
     assert ext.is_maximal_dissipative(h)
@@ -179,14 +179,14 @@ def test_canonical_max_dissipative_zero_relation():
 def test_canonical_max_dissipative_no_deficiency():
     # with trivial g2 the construction returns the negated base itself
     h0 = mult_by(1j)
-    h = ext.canonical_max_dissipative(h0)
+    h = ext.canonical_max_dissipative(bd.canonical_system(h0))
     assert sub.equal(h.graph, rel.negate(h0).graph)
     assert ext.is_maximal_dissipative(h)
 
 
 def test_adjoint_formula_zero_relation_and_mult_i():
-    assert ext.adjoint_formula_check(rel.zero_relation(1))
-    assert ext.adjoint_formula_check(mult_by(1j))
+    assert ext.adjoint_formula_check(bd.canonical_system(rel.zero_relation(1)))
+    assert ext.adjoint_formula_check(bd.canonical_system(mult_by(1j)))
 
 
 @settings(deadline=None, max_examples=40)
@@ -261,9 +261,9 @@ def test_phi_roundtrip_and_unitarity_equivalence(params, pseed):
 def test_existence_and_canonical_extension_random(params):
     n, k, seed = params
     h0 = rel.random_skew_symmetric(n, k, seed)
-    assert ext.existence_report(h0).agree
-    h = ext.canonical_max_dissipative(h0)
+    assert ext.existence_report(bd.canonical_system(h0)).agree
+    h = ext.canonical_max_dissipative(bd.canonical_system(h0))
     assert rel.is_dissipative(h, 1e-9)
     assert ext.is_maximal_dissipative(h, 1e-9)
     assert rel.extends(h, rel.negate(h0), 1e-9)
-    assert ext.adjoint_formula_check(h0, 1e-9)
+    assert ext.adjoint_formula_check(bd.canonical_system(h0), 1e-9)
