@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     InvalidSystem,
     InvalidTriplet,
-    NotSkewSymmetric,
     NotUnitary,
 )
 from .linalg import UNITARY_TOL, is_unitary
@@ -289,19 +288,19 @@ def _pairwise_orthogonal(pieces, tol: float) -> bool:
 def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     """The canonical boundary system of a skew-symmetric relation.
 
-    The boundary map returns sqrt(2) times the g1 and g2 coordinates of the
-    two deficiency components of a graph element u = (x, x').  The pieces of
-    the canonical decomposition are asserted orthonormal, pairwise orthogonal
-    and summing to Graph(H0*), so the Ghat_i component of u is the orthogonal
-    projection Ghat_i Ghat_i^H u, and its scaled coordinates are the plain
-    inner products Ghat_i^H u = g_i^H (x +- x') / sqrt(2).  The resulting
-    system always verifies, regardless of whether the deficiency indices
-    agree.
+    The boundary spaces come from ``relation.deficiency`` (read off the
+    graph blocks of H0, which also checks skew-symmetry), and Graph(H0*)
+    from ``relation.adjoint``, independently of them.  The boundary map
+    returns sqrt(2) times the g1 and g2 coordinates of the two deficiency
+    components of a graph element u = (x, x').  The pieces of the canonical
+    decomposition are asserted orthonormal, pairwise orthogonal and summing
+    to Graph(H0*), so the Ghat_i component of u is the orthogonal projection
+    Ghat_i Ghat_i^H u, and its scaled coordinates are the plain inner
+    products Ghat_i^H u = g_i^H (x +- x') / sqrt(2).  The resulting system
+    always verifies, regardless of whether the deficiency indices agree.
     """
-    if not rel.is_skew_symmetric(h0, tol):
-        raise NotSkewSymmetric("canonical decomposition needs a skew-symmetric base")
+    defic = rel.deficiency(h0, tol)
     adj = rel.adjoint(h0)
-    defic = rel._deficiency_of_adjoint(adj)
     x, xp = adj.blocks()
     f = np.vstack(
         [defic.g1.basis.conj().T @ (x + xp), defic.g2.basis.conj().T @ (x - xp)]

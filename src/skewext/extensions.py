@@ -309,17 +309,21 @@ def canonical_max_dissipative(s: BoundarySystem) -> Relation:
 
     Its graph is the orthogonal sum of Graph(-H0) and the g2 deficiency
     piece {(x, -x)}; it always exists, also when no skew-self-adjoint
-    extension does.
+    extension does.  The two pieces are orthogonal (g2 is ran(1 + H0)^perp),
+    so their orthonormal bases side by side are a basis of the sum.
     """
     g_neg, _, ghat2 = canonical_pieces(s)
-    return Relation(s.base.space_dim, sub.sum_of(g_neg, ghat2))
+    graph = sub.Subspace(g_neg.ambient_dim, np.hstack([g_neg.basis, ghat2.basis]))
+    return Relation(s.base.space_dim, graph)
 
 
 def adjoint_formula_check(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> bool:
     """Whether the adjoint of the canonical extension equals the sign-flipped
     sum of Graph(-H0) and the g1 deficiency piece, for the base of a
-    canonical system (``canonical_system``)."""
+    canonical system (``canonical_system``).  Both pieces are orthogonal
+    (g1 is ran(1 - H0)^perp), so the sum is their bases side by side."""
     g_neg, ghat1, _ = canonical_pieces(s)
     lhs = rel.adjoint(canonical_max_dissipative(s))
-    rhs = rel.negate(Relation(s.base.space_dim, sub.sum_of(g_neg, ghat1)))
+    rhs_graph = sub.Subspace(g_neg.ambient_dim, np.hstack([g_neg.basis, ghat1.basis]))
+    rhs = rel.negate(Relation(s.base.space_dim, rhs_graph))
     return sub.distance(lhs.graph, rhs.graph) <= tol

@@ -100,9 +100,13 @@ def from_operator(a, domain: Subspace) -> Relation:
 
 
 def domain(t: Relation) -> Subspace:
-    """First-component projection of the graph."""
-    x, _ = t.blocks()
-    return sub.span_matrix(x) if t.graph_dim else sub.zero(t.space_dim)
+    """First-component projection of the graph, computed as mul(T*)^perp.
+
+    Spanning the top graph block directly would cut its rank relative to
+    its own largest singular value, so a block of pure round-off (a purely
+    multivalued relation) would count as full rank.
+    """
+    return sub.orthocomplement(mul_part(adjoint(t)))
 
 
 def kernel(t: Relation) -> Subspace:
@@ -206,28 +210,17 @@ def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:
     """Deficiency spaces g1 = ker(1 - T*), g2 = ker(1 + T*) of a
     skew-symmetric relation.
 
-    g1 collects the x with (x, x) in Graph(T*), g2 those with (x, -x);
-    both are first-component projections of intersections of Graph(T*)
-    with the two diagonal subspaces.
+    (y, +-y) lies in Graph(T*) iff <x -+ x', y> = 0 for every (x, x') in
+    Graph(T), so g1 = ran(1 - T)^perp and g2 = ran(1 + T)^perp are the
+    complements of the column spans of X - X' and X + X' for the graph
+    blocks (X, X').  On a skew-symmetric graph with orthonormal basis
+    ||(X -+ X')c|| = ||c||, so every singular value at the rank cut is 1.
     """
     if not is_skew_symmetric(t, tol):
         raise NotSkewSymmetric("deficiency spaces need a skew-symmetric relation")
-    return _deficiency_of_adjoint(adjoint(t))
-
-
-def _deficiency_of_adjoint(t_star: Relation) -> DeficiencyData:
-    n = t_star.space_dim
-    eye = np.eye(n, dtype=complex)
-    diag_plus = Subspace(2 * n, np.vstack([eye, eye]) / _SQRT2)
-    diag_minus = Subspace(2 * n, np.vstack([eye, -eye]) / _SQRT2)
-
-    def first_components(s: Subspace) -> Subspace:
-        if s.dim == 0:
-            return sub.zero(n)
-        return sub.span_matrix(s.basis[:n, :])
-
-    g1 = first_components(sub.intersect(t_star.graph, diag_plus))
-    g2 = first_components(sub.intersect(t_star.graph, diag_minus))
+    x, xp = t.blocks()
+    g1 = sub.orthocomplement(sub.span_matrix(x - xp))
+    g2 = sub.orthocomplement(sub.span_matrix(x + xp))
     return DeficiencyData(g1=g1, g2=g2, indices=(g1.dim, g2.dim))
 
 

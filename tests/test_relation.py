@@ -50,6 +50,12 @@ def test_anatomy_purely_multivalued():
     t = graph_of((0, 1))
     assert rel.domain(t).dim == 0
     assert sub.equal(rel.mul_part(t), sub.full(1))
+    # a top graph block of pure round-off must not count as a domain
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    t = rel.from_graph(3, [np.concatenate([np.zeros(3), v[:, j]]) for j in range(3)])
+    assert rel.domain(t).dim == 0
+    assert sub.equal(rel.mul_part(t), sub.full(3))
 
 
 def test_anatomy_mult_i():
@@ -202,6 +208,18 @@ def test_generator_is_skew_symmetric_with_equal_indices(params):
     assert rel.extends(rel.neg_adjoint(t), t)
     d = rel.deficiency(t)
     assert d.indices[0] == d.indices[1] == n - k
+    # reference route: g1, g2 as first components of Graph(T*) cut with the
+    # diagonals {(x, x)} and {(x, -x)}
+    eye = np.eye(n, dtype=complex)
+    for g, sign in ((d.g1, 1.0), (d.g2, -1.0)):
+        diag = sub.Subspace(2 * n, np.vstack([eye, sign * eye]) / np.sqrt(2.0))
+        cut = sub.intersect(rel.adjoint(t).graph, diag)
+        ref = sub.span_matrix(cut.basis[:n, :]) if cut.dim else sub.zero(n)
+        assert sub.equal(g, ref)
+    # the rank cuts for g1, g2 are well conditioned: X -+ X' is an isometry
+    x, xp = t.blocks()
+    for m in (x - xp, x + xp):
+        assert np.all(np.abs(np.linalg.svd(m, compute_uv=False) - 1.0) <= 1e-9)
 
 
 @settings(deadline=None, max_examples=30)
