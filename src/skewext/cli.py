@@ -25,8 +25,7 @@ from . import relation as rel
 from .errors import DimensionMismatch, SkewextError
 from .linalg import UNITARY_TOL
 from .sampling import random_unitary
-
-DEFAULT_TOL = 1e-9
+from .subspace import ORTH_TOL
 
 _STATUS_EXIT = {"pass": 0, "fail": 1, "error": 2}
 
@@ -400,12 +399,12 @@ def cmd_sweep(args) -> int:
 
 
 def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--tol", type=float, default=ORTH_TOL)
     parser.add_argument(
         "--rank-tol",
         type=float,
         default=None,
-        help="relative singular-value threshold for rank decisions",
+        help="relative singular-value threshold for the rank of input relations",
     )
     parser.add_argument("--out", help="report path (stdout when omitted)")
 

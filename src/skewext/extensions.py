@@ -48,7 +48,7 @@ from .errors import (
     NotUnitary,
     ReadoffSingular,
 )
-from .linalg import UNITARY_TOL, is_contraction, is_unitary, matrix_2norm, null_space
+from .linalg import UNITARY_TOL, is_contraction, is_unitary, matrix_2norm
 from .relation import Relation
 
 PARAM_KINDS = ("unitary_A", "unitary_B", "contraction")
@@ -109,6 +109,19 @@ def _require_unitary(m: np.ndarray, rows: int, cols: int, name: str):
         )
 
 
+def _adjoint_portion(data, condition: np.ndarray) -> Relation:
+    """The relation whose graph is the part of Graph(H0*) on which a boundary
+    condition M (a matrix on graph coordinates) vanishes, for a boundary
+    system or triplet ``data``.
+
+    ker(M) is ran(M^H)^perp, and the adjoint-graph basis times that
+    orthonormal kernel basis is already an orthonormal graph basis.
+    """
+    kernel = sub.complement(condition.conj().T)
+    graph = data.adjoint_graph.basis @ kernel.basis
+    return Relation(data.base.space_dim, sub.Subspace(2 * data.base.space_dim, graph))
+
+
 def system_unitary_extension(
     s: BoundarySystem, l, tol: float = sub.ORTH_TOL
 ) -> Relation:
@@ -120,9 +133,7 @@ def system_unitary_extension(
     require_valid_system(s, tol)
     l = np.asarray(l, dtype=complex)
     _require_unitary(l, s.g2.dim, s.g1.dim, "L")
-    coords = null_space(l @ s.f1 - s.f2)
-    graph = sub.span_matrix(s.adjoint_graph.basis @ coords)
-    return Relation(s.base.space_dim, graph)
+    return _adjoint_portion(s, l @ s.f1 - s.f2)
 
 
 def system_unitary_readoff(s: BoundarySystem, h: Relation, tol: float = sub.ORTH_TOL):
@@ -164,9 +175,8 @@ def triplet_unitary_extension(
     k = t.g.dim
     _require_unitary(l, k, k, "L")
     eye = np.eye(k, dtype=complex)
-    coords = null_space((l - eye) @ t.gamma1 + (l + eye) @ t.gamma2)
-    portion = sub.span_matrix(t.adjoint_graph.basis @ coords)
-    return rel.negate(Relation(t.base.space_dim, portion))
+    condition = (l - eye) @ t.gamma1 + (l + eye) @ t.gamma2
+    return rel.negate(_adjoint_portion(t, condition))
 
 
 def bridge_check(s: BoundarySystem, l0, l, tol: float = sub.ORTH_TOL) -> bool:
@@ -196,9 +206,7 @@ def _portion_coords(t: BoundaryTriplet, h: Relation, tol: float) -> np.ndarray:
 
 def _range_of_one_minus(h: Relation) -> int:
     x, xp = h.blocks()
-    if h.graph_dim == 0:
-        return 0
-    return sub.span_matrix(x - xp).dim
+    return sub.numerical_rank(np.linalg.svd(x - xp, compute_uv=False))
 
 
 def is_maximal_dissipative(h: Relation, tol: float = sub.ORTH_TOL) -> bool:
@@ -245,9 +253,8 @@ def extension_from_contraction(
     dim = t.g.dim
     if k.shape != (dim, dim) or not is_contraction(k, UNITARY_TOL):
         raise NotContraction("parameter is not a contraction on G")
-    coords = null_space(k @ (t.gamma1 + t.gamma2) - (t.gamma1 - t.gamma2))
-    portion = sub.span_matrix(t.adjoint_graph.basis @ coords)
-    return rel.negate(Relation(t.base.space_dim, portion))
+    condition = k @ (t.gamma1 + t.gamma2) - (t.gamma1 - t.gamma2)
+    return rel.negate(_adjoint_portion(t, condition))
 
 
 def unitarity_equivalence_check(

@@ -170,6 +170,8 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
         k = record.get("k")
         if not isinstance(k, int):
             raise ValueError('"k" must be an integer')
+        if k > hl.MAX_DEGREE:
+            raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
         lam = fraction_from_str(record.get("lambda"))
         coeff = hl.RationalComplex(
             fraction_from_str(record.get("re", "0")),

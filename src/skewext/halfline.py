@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, TraceNotZero
 
-#: Caps keeping exact term growth bounded.
+#: Caps keeping exact term growth bounded; the degree cap limits input
+#: functions only (``formats.exppoly_from_json``), not derived ones.
 MAX_DEGREE = 32
 MAX_RATE_DENOMINATOR = 10**6
 
@@ -122,8 +123,6 @@ class ExpPoly:
                 continue
             if not isinstance(k, int) or k < 0:
                 raise ValueError(f"degree must be a nonnegative integer, got {k!r}")
-            if k > MAX_DEGREE:
-                raise ValueError(f"degree {k} exceeds the cap {MAX_DEGREE}")
             if lam <= 0:
                 raise ValueError(f"rate must be positive, got {lam}")
             if lam.denominator > MAX_RATE_DENOMINATOR:

@@ -1,15 +1,13 @@
-"""Small dense-matrix helpers: unitary/contraction predicates and null spaces.
+"""Small dense-matrix helpers: the spectral norm and unitary/contraction
+predicates.
 
-Everything here is tolerance-based; the thresholds follow the package-wide
-defaults (singular-value deviation 1e-8 for unitarity/contraction, relative
-rank threshold 1e-10).
+Everything here is tolerance-based: singular values may deviate from 1 by
+1e-8 for unitarity, and exceed 1 by as much for contractions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .subspace import RANK_TOL, numerical_rank
 
 #: Allowed deviation of singular values from 1 for unitary matrices, and
 #: allowed excess above 1 for contractions.
@@ -38,19 +36,3 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
 def is_contraction(m, tol: float = UNITARY_TOL) -> bool:
     """Whether the spectral norm is at most 1 + tol."""
     return matrix_2norm(m) <= 1.0 + tol
-
-
-def null_space(m, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a complex matrix.
-
-    Rank is decided at relative tolerance ``tol``; an empty or zero matrix
-    has full kernel.
-    """
-    m = np.asarray(m, dtype=complex)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if rows == 0 or not np.any(m):
-        return np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return vh[numerical_rank(s, tol) :].conj().T

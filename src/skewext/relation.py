@@ -113,20 +113,14 @@ def kernel(t: Relation) -> Subspace:
     """{x : (x, 0) in graph}."""
     n = t.space_dim
     top = Subspace(2 * n, np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex))
-    inter = sub.intersect(t.graph, top)
-    if inter.dim == 0:
-        return sub.zero(n)
-    return sub.span_matrix(inter.basis[:n, :])
+    return Subspace(n, sub.intersect(t.graph, top).basis[:n, :])
 
 
 def mul_part(t: Relation) -> Subspace:
     """{x' : (0, x') in graph}; trivial exactly when the relation is an operator."""
     n = t.space_dim
     bottom = Subspace(2 * n, np.vstack([np.zeros((n, n)), np.eye(n)]).astype(complex))
-    inter = sub.intersect(t.graph, bottom)
-    if inter.dim == 0:
-        return sub.zero(n)
-    return sub.span_matrix(inter.basis[n:, :])
+    return Subspace(n, sub.intersect(t.graph, bottom).basis[n:, :])
 
 
 def adjoint(t: Relation) -> Relation:
@@ -137,10 +131,7 @@ def adjoint(t: Relation) -> Relation:
     <x', y> = <x, y'> for every (x, x') in Graph(T).
     """
     x, xp = t.blocks()
-    j_graph = sub.span_matrix(np.vstack([-xp, x])) if t.graph_dim else sub.zero(
-        2 * t.space_dim
-    )
-    return Relation(t.space_dim, sub.orthocomplement(j_graph))
+    return Relation(t.space_dim, sub.complement(np.vstack([-xp, x])))
 
 
 def negate(t: Relation) -> Relation:
@@ -188,8 +179,13 @@ def is_skew_symmetric(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
 
 
 def is_skew_self_adjoint(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
-    """Whether T = -T* as graphs."""
-    return sub.equal(t.graph, neg_adjoint(t).graph, tol)
+    """Whether T = -T* as graphs.
+
+    Graph(-T*) has dimension 2n - dim Graph(T) and contains Graph(T)
+    exactly when T is skew-symmetric, so T = -T* iff the graph is neutral
+    of dimension n.
+    """
+    return t.graph_dim == t.space_dim and is_skew_symmetric(t, tol)
 
 
 def is_dissipative(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
@@ -219,8 +215,8 @@ def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:
     if not is_skew_symmetric(t, tol):
         raise NotSkewSymmetric("deficiency spaces need a skew-symmetric relation")
     x, xp = t.blocks()
-    g1 = sub.orthocomplement(sub.span_matrix(x - xp))
-    g2 = sub.orthocomplement(sub.span_matrix(x + xp))
+    g1 = sub.complement(x - xp)
+    g2 = sub.complement(x + xp)
     return DeficiencyData(g1=g1, g2=g2, indices=(g1.dim, g2.dim))
 
 

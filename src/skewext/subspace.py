@@ -118,10 +118,7 @@ def span(vectors, m=None, tol: float = RANK_TOL) -> Subspace:
     tol : float
         Relative rank threshold.
     """
-    a = _as_matrix(vectors, m)
-    if a.shape[0] == 0:
-        raise EmptyAmbient("ambient dimension must be positive")
-    return span_matrix(a, tol)
+    return span_matrix(_as_matrix(vectors, m), tol)
 
 
 def _canonical_phases(b: np.ndarray) -> np.ndarray:
@@ -149,16 +146,28 @@ def span_matrix(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     return Subspace(m, _canonical_phases(u[:, : numerical_rank(s, tol)]))
 
 
+def complement(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
+    """Orthogonal complement of the column span of a complex matrix.
+
+    One full SVD: the left singular vectors past the numerical rank at
+    relative tolerance ``tol``.  A matrix without columns, or with only
+    zero entries, has the whole space as its complement (``full`` rejects
+    an empty ambient space).
+    """
+    a = np.asarray(a, dtype=complex)
+    m = a.shape[0]
+    if a.shape[1] == 0 or not np.any(a):
+        return full(m)
+    u, s, _ = np.linalg.svd(a, full_matrices=True)
+    return Subspace(m, _canonical_phases(u[:, numerical_rank(s, tol) :]))
+
+
 def orthocomplement(s: Subspace) -> Subspace:
     """The orthogonal complement of a subspace.
 
     Always satisfies ``dim(s) + dim(result) == ambient_dim``.
     """
-    m, k = s.ambient_dim, s.dim
-    if k == 0:
-        return full(m)
-    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(m, _canonical_phases(u[:, k:]))
+    return complement(s.basis)
 
 
 def sum_of(s: Subspace, t: Subspace, tol: float = RANK_TOL) -> Subspace:
@@ -171,17 +180,16 @@ def intersect(s: Subspace, t: Subspace, tol: float = RANK_TOL) -> Subspace:
     """The intersection S `intersect` T, computed as the complement of
     the sum of the complements."""
     _check_same_ambient(s, t)
-    return orthocomplement(sum_of(orthocomplement(s), orthocomplement(t), tol))
+    return complement(
+        np.hstack([orthocomplement(s).basis, orthocomplement(t).basis]), tol
+    )
 
 
-def project(s: Subspace, v) -> np.ndarray:
-    """Orthogonal projection of a vector onto the subspace."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape[0] != s.ambient_dim:
-        raise AmbientMismatch(
-            f"vector of length {v.shape[0]} in ambient dimension {s.ambient_dim}"
-        )
-    return s.basis @ (s.basis.conj().T @ v)
+def _columns_in(s: Subspace, a: np.ndarray, tol: float) -> bool:
+    """Whether every column of ``a`` is within ``tol`` times its norm of its
+    orthogonal projection onto ``s``."""
+    residuals = np.linalg.norm(a - s.basis @ (s.basis.conj().T @ a), axis=0)
+    return bool(np.all(residuals <= tol * np.linalg.norm(a, axis=0)))
 
 
 def contains(s: Subspace, v, tol: float = ORTH_TOL) -> bool:
@@ -191,13 +199,17 @@ def contains(s: Subspace, v, tol: float = ORTH_TOL) -> bool:
     ``s`` is at most ``tol * norm(v)``.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
-    return float(np.linalg.norm(v - project(s, v))) <= tol * float(np.linalg.norm(v))
+    if v.shape[0] != s.ambient_dim:
+        raise AmbientMismatch(
+            f"vector of length {v.shape[0]} in ambient dimension {s.ambient_dim}"
+        )
+    return _columns_in(s, v[:, None], tol)
 
 
 def contains_subspace(s: Subspace, t: Subspace, tol: float = ORTH_TOL) -> bool:
-    """Whether every basis vector of ``t`` lies in ``s``."""
+    """Whether every basis vector of ``t`` lies in ``s`` (see ``contains``)."""
     _check_same_ambient(s, t)
-    return all(contains(s, t.basis[:, j], tol) for j in range(t.dim))
+    return _columns_in(s, t.basis, tol)
 
 
 def equal(s: Subspace, t: Subspace, tol: float = ORTH_TOL) -> bool:

@@ -204,6 +204,28 @@ def test_halfline_resolvent_resonant(tmp_path, capsys):
     ]
 
 
+def test_halfline_resolvent_above_input_degree_cap(tmp_path, capsys):
+    # t^32 e^(-t) is a valid input; its resolvent solution has degree 33
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps([{"k": 32, "lambda": "1", "re": "1", "im": "0"}]))
+    code, report = run_cli(
+        capsys, "halfline", "--subcheck", "resolvent", "--input", str(fn)
+    )
+    assert code == 0
+    assert report["payload"]["resolvent_identity_exact"] is True
+    assert report["payload"]["trace_zero"] is True
+    assert max(t["k"] for t in report["payload"]["solution"]) == 33
+
+
+def test_halfline_input_degree_cap(tmp_path, capsys):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps([{"k": 33, "lambda": "1", "re": "1", "im": "0"}]))
+    code, report = run_cli(
+        capsys, "halfline", "--subcheck", "resolvent", "--input", str(fn)
+    )
+    assert code == 2 and report is None
+
+
 def test_halfline_dissipative_requires_trace_zero(tmp_path, capsys):
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps([{"k": 0, "lambda": "1", "re": "1", "im": "0"}]))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext.errors import DimensionMismatch, TraceNotZero
 from skewext.halfline import QC, ExpPoly, exp_decay, term
@@ -46,8 +47,9 @@ def test_eval0_picks_constant_terms():
 
 
 def test_term_caps():
+    # the degree cap limits input functions, so the decoder enforces it
     with pytest.raises(ValueError):
-        term(33, 1, 1)
+        fmt.exppoly_from_json([{"k": 33, "lambda": "1", "re": "1", "im": "0"}])
     with pytest.raises(ValueError):
         term(0, -1, 1)
     with pytest.raises(ValueError):

@@ -222,6 +222,34 @@ def test_generator_is_skew_symmetric_with_equal_indices(params):
         assert np.all(np.abs(np.linalg.svd(m, compute_uv=False) - 1.0) <= 1e-9)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 5),
+    kind=st.sampled_from(["maximal", "short", "non_neutral", "perturbed"]),
+    delta=st.sampled_from([1e-12, 1e-6]),
+    seed=st.integers(0, 10**6),
+)
+def test_skew_self_adjoint_by_dimension_count(n, kind, delta, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "maximal":
+        t, expected = rel.random_skew_symmetric(n, n, seed), True
+    elif kind == "short":
+        k = int(rng.integers(0, n))
+        t, expected = rel.random_skew_symmetric(n, k, seed), False
+    elif kind == "non_neutral":
+        a = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+        t, expected = rel.Relation(n, sub.span_matrix(a)), False
+    else:
+        basis = rel.random_skew_symmetric(n, n, seed).graph.basis
+        noise = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+        t, expected = rel.Relation(n, sub.span_matrix(basis + delta * noise)), None
+    # reference: mutual containment of Graph(T) and Graph(-T*)
+    reference = sub.equal(t.graph, rel.neg_adjoint(t).graph)
+    assert rel.is_skew_self_adjoint(t) == reference
+    if expected is not None:
+        assert reference == expected
+
+
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(1, 4), seed=st.integers(0, 10**6))
 def test_skew_self_adjoint_implies_no_deficiency(n, seed):

@@ -31,6 +31,17 @@ def test_span_requires_ambient():
         sub.span([(1, 0), (1, 0, 0)])
 
 
+def test_containment_threshold_scales_with_column_norm():
+    line = sub.span([(1, 0, 0)])
+    # residual 1e-4 on a vector of norm 1e6 is 1e-10 relative
+    assert sub.contains(line, np.array([1e6, 1e-4, 0]))
+    assert not sub.contains(line, np.array([1.0, 1e-8, 0]))
+    # every column counts, not only the first
+    t = sub.Subspace(3, np.array([[1, 0], [0, 1], [0, 0]], dtype=complex))
+    assert not sub.contains_subspace(line, t)
+    assert sub.contains_subspace(t, line)
+
+
 def test_orthocomplement_of_line():
     s = sub.orthocomplement(sub.span([(1, 0)]))
     assert sub.equal(s, sub.span([(0, 1)]))
@@ -153,6 +164,31 @@ def test_oblique_components_resum(m, seed):
     comps = sub.oblique_project((s, t), v)
     resum = np.sum(comps, axis=0)
     assert np.linalg.norm(resum - v) <= 1e-9 * max(1.0, np.linalg.norm(v))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.integers(1, 6),
+    cols=st.integers(0, 7),
+    kind=st.sampled_from(["rank_deficient", "zero", "no_columns"]),
+    seed=st.integers(0, 10**6),
+)
+def test_complement_matches_span_then_complement(m, cols, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "no_columns":
+        a = np.zeros((m, 0), dtype=complex)
+    elif kind == "zero":
+        a = np.zeros((m, cols), dtype=complex)
+    else:
+        r = int(rng.integers(0, min(m, cols) + 1))
+        left = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+        right = rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))
+        a = left @ right
+    c = sub.complement(a)
+    spanned = sub.span_matrix(a) if a.shape[1] else sub.zero(m)
+    assert sub.equal(c, sub.orthocomplement(spanned))
+    assert c.dim + spanned.dim == m
+    assert np.linalg.norm(c.basis.conj().T @ a) <= 1e-9 * max(1.0, np.linalg.norm(a))
 
 
 def test_zero_subspace_is_first_class():
