@@ -6,6 +6,9 @@ machine-readable report.  Exit codes: 0 when every asserted property holds
 (status "pass"), 1 when an asserted property fails ("fail"), 2 on invalid
 input or a violated precondition ("error").  Reports are deterministic:
 identical inputs, including seeds, produce byte-identical output.
+
+Each ``cmd_*`` returns ``(echo, digest, status, payload)``; ``main`` hands
+that to ``_emit``, the one place where reports are assembled and written.
 """
 
 from __future__ import annotations
@@ -40,43 +43,52 @@ def _load_json(path):
     return json.loads(raw.decode("utf-8")), _digest_bytes(raw)
 
 
-def _emit(report: dict, out_path) -> int:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return _STATUS_EXIT[report["status"]]
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _report(command: str, args_echo: dict, digest, tol, status: str, payload: dict):
-    return {
-        "command": command,
-        "args": args_echo,
+def _status(checks: dict) -> str:
+    return "pass" if all(checks.values()) else "fail"
+
+
+def _emit(args, echo: dict, digest, status: str, payload: dict) -> int:
+    """Build the report envelope, write it to stdout or ``--out`` and map
+    its status to the exit code.  Commands without an input file are
+    identified by the digest of their echoed arguments."""
+    if digest is None:
+        digest = _digest_bytes(json.dumps(echo, sort_keys=True).encode("utf-8"))
+    report = {
+        "command": args.command,
+        "args": echo,
         "input_digest": digest,
-        "tol": tol,
+        "tol": args.tol,
         "status": status,
         "payload": payload,
     }
+    text = _dumps(report)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return _STATUS_EXIT[status]
 
 
-def _load_relation(path, rank_tol=None):
-    obj, digest = _load_json(path)
-    return fmt.relation_from_json(obj, rank_tol=rank_tol), digest
+def _load_relation(args):
+    obj, digest = _load_json(args.input)
+    return fmt.relation_from_json(obj, rank_tol=args.rank_tol), digest
 
 
-def _load_l0(path, dim: int):
+def _load_l0(path, dim: int) -> np.ndarray:
     """The reference unitary for triplet constructions; identity when no file
     is given."""
     if path is None:
-        return np.eye(dim, dtype=complex), None
-    obj, digest = _load_json(path)
-    return fmt.unitary_matrix_from_json(obj), digest
+        return np.eye(dim, dtype=complex)
+    return fmt.unitary_matrix_from_json(_load_json(path)[0])
 
 
-def cmd_analyze(args) -> int:
-    relation, digest = _load_relation(args.input, args.rank_tol)
+def cmd_analyze(args):
+    relation, digest = _load_relation(args)
     payload = {"skew_symmetric": rel.is_skew_symmetric(relation, args.tol)}
     if not payload["skew_symmetric"]:
         payload["reason"] = "input relation is not skew-symmetric"
@@ -95,14 +107,11 @@ def cmd_analyze(args) -> int:
             }
         )
         status = "pass" if report.agree else "fail"
-    return _emit(
-        _report("analyze", {"input": args.input}, digest, args.tol, status, payload),
-        args.out,
-    )
+    return {"input": args.input}, digest, status, payload
 
 
-def cmd_canonical(args) -> int:
-    relation, digest = _load_relation(args.input, args.rank_tol)
+def cmd_canonical(args):
+    relation, digest = _load_relation(args)
     system = bd.canonical_system(relation, args.tol)
     report = bd.verify_system(system, args.tol)
     dissip = ext.canonical_max_dissipative(system)
@@ -120,62 +129,58 @@ def cmd_canonical(args) -> int:
         "max_dissipative_extension": fmt.relation_to_json(dissip),
         "checks": checks,
     }
-    status = "pass" if all(checks.values()) else "fail"
-    return _emit(
-        _report("canonical", {"input": args.input}, digest, args.tol, status, payload),
-        args.out,
-    )
+    return {"input": args.input}, digest, _status(checks), payload
 
 
-def _extend_payload_A(system, param, tol):
+def _extend_payload_A(system, param, tol) -> dict:
     extension = ext.system_unitary_extension(system, param.matrix, tol)
     readoff = ext.system_unitary_readoff(system, extension, tol)
     err = float(np.max(np.abs(readoff - param.matrix))) if param.matrix.size else 0.0
-    checks = {
-        "skew_self_adjoint": rel.is_skew_self_adjoint(extension, tol),
-        "extends_negated_base": rel.extends(extension, rel.negate(system.base), tol),
-        "readoff_roundtrip_ok": err <= 10 * UNITARY_TOL,
-    }
-    payload = {
+    return {
         "extension": fmt.relation_to_json(extension),
         "readoff_error": err,
-        "checks": checks,
+        "checks": {
+            "skew_self_adjoint": rel.is_skew_self_adjoint(extension, tol),
+            "extends_negated_base": rel.extends(
+                extension, rel.negate(system.base), tol
+            ),
+            "readoff_roundtrip_ok": err <= 10 * UNITARY_TOL,
+        },
     }
-    return payload, checks
 
 
-def _extend_payload_B(triplet, param, tol):
+def _extend_payload_B(triplet, param, tol) -> dict:
     extension = ext.triplet_unitary_extension(triplet, param.matrix, tol)
-    checks = {
-        "skew_self_adjoint": rel.is_skew_self_adjoint(extension, tol),
-        "extends_base": rel.extends(extension, triplet.base, tol),
+    return {
+        "extension": fmt.relation_to_json(extension),
+        "checks": {
+            "skew_self_adjoint": rel.is_skew_self_adjoint(extension, tol),
+            "extends_base": rel.extends(extension, triplet.base, tol),
+        },
     }
-    return {"extension": fmt.relation_to_json(extension), "checks": checks}, checks
 
 
-def _extend_payload_phi(triplet, param, tol):
+def _extend_payload_phi(triplet, param, tol) -> dict:
     extension = ext.extension_from_contraction(triplet, param.matrix, tol)
     kmat = ext.boundary_contraction_of(triplet, extension, tol)
     err = float(np.max(np.abs(kmat - param.matrix))) if param.matrix.size else 0.0
-    checks = {
-        "dissipative": rel.is_dissipative(extension, tol),
-        "maximal": ext.is_maximal_dissipative(extension, tol),
-        "extends_base": rel.extends(extension, triplet.base, tol),
-        "contraction_roundtrip_ok": err <= 10 * UNITARY_TOL,
-        "unitarity_equivalence": ext.unitarity_equivalence_check(
-            triplet, extension, tol
-        ),
-    }
-    payload = {
+    return {
         "extension": fmt.relation_to_json(extension),
         "contraction_roundtrip_error": err,
-        "checks": checks,
+        "checks": {
+            "dissipative": rel.is_dissipative(extension, tol),
+            "maximal": ext.is_maximal_dissipative(extension, tol),
+            "extends_base": rel.extends(extension, triplet.base, tol),
+            "contraction_roundtrip_ok": err <= 10 * UNITARY_TOL,
+            "unitarity_equivalence": ext.unitarity_equivalence_check(
+                triplet, extension, tol
+            ),
+        },
     }
-    return payload, checks
 
 
-def cmd_extend(args) -> int:
-    relation, digest = _load_relation(args.input, args.rank_tol)
+def cmd_extend(args):
+    relation, digest = _load_relation(args)
     param_obj, _ = _load_json(args.param)
     param = fmt.extension_param_from_json(param_obj)
     expected_kind = {"A": "unitary_A", "B": "unitary_B", "phi": "contraction"}[
@@ -188,23 +193,22 @@ def cmd_extend(args) -> int:
         )
     system = bd.canonical_system(relation, args.tol)
     if args.mode == "A":
-        payload, checks = _extend_payload_A(system, param, args.tol)
+        payload = _extend_payload_A(system, param, args.tol)
     else:
-        l0, _ = _load_l0(args.l0, system.g1.dim)
+        l0 = _load_l0(args.l0, system.g1.dim)
         triplet = bd.system_to_triplet(system, l0, args.tol)
         if args.mode == "B":
-            payload, checks = _extend_payload_B(triplet, param, args.tol)
+            payload = _extend_payload_B(triplet, param, args.tol)
         else:
-            payload, checks = _extend_payload_phi(triplet, param, args.tol)
-    status = "pass" if all(checks.values()) else "fail"
+            payload = _extend_payload_phi(triplet, param, args.tol)
     echo = {"input": args.input, "param": args.param, "mode": args.mode, "l0": args.l0}
-    return _emit(_report("extend", echo, digest, args.tol, status, payload), args.out)
+    return echo, digest, _status(payload["checks"]), payload
 
 
-def cmd_convert(args) -> int:
-    relation, digest = _load_relation(args.input, args.rank_tol)
+def cmd_convert(args):
+    relation, digest = _load_relation(args)
     system = bd.canonical_system(relation, args.tol)
-    l0, _ = _load_l0(args.l0, system.g1.dim)
+    l0 = _load_l0(args.l0, system.g1.dim)
     triplet = bd.system_to_triplet(system, l0, args.tol)
     treport = bd.verify_triplet(triplet, args.tol)
     if args.direction == "s2t":
@@ -238,16 +242,13 @@ def cmd_convert(args) -> int:
                 "roundtrip_reproduces_triplet": roundtrip_err <= args.tol,
             },
         }
-    status = "pass" if all(payload["checks"].values()) else "fail"
     echo = {"input": args.input, "direction": args.direction, "l0": args.l0}
-    return _emit(_report("convert", echo, digest, args.tol, status, payload), args.out)
+    return echo, digest, _status(payload["checks"]), payload
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     relation = rel.random_skew_symmetric(args.n, args.k, args.seed)
-    text = (
-        json.dumps(fmt.relation_to_json(relation), sort_keys=True, indent=2) + "\n"
-    )
+    text = _dumps(fmt.relation_to_json(relation))
     with open(args.out_relation, "w", encoding="utf-8") as fh:
         fh.write(text)
     echo = {
@@ -261,10 +262,7 @@ def cmd_generate(args) -> int:
         "file_digest": _digest_bytes(text.encode("utf-8")),
         "graph_dim": relation.graph_dim,
     }
-    digest = _digest_bytes(json.dumps(echo, sort_keys=True).encode("utf-8"))
-    return _emit(
-        _report("generate", echo, digest, args.tol, "pass", payload), args.out
-    )
+    return echo, None, "pass", payload
 
 
 def _load_halfline_pair(path):
@@ -280,7 +278,7 @@ def _load_halfline_pair(path):
     raise ValueError('function file must be a term list or {"f": ..., "g": ...}')
 
 
-def cmd_halfline(args) -> int:
+def cmd_halfline(args):
     echo = {"subcheck": args.subcheck, "input": args.input}
     digest = None
     if args.subcheck == "green":
@@ -337,17 +335,7 @@ def cmd_halfline(args) -> int:
             "trace_zero": trace,
         }
         status = "pass" if identity and trace else "fail"
-    return _emit(
-        _report(
-            "halfline",
-            echo,
-            digest or _digest_bytes(json.dumps(echo, sort_keys=True).encode("utf-8")),
-            args.tol,
-            status,
-            payload,
-        ),
-        args.out,
-    )
+    return echo, digest, status, payload
 
 
 def _sweep_instance(seed: int, tol: float) -> dict:
@@ -384,7 +372,7 @@ def _sweep_instance(seed: int, tol: float) -> dict:
     }
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     results = [_sweep_instance(args.seed + i, args.tol) for i in range(args.count)]
     failures = [
         {"seed": r["seed"], "failed": [k for k, v in r["checks"].items() if not v]}
@@ -393,20 +381,22 @@ def cmd_sweep(args) -> int:
     ]
     echo = {"count": args.count, "seed": args.seed}
     payload = {"instances": args.count, "failures": failures}
-    digest = _digest_bytes(json.dumps(echo, sort_keys=True).encode("utf-8"))
-    status = "pass" if not failures else "fail"
-    return _emit(_report("sweep", echo, digest, args.tol, status, payload), args.out)
+    return echo, None, "pass" if not failures else "fail", payload
 
 
 def _add_common(parser):
     parser.add_argument("--tol", type=float, default=ORTH_TOL)
+    parser.add_argument("--out", help="report path (stdout when omitted)")
+
+
+def _add_relation_input(parser):
+    parser.add_argument("--input", required=True)
     parser.add_argument(
         "--rank-tol",
         type=float,
         default=None,
         help="relative singular-value threshold for the rank of input relations",
     )
-    parser.add_argument("--out", help="report path (stdout when omitted)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,19 +410,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="skew-symmetry, indices, existence report")
-    p.add_argument("--input", required=True)
+    _add_relation_input(p)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser(
         "canonical", help="canonical boundary system and dissipative extension"
     )
-    p.add_argument("--input", required=True)
+    _add_relation_input(p)
     _add_common(p)
     p.set_defaults(func=cmd_canonical)
 
     p = subs.add_parser("extend", help="build an extension from a parameter file")
-    p.add_argument("--input", required=True)
+    _add_relation_input(p)
     p.add_argument("--param", required=True)
     p.add_argument("--mode", choices=["A", "B", "phi"], required=True)
     p.add_argument("--l0", help="reference unitary file (identity when omitted)")
@@ -440,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extend)
 
     p = subs.add_parser("convert", help="system/triplet conversions and round trip")
-    p.add_argument("--input", required=True)
+    _add_relation_input(p)
     p.add_argument("--direction", choices=["t2s", "s2t"], required=True)
     p.add_argument("--l0", help="reference unitary file (identity when omitted)")
     _add_common(p)
@@ -478,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args, *args.func(args))
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -153,7 +153,7 @@ def system_unitary_readoff(s: BoundarySystem, h: Relation, tol: float = sub.ORTH
     image1 = s.f1 @ coords
     image2 = s.f2 @ coords
     k1 = s.g1.dim
-    if k1 and sub.numerical_rank(np.linalg.svd(image1, compute_uv=False)) < k1:
+    if k1 and sub.rank(image1) < k1:
         raise ReadoffSingular(
             "F1 image of the graph is rank-deficient; input violates the "
             "bijection premise"
@@ -206,7 +206,7 @@ def _portion_coords(t: BoundaryTriplet, h: Relation, tol: float) -> np.ndarray:
 
 def _range_of_one_minus(h: Relation) -> int:
     x, xp = h.blocks()
-    return sub.numerical_rank(np.linalg.svd(x - xp, compute_uv=False))
+    return sub.rank(x - xp)
 
 
 def is_maximal_dissipative(h: Relation, tol: float = sub.ORTH_TOL) -> bool:
@@ -232,7 +232,7 @@ def boundary_contraction_of(
     plus = (t.gamma1 + t.gamma2) @ coords
     minus = (t.gamma1 - t.gamma2) @ coords
     k = t.g.dim
-    if k and sub.numerical_rank(np.linalg.svd(plus, compute_uv=False)) < k:
+    if k and sub.rank(plus) < k:
         raise IllDefined("boundary sums do not span G; maximality premise violated")
     kmat = minus @ np.linalg.pinv(plus)
     if matrix_2norm(kmat @ plus - minus) > tol * max(1.0, matrix_2norm(minus)):

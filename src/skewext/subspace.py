@@ -32,6 +32,11 @@ def numerical_rank(singular_values, tol: float = RANK_TOL) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
+def rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Numerical rank of the matrix ``m`` (see ``numerical_rank``)."""
+    return numerical_rank(np.linalg.svd(m, compute_uv=False), tol)
+
+
 def _as_matrix(vectors, m=None):
     """Stack a sequence of vectors into an m-by-N complex matrix."""
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]

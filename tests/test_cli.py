@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
+from skewext import extensions as ext
+from skewext import relation as rel
 from skewext.cli import main
 
 
@@ -254,3 +257,98 @@ def test_report_written_to_out_path(tmp_path, zero_relation_file, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["status"] == "pass"
+
+
+def test_analyze_rejects_infinite_generator(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"n": 1, "graph_generators": [[[Infinity, 0.0], [0.0, 1.0]]]}')
+    code, report = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 2 and report is None
+
+
+# Reports without paths or LAPACK-computed floats; their bytes hold on any machine.
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["sweep", "--count", "5", "--seed", "0"],
+            "5cd10c17ad446ab2b1413809dd3c1a73fe33feba1d6d086e2310c01b13269166",
+        ),
+        (
+            ["halfline", "--subcheck", "deficiency"],
+            "fbb125f10ac029dff34ddbe5ea21b2b77b3f72500de25df113d68564d933de21",
+        ),
+        (
+            ["halfline", "--subcheck", "triplet"],
+            "897c83646e3b76a05abee59c5496e268e4220f12f515df1f27eb74555ec41a78",
+        ),
+    ],
+)
+def test_report_bytes_pinned(argv, sha256, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.fixture
+def command_argv(tmp_path, zero_relation_file):
+    param = tmp_path / "param.json"
+    param.write_text(json.dumps({"kind": "unitary_A", "matrix": [[[0.0, 1.0]]]}))
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps([{"k": 1, "lambda": "1", "re": "1", "im": "0"}]))
+    relation = ["--input", zero_relation_file]
+    return {
+        "analyze": ["analyze", *relation],
+        "canonical": ["canonical", *relation],
+        "extend": ["extend", *relation, "--param", str(param), "--mode", "A"],
+        "convert": ["convert", *relation, "--direction", "t2s"],
+        "generate": [
+            "generate", "--n", "2", "--k", "1", "--seed", "3",
+            "--out-relation", str(tmp_path / "gen.json"),
+        ],
+        "halfline": ["halfline", "--subcheck", "resolvent", "--input", str(fn)],
+        "sweep": ["sweep", "--count", "2"],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["analyze", "canonical", "extend", "convert", "generate", "halfline", "sweep"],
+)
+def test_every_report_is_canonical_json(command, command_argv, capsys):
+    assert main(command_argv[command]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report["command"] == command
+    assert set(report) == {"command", "args", "input_digest", "tol", "status", "payload"}
+
+
+def test_out_into_missing_directory(tmp_path, zero_relation_file, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["analyze", "--input", zero_relation_file, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_rank_tol_only_on_relation_commands(zero_relation_file, capsys):
+    assert main(["canonical", "--input", zero_relation_file, "--rank-tol", "1e-8"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--rank-tol", "1e-8"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, module, check",
+    [("canonical", ext, "adjoint_formula_check"), ("extend", rel, "extends")],
+)
+def test_one_failed_check_fails_the_report(
+    command, module, check, command_argv, monkeypatch, capsys
+):
+    monkeypatch.setattr(module, check, lambda *args: False)
+    code, report = run_cli(capsys, *command_argv[command])
+    assert code == 1 and report["status"] == "fail"
+    assert list(report["payload"]["checks"].values()).count(False) == 1

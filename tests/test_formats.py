@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,10 @@ def test_relation_from_json_normalizes_generators():
         {"n": 1},
         {"n": 1, "graph_generators": [[[1.0, 0.0]]]},  # wrong vector length
         {"n": 1, "graph_generators": [[[1.0, "x"], [0.0, 0.0]]]},
+        {"n": 1, "graph_generators": [[[float("inf"), 0.0], [0.0, 1.0]]]},
+        {"n": 1, "graph_generators": [[[float("nan"), 0.0], [0.0, 1.0]]]},
+        {"n": 1, "graph_generators": [[[10**400, 0.0], [0.0, 1.0]]]},
+        {"n": 1, "graph_generators": [[[True, 0.0], [0.0, 1.0]]]},
     ],
 )
 def test_relation_from_json_rejects_malformed(obj):
@@ -48,6 +53,21 @@ def test_relation_from_json_rejects_malformed(obj):
 def test_matrix_roundtrip():
     m = np.array([[1 + 2j, 0], [3.5j, -1]])
     assert np.array_equal(fmt.matrix_from_json(fmt.matrix_to_json(m)), m)
+
+
+def test_matrix_and_subspace_encoding_match_entrywise_loop():
+    def pairs(rows):  # the entry-by-entry encoder, kept as the reference
+        return json.dumps([[[complex(z).real, complex(z).imag] for z in r] for r in rows])
+
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    m[0, 0] = complex(-0.0, -0.0)
+    for a in (m, m.real, np.zeros((2, 0)), np.zeros((0, 3))):
+        assert json.dumps(fmt.matrix_to_json(a)) == pairs(a)
+    s = sub.span([(1, 1j, 0), (0, 2, 1)])
+    cols = [s.basis[:, j] for j in range(s.dim)]
+    assert json.dumps(fmt.subspace_to_json(s)) == pairs(cols)
+    assert fmt.subspace_to_json(sub.zero(3)) == []
 
 
 def test_extension_param_roundtrip_and_validation():

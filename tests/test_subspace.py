@@ -204,3 +204,13 @@ def test_distance_metric():
     t = sub.span([(0, 1)])
     assert sub.distance(s, s) <= 1e-12
     assert abs(sub.distance(s, t) - 1.0) <= 1e-12
+
+
+def test_rank_counts_singular_values_above_relative_threshold():
+    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1j], [0.0, 0.0, 0.0]])
+    assert sub.rank(a) == 2
+    assert sub.rank(a) == sub.numerical_rank(np.linalg.svd(a, compute_uv=False))
+    tiny = np.diag([1.0, 1e-11, 1e-9])
+    assert sub.rank(tiny) == 2  # 1e-11 is below RANK_TOL relative to 1
+    assert sub.rank(tiny, tol=1e-12) == 3
+    assert sub.rank(np.zeros((3, 0))) == 0
