@@ -131,7 +131,7 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f'expected a "p/q" string, got {s!r}')
@@ -165,7 +165,7 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
         if not isinstance(record, dict):
             raise ValueError(f"term record must be an object, got {record!r}")
         k = record.get("k")
-        if not isinstance(k, int):
+        if isinstance(k, bool) or not isinstance(k, int):
             raise ValueError('"k" must be an integer')
         if k > hl.MAX_DEGREE:
             raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")

@@ -32,9 +32,9 @@ def numerical_rank(singular_values, tol: float = RANK_TOL) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
+def rank(m: np.ndarray) -> int:
     """Numerical rank of the matrix ``m`` (see ``numerical_rank``)."""
-    return numerical_rank(np.linalg.svd(m, compute_uv=False), tol)
+    return numerical_rank(np.linalg.svd(m, compute_uv=False))
 
 
 def _as_matrix(vectors, m=None):

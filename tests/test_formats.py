@@ -94,6 +94,10 @@ def test_exppoly_rejects_malformed():
     with pytest.raises(ValueError):
         fmt.exppoly_from_json([{"k": 0, "lambda": "1/0", "re": "1", "im": "0"}])
     with pytest.raises(ValueError):
+        fmt.exppoly_from_json([{"k": True, "lambda": "1", "re": "1", "im": "0"}])
+    with pytest.raises(ValueError):
+        fmt.exppoly_from_json([{"k": 0, "lambda": "1", "re": True, "im": "0"}])
+    with pytest.raises(ValueError):
         fmt.exppoly_from_json(
             [
                 {"k": 0, "lambda": "1", "re": "1", "im": "0"},
