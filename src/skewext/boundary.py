@@ -7,7 +7,9 @@ the abstract Green identity on a single boundary space G.  Both carry their
 boundary maps as matrices against one fixed orthonormal basis of
 Graph(H0*), so boundary maps are linear by construction, and elements of
 G1, G2, G are coordinate vectors against orthonormal bases (making
-"unitary between boundary spaces" a plain matrix predicate).
+"unitary between boundary spaces" a plain matrix predicate).  Each system
+and triplet is verified once, when it is built, and carries the report;
+the conversions and the extension constructors refuse one that failed.
 
 The canonical boundary system exists for every skew-symmetric relation:
 its boundary spaces are the deficiency spaces g1 = ker(1 - H0*) and
@@ -23,7 +25,7 @@ relations with multivalued parts it is the well-defined variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -42,22 +44,6 @@ from .relation import Relation, omega_matrix
 from .subspace import Subspace
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def standard_symmetric_form(u, v, n: int) -> complex:
-    """Omega((x, x'), (y, y')) = <x, y'> + <x', y> on C^2n."""
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    x, xp = u[:n], u[n:]
-    y, yp = v[:n], v[n:]
-    return complex(np.vdot(yp, x) + np.vdot(y, xp))
-
-
-def standard_unitary_form(a, b, g1_dim: int) -> complex:
-    """omega((a1, a2), (b1, b2)) = <a1, b1> - <a2, b2> on G1 + G2."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    return complex(np.vdot(b[:g1_dim], a[:g1_dim]) - np.vdot(b[g1_dim:], a[g1_dim:]))
 
 
 @dataclass(frozen=True)
@@ -86,6 +72,9 @@ class BoundarySystem:
     ``f_matrix`` maps coordinates with respect to the orthonormal basis
     stored in ``adjoint_graph`` (a basis of Graph(base*)) to stacked
     (g1, g2) coordinates; the first ``g1.dim`` rows are the F1 block.
+    The system is verified once, at tolerance ``tol``, when it is built;
+    ``report`` holds the outcome; the boundary map is made read-only, so
+    the report stays valid for the life of the object.
     """
 
     base: Relation
@@ -93,8 +82,10 @@ class BoundarySystem:
     g1: Subspace
     g2: Subspace
     f_matrix: np.ndarray
+    tol: InitVar[float] = sub.ORTH_TOL
+    report: VerificationReport = field(init=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         n = self.base.space_dim
         if self.adjoint_graph.ambient_dim != 2 * n:
             raise AmbientMismatch("adjoint graph must live in C^(2n)")
@@ -104,7 +95,9 @@ class BoundarySystem:
         expected = (self.g1.dim + self.g2.dim, self.adjoint_graph.dim)
         if f.shape != expected:
             raise AmbientMismatch(f"F must have shape {expected}, got {f.shape}")
+        f.setflags(write=False)
         object.__setattr__(self, "f_matrix", f)
+        object.__setattr__(self, "report", verify_system(self, tol))
 
     @property
     def f1(self) -> np.ndarray:
@@ -120,7 +113,8 @@ class BoundaryTriplet:
     """Boundary triplet data (g, Gamma1, Gamma2) over a skew-symmetric base.
 
     Both boundary maps act on coordinates against the orthonormal basis in
-    ``adjoint_graph``.
+    ``adjoint_graph``.  Like a system, the triplet is verified once at
+    ``tol`` when it is built, and ``report`` holds the outcome.
     """
 
     base: Relation
@@ -128,8 +122,10 @@ class BoundaryTriplet:
     g: Subspace
     gamma1: np.ndarray
     gamma2: np.ndarray
+    tol: InitVar[float] = sub.ORTH_TOL
+    report: VerificationReport = field(init=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         n = self.base.space_dim
         if self.adjoint_graph.ambient_dim != 2 * n:
             raise AmbientMismatch("adjoint graph must live in C^(2n)")
@@ -142,7 +138,9 @@ class BoundaryTriplet:
                 raise AmbientMismatch(
                     f"{name} must have shape {expected}, got {m.shape}"
                 )
+            m.setflags(write=False)
             object.__setattr__(self, name, m)
+        object.__setattr__(self, "report", verify_triplet(self, tol))
 
 
 def _row_rank_full(m: np.ndarray) -> bool:
@@ -190,9 +188,9 @@ def verify_triplet(t: BoundaryTriplet, tol: float = sub.ORTH_TOL) -> Verificatio
     )
 
 
-def require_valid_system(s: BoundarySystem, tol: float = sub.ORTH_TOL):
-    """Raise InvalidSystem unless the system verifies."""
-    report = verify_system(s, tol)
+def require_valid_system(s: BoundarySystem):
+    """Raise InvalidSystem unless the system verified when it was built."""
+    report = s.report
     if not report.ok:
         raise InvalidSystem(
             f"boundary system fails verification (residual {report.residual:.3e}, "
@@ -200,9 +198,9 @@ def require_valid_system(s: BoundarySystem, tol: float = sub.ORTH_TOL):
         )
 
 
-def require_valid_triplet(t: BoundaryTriplet, tol: float = sub.ORTH_TOL):
-    """Raise InvalidTriplet unless the triplet verifies."""
-    report = verify_triplet(t, tol)
+def require_valid_triplet(t: BoundaryTriplet):
+    """Raise InvalidTriplet unless the triplet verified when it was built."""
+    report = t.report
     if not report.ok:
         raise InvalidTriplet(
             f"boundary triplet fails verification (residual {report.residual:.3e}, "
@@ -210,28 +208,32 @@ def require_valid_triplet(t: BoundaryTriplet, tol: float = sub.ORTH_TOL):
         )
 
 
-def triplet_to_system(t: BoundaryTriplet, tol: float = sub.ORTH_TOL) -> BoundarySystem:
+def triplet_to_system(t: BoundaryTriplet) -> BoundarySystem:
     """The boundary system induced by a triplet.
 
     F stacks (Gamma1 + Gamma2)/sqrt(2) over (Gamma1 - Gamma2)/sqrt(2), with
-    both boundary spaces equal to the triplet space.
+    both boundary spaces equal to the triplet space.  The system is
+    verified at the triplet's tolerance.
     """
-    require_valid_triplet(t, tol)
+    require_valid_triplet(t)
     f = np.vstack([(t.gamma1 + t.gamma2) / _SQRT2, (t.gamma1 - t.gamma2) / _SQRT2])
     return BoundarySystem(
-        base=t.base, adjoint_graph=t.adjoint_graph, g1=t.g, g2=t.g, f_matrix=f
+        base=t.base,
+        adjoint_graph=t.adjoint_graph,
+        g1=t.g,
+        g2=t.g,
+        f_matrix=f,
+        tol=t.report.tol,
     )
 
 
-def system_to_triplet(
-    s: BoundarySystem, l0, tol: float = sub.ORTH_TOL
-) -> BoundaryTriplet:
+def system_to_triplet(s: BoundarySystem, l0) -> BoundaryTriplet:
     """The boundary triplet induced by a system and a unitary L0: G1 -> G2.
 
     Gamma1 = (F1 + L0^{-1} F2)/sqrt(2) and Gamma2 = (F1 - L0^{-1} F2)/sqrt(2),
-    over the boundary space G1.  Requires dim G1 = dim G2; the failure of
-    that requirement is exactly how the unequal-deficiency-index case
-    manifests computationally.
+    over the boundary space G1, verified at the system's tolerance.
+    Requires dim G1 = dim G2; the failure of that requirement is exactly
+    how the unequal-deficiency-index case manifests computationally.
     """
     if s.g1.dim != s.g2.dim:
         raise DimensionMismatch(s.g1.dim, s.g2.dim)
@@ -243,7 +245,7 @@ def system_to_triplet(
         )
     if not is_unitary(l0, UNITARY_TOL):
         raise NotUnitary("L0 is not unitary within tolerance")
-    require_valid_system(s, tol)
+    require_valid_system(s)
     l0_inv_f2 = l0.conj().T @ s.f2
     return BoundaryTriplet(
         base=s.base,
@@ -251,23 +253,15 @@ def system_to_triplet(
         g=s.g1,
         gamma1=(s.f1 + l0_inv_f2) / _SQRT2,
         gamma2=(s.f1 - l0_inv_f2) / _SQRT2,
+        tol=s.report.tol,
     )
 
 
-def canonical_decomposition(h0: Relation, tol: float = sub.ORTH_TOL):
-    """Orthogonal graph-level decomposition of Graph(H0*) for skew-symmetric H0.
-
-    Returns (G_neg, Ghat1, Ghat2) with G_neg = Graph(-H0),
-    Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2}.  The three
-    pieces are pairwise orthogonal and sum to Graph(H0*); a failure of that
-    assertion (a numerical-rank problem) raises DecompositionFailure.
-    """
-    return canonical_pieces(canonical_system(h0, tol))
-
-
 def canonical_pieces(s: BoundarySystem):
-    """The pieces (G_neg, Ghat1, Ghat2) of a canonical system, read off its
-    base and boundary spaces without any rank decision."""
+    """The pieces (G_neg, Ghat1, Ghat2) of the orthogonal graph-level
+    decomposition of Graph(H0*), for a canonical system: G_neg = Graph(-H0),
+    Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2}, read off
+    its base and boundary spaces without any rank decision."""
     return rel.negate(s.base).graph, _hat_space(s.g1, +1.0), _hat_space(s.g2, -1.0)
 
 
@@ -297,7 +291,8 @@ def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     to Graph(H0*), so the Ghat_i component of u is the orthogonal projection
     Ghat_i Ghat_i^H u, and its scaled coordinates are the plain inner
     products Ghat_i^H u = g_i^H (x +- x') / sqrt(2).  The resulting system
-    always verifies, regardless of whether the deficiency indices agree.
+    always verifies, regardless of whether the deficiency indices agree;
+    it is verified at ``tol``.
     """
     defic = rel.deficiency(h0, tol)
     adj = rel.adjoint(h0)
@@ -306,7 +301,12 @@ def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
         [defic.g1.basis.conj().T @ (x + xp), defic.g2.basis.conj().T @ (x - xp)]
     ) / _SQRT2
     s = BoundarySystem(
-        base=h0, adjoint_graph=adj.graph, g1=defic.g1, g2=defic.g2, f_matrix=f
+        base=h0,
+        adjoint_graph=adj.graph,
+        g1=defic.g1,
+        g2=defic.g2,
+        f_matrix=f,
+        tol=tol,
     )
 
     pieces = canonical_pieces(s)

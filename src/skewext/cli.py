@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands load relations or half-line functions from JSON files, run the
-requested construction, RE-VERIFY every constructed object, and emit a
-machine-readable report.  Exit codes: 0 when every asserted property holds
-(status "pass"), 1 when an asserted property fails ("fail"), 2 on invalid
-input or a violated precondition ("error").  Reports are deterministic:
-identical inputs, including seeds, produce byte-identical output.
+requested construction and emit a machine-readable report.  Each boundary
+system and triplet is verified once, when it is built, at the run's
+``--tol``; reports read that verification off the object, and every
+consumer refuses an object that failed it.  Exit codes: 0 when every
+asserted property holds (status "pass"), 1 when an asserted property fails
+("fail"), 2 on invalid input or a violated precondition ("error").  Reports
+are deterministic: identical inputs, including seeds, produce byte-identical
+output.  ``input_digest`` covers every input file the command read.
 
 Each ``cmd_*`` returns ``(echo, digest, status, payload)``; ``main`` hands
 that to ``_emit``, the one place where reports are assembled and written.
@@ -41,6 +44,16 @@ def _load_json(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     return json.loads(raw.decode("utf-8")), _digest_bytes(raw)
+
+
+def _input_digest(*digests) -> str:
+    """The digest of the files a command read: a lone file's own digest, or
+    else the sha256 of the per-file digests joined by newlines, in argument
+    order.  ``None`` entries stand for files not given and are skipped."""
+    digests = [d for d in digests if d is not None]
+    if len(digests) == 1:
+        return digests[0]
+    return _digest_bytes("\n".join(digests).encode("utf-8"))
 
 
 def _dumps(obj) -> str:
@@ -79,12 +92,13 @@ def _load_relation(args):
     return fmt.relation_from_json(obj, rank_tol=args.rank_tol), digest
 
 
-def _load_l0(path, dim: int) -> np.ndarray:
-    """The reference unitary for triplet constructions; identity when no file
-    is given."""
+def _load_l0(path, dim: int):
+    """The reference unitary for triplet constructions and the digest of its
+    file; the identity and ``None`` when no file is given."""
     if path is None:
-        return np.eye(dim, dtype=complex)
-    return fmt.unitary_matrix_from_json(_load_json(path)[0])
+        return np.eye(dim, dtype=complex), None
+    obj, digest = _load_json(path)
+    return fmt.unitary_matrix_from_json(obj), digest
 
 
 def cmd_analyze(args):
@@ -113,7 +127,7 @@ def cmd_analyze(args):
 def cmd_canonical(args):
     relation, digest = _load_relation(args)
     system = bd.canonical_system(relation, args.tol)
-    report = bd.verify_system(system, args.tol)
+    report = system.report
     dissip = ext.canonical_max_dissipative(system)
     checks = {
         "system_surjective": report.surjective,
@@ -133,7 +147,7 @@ def cmd_canonical(args):
 
 
 def _extend_payload_A(system, param, tol) -> dict:
-    extension = ext.system_unitary_extension(system, param.matrix, tol)
+    extension = ext.system_unitary_extension(system, param.matrix)
     readoff = ext.system_unitary_readoff(system, extension, tol)
     err = float(np.max(np.abs(readoff - param.matrix))) if param.matrix.size else 0.0
     return {
@@ -150,7 +164,7 @@ def _extend_payload_A(system, param, tol) -> dict:
 
 
 def _extend_payload_B(triplet, param, tol) -> dict:
-    extension = ext.triplet_unitary_extension(triplet, param.matrix, tol)
+    extension = ext.triplet_unitary_extension(triplet, param.matrix)
     return {
         "extension": fmt.relation_to_json(extension),
         "checks": {
@@ -161,7 +175,7 @@ def _extend_payload_B(triplet, param, tol) -> dict:
 
 
 def _extend_payload_phi(triplet, param, tol) -> dict:
-    extension = ext.extension_from_contraction(triplet, param.matrix, tol)
+    extension = ext.extension_from_contraction(triplet, param.matrix)
     kmat = ext.boundary_contraction_of(triplet, extension, tol)
     err = float(np.max(np.abs(kmat - param.matrix))) if param.matrix.size else 0.0
     return {
@@ -181,7 +195,7 @@ def _extend_payload_phi(triplet, param, tol) -> dict:
 
 def cmd_extend(args):
     relation, digest = _load_relation(args)
-    param_obj, _ = _load_json(args.param)
+    param_obj, param_digest = _load_json(args.param)
     param = fmt.extension_param_from_json(param_obj)
     expected_kind = {"A": "unitary_A", "B": "unitary_B", "phi": "contraction"}[
         args.mode
@@ -192,25 +206,27 @@ def cmd_extend(args):
             f"got {param.kind!r}"
         )
     system = bd.canonical_system(relation, args.tol)
+    l0_digest = None
     if args.mode == "A":
         payload = _extend_payload_A(system, param, args.tol)
     else:
-        l0 = _load_l0(args.l0, system.g1.dim)
-        triplet = bd.system_to_triplet(system, l0, args.tol)
+        l0, l0_digest = _load_l0(args.l0, system.g1.dim)
+        triplet = bd.system_to_triplet(system, l0)
         if args.mode == "B":
             payload = _extend_payload_B(triplet, param, args.tol)
         else:
             payload = _extend_payload_phi(triplet, param, args.tol)
     echo = {"input": args.input, "param": args.param, "mode": args.mode, "l0": args.l0}
+    digest = _input_digest(digest, param_digest, l0_digest)
     return echo, digest, _status(payload["checks"]), payload
 
 
 def cmd_convert(args):
     relation, digest = _load_relation(args)
     system = bd.canonical_system(relation, args.tol)
-    l0 = _load_l0(args.l0, system.g1.dim)
-    triplet = bd.system_to_triplet(system, l0, args.tol)
-    treport = bd.verify_triplet(triplet, args.tol)
+    l0, l0_digest = _load_l0(args.l0, system.g1.dim)
+    triplet = bd.system_to_triplet(system, l0)
+    treport = triplet.report
     if args.direction == "s2t":
         payload = {
             "triplet": fmt.triplet_to_json(triplet),
@@ -221,9 +237,9 @@ def cmd_convert(args):
             },
         }
     else:
-        rebuilt = bd.triplet_to_system(triplet, args.tol)
-        sreport = bd.verify_system(rebuilt, args.tol)
-        back = bd.system_to_triplet(rebuilt, np.eye(triplet.g.dim), args.tol)
+        rebuilt = bd.triplet_to_system(triplet)
+        sreport = rebuilt.report
+        back = bd.system_to_triplet(rebuilt, np.eye(triplet.g.dim))
         roundtrip_err = 0.0
         if triplet.gamma1.size:
             roundtrip_err = float(
@@ -243,7 +259,7 @@ def cmd_convert(args):
             },
         }
     echo = {"input": args.input, "direction": args.direction, "l0": args.l0}
-    return echo, digest, _status(payload["checks"]), payload
+    return echo, _input_digest(digest, l0_digest), _status(payload["checks"]), payload
 
 
 def cmd_generate(args):
@@ -344,14 +360,13 @@ def _sweep_instance(seed: int, tol: float) -> dict:
     k = int(rng.integers(0, n + 1))
     relation = rel.random_skew_symmetric(n, k, seed)
     system = bd.canonical_system(relation, tol)
-    sreport = bd.verify_system(system, tol)
     report = ext.existence_report(system, tol)
     dissip = ext.canonical_max_dissipative(system)
 
     g_dim = system.g1.dim
     l0 = random_unitary(g_dim, rng)
     l = random_unitary(g_dim, rng)
-    extension = ext.system_unitary_extension(system, l, tol)
+    extension = ext.system_unitary_extension(system, l)
     readback = ext.system_unitary_readoff(system, extension, tol)
     readoff_err = float(np.max(np.abs(readback - l))) if l.size else 0.0
 
@@ -360,7 +375,7 @@ def _sweep_instance(seed: int, tol: float) -> dict:
         "n": n,
         "k": k,
         "checks": {
-            "canonical_system_ok": sreport.ok,
+            "canonical_system_ok": system.report.ok,
             "existence_agree": report.agree,
             "system_extension_sksa": rel.is_skew_self_adjoint(extension, tol),
             "system_unitary_readoff_ok": readoff_err <= 10 * UNITARY_TOL,

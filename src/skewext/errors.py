@@ -20,24 +20,12 @@ class AmbientMismatch(SkewextError):
     """Raised when two subspaces of different ambient dimensions are combined."""
 
 
-class NotDirect(SkewextError):
-    """Raised when summands passed to an oblique projection are not independent."""
-
-
-class NotInSum(SkewextError):
-    """Raised when a vector to be decomposed does not lie in the sum of the parts."""
-
-
 class BadDimension(SkewextError):
     """Raised on out-of-range dimension parameters."""
 
 
 class NotSkewSymmetric(SkewextError):
     """Raised when an operation requires a skew-symmetric relation."""
-
-
-class NotSubgraph(SkewextError):
-    """Raised when a graph restriction is attempted with a non-contained subspace."""
 
 
 class InvalidSystem(SkewextError):

@@ -35,7 +35,6 @@ from .boundary import (
     require_valid_system,
     require_valid_triplet,
     system_to_triplet,
-    verify_triplet,
 )
 from .errors import (
     IllDefined,
@@ -122,15 +121,13 @@ def _adjoint_portion(data, condition: np.ndarray) -> Relation:
     return Relation(data.base.space_dim, sub.Subspace(2 * data.base.space_dim, graph))
 
 
-def system_unitary_extension(
-    s: BoundarySystem, l, tol: float = sub.ORTH_TOL
-) -> Relation:
+def system_unitary_extension(s: BoundarySystem, l) -> Relation:
     """Skew-self-adjoint restriction of H0* selected by a unitary L: G1 -> G2.
 
     The graph is the portion of Graph(H0*) on which L F1 = F2 holds,
     computed as the kernel of L F1 - F2 in graph coordinates.
     """
-    require_valid_system(s, tol)
+    require_valid_system(s)
     l = np.asarray(l, dtype=complex)
     _require_unitary(l, s.g2.dim, s.g1.dim, "L")
     return _adjoint_portion(s, l @ s.f1 - s.f2)
@@ -144,7 +141,7 @@ def system_unitary_readoff(s: BoundarySystem, h: Relation, tol: float = sub.ORTH
     basis; a rank-deficient image F1[Graph(H)] signals a violated
     bijection premise and raises ReadoffSingular.
     """
-    require_valid_system(s, tol)
+    require_valid_system(s)
     if not rel.is_skew_self_adjoint(h, tol):
         raise NotSkewSelfAdjoint("read-off needs a skew-self-adjoint relation")
     if not sub.contains_subspace(s.adjoint_graph, h.graph, tol):
@@ -161,16 +158,14 @@ def system_unitary_readoff(s: BoundarySystem, h: Relation, tol: float = sub.ORTH
     return image2 @ np.linalg.pinv(image1)
 
 
-def triplet_unitary_extension(
-    t: BoundaryTriplet, l, tol: float = sub.ORTH_TOL
-) -> Relation:
+def triplet_unitary_extension(t: BoundaryTriplet, l) -> Relation:
     """Skew-self-adjoint extension of H0 selected by a unitary L on G.
 
     The defining boundary condition (L - 1) Gamma1 + (L + 1) Gamma2 = 0 is
     solved inside Graph(H0*) and the selected portion is sign-flipped,
     since the extension acts as -H0* on its domain.
     """
-    require_valid_triplet(t, tol)
+    require_valid_triplet(t)
     l = np.asarray(l, dtype=complex)
     k = t.g.dim
     _require_unitary(l, k, k, "L")
@@ -188,9 +183,9 @@ def bridge_check(s: BoundarySystem, l0, l, tol: float = sub.ORTH_TOL) -> bool:
     """
     l0 = np.asarray(l0, dtype=complex)
     l = np.asarray(l, dtype=complex)
-    lhs = system_unitary_extension(s, l, tol)
-    triplet = system_to_triplet(s, l0, tol)
-    rhs = rel.negate(triplet_unitary_extension(triplet, l0.conj().T @ l, tol))
+    lhs = system_unitary_extension(s, l)
+    triplet = system_to_triplet(s, l0)
+    rhs = rel.negate(triplet_unitary_extension(triplet, l0.conj().T @ l))
     return sub.distance(lhs.graph, rhs.graph) <= tol
 
 
@@ -223,7 +218,7 @@ def boundary_contraction_of(
     restricts H0*.  Maximality makes the sums Gamma1 + Gamma2 of boundary
     values cover all of G; if they do not, IllDefined is raised.
     """
-    require_valid_triplet(t, tol)
+    require_valid_triplet(t)
     if not rel.is_dissipative(h, tol):
         raise NotDissipative("relation is not dissipative")
     if _range_of_one_minus(h) != h.space_dim:
@@ -240,15 +235,13 @@ def boundary_contraction_of(
     return kmat
 
 
-def extension_from_contraction(
-    t: BoundaryTriplet, k, tol: float = sub.ORTH_TOL
-) -> Relation:
+def extension_from_contraction(t: BoundaryTriplet, k) -> Relation:
     """Maximal dissipative extension selected by a contraction K on G.
 
     The graph is the sign-flipped portion of Graph(H0*) on which
     K(Gamma1 + Gamma2) = Gamma1 - Gamma2 holds.
     """
-    require_valid_triplet(t, tol)
+    require_valid_triplet(t)
     k = np.asarray(k, dtype=complex)
     dim = t.g.dim
     if k.shape != (dim, dim) or not is_contraction(k, UNITARY_TOL):
@@ -285,7 +278,8 @@ def existence_report(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> ExistenceR
     deficiency indices is read off their dimensions; the extension condition
     is checked constructively by building one extension from a
     basis-matching unitary on the system; the triplet condition by
-    attempting the system-to-triplet conversion; and the equal-dimension
+    attempting the system-to-triplet conversion and reading the verification
+    report the triplet carries from its construction; and the equal-dimension
     system condition from the system itself.
     """
     k1, k2 = s.g1.dim, s.g2.dim
@@ -295,9 +289,9 @@ def existence_report(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> ExistenceR
     triplet_ok = False
     if equal_indices:
         eye = np.eye(k2, k1, dtype=complex)
-        has_sksa = rel.is_skew_self_adjoint(system_unitary_extension(s, eye, tol), tol)
+        has_sksa = rel.is_skew_self_adjoint(system_unitary_extension(s, eye), tol)
         try:
-            triplet_ok = verify_triplet(system_to_triplet(s, eye, tol), tol).ok
+            triplet_ok = system_to_triplet(s, eye).report.ok
         except (NotUnitary, InvalidSystem):
             triplet_ok = False
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import subspace as sub
-from .errors import AmbientMismatch, BadDimension, NotSkewSymmetric, NotSubgraph
+from .errors import AmbientMismatch, BadDimension, NotSkewSymmetric
 from .sampling import random_unitary
 from .subspace import Subspace
 
@@ -71,32 +71,9 @@ def zero_relation(n: int) -> Relation:
     return Relation(n, sub.zero(2 * n))
 
 
-def full_relation(n: int) -> Relation:
-    """The relation whose graph is all of C^2n."""
-    return Relation(n, sub.full(2 * n))
-
-
 def from_graph(n: int, generators, tol: float = sub.RANK_TOL) -> Relation:
     """Relation with graph spanned by the given 2n-vectors."""
     return Relation(n, sub.span(generators, m=2 * n, tol=tol))
-
-
-def from_operator(a, domain: Subspace) -> Relation:
-    """The relation {(x, Ax) : x in domain} for a matrix A.
-
-    ``domain`` is a subspace of C^n with n the matrix size.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise AmbientMismatch(f"matrix must be square, got {a.shape}")
-    if domain.ambient_dim != n:
-        raise AmbientMismatch(
-            f"domain ambient dimension {domain.ambient_dim} does not match "
-            f"matrix size {n}"
-        )
-    b = domain.basis
-    return Relation(n, sub.span_matrix(np.vstack([b, a @ b])))
 
 
 def domain(t: Relation) -> Subspace:
@@ -139,21 +116,6 @@ def negate(t: Relation) -> Relation:
     x, xp = t.blocks()
     basis = np.vstack([x, -xp])
     return Relation(t.space_dim, Subspace(2 * t.space_dim, basis))
-
-
-def _swap(s: Subspace, n: int) -> Subspace:
-    basis = np.vstack([s.basis[n:, :], s.basis[:n, :]])
-    return Subspace(2 * n, basis)
-
-
-def neg_adjoint(t: Relation) -> Relation:
-    """The relation -T*, computed as Swap(Graph(T)^perp).
-
-    Swap exchanges the two component blocks; the identity
-    Graph(-T*) = Swap(Graph(T)^perp) is the graph-level form of the
-    adjoint and is verified in the tests against ``negate(adjoint(t))``.
-    """
-    return Relation(t.space_dim, _swap(sub.orthocomplement(t.graph), t.space_dim))
 
 
 def omega_matrix(u_basis: np.ndarray, v_basis: np.ndarray, n: int) -> np.ndarray:
@@ -225,13 +187,6 @@ def extends(t: Relation, s: Relation, tol: float = sub.ORTH_TOL) -> bool:
     if t.space_dim != s.space_dim:
         raise AmbientMismatch("relations live on spaces of different dimensions")
     return sub.contains_subspace(t.graph, s.graph, tol)
-
-
-def restrict_graph(t: Relation, g: Subspace, tol: float = sub.ORTH_TOL) -> Relation:
-    """The relation with graph ``g``, required to sit inside Graph(T)."""
-    if not sub.contains_subspace(t.graph, g, tol):
-        raise NotSubgraph("subspace is not contained in the graph")
-    return Relation(t.space_dim, g)
 
 
 def random_skew_symmetric(n: int, k: int, seed: int) -> Relation:

@@ -24,14 +24,3 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
-
-def random_contraction(
-    dim: int, rng: np.random.Generator, norm_cap: float = 1.0
-) -> np.ndarray:
-    """Random matrix with largest singular value at most ``norm_cap``."""
-    if dim == 0:
-        return np.zeros((0, 0), dtype=complex)
-    a = complex_gaussian(dim, dim, rng)
-    u, s, vh = np.linalg.svd(a)
-    scaled = s / s[0] * rng.uniform(0.0, norm_cap)
-    return (u * scaled) @ vh

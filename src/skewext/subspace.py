@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbientMismatch, EmptyAmbient, NotDirect, NotInSum
+from .errors import AmbientMismatch, EmptyAmbient
 
 #: Default relative threshold for rank decisions (singular values below
 #: RANK_TOL times the largest one are treated as zero).
@@ -175,12 +175,6 @@ def orthocomplement(s: Subspace) -> Subspace:
     return complement(s.basis)
 
 
-def sum_of(s: Subspace, t: Subspace, tol: float = RANK_TOL) -> Subspace:
-    """The subspace sum S + T."""
-    _check_same_ambient(s, t)
-    return span_matrix(np.hstack([s.basis, t.basis]), tol)
-
-
 def intersect(s: Subspace, t: Subspace, tol: float = RANK_TOL) -> Subspace:
     """The intersection S `intersect` T, computed as the complement of
     the sum of the complements."""
@@ -236,58 +230,6 @@ def distance(s: Subspace, t: Subspace) -> float:
     if d.size == 0:
         return 0.0
     return float(np.linalg.norm(d, 2))
-
-
-def oblique_project(parts, v, tol: float = ORTH_TOL):
-    """Decompose a vector along a direct sum of subspaces.
-
-    Given independent ``parts`` (their dimensions sum to the dimension of
-    their subspace sum) and a vector ``v`` in that sum, returns the unique
-    components ``v_j`` with ``v = sum v_j`` and ``v_j`` in part j.  The
-    components are found by one least-squares solve against the
-    concatenated bases.
-
-    Raises
-    ------
-    NotDirect
-        If the parts overlap (dimension count fails).
-    NotInSum
-        If the least-squares residual exceeds ``tol * norm(v)``.
-    """
-    parts = list(parts)
-    if not parts:
-        raise NotDirect("need at least one part")
-    m = parts[0].ambient_dim
-    for p in parts:
-        if p.ambient_dim != m:
-            raise AmbientMismatch("parts live in different ambient dimensions")
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape[0] != m:
-        raise AmbientMismatch(f"vector of length {v.shape[0]} in ambient dimension {m}")
-
-    dims = [p.dim for p in parts]
-    total = sum(dims)
-    stacked = np.hstack([p.basis for p in parts])
-    if span_matrix(stacked).dim != total:
-        raise NotDirect(f"parts overlap: dimensions {dims} do not sum directly")
-
-    if total == 0:
-        if float(np.linalg.norm(v)) > tol * max(1.0, float(np.linalg.norm(v))):
-            raise NotInSum("nonzero vector in the zero sum")
-        return [np.zeros(m, dtype=complex) for _ in parts]
-
-    coeffs, _, _, _ = np.linalg.lstsq(stacked, v, rcond=None)
-    residual = float(np.linalg.norm(stacked @ coeffs - v))
-    if residual > tol * float(np.linalg.norm(v)):
-        raise NotInSum(
-            f"vector is not in the sum of the parts (residual {residual:.3e})"
-        )
-    out = []
-    offset = 0
-    for p, k in zip(parts, dims):
-        out.append(p.basis @ coeffs[offset : offset + k])
-        offset += k
-    return out
 
 
 def _check_same_ambient(s: Subspace, t: Subspace):

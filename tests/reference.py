@@ -1,0 +1,140 @@
+"""Reference constructions the tests check the library against.
+
+The library builds none of these: its pipelines use closed forms and
+orthogonal pieces instead.  They are kept here, unchanged, as independent
+routes to the same objects (the oblique projection behind the canonical
+boundary map, -T* through the swapped orthocomplement) and as convenient
+constructors of test inputs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from skewext import subspace as sub
+from skewext.errors import AmbientMismatch, SkewextError
+from skewext.relation import Relation
+from skewext.sampling import complex_gaussian
+from skewext.subspace import (
+    ORTH_TOL,
+    RANK_TOL,
+    Subspace,
+    _check_same_ambient,
+    span_matrix,
+)
+
+
+class NotDirect(SkewextError):
+    """Raised when summands passed to an oblique projection are not independent."""
+
+
+class NotInSum(SkewextError):
+    """Raised when a vector to be decomposed does not lie in the sum of the parts."""
+
+
+def sum_of(s: Subspace, t: Subspace, tol: float = RANK_TOL) -> Subspace:
+    """The subspace sum S + T."""
+    _check_same_ambient(s, t)
+    return span_matrix(np.hstack([s.basis, t.basis]), tol)
+
+
+def oblique_project(parts, v, tol: float = ORTH_TOL):
+    """Decompose a vector along a direct sum of subspaces.
+
+    Given independent ``parts`` (their dimensions sum to the dimension of
+    their subspace sum) and a vector ``v`` in that sum, returns the unique
+    components ``v_j`` with ``v = sum v_j`` and ``v_j`` in part j.  The
+    components are found by one least-squares solve against the
+    concatenated bases.
+
+    Raises
+    ------
+    NotDirect
+        If the parts overlap (dimension count fails).
+    NotInSum
+        If the least-squares residual exceeds ``tol * norm(v)``.
+    """
+    parts = list(parts)
+    if not parts:
+        raise NotDirect("need at least one part")
+    m = parts[0].ambient_dim
+    for p in parts:
+        if p.ambient_dim != m:
+            raise AmbientMismatch("parts live in different ambient dimensions")
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.shape[0] != m:
+        raise AmbientMismatch(f"vector of length {v.shape[0]} in ambient dimension {m}")
+
+    dims = [p.dim for p in parts]
+    total = sum(dims)
+    stacked = np.hstack([p.basis for p in parts])
+    if span_matrix(stacked).dim != total:
+        raise NotDirect(f"parts overlap: dimensions {dims} do not sum directly")
+
+    if total == 0:
+        if float(np.linalg.norm(v)) > tol * max(1.0, float(np.linalg.norm(v))):
+            raise NotInSum("nonzero vector in the zero sum")
+        return [np.zeros(m, dtype=complex) for _ in parts]
+
+    coeffs, _, _, _ = np.linalg.lstsq(stacked, v, rcond=None)
+    residual = float(np.linalg.norm(stacked @ coeffs - v))
+    if residual > tol * float(np.linalg.norm(v)):
+        raise NotInSum(
+            f"vector is not in the sum of the parts (residual {residual:.3e})"
+        )
+    out = []
+    offset = 0
+    for p, k in zip(parts, dims):
+        out.append(p.basis @ coeffs[offset : offset + k])
+        offset += k
+    return out
+
+
+def full_relation(n: int) -> Relation:
+    """The relation whose graph is all of C^2n."""
+    return Relation(n, sub.full(2 * n))
+
+
+def from_operator(a, domain: Subspace) -> Relation:
+    """The relation {(x, Ax) : x in domain} for a matrix A.
+
+    ``domain`` is a subspace of C^n with n the matrix size.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise AmbientMismatch(f"matrix must be square, got {a.shape}")
+    if domain.ambient_dim != n:
+        raise AmbientMismatch(
+            f"domain ambient dimension {domain.ambient_dim} does not match "
+            f"matrix size {n}"
+        )
+    b = domain.basis
+    return Relation(n, sub.span_matrix(np.vstack([b, a @ b])))
+
+
+def _swap(s: Subspace, n: int) -> Subspace:
+    basis = np.vstack([s.basis[n:, :], s.basis[:n, :]])
+    return Subspace(2 * n, basis)
+
+
+def neg_adjoint(t: Relation) -> Relation:
+    """The relation -T*, computed as Swap(Graph(T)^perp).
+
+    Swap exchanges the two component blocks; the identity
+    Graph(-T*) = Swap(Graph(T)^perp) is the graph-level form of the
+    adjoint and is verified in the tests against ``negate(adjoint(t))``.
+    """
+    return Relation(t.space_dim, _swap(sub.orthocomplement(t.graph), t.space_dim))
+
+
+def random_contraction(
+    dim: int, rng: np.random.Generator, norm_cap: float = 1.0
+) -> np.ndarray:
+    """Random matrix with largest singular value at most ``norm_cap``."""
+    if dim == 0:
+        return np.zeros((0, 0), dtype=complex)
+    a = complex_gaussian(dim, dim, rng)
+    u, s, vh = np.linalg.svd(a)
+    scaled = s / s[0] * rng.uniform(0.0, norm_cap)
+    return (u * scaled) @ vh

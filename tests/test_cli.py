@@ -168,6 +168,49 @@ def test_convert_directions(capsys, zero_relation_file):
     assert report["payload"]["roundtrip_error"] <= 1e-9
 
 
+def sha256_of_file(path) -> str:
+    with open(path, "rb") as fh:
+        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_input_digest_covers_every_input_file(tmp_path, capsys, zero_relation_file):
+    rel_digest = sha256_of_file(zero_relation_file)
+    _, report = run_cli(capsys, "canonical", "--input", zero_relation_file)
+    assert report["input_digest"] == rel_digest
+
+    digests = []
+    for name, entry in (("i.json", [0.0, 1.0]), ("minus_i.json", [0.0, -1.0])):
+        param = tmp_path / name
+        param.write_text(json.dumps({"kind": "unitary_A", "matrix": [[entry]]}))
+        code, report = run_cli(
+            capsys,
+            "extend",
+            "--input", zero_relation_file,
+            "--param", str(param),
+            "--mode", "A",
+        )
+        assert code == 0
+        joined = rel_digest + "\n" + sha256_of_file(param)
+        expected = "sha256:" + hashlib.sha256(joined.encode("utf-8")).hexdigest()
+        assert report["input_digest"] == expected
+        digests.append(report["input_digest"])
+    assert digests[0] != digests[1]
+
+    l0 = tmp_path / "l0.json"
+    l0.write_text(json.dumps({"matrix": [[[0.0, 1.0]]]}))
+    code, report = run_cli(
+        capsys,
+        "convert",
+        "--input", zero_relation_file,
+        "--direction", "s2t",
+        "--l0", str(l0),
+    )
+    assert code == 0
+    joined = rel_digest + "\n" + sha256_of_file(l0)
+    expected = "sha256:" + hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    assert report["input_digest"] == expected
+
+
 def test_halfline_green(tmp_path, capsys):
     fn = tmp_path / "fn.json"
     fn.write_text(

@@ -8,6 +8,8 @@ from skewext import extensions as ext
 from skewext import relation as rel
 from skewext import subspace as sub
 from skewext.errors import (
+    InvalidSystem,
+    InvalidTriplet,
     NotContraction,
     NotDissipative,
     NotMaximal,
@@ -15,7 +17,10 @@ from skewext.errors import (
     NotSkewSelfAdjoint,
     NotUnitary,
 )
-from skewext.sampling import random_contraction, random_unitary
+from skewext.sampling import random_unitary
+
+import reference as ref
+from reference import random_contraction
 
 relation_params = st.tuples(
     st.integers(1, 5), st.fractions(0, 1), st.integers(0, 10**6)
@@ -37,7 +42,7 @@ def zero_triplet():
 
 def mult_by(a):
     m = np.atleast_2d(np.asarray(a, dtype=complex))
-    return rel.from_operator(m, sub.full(m.shape[0]))
+    return ref.from_operator(m, sub.full(m.shape[0]))
 
 
 def test_param_validation():
@@ -267,3 +272,73 @@ def test_existence_and_canonical_extension_random(params):
     assert ext.is_maximal_dissipative(h, 1e-9)
     assert rel.extends(h, rel.negate(h0), 1e-9)
     assert ext.adjoint_formula_check(bd.canonical_system(h0), 1e-9)
+
+
+def scaled_f_system():
+    """The canonical system of the zero relation with F doubled: surjective,
+    but Omega = omega(F., F.) fails by a factor 4."""
+    s = zero_system()
+    return bd.BoundarySystem(
+        base=s.base,
+        adjoint_graph=s.adjoint_graph,
+        g1=s.g1,
+        g2=s.g2,
+        f_matrix=2.0 * s.f_matrix,
+    )
+
+
+def zero_gamma2_triplet():
+    """The zero-relation triplet with Gamma2 = 0: (Gamma1, Gamma2) is not
+    surjective."""
+    t = zero_triplet()
+    return bd.BoundaryTriplet(
+        base=t.base,
+        adjoint_graph=t.adjoint_graph,
+        g=t.g,
+        gamma1=t.gamma1,
+        gamma2=np.zeros_like(t.gamma2),
+    )
+
+
+def test_invalid_system_carries_its_failed_report():
+    bad = scaled_f_system()
+    assert not bad.report.ok
+    assert bad.report == bd.verify_system(bad)
+    assert not bad.f_matrix.flags.writeable
+    assert zero_system().report.ok
+
+
+def test_consumers_refuse_an_invalid_system():
+    bad = scaled_f_system()
+    h = ext.system_unitary_extension(zero_system(), np.array([[1.0]]))
+    with pytest.raises(InvalidSystem):
+        ext.system_unitary_extension(bad, np.array([[1.0]]))
+    with pytest.raises(InvalidSystem):
+        ext.system_unitary_readoff(bad, h)
+    with pytest.raises(InvalidSystem):
+        bd.system_to_triplet(bad, np.eye(1))
+
+
+def test_consumers_refuse_an_invalid_triplet():
+    bad = zero_gamma2_triplet()
+    assert not bad.report.ok
+    assert not (bad.gamma1.flags.writeable or bad.gamma2.flags.writeable)
+    with pytest.raises(InvalidTriplet):
+        ext.triplet_unitary_extension(bad, np.array([[1.0]]))
+    with pytest.raises(InvalidTriplet):
+        ext.extension_from_contraction(bad, np.array([[0.5]]))
+    with pytest.raises(InvalidTriplet):
+        ext.boundary_contraction_of(bad, mult_by(1j))
+    with pytest.raises(InvalidTriplet):
+        bd.triplet_to_system(bad)
+
+
+def test_conversions_keep_the_verification_tolerance():
+    h0 = rel.random_skew_symmetric(4, 2, seed=5)
+    s = bd.canonical_system(h0, 1e-7)
+    assert s.report.tol == 1e-7
+    t = bd.system_to_triplet(s, np.eye(s.g1.dim))
+    assert t.report.tol == 1e-7
+    back = bd.triplet_to_system(t)
+    assert back.report.tol == 1e-7
+    assert bd.system_to_triplet(back, np.eye(s.g1.dim)).report.tol == 1e-7

@@ -33,7 +33,7 @@ def relation_file(tmp_path, capsys):
     return str(path)
 
 
-@pytest.mark.parametrize("command, bound", [("canonical", 7), ("analyze", 10)])
+@pytest.mark.parametrize("command, bound", [("canonical", 7), ("analyze", 9)])
 def test_relation_commands_svd_budget(command, bound, relation_file, svd_calls, capsys):
     svd_calls[0] = 0
     assert main([command, "--input", relation_file]) == 0
@@ -44,4 +44,4 @@ def test_relation_commands_svd_budget(command, bound, relation_file, svd_calls, 
 def test_sweep_svd_budget(svd_calls, capsys):
     assert main(["sweep", "--count", "20", "--seed", "0"]) == 0
     capsys.readouterr()
-    assert svd_calls[0] <= 404
+    assert svd_calls[0] <= 300

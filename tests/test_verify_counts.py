@@ -1,0 +1,60 @@
+"""Verification budget of the CLI pipelines.
+
+Each boundary system and triplet is verified exactly once, when it is
+built; these counts catch a consumer that verifies an object again.  Calls
+are counted on ``skewext.boundary.verify_system`` and ``verify_triplet``,
+the module globals the constructors call through.
+"""
+
+import pytest
+
+from skewext import boundary as bd
+from skewext.cli import main
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    calls = {"system": 0, "triplet": 0}
+    for kind in calls:
+        original = getattr(bd, f"verify_{kind}")
+
+        def counting(*args, _kind=kind, _original=original, **kwargs):
+            calls[_kind] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bd, f"verify_{kind}", counting)
+    return calls
+
+
+@pytest.fixture
+def relation_file(tmp_path, capsys):
+    path = tmp_path / "rel.json"
+    argv = ["generate", "--n", "8", "--k", "3", "--seed", "1"]
+    assert main(argv + ["--out-relation", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def test_sweep_verifies_each_system_once(verify_calls, capsys):
+    assert main(["sweep", "--count", "20", "--seed", "0"]) == 0
+    capsys.readouterr()
+    # one canonical system per instance; one triplet in the existence
+    # report and one in the bridge check
+    assert verify_calls == {"system": 20, "triplet": 40}
+
+
+@pytest.mark.parametrize(
+    "argv, systems, triplets",
+    [
+        (["canonical"], 1, 0),
+        (["analyze"], 1, 1),
+        (["convert", "--direction", "s2t"], 1, 1),
+        (["convert", "--direction", "t2s"], 2, 2),
+    ],
+)
+def test_relation_commands_verify_each_object_once(
+    argv, systems, triplets, relation_file, verify_calls, capsys
+):
+    assert main(argv + ["--input", relation_file]) == 0
+    capsys.readouterr()
+    assert verify_calls == {"system": systems, "triplet": triplets}
