@@ -26,6 +26,7 @@ relations with multivalued parts it is the well-defined variant.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,14 @@ class BoundarySystem:
         f.setflags(write=False)
         object.__setattr__(self, "f_matrix", f)
         object.__setattr__(self, "report", verify_system(self, tol))
+
+    @cached_property
+    def _canonical_pieces(self):
+        return (
+            rel.negate(self.base).graph,
+            _hat_space(self.g1, +1.0),
+            _hat_space(self.g2, -1.0),
+        )
 
     @property
     def f1(self) -> np.ndarray:
@@ -261,8 +270,9 @@ def canonical_pieces(s: BoundarySystem):
     """The pieces (G_neg, Ghat1, Ghat2) of the orthogonal graph-level
     decomposition of Graph(H0*), for a canonical system: G_neg = Graph(-H0),
     Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2}, read off
-    its base and boundary spaces without any rank decision."""
-    return rel.negate(s.base).graph, _hat_space(s.g1, +1.0), _hat_space(s.g2, -1.0)
+    its base and boundary spaces without any rank decision.  They are
+    built once per system and shared by every later call."""
+    return s._canonical_pieces
 
 
 def _hat_space(g: Subspace, sign: float) -> Subspace:

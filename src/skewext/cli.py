@@ -12,6 +12,10 @@ output.  ``input_digest`` covers every input file the command read.
 
 Each ``cmd_*`` returns ``(echo, digest, status, payload)``; ``main`` hands
 that to ``_emit``, the one place where reports are assembled and written.
+Payload matrices stay float64 arrays until ``_emit`` writes the report with
+``formats.dumps``, whose bytes are those of ``json.dumps(report,
+sort_keys=True, indent=2)`` plus a newline; ``generate`` writes its relation
+file the same way.
 """
 
 from __future__ import annotations
@@ -56,10 +60,6 @@ def _input_digest(*digests) -> str:
     return _digest_bytes("\n".join(digests).encode("utf-8"))
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _status(checks: dict) -> str:
     return "pass" if all(checks.values()) else "fail"
 
@@ -78,7 +78,7 @@ def _emit(args, echo: dict, digest, status: str, payload: dict) -> int:
         "status": status,
         "payload": payload,
     }
-    text = _dumps(report)
+    text = fmt.dumps(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -264,7 +264,7 @@ def cmd_convert(args):
 
 def cmd_generate(args):
     relation = rel.random_skew_symmetric(args.n, args.k, args.seed)
-    text = _dumps(fmt.relation_to_json(relation))
+    text = fmt.dumps(fmt.relation_to_json(relation))
     with open(args.out_relation, "w", encoding="utf-8") as fh:
         fh.write(text)
     echo = {

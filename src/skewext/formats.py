@@ -1,14 +1,19 @@
 """JSON wire formats shared by the CLI and file-based workflows.
 
 Complex numbers in the numeric substrate are [re, im] pairs of doubles;
-exact half-line values are "p/q" strings.  Decoders raise ValueError on
-malformed input so the CLI can map it to the invalid-input exit code.
+exact half-line values are "p/q" strings.  Encoders keep a complex matrix
+as a float64 array of shape (rows, cols, 2) of its pairs, and ``dumps``
+writes a report holding such arrays with the bytes of ``json.dumps(...,
+sort_keys=True, indent=2)``.  ``matrix_from_json`` is the one decoder of
+complex data.  Decoders raise ValueError on malformed input so the CLI can
+map it to the invalid-input exit code.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -20,49 +25,138 @@ from .relation import Relation
 from .subspace import RANK_TOL, Subspace
 
 
-def pair_to_complex(p) -> complex:
-    """A finite complex number from a [re, im] pair of JSON numbers."""
-    if not isinstance(p, (list, tuple)) or len(p) != 2:
-        raise ValueError(f"expected a [re, im] pair, got {p!r}")
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in p):
-        raise ValueError(f"expected numeric pair entries, got {p!r}")
-    try:
-        z = complex(*p)
-    except OverflowError:
-        raise ValueError("pair entry does not fit in a double") from None
-    if not cmath.isfinite(z):
-        raise ValueError(f"expected finite pair entries, got {p!r}")
-    return z
+def _float_to_json(x: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN/Infinity/-Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
-def vector_from_json(obj, length=None) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise ValueError("vector must be a list of [re, im] pairs")
-    v = np.array([pair_to_complex(p) for p in obj], dtype=complex)
-    if length is not None and v.shape[0] != length:
-        raise ValueError(f"vector has length {v.shape[0]}, expected {length}")
-    return v
+def _list_template(items: list, level: int) -> str:
+    """Items one per line at two-space indent, as ``json`` writes a list at
+    nesting ``level``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
 
 
-def matrix_to_json(m) -> list:
+def _array_to_json(a: np.ndarray, level: int) -> str:
+    """A finite (rows, cols, 2) float64 array as nested lists: one
+    %-format of the pairs over an indented template (``%s`` of a float is
+    its repr, as in ``json``)."""
+    rows, cols, _ = a.shape
+    pair = _list_template(["%s", "%s"], level + 2)
+    row = _list_template([pair] * cols, level + 1)
+    return _list_template([row] * rows, level) % tuple(a.ravel().tolist())
+
+
+def dumps(obj) -> str:
+    """The report text: byte for byte ``json.dumps(obj, sort_keys=True,
+    indent=2)`` and a newline, with every array replaced by its ``tolist()``.
+
+    Arrays must be float64 of shape (rows, cols, 2), as ``matrix_to_json``
+    builds them; dict keys must be strings.  Any other type raises
+    TypeError.  The indented ``json.dumps`` runs the pure-Python encoder,
+    which costs more than the numerics on large reports; here each array
+    is written by one string format.  Pieces are collected in one list and
+    joined once, so no container's text is copied into its parent's.
+    """
+    parts = []
+    write = parts.append
+
+    def container(items, level: int, brackets: str):
+        # items are (prefix, value): a dict's quoted key and ": ", or ""
+        if not items:
+            write(brackets)
+            return
+        inner = "\n" + "  " * (level + 1)
+        write(brackets[0])
+        for i, (prefix, value) in enumerate(items):
+            write(("," if i else "") + inner + prefix)
+            encode(value, level + 1)
+        write("\n" + "  " * level + brackets[1])
+
+    def encode(o, level: int):
+        if isinstance(o, str):
+            write(encode_basestring_ascii(o))
+        elif o is None:
+            write("null")
+        elif o is True:
+            write("true")
+        elif o is False:
+            write("false")
+        elif isinstance(o, int):
+            write(int.__repr__(o))
+        elif isinstance(o, float):
+            write(_float_to_json(o))
+        elif isinstance(o, (list, tuple)):
+            container([("", v) for v in o], level, "[]")
+        elif isinstance(o, dict):
+            if not all(isinstance(k, str) for k in o):
+                raise TypeError("report keys must be strings")
+            keyed = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)]
+            container(keyed, level, "{}")
+        elif isinstance(o, np.ndarray):
+            if o.dtype != np.float64 or o.ndim != 3 or o.shape[2] != 2:
+                raise TypeError(
+                    f"arrays must be float64 (rows, cols, 2), got {o.dtype} {o.shape}"
+                )
+            if np.isfinite(o).all():
+                write(_array_to_json(o, level))
+            else:
+                encode(o.tolist(), level)
+        else:
+            name = type(o).__name__
+            raise TypeError(f"Object of type {name} is not JSON serializable")
+
+    encode(obj, 0)
+    write("\n")
+    return "".join(parts)
+
+
+def matrix_to_json(m) -> np.ndarray:
+    """A complex matrix as a float64 array of shape (rows, cols, 2) holding
+    its [re, im] pairs; ``dumps`` writes it as nested lists."""
     m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    return np.stack((m.real, m.imag), axis=-1)
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise ValueError("matrix must be a list of rows")
-    rows = [[pair_to_complex(p) for p in row] for row in obj]
-    widths = {len(r) for r in rows}
+    """A complex matrix from a list of rows of [re, im] pairs.
+
+    The one decoder of complex data (relation generators, parameter and
+    reference matrices).  Rows must have equal lengths, every pair exactly
+    two entries, and every entry be a JSON integer or float (booleans are
+    refused) that is finite and fits in a double.  Types are checked in one
+    pass over the entries and the values converted by one ``np.array``.
+    """
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ValueError("matrix must be a list of rows of [re, im] pairs")
+    widths = {len(row) for row in obj}
     if len(widths) > 1:
         raise ValueError("matrix rows have unequal lengths")
-    if not rows:
-        return np.zeros((0, 0), dtype=complex)
-    return np.array(rows, dtype=complex)
+    shape = (len(obj), widths.pop() if widths else 0, 2)
+    pairs = [p for row in obj for p in row]
+    if not set(map(type, pairs)) <= {list, tuple} or not set(map(len, pairs)) <= {2}:
+        raise ValueError("matrix entries must be [re, im] pairs")
+    if not {type(x) for p in pairs for x in p} <= {int, float}:
+        raise ValueError("pair entries must be JSON numbers")
+    try:
+        values = np.array(pairs, dtype=float).reshape(shape)
+    except OverflowError:
+        raise ValueError("pair entry does not fit in a double") from None
+    if not np.isfinite(values).all():
+        raise ValueError("pair entries must be finite")
+    return values.view(complex)[..., 0]
 
 
-def subspace_to_json(s: Subspace) -> list:
-    """Basis columns as a list of complex vectors."""
+def subspace_to_json(s: Subspace) -> np.ndarray:
+    """Basis columns as complex vectors: the rows of ``matrix_to_json``."""
     return matrix_to_json(s.basis.T)
 
 
@@ -87,7 +181,11 @@ def relation_from_json(obj, rank_tol=None) -> Relation:
     gens = obj.get("graph_generators")
     if not isinstance(gens, list):
         raise ValueError('"graph_generators" must be a list of 2n-vectors')
-    vectors = [vector_from_json(g, length=2 * n) for g in gens]
+    vectors = matrix_from_json(gens)
+    if gens and vectors.shape[1] != 2 * n:
+        raise ValueError(
+            f"generators have length {vectors.shape[1]}, expected {2 * n}"
+        )
     return rel.from_graph(n, vectors, tol=RANK_TOL if rank_tol is None else rank_tol)
 
 

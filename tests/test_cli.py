@@ -354,17 +354,63 @@ def command_argv(tmp_path, zero_relation_file):
     }
 
 
+@pytest.fixture
+def generated_relation_file(tmp_path, capsys):
+    path = tmp_path / "n8k3.json"
+    argv = ["generate", "--n", "8", "--k", "3", "--seed", "5"]
+    assert main(argv + ["--out-relation", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
 @pytest.mark.parametrize(
-    "command",
-    ["analyze", "canonical", "extend", "convert", "generate", "halfline", "sweep"],
+    "command, generated",
+    [
+        *(
+            pytest.param(command, False, id=command)
+            for command in [
+                "analyze", "canonical", "extend", "convert", "generate", "halfline",
+                "sweep",
+            ]
+        ),
+        # matrices of several shapes: an n = 8 relation with indices (5, 5)
+        pytest.param("canonical", True, id="canonical-n8k3"),
+        pytest.param("convert", True, id="convert-n8k3"),
+    ],
 )
-def test_every_report_is_canonical_json(command, command_argv, capsys):
-    assert main(command_argv[command]) == 0
+def test_every_report_is_canonical_json(
+    command, generated, command_argv, generated_relation_file, capsys
+):
+    argv = list(command_argv[command])
+    if generated:
+        argv[argv.index("--input") + 1] = generated_relation_file
+    assert main(argv) == 0
     out = capsys.readouterr().out
     report = json.loads(out)
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert report["command"] == command
     assert set(report) == {"command", "args", "input_digest", "tol", "status", "payload"}
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[[0.0, "1"]]],  # string entry
+        [[[0.0, 1.0, 0.0]]],  # three-entry pair
+        [[[0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]],  # ragged rows
+    ],
+)
+def test_extend_rejects_malformed_param_matrix(
+    matrix, tmp_path, zero_relation_file, capsys
+):
+    param = tmp_path / "param.json"
+    param.write_text(json.dumps({"kind": "unitary_A", "matrix": matrix}))
+    code = main(
+        ["extend", "--input", zero_relation_file, "--param", str(param), "--mode", "A"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid input:")
 
 
 def test_out_into_missing_directory(tmp_path, zero_relation_file, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from skewext.errors import NotUnitary
 
 def test_relation_roundtrip():
     t = rel.random_skew_symmetric(3, 2, seed=4)
-    back = fmt.relation_from_json(fmt.relation_to_json(t))
+    back = fmt.relation_from_json(json.loads(fmt.dumps(fmt.relation_to_json(t))))
     assert back.space_dim == 3
     assert sub.equal(back.graph, t.graph, tol=1e-12)
 
@@ -43,6 +44,8 @@ def test_relation_from_json_normalizes_generators():
         {"n": 1, "graph_generators": [[[float("nan"), 0.0], [0.0, 1.0]]]},
         {"n": 1, "graph_generators": [[[10**400, 0.0], [0.0, 1.0]]]},
         {"n": 1, "graph_generators": [[[True, 0.0], [0.0, 1.0]]]},
+        # ragged generators with 24 = 3 * 2n pairs in all
+        {"n": 4, "graph_generators": [[[1.0, 0.0]] * size for size in (1, 15, 8)]},
     ],
 )
 def test_relation_from_json_rejects_malformed(obj):
@@ -52,7 +55,9 @@ def test_relation_from_json_rejects_malformed(obj):
 
 def test_matrix_roundtrip():
     m = np.array([[1 + 2j, 0], [3.5j, -1]])
-    assert np.array_equal(fmt.matrix_from_json(fmt.matrix_to_json(m)), m)
+    assert np.array_equal(
+        fmt.matrix_from_json(json.loads(fmt.dumps(fmt.matrix_to_json(m)))), m
+    )
 
 
 def test_matrix_and_subspace_encoding_match_entrywise_loop():
@@ -63,11 +68,51 @@ def test_matrix_and_subspace_encoding_match_entrywise_loop():
     m = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     m[0, 0] = complex(-0.0, -0.0)
     for a in (m, m.real, np.zeros((2, 0)), np.zeros((0, 3))):
-        assert json.dumps(fmt.matrix_to_json(a)) == pairs(a)
+        assert json.dumps(fmt.matrix_to_json(a).tolist()) == pairs(a)
     s = sub.span([(1, 1j, 0), (0, 2, 1)])
     cols = [s.basis[:, j] for j in range(s.dim)]
-    assert json.dumps(fmt.subspace_to_json(s)) == pairs(cols)
-    assert fmt.subspace_to_json(sub.zero(3)) == []
+    assert json.dumps(fmt.subspace_to_json(s).tolist()) == pairs(cols)
+    assert fmt.subspace_to_json(sub.zero(3)).tolist() == []
+
+
+def plain(x):
+    """``x`` with every array replaced by its ``tolist()``."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    return x
+
+
+def test_dumps_matches_json():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    a = fmt.matrix_to_json(m)
+    a[0, 0, 0] = -0.0
+    nonfinite = a.copy()
+    nonfinite[1, 1, 1], nonfinite[2, 0, 0] = math.nan, math.inf
+    nonfinite[0, 3, 1] = -math.inf
+    s = sub.span([(1, 1j, 0), (0, 2, 1)])
+    obj = {
+        "matrix": a,
+        "nonfinite": nonfinite,
+        "scalars": [-0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324, 10**300, 0],
+        "flags": [True, False, None],
+        "empty": [fmt.matrix_to_json(np.zeros(shape)) for shape in ((0, 3), (3, 0))],
+        "subspaces": [fmt.subspace_to_json(sub.zero(3)), fmt.subspace_to_json(s)],
+        "deep": {"a": [{"b": [[a, {"c": nonfinite}]]}]},
+        "strings": ["plain", "h\u00e9llo \u2200x", "tab\tnl\n\x00\x1f\"q\"\\"],
+        "\u00fcber": {},
+        "none": [],
+        "pair": (1, 2.5),
+    }
+    for x in (obj, a, fmt.matrix_to_json(np.zeros((0, 0))), "top", 3, None, {}, []):
+        assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
+    for bad in (np.zeros((2, 2)), np.zeros((2, 2, 3)), a.astype(np.float32), {1, 2}):
+        with pytest.raises(TypeError):
+            fmt.dumps({"x": [bad]})
 
 
 def test_extension_param_roundtrip_and_validation():

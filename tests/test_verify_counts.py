@@ -3,7 +3,9 @@
 Each boundary system and triplet is verified exactly once, when it is
 built; these counts catch a consumer that verifies an object again.  Calls
 are counted on ``skewext.boundary.verify_system`` and ``verify_triplet``,
-the module globals the constructors call through.
+the module globals the constructors call through.  Likewise the pieces of
+the canonical decomposition are built once per system, counted on
+``skewext.boundary._hat_space``.
 """
 
 import pytest
@@ -58,3 +60,29 @@ def test_relation_commands_verify_each_object_once(
     assert main(argv + ["--input", relation_file]) == 0
     capsys.readouterr()
     assert verify_calls == {"system": systems, "triplet": triplets}
+
+
+@pytest.fixture
+def hat_space_calls(monkeypatch):
+    calls = []
+    original = bd._hat_space
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bd, "_hat_space", counting)
+    return calls
+
+
+def test_sweep_builds_canonical_pieces_once_per_system(hat_space_calls, capsys):
+    assert main(["sweep", "--count", "20", "--seed", "0"]) == 0
+    capsys.readouterr()
+    # two hat spaces (Ghat1, Ghat2) per canonical system, one system per instance
+    assert len(hat_space_calls) == 40
+
+
+def test_canonical_builds_canonical_pieces_once(hat_space_calls, relation_file, capsys):
+    assert main(["canonical", "--input", relation_file]) == 0
+    capsys.readouterr()
+    assert len(hat_space_calls) == 2

@@ -1,0 +1,285 @@
+"""Per-layer and end-to-end timings of skewext, written as one JSON file.
+
+Run from the root of a checkout (the package need not be installed):
+
+    python3 tools/layer_timings.py --out BENCH.json [--baseline-src OTHER/src]
+
+BLAS is pinned to one thread before numpy loads.  Every in-process figure
+is the best of ``REPEAT`` wall-clock runs (``time.perf_counter``) after
+one untimed warm-up call; inputs are built outside the timed region.  The
+CLI figures are the median wall time of ``REPEAT`` fresh interpreters
+running ``python3 -m skewext.cli``, so they include the import.  With
+``--baseline-src`` the CLI figures are also taken with that source tree
+on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, for a
+before/after comparison on the same machine.
+
+Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
+deficiency indices are equal and every triplet construction applies.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import random  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from fractions import Fraction  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from skewext import boundary as bd  # noqa: E402
+from skewext import extensions as ext  # noqa: E402
+from skewext import formats as fmt  # noqa: E402
+from skewext import halfline as hl  # noqa: E402
+from skewext import relation as rel  # noqa: E402
+from skewext import subspace as sub  # noqa: E402
+from skewext.sampling import random_unitary  # noqa: E402
+
+SIZES = (4, 16, 64, 128)
+HALFLINE_TERMS = (5, 20, 60)
+SEED = 7
+REPEAT = 7
+
+
+def _best(fn, *args):
+    fn(*args)
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return float(f"{min(times):.4g}")
+
+
+def _median(times):
+    return float(f"{statistics.median(times):.4g}")
+
+
+def _plain(x):
+    """``x`` with every array replaced by its ``tolist()``: the payload the
+    indented ``json.dumps`` needs."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x
+
+
+def _json_indent(payload):
+    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _per_pair_decode(gens):
+    """The per-pair decoder that ``formats.matrix_from_json`` replaced: one
+    type check and one ``complex()`` per [re, im] pair."""
+    rows = []
+    for g in gens:
+        row = []
+        for p in g:
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise ValueError(p)
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in p):
+                raise ValueError(p)
+            z = complex(*p)
+            if not np.isfinite(z):
+                raise ValueError(p)
+            row.append(z)
+        rows.append(row)
+    return np.array(rows, dtype=complex)
+
+
+def layer_timings(n: int) -> dict:
+    rng = np.random.default_rng(SEED)
+    h = rel.random_skew_symmetric(n, n // 2, SEED)
+    a = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+    other = sub.span_matrix(
+        rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+    )
+    s = bd.canonical_system(h)
+    d = s.g1.dim
+    l = random_unitary(d, rng)
+    t = bd.system_to_triplet(s, np.eye(d))
+    k = 0.5 * random_unitary(d, rng)
+    ext_a = ext.system_unitary_extension(s, l)
+    ext_phi = ext.extension_from_contraction(t, k)
+    dissip = ext.canonical_max_dissipative(s)
+    payload = {
+        "system": fmt.system_to_json(s),
+        "max_dissipative_extension": fmt.relation_to_json(dissip),
+    }
+    relation_obj = json.loads(fmt.dumps(fmt.relation_to_json(h)))
+    gens = relation_obj["graph_generators"]
+    b = _best
+    return {
+        "indices": [s.g1.dim, s.g2.dim],
+        "subspace.span_matrix_s": b(sub.span_matrix, a),
+        "subspace.complement_s": b(sub.complement, a),
+        "subspace.intersect_s": b(sub.intersect, s.adjoint_graph, other),
+        "subspace.contains_subspace_s": b(
+            sub.contains_subspace, s.adjoint_graph, h.graph
+        ),
+        "relation.adjoint_s": b(rel.adjoint, h),
+        "relation.deficiency_s": b(rel.deficiency, h),
+        "boundary.canonical_system_s": b(bd.canonical_system, h),
+        "boundary.system_to_triplet_s": b(bd.system_to_triplet, s, np.eye(d)),
+        "boundary.triplet_to_system_s": b(bd.triplet_to_system, t),
+        "extensions.system_unitary_extension_s": b(ext.system_unitary_extension, s, l),
+        "extensions.system_unitary_readoff_s": b(ext.system_unitary_readoff, s, ext_a),
+        "extensions.triplet_unitary_extension_s": b(
+            ext.triplet_unitary_extension, t, l
+        ),
+        "extensions.extension_from_contraction_s": b(
+            ext.extension_from_contraction, t, k
+        ),
+        "extensions.boundary_contraction_of_s": b(
+            ext.boundary_contraction_of, t, ext_phi
+        ),
+        "extensions.canonical_max_dissipative_s": b(ext.canonical_max_dissipative, s),
+        "extensions.adjoint_formula_check_s": b(ext.adjoint_formula_check, s),
+        "formats.report_bytes": len(fmt.dumps(payload)),
+        "formats.report_encode_json_indent_s": b(_json_indent, payload),
+        "formats.report_encode_dumps_s": b(fmt.dumps, payload),
+        "formats.relation_pairs": sum(len(g) for g in gens),
+        "formats.decode_per_pair_s": b(_per_pair_decode, gens),
+        "formats.decode_matrix_from_json_s": b(fmt.matrix_from_json, gens),
+        "formats.relation_from_json_s": b(fmt.relation_from_json, relation_obj),
+    }
+
+
+def _random_function(rnd: random.Random, count: int) -> hl.ExpPoly:
+    """``count`` terms c t^k e^(-lam t) with distinct (k, lam), k in 0..8,
+    lam = p/q with p in 1..12 and q in 1..4, and Re c > 0."""
+    terms = {}
+    while len(terms) < count:
+        key = (rnd.randint(0, 8), Fraction(rnd.randint(1, 12), rnd.randint(1, 4)))
+        terms[key] = hl.RationalComplex(
+            Fraction(rnd.randint(1, 9), rnd.randint(1, 6)),
+            Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)),
+        )
+    return hl.ExpPoly(terms)
+
+
+def halfline_timings(terms: int) -> dict:
+    rnd = random.Random(SEED + terms)
+    f, g = _random_function(rnd, terms), _random_function(rnd, terms)
+    return {
+        "halfline.inner_s": _best(hl.inner, f, g),
+        "halfline.green_identity_s": _best(hl.green_identity, f, g),
+        "halfline.resolvent_solve_s": _best(hl.resolvent_solve, f),
+    }
+
+
+def cli_timings(trees: dict) -> dict:
+    """Median wall time of each CLI probe per source tree; the trees take
+    turns, in alternating order, so that load on the machine falls on both
+    alike."""
+    cli = ["-m", "skewext.cli"]
+    times = {label: {} for label in trees}
+
+    def wall(name, argv, cwd):
+        for r in range(REPEAT):
+            order = list(trees) if r % 2 == 0 else list(reversed(trees))
+            for label in order:
+                env = dict(os.environ, PYTHONPATH=trees[label])
+                start = time.perf_counter()
+                subprocess.run(
+                    [sys.executable, *argv], cwd=cwd, env=env, check=True,
+                    stdout=subprocess.DEVNULL,
+                )
+                times[label].setdefault(name, []).append(time.perf_counter() - start)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        wall("import_s", ["-c", "import skewext.cli"], tmp)
+        for count in (20, 200):
+            argv = [*cli, "sweep", "--count", str(count)]
+            wall(f"sweep_count_{count}_s", argv, tmp)
+        for n in (64, 128):
+            path = f"rel{n}.json"
+            generate = ["generate", "--n", str(n), "--k", str(n // 2)]
+            generate += ["--seed", str(SEED), "--out-relation", path]
+            subprocess.run(
+                [sys.executable, *cli, *generate], cwd=tmp, check=True,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                stdout=subprocess.DEVNULL,
+            )
+            wall(f"canonical_n{n}_s", [*cli, "canonical", "--input", path], tmp)
+    return {
+        label: {name: _median(ts) for name, ts in probes.items()}
+        for label, probes in times.items()
+    }
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            models = [line.split(":", 1)[1] for line in fh if "model name" in line]
+        cpu = models[0].strip() if models else cpu
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": 1,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--out", required=True, help="path of the JSON file to write")
+    parser.add_argument("--baseline-src", help="source tree for baseline CLI timings")
+    args = parser.parse_args(argv)
+    record = {
+        "machine": machine(),
+        "method": {
+            "repeat": REPEAT,
+            "in_process": "best of repeat perf_counter wall times after one "
+            "warm-up call, BLAS on one thread, inputs built outside the timer",
+            "cli": "median of repeat fresh `python3 -m skewext.cli` processes, "
+            "import included, BLAS on one thread; with a baseline tree the two "
+            "trees take turns in alternating order",
+            "relations": "relation.random_skew_symmetric(n, n // 2, 7)",
+            "report": "the canonical payload: system_to_json plus "
+            "relation_to_json of the canonical maximal dissipative extension; "
+            "report_encode_json_indent_s is the former path (tolist of every "
+            "array, then json.dumps(sort_keys=True, indent=2)), "
+            "report_encode_dumps_s is formats.dumps",
+            "decode": "decode_per_pair_s is the former per-pair decoder, "
+            "decode_matrix_from_json_s the vectorised one, on the generators "
+            "of the relation file; relation_from_json_s adds the span",
+            "halfline_functions": "seeded random terms with distinct (degree, "
+            "rate) keys, degrees 0..8, rates p/q with p in 1..12, q in 1..4",
+        },
+        "layers": {f"n={n}": layer_timings(n) for n in SIZES},
+        "halfline": {
+            f"terms={t}": halfline_timings(t) for t in HALFLINE_TERMS
+        },
+    }
+    trees = {"cli": str(ROOT / "src")}
+    if args.baseline_src:
+        trees["cli_baseline"] = str(Path(args.baseline_src).resolve())
+    record.update(cli_timings(trees))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(fmt.dumps(record))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
