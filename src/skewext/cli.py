@@ -21,6 +21,7 @@ file the same way.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -414,7 +415,10 @@ def _add_relation_input(parser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="skewext",
         description=(

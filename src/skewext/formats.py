@@ -176,7 +176,7 @@ def relation_from_json(obj, rank_tol=None) -> Relation:
     if not isinstance(obj, dict):
         raise ValueError("relation file must hold a JSON object")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError('"n" must be a positive integer')
     gens = obj.get("graph_generators")
     if not isinstance(gens, list):

@@ -17,6 +17,13 @@ d/dt on the trace-zero part of the family, its adjoint acts as -d/dt on
 the whole family, and inner products are conjugate-linear in the second
 argument.  Irrational scalars (sqrt(2), norms) are never materialized;
 identities are arranged so only squared norms appear.
+
+Every identity goes through ``inner``, which evaluates the closed form
+integral of t^m exp(-s t) = m! / s^(m+1) grouped: both functions are
+scaled to integer coefficients once, term pairs are summed in integers per
+rate sum s = N/M and total degree m, each rate sum becomes one integer
+numerator over N^(top+1), and those are added over one common denominator,
+so a call builds a single ``RationalComplex``, its result.
 """
 
 from __future__ import annotations
@@ -220,18 +227,83 @@ def exp_decay(lam=1) -> ExpPoly:
     return term(0, lam, 1)
 
 
+def _integer_groups(f: ExpPoly):
+    """``f`` scaled to integers once: ``(D, groups)`` with D the lcm of the
+    denominators of all real and imaginary parts, and ``groups`` mapping
+    each rate p/q, as the pair (p, q), to its terms (k, D re c, D im c)."""
+    coeffs = f._terms.values()
+    scale = math.lcm(
+        *(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs)
+    )
+    groups = {}
+    for (k, lam), c in f._terms.items():
+        groups.setdefault((lam.numerator, lam.denominator), []).append(
+            (
+                k,
+                c.re.numerator * (scale // c.re.denominator),
+                c.im.numerator * (scale // c.im.denominator),
+            )
+        )
+    return scale, groups
+
+
 def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
     """Exact L2(0, infinity) inner product, conjugate-linear in ``g``.
 
-    Uses the closed form
-    integral of t^(a+b) exp(-(lam+mu) t) = (a+b)! / (lam+mu)^(a+b+1).
+    Each term pair contributes c conj(d) m! / s^(m+1), from the closed form
+    integral of t^m exp(-s t) = m! / s^(m+1), with m = a + b and
+    s = lam + mu.  The sum is taken in integers: with D_f and D_g the
+    lcms of the coefficient denominators, the integer products
+    (D_f c) conj(D_g d) are added up per rate sum s = N/M (different rate
+    pairs often share one) and per total degree m, into P_m.  Each rate sum
+    then gives the single integer numerator
+
+        sum over m of P_m m! M^(m+1) N^(top-m)   over   N^(top+1),
+
+    top being its highest degree; the numerators are added over the lcm of
+    these denominators, which is divided by D_f D_g once.  The result
+    equals the term-wise sum exactly, since ``Fraction``s are canonical.
     """
-    total = RationalComplex()
-    for (a, lam), c in f._terms.items():
-        for (b, mu), d in g._terms.items():
-            weight = Fraction(math.factorial(a + b), 1) / (lam + mu) ** (a + b + 1)
-            total = total + c * d.conj() * weight
-    return total
+    if f.is_zero() or g.is_zero():
+        return RationalComplex()
+    f_scale, f_groups = _integer_groups(f)
+    g_scale, g_groups = _integer_groups(g)
+    width = max(k for k, _ in f._terms) + max(k for k, _ in g._terms) + 1
+    buckets = {}  # (N, M) -> (P_m real parts, P_m imaginary parts)
+    for (p, q), f_terms in f_groups.items():
+        for (r, s), g_terms in g_groups.items():
+            n, m = p * s + r * q, q * s
+            h = math.gcd(n, m)
+            key = (n // h, m // h)
+            sums = buckets.get(key)
+            if sums is None:
+                sums = buckets[key] = ([0] * width, [0] * width)
+            sum_re, sum_im = sums
+            for a, cr, ci in f_terms:
+                for b, dr, di in g_terms:
+                    sum_re[a + b] += cr * dr + ci * di
+                    sum_im[a + b] += ci * dr - cr * di
+    parts = []
+    for (n, m), (sum_re, sum_im) in buckets.items():
+        top = width - 1
+        while top and not (sum_re[top] or sum_im[top]):
+            top -= 1
+        # Horner in N; weight = deg! M^(deg+1)
+        num_re = num_im = 0
+        weight = m
+        for deg in range(top + 1):
+            num_re = num_re * n + sum_re[deg] * weight
+            num_im = num_im * n + sum_im[deg] * weight
+            weight *= m * (deg + 1)
+        parts.append((num_re, num_im, n ** (top + 1)))
+    den = math.lcm(*(d for _, _, d in parts))
+    num_re = num_im = 0
+    for part_re, part_im, part_den in parts:
+        factor = den // part_den
+        num_re += part_re * factor
+        num_im += part_im * factor
+    den *= f_scale * g_scale
+    return RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
 
 
 def norm_sq(f: ExpPoly) -> Fraction:

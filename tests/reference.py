@@ -3,16 +3,20 @@
 The library builds none of these: its pipelines use closed forms and
 orthogonal pieces instead.  They are kept here, unchanged, as independent
 routes to the same objects (the oblique projection behind the canonical
-boundary map, -T* through the swapped orthocomplement) and as convenient
-constructors of test inputs.
+boundary map, -T* through the swapped orthocomplement, the half-line inner
+product term by term) and as convenient constructors of test inputs.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, SkewextError
+from skewext.halfline import ExpPoly, RationalComplex
 from skewext.relation import Relation
 from skewext.sampling import complex_gaussian
 from skewext.subspace import (
@@ -138,3 +142,17 @@ def random_contraction(
     u, s, vh = np.linalg.svd(a)
     scaled = s / s[0] * rng.uniform(0.0, norm_cap)
     return (u * scaled) @ vh
+
+
+def inner_termwise(f: ExpPoly, g: ExpPoly) -> RationalComplex:
+    """Exact L2(0, infinity) inner product, conjugate-linear in ``g``.
+
+    Uses the closed form
+    integral of t^(a+b) exp(-(lam+mu) t) = (a+b)! / (lam+mu)^(a+b+1).
+    """
+    total = RationalComplex()
+    for (a, lam), c in f._terms.items():
+        for (b, mu), d in g._terms.items():
+            weight = Fraction(math.factorial(a + b), 1) / (lam + mu) ** (a + b + 1)
+            total = total + c * d.conj() * weight
+    return total

@@ -5,7 +5,7 @@ import pytest
 
 from skewext import extensions as ext
 from skewext import relation as rel
-from skewext.cli import main
+from skewext.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -420,6 +420,20 @@ def test_out_into_missing_directory(tmp_path, zero_relation_file, capsys):
     assert code == 2
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def test_one_parser_serves_every_call_without_carrying_values(capsys):
+    code, report = run_cli(capsys, "sweep", "--count", "2", "--seed", "4", "--tol", "1e-6")
+    assert code == 0 and report["args"] == {"count": 2, "seed": 4}
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--count", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # the defaults come back on the next call through the same parser
+    code, report = run_cli(capsys, "sweep", "--count", "1")
+    assert code == 0 and report["args"] == {"count": 1, "seed": 0}
+    assert report["tol"] == build_parser().parse_args(["sweep"]).tol != 1e-6
+    assert build_parser() is build_parser()
 
 
 def test_rank_tol_only_on_relation_commands(zero_relation_file, capsys):

@@ -44,6 +44,7 @@ def test_relation_from_json_normalizes_generators():
         {"n": 1, "graph_generators": [[[float("nan"), 0.0], [0.0, 1.0]]]},
         {"n": 1, "graph_generators": [[[10**400, 0.0], [0.0, 1.0]]]},
         {"n": 1, "graph_generators": [[[True, 0.0], [0.0, 1.0]]]},
+        {"n": True, "graph_generators": [[[1.0, 0.0], [0.0, 1.0]]]},
         # ragged generators with 24 = 3 * 2n pairs in all
         {"n": 4, "graph_generators": [[[1.0, 0.0]] * size for size in (1, 15, 8)]},
     ],

@@ -10,8 +10,9 @@ one untimed warm-up call; inputs are built outside the timed region.  The
 CLI figures are the median wall time of ``REPEAT`` fresh interpreters
 running ``python3 -m skewext.cli``, so they include the import.  With
 ``--baseline-src`` the CLI figures are also taken with that source tree
-on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, for a
-before/after comparison on the same machine.
+on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, and the
+half-line figures are also taken with that tree's ``halfline`` module
+(``halfline_baseline``), for a before/after comparison on the same machine.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
@@ -25,6 +26,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
@@ -160,27 +163,61 @@ def layer_timings(n: int) -> dict:
     }
 
 
-def _random_function(rnd: random.Random, count: int) -> hl.ExpPoly:
+def _random_function(rnd: random.Random, count: int, module=hl):
     """``count`` terms c t^k e^(-lam t) with distinct (k, lam), k in 0..8,
-    lam = p/q with p in 1..12 and q in 1..4, and Re c > 0."""
+    lam = p/q with p in 1..12 and q in 1..4, and Re c > 0, as an ``ExpPoly``
+    of ``module``."""
     terms = {}
     while len(terms) < count:
         key = (rnd.randint(0, 8), Fraction(rnd.randint(1, 12), rnd.randint(1, 4)))
-        terms[key] = hl.RationalComplex(
+        terms[key] = module.RationalComplex(
             Fraction(rnd.randint(1, 9), rnd.randint(1, 6)),
             Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)),
         )
-    return hl.ExpPoly(terms)
+    return module.ExpPoly(terms)
 
 
-def halfline_timings(terms: int) -> dict:
+def halfline_timings(terms: int, module=hl) -> dict:
+    rnd = random.Random(SEED + terms)
+    f = _random_function(rnd, terms, module)
+    g = _random_function(rnd, terms, module)
+    return {
+        "halfline.inner_s": _best(module.inner, f, g),
+        "halfline.green_identity_s": _best(module.green_identity, f, g),
+        "halfline.resolvent_solve_s": _best(module.resolvent_solve, f),
+    }
+
+
+def baseline_halfline(src: str):
+    """The ``halfline`` module of the source tree ``src``, imported under the
+    package name ``skewext_baseline`` so that it sits beside this tree's."""
+    package = Path(src) / "skewext"
+    spec = importlib.util.spec_from_file_location(
+        "skewext_baseline", package / "__init__.py",
+        submodule_search_locations=[str(package)],
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["skewext_baseline"] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module("skewext_baseline.halfline")
+
+
+def _halfline_files(directory: str, terms: int) -> dict:
+    """Function files for the half-line CLI probes: a pair of ``terms``-term
+    functions for ``green`` and a trace-zero one for ``dissipative``."""
     rnd = random.Random(SEED + terms)
     f, g = _random_function(rnd, terms), _random_function(rnd, terms)
-    return {
-        "halfline.inner_s": _best(hl.inner, f, g),
-        "halfline.green_identity_s": _best(hl.green_identity, f, g),
-        "halfline.resolvent_solve_s": _best(hl.resolvent_solve, f),
+    f0 = f - hl.exp_decay(1).scale(f.eval0())
+    files = {
+        "green": {"f": fmt.exppoly_to_json(f), "g": fmt.exppoly_to_json(g)},
+        "dissipative": fmt.exppoly_to_json(f0),
     }
+    paths = {}
+    for subcheck, obj in files.items():
+        paths[subcheck] = os.path.join(directory, f"{subcheck}{terms}.json")
+        with open(paths[subcheck], "w", encoding="utf-8") as fh:
+            fh.write(fmt.dumps(obj))
+    return paths
 
 
 def cli_timings(trees: dict) -> dict:
@@ -217,6 +254,10 @@ def cli_timings(trees: dict) -> dict:
                 stdout=subprocess.DEVNULL,
             )
             wall(f"canonical_n{n}_s", [*cli, "canonical", "--input", path], tmp)
+        terms = HALFLINE_TERMS[-1]
+        for subcheck, path in _halfline_files(tmp, terms).items():
+            argv = [*cli, "halfline", "--subcheck", subcheck, "--input", path]
+            wall(f"halfline_{subcheck}_terms{terms}_s", argv, tmp)
     return {
         label: {name: _median(ts) for name, ts in probes.items()}
         for label, probes in times.items()
@@ -265,7 +306,9 @@ def main(argv=None) -> int:
             "decode_matrix_from_json_s the vectorised one, on the generators "
             "of the relation file; relation_from_json_s adds the span",
             "halfline_functions": "seeded random terms with distinct (degree, "
-            "rate) keys, degrees 0..8, rates p/q with p in 1..12, q in 1..4",
+            "rate) keys, degrees 0..8, rates p/q with p in 1..12, q in 1..4; "
+            "the CLI halfline probes read such a pair (green) and its first "
+            "function made trace-zero (dissipative)",
         },
         "layers": {f"n={n}": layer_timings(n) for n in SIZES},
         "halfline": {
@@ -275,6 +318,10 @@ def main(argv=None) -> int:
     trees = {"cli": str(ROOT / "src")}
     if args.baseline_src:
         trees["cli_baseline"] = str(Path(args.baseline_src).resolve())
+        baseline = baseline_halfline(trees["cli_baseline"])
+        record["halfline_baseline"] = {
+            f"terms={t}": halfline_timings(t, baseline) for t in HALFLINE_TERMS
+        }
     record.update(cli_timings(trees))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(fmt.dumps(record))
