@@ -18,12 +18,19 @@ the whole family, and inner products are conjugate-linear in the second
 argument.  Irrational scalars (sqrt(2), norms) are never materialized;
 identities are arranged so only squared norms appear.
 
-Every identity goes through ``inner``, which evaluates the closed form
-integral of t^m exp(-s t) = m! / s^(m+1) grouped: both functions are
-scaled to integer coefficients once, term pairs are summed in integers per
-rate sum s = N/M and total degree m, each rate sum becomes one integer
-numerator over N^(top+1), and those are added over one common denominator,
-so a call builds a single ``RationalComplex``, its result.
+The three kernels, ``inner``, ``ExpPoly.derivative`` and
+``resolvent_solve``, take one integer route (``_integer_groups``): a
+function is scaled to integer coefficients once (D, the lcm of all
+coefficient denominators) and its terms are grouped by rate.  ``inner``
+evaluates the closed form integral of t^m exp(-s t) = m! / s^(m+1) with
+term pairs summed in integers per rate sum s = N/M and total degree m;
+each rate sum becomes one integer numerator over N^(top+1), and those are
+added over one common denominator, so a call builds a single
+``RationalComplex``, its result.  The derivative and the resolvent form
+each output coefficient as one integer numerator over one denominator per
+rate group, and build one ``RationalComplex`` per nonzero output term.
+Since ``Fraction``s are canonical, every result equals the term-wise sum
+exactly.
 """
 
 from __future__ import annotations
@@ -122,13 +129,13 @@ class ExpPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        canon = {}
+        items = []
         for (k, lam), coeff in (terms or {}).items():
             lam = _frac(lam)
             coeff = _coerce(coeff)
             if coeff.is_zero():
                 continue
-            if not isinstance(k, int) or k < 0:
+            if isinstance(k, bool) or not isinstance(k, int) or k < 0:
                 raise ValueError(f"degree must be a nonnegative integer, got {k!r}")
             if lam <= 0:
                 raise ValueError(f"rate must be positive, got {lam}")
@@ -136,13 +143,15 @@ class ExpPoly:
                 raise ValueError(
                     f"rate denominator {lam.denominator} exceeds the cap"
                 )
-            key = (k, lam)
-            if key in canon:
-                raise ValueError(f"duplicate term key {key}")
-            canon[key] = coeff
-        object.__setattr__(
-            self, "_terms", dict(sorted(canon.items(), key=lambda kv: (kv[0][1], kv[0][0])))
-        )
+            items.append(((k, lam), coeff))
+        # sorted first, so that equal keys are neighbours and each key is
+        # hashed once, by the dict that keeps it
+        items.sort(key=lambda kv: (kv[0][1], kv[0][0]))
+        canon = dict(items)
+        if len(canon) != len(items):
+            key = next(a for (a, _), (b, _) in zip(items, items[1:]) if a == b)
+            raise ValueError(f"duplicate term key {key}")
+        object.__setattr__(self, "_terms", canon)
 
     @property
     def terms(self):
@@ -183,14 +192,13 @@ class ExpPoly:
         return ExpPoly({key: c * coeff for key, coeff in self._terms.items()})
 
     def derivative(self) -> "ExpPoly":
-        """Exact term-wise derivative:
-        t^k exp(-lam t) -> k t^(k-1) exp(-lam t) - lam t^k exp(-lam t)."""
-        out = {}
-        for (k, lam), coeff in self._terms.items():
-            if k > 0:
-                _accumulate(out, (k - 1, lam), coeff * Fraction(k))
-            _accumulate(out, (k, lam), coeff * (-lam))
-        return ExpPoly(out)
+        """Exact derivative, from
+        t^k exp(-lam t) -> k t^(k-1) exp(-lam t) - lam t^k exp(-lam t).
+
+        Computed in integers per rate group lam = p/q, on the coefficients
+        scaled by D as in ``inner``: the degree-j output is
+        (q (j+1) C_(j+1) - p C_j) / (D q) (see ``_derivative``)."""
+        return _derivative(self, 1)
 
     def eval0(self) -> RationalComplex:
         """The boundary trace f(0): the sum of all degree-zero coefficients."""
@@ -209,14 +217,6 @@ class ExpPoly:
         return "ExpPoly(" + " + ".join(bits) + ")"
 
 
-def _accumulate(acc: dict, key, coeff: RationalComplex):
-    total = acc.get(key, RationalComplex()) + coeff
-    if total.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = total
-
-
 def term(k: int, lam, re=0, im=0) -> ExpPoly:
     """The single term (re + im*i) t^k exp(-lam t)."""
     return ExpPoly({(k, _frac(lam)): RationalComplex(_frac(re), _frac(im))})
@@ -229,15 +229,24 @@ def exp_decay(lam=1) -> ExpPoly:
 
 def _integer_groups(f: ExpPoly):
     """``f`` scaled to integers once: ``(D, groups)`` with D the lcm of the
-    denominators of all real and imaginary parts, and ``groups`` mapping
-    each rate p/q, as the pair (p, q), to its terms (k, D re c, D im c)."""
+    denominators of all real and imaginary parts, and ``groups`` a list with
+    one entry ``(lam, p, q, terms)`` per rate lam = p/q, in increasing
+    order of lam, where ``terms`` lists (k, D re c, D im c) in increasing
+    order of k.  The terms of ``f`` are already sorted by (lam, k), so the
+    groups are read off in one pass without hashing a rate."""
     coeffs = f._terms.values()
     scale = math.lcm(
         *(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs)
     )
-    groups = {}
+    groups = []
+    last = None
     for (k, lam), c in f._terms.items():
-        groups.setdefault((lam.numerator, lam.denominator), []).append(
+        ratio = lam.as_integer_ratio()
+        if ratio != last:
+            last = ratio
+            terms = []
+            groups.append((lam, *ratio, terms))
+        terms.append(
             (
                 k,
                 c.re.numerator * (scale // c.re.denominator),
@@ -245,6 +254,47 @@ def _integer_groups(f: ExpPoly):
             )
         )
     return scale, groups
+
+
+def _derivative(f: ExpPoly, sign: int) -> ExpPoly:
+    """``sign`` times the derivative of ``f``, exactly.
+
+    At rate lam = p/q with integer coefficients C_k = D c_k, the output
+    coefficient at degree j is
+
+        sign (q (j+1) C_(j+1) - p C_j)   over   D q,
+
+    one ``Fraction`` pair and one ``RationalComplex`` per nonzero output
+    term; zero sums drop their key.
+    """
+    scale, groups = _integer_groups(f)
+    out = {}
+    for lam, p, q, terms in groups:
+        coeffs = {k: (cr, ci) for k, cr, ci in terms}
+        den = scale * q
+        sp, sq = sign * p, sign * q
+        for j in sorted({*coeffs, *(k - 1 for k in coeffs if k)}):
+            cr, ci = coeffs.get(j, (0, 0))
+            nr, ni = coeffs.get(j + 1, (0, 0))
+            num_re = sq * (j + 1) * nr - sp * cr
+            num_im = sq * (j + 1) * ni - sp * ci
+            if num_re or num_im:
+                out[(j, lam)] = RationalComplex(
+                    Fraction(num_re, den), Fraction(num_im, den)
+                )
+    return ExpPoly(out)
+
+
+def _common_denominator(parts):
+    """The sum of the complex fractions (re + i im) / den in ``parts``, as
+    ``(re, im, den)`` over the lcm of their denominators."""
+    den = math.lcm(*(d for _, _, d in parts))
+    num_re = num_im = 0
+    for part_re, part_im, part_den in parts:
+        factor = den // part_den
+        num_re += part_re * factor
+        num_im += part_im * factor
+    return num_re, num_im, den
 
 
 def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
@@ -270,8 +320,8 @@ def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
     g_scale, g_groups = _integer_groups(g)
     width = max(k for k, _ in f._terms) + max(k for k, _ in g._terms) + 1
     buckets = {}  # (N, M) -> (P_m real parts, P_m imaginary parts)
-    for (p, q), f_terms in f_groups.items():
-        for (r, s), g_terms in g_groups.items():
+    for _, p, q, f_terms in f_groups:
+        for _, r, s, g_terms in g_groups:
             n, m = p * s + r * q, q * s
             h = math.gcd(n, m)
             key = (n // h, m // h)
@@ -296,12 +346,7 @@ def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
             num_im = num_im * n + sum_im[deg] * weight
             weight *= m * (deg + 1)
         parts.append((num_re, num_im, n ** (top + 1)))
-    den = math.lcm(*(d for _, _, d in parts))
-    num_re = num_im = 0
-    for part_re, part_im, part_den in parts:
-        factor = den // part_den
-        num_re += part_re * factor
-        num_im += part_im * factor
+    num_re, num_im, den = _common_denominator(parts)
     den *= f_scale * g_scale
     return RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
 
@@ -312,7 +357,7 @@ def norm_sq(f: ExpPoly) -> Fraction:
 
 def adjoint_apply(f: ExpPoly) -> ExpPoly:
     """The adjoint of the minimal operator acts as -d/dt on the whole family."""
-    return -f.derivative()
+    return _derivative(f, -1)
 
 
 def green_identity(f: ExpPoly, g: ExpPoly):
@@ -441,28 +486,60 @@ def canonical_extension_apply(f: ExpPoly) -> ExpPoly:
         raise TraceNotZero(
             f"extension domain needs f(0) = 0, got f(0) = {f.eval0()}"
         )
-    return -f.derivative()
+    return _derivative(f, -1)
 
 
 def resolvent_solve(f: ExpPoly) -> ExpPoly:
     """The unique family member u with u + u' = f and u(0) = 0, exactly.
 
     This constructively witnesses surjectivity of 1 - H: the integral
-    u(t) = exp(-t) * integral_0^t exp(s) f(s) ds is evaluated term-wise.
-    The rate-1 terms of f are resonant and produce t^(k+1) exp(-t) terms,
-    which stay inside the family.
+    u(t) = exp(-t) * integral_0^t exp(s) f(s) ds, evaluated in integers per
+    rate group of f, with coefficients C_a = D c_a as in ``inner``:
+
+    - the resonant rate 1 sends t^a exp(-t) to t^(a+1) exp(-t) / (a+1),
+      the coefficient C_a / (D (a+1)), which stays inside the family;
+    - any other rate lam = p/q has the nonzero gap r = p - q (negative
+      when lam < 1).  With top its highest degree, the output at (j, lam)
+      is -S_j over D r^(top+1-j), where
+      S_j = sum over a >= j of C_a (a!/j!) q^(a+1-j) r^(top-a),
+      by Horner: S_top = q C_top, S_j = q (C_j r^(top-j) + (j+1) S_(j+1));
+    - since u(0) = 0, the (0, 1) term is the sum of S_0 / (D r^(top+1))
+      over the non-resonant groups, added over one common denominator.
+
+    No two groups write the same key, so each nonzero output term is one
+    ``Fraction`` pair and one ``RationalComplex``.
     """
+    scale, groups = _integer_groups(f)
     out = {}
-    for (a, lam), c in f._terms.items():
-        if lam == 1:
-            _accumulate(out, (a + 1, _ONE), c * Fraction(1, a + 1))
+    parts = []  # (S_0 real, S_0 imaginary, r^(top+1)) per non-resonant group
+    for lam, p, q, terms in groups:
+        if p == q:
+            for a, cr, ci in terms:
+                den = scale * (a + 1)
+                out[(a + 1, lam)] = RationalComplex(
+                    Fraction(cr, den), Fraction(ci, den)
+                )
             continue
-        mu = lam - 1  # rate gap; nonzero, may be negative
-        fact = Fraction(math.factorial(a), 1)
-        _accumulate(out, (0, _ONE), c * (fact / mu ** (a + 1)))
-        for j in range(a + 1):
-            weight = Fraction(math.factorial(a), math.factorial(j)) / mu ** (a + 1 - j)
-            _accumulate(out, (j, lam), -(c * weight))
+        r = p - q
+        top = terms[-1][0]
+        coeffs = {k: (cr, ci) for k, cr, ci in terms}
+        s_re = s_im = 0
+        power = 1  # r^(top-j)
+        for j in range(top, -1, -1):
+            cr, ci = coeffs.get(j, (0, 0))
+            s_re = q * (cr * power + (j + 1) * s_re)
+            s_im = q * (ci * power + (j + 1) * s_im)
+            power *= r
+            if s_re or s_im:
+                den = -scale * power
+                out[(j, lam)] = RationalComplex(
+                    Fraction(s_re, den), Fraction(s_im, den)
+                )
+        parts.append((s_re, s_im, power))
+    num_re, num_im, den = _common_denominator(parts)
+    if num_re or num_im:
+        den *= scale
+        out[(0, _ONE)] = RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
     return ExpPoly(out)
 
 
@@ -496,21 +573,50 @@ def adjoint_injectivity_check(g: ExpPoly) -> InjectivityReport:
     )
 
 
+def _boundary_block_sizes():
+    """The (g1, g2) block sizes of the canonical system's boundary space,
+    read off ``canonical_F(exp(-t))``: the g1 block is one coefficient,
+    which exp(-t) reaches, so that block is all of C^1; the g2 block is the
+    tuple ``f2``."""
+    value = canonical_F(exp_decay(1))
+    return (0 if value.g1_coefficient.is_zero() else 1), len(value.f2)
+
+
+def _has_self_orthogonal_boundary_subspace() -> bool:
+    """Exact search of the boundary space C^1 for a subspace V equal to its
+    ``boundary_form``-orthogonal V^perp, whose preimage would be a
+    skew-self-adjoint extension.
+
+    C^1 is spanned by the boundary value of exp(-t), so its subspaces are
+    {0} and C^1, spanned by () and (exp(-t),).  V^perp is C^1 when the form
+    vanishes on V x C^1 and {0} otherwise, and in C^1 a subspace is fixed
+    by its dimension.  No V qualifies: C^1 is not neutral, since
+    boundary_form(exp(-t), exp(-t)) = 1, and the orthogonal of {0} is C^1.
+    """
+    e = exp_decay(1)
+    for span in ((), (e,)):
+        perp_dim = 0 if any(not boundary_form(v, e).is_zero() for v in span) else 1
+        if perp_dim == len(span):
+            return True
+    return False
+
+
 def existence_summary():
     """The four existence booleans of the finite-dimensional report, evaluated
-    exactly for the half-line model; all four are false here."""
+    exactly for the half-line model, each by its own computation; all four
+    are false here."""
     g1_basis, g2_basis = deficiency_exact()
     indices = (len(g1_basis), len(g2_basis))
-    equal = indices[0] == indices[1]
     try:
         triplet_attempt()
         triplet_ok = True
     except DimensionMismatch:
         triplet_ok = False
+    g1_dim, g2_dim = _boundary_block_sizes()
     return {
         "indices": indices,
-        "equal_indices": equal,
-        "has_sksa_extension": equal,
+        "equal_indices": indices[0] == indices[1],
+        "has_sksa_extension": _has_self_orthogonal_boundary_subspace(),
         "triplet_constructible": triplet_ok,
-        "system_equal_dims": equal,
+        "system_equal_dims": g1_dim == g2_dim,
     }

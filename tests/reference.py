@@ -4,19 +4,21 @@ The library builds none of these: its pipelines use closed forms and
 orthogonal pieces instead.  They are kept here, unchanged, as independent
 routes to the same objects (the oblique projection behind the canonical
 boundary map, -T* through the swapped orthocomplement, the half-line inner
-product term by term) and as convenient constructors of test inputs.
+product, derivative and resolvent term by term) and as convenient
+constructors of test inputs.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, SkewextError
-from skewext.halfline import ExpPoly, RationalComplex
+from skewext.halfline import QC, ExpPoly, RationalComplex
 from skewext.relation import Relation
 from skewext.sampling import complex_gaussian
 from skewext.subspace import (
@@ -26,6 +28,8 @@ from skewext.subspace import (
     _check_same_ambient,
     span_matrix,
 )
+
+_ONE = Fraction(1)
 
 
 class NotDirect(SkewextError):
@@ -144,6 +148,19 @@ def random_contraction(
     return (u * scaled) @ vh
 
 
+def random_exppoly(rnd: random.Random, count: int) -> ExpPoly:
+    """``count`` terms c t^k e^(-lam t) with distinct (k, lam), k in 0..8,
+    lam = p/q with p in 1..12 and q in 1..4, and Im c > 0."""
+    terms = {}
+    while len(terms) < count:
+        key = (rnd.randint(0, 8), Fraction(rnd.randint(1, 12), rnd.randint(1, 4)))
+        terms[key] = QC(
+            Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)),
+            Fraction(rnd.randint(1, 9), rnd.randint(1, 6)),
+        )
+    return ExpPoly(terms)
+
+
 def inner_termwise(f: ExpPoly, g: ExpPoly) -> RationalComplex:
     """Exact L2(0, infinity) inner product, conjugate-linear in ``g``.
 
@@ -156,3 +173,44 @@ def inner_termwise(f: ExpPoly, g: ExpPoly) -> RationalComplex:
             weight = Fraction(math.factorial(a + b), 1) / (lam + mu) ** (a + b + 1)
             total = total + c * d.conj() * weight
     return total
+
+
+def _accumulate(acc: dict, key, coeff: RationalComplex):
+    total = acc.get(key, RationalComplex()) + coeff
+    if total.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = total
+
+
+def derivative_termwise(f: ExpPoly) -> ExpPoly:
+    """Exact term-wise derivative:
+    t^k exp(-lam t) -> k t^(k-1) exp(-lam t) - lam t^k exp(-lam t)."""
+    out = {}
+    for (k, lam), coeff in f._terms.items():
+        if k > 0:
+            _accumulate(out, (k - 1, lam), coeff * Fraction(k))
+        _accumulate(out, (k, lam), coeff * (-lam))
+    return ExpPoly(out)
+
+
+def resolvent_termwise(f: ExpPoly) -> ExpPoly:
+    """The unique family member u with u + u' = f and u(0) = 0, exactly.
+
+    This constructively witnesses surjectivity of 1 - H: the integral
+    u(t) = exp(-t) * integral_0^t exp(s) f(s) ds is evaluated term-wise.
+    The rate-1 terms of f are resonant and produce t^(k+1) exp(-t) terms,
+    which stay inside the family.
+    """
+    out = {}
+    for (a, lam), c in f._terms.items():
+        if lam == 1:
+            _accumulate(out, (a + 1, _ONE), c * Fraction(1, a + 1))
+            continue
+        mu = lam - 1  # rate gap; nonzero, may be negative
+        fact = Fraction(math.factorial(a), 1)
+        _accumulate(out, (0, _ONE), c * (fact / mu ** (a + 1)))
+        for j in range(a + 1):
+            weight = Fraction(math.factorial(a), math.factorial(j)) / mu ** (a + 1 - j)
+            _accumulate(out, (j, lam), -(c * weight))
+    return ExpPoly(out)

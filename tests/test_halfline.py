@@ -230,3 +230,24 @@ def test_existence_summary_all_false():
     assert not summary["has_sksa_extension"]
     assert not summary["triplet_constructible"]
     assert not summary["system_equal_dims"]
+
+
+def test_boolean_degree_is_rejected():
+    # a boolean degree would print as t^True and encode as "k": true,
+    # which the decoder rejects
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        ExpPoly({(True, Fraction(2)): QC(1)})
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        ExpPoly({(False, Fraction(2)): QC(1)})
+
+
+def test_existence_booleans_are_computed_independently(monkeypatch):
+    # with the deficiency solver reporting (1, 1), only the index boolean
+    # may follow it: the boundary space is still C^1 with g2 block empty,
+    # and still holds no subspace equal to its own orthogonal
+    monkeypatch.setattr(hl, "deficiency_exact", lambda: ([exp_decay(1)], [exp_decay(1)]))
+    summary = hl.existence_summary()
+    assert summary["indices"] == (1, 1)
+    assert summary["equal_indices"]
+    assert not summary["has_sksa_extension"]
+    assert not summary["system_equal_dims"]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import inner_termwise
+from reference import inner_termwise, random_exppoly
 from skewext import halfline as hl
 from skewext.halfline import QC, ExpPoly, exp_decay, term
 
@@ -101,21 +101,10 @@ def test_inner_sesquilinear(f1, f2, g, a, b):
     assert hl.inner(g, combo) == a.conj() * hl.inner(g, f1) + b.conj() * hl.inner(g, f2)
 
 
-def _random_function(rnd: random.Random, count: int) -> ExpPoly:
-    terms = {}
-    while len(terms) < count:
-        key = (rnd.randint(0, 8), Fraction(rnd.randint(1, 12), rnd.randint(1, 4)))
-        terms[key] = QC(
-            Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)),
-            Fraction(rnd.randint(1, 9), rnd.randint(1, 6)),
-        )
-    return ExpPoly(terms)
-
-
 @pytest.mark.parametrize("count", [5, 60])
 def test_inner_builds_no_rational_complex_per_term_pair(count, monkeypatch):
     rnd = random.Random(count)
-    f, g = _random_function(rnd, count), _random_function(rnd, count)
+    f, g = random_exppoly(rnd, count), random_exppoly(rnd, count)
     calls = []
     original = hl.RationalComplex.__post_init__
 

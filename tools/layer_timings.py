@@ -12,7 +12,8 @@ running ``python3 -m skewext.cli``, so they include the import.  With
 ``--baseline-src`` the CLI figures are also taken with that source tree
 on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, and the
 half-line figures are also taken with that tree's ``halfline`` module
-(``halfline_baseline``), for a before/after comparison on the same machine.
+(``halfline_baseline``), the two modules taking turns at each size, for a
+before/after comparison on the same machine.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
@@ -183,6 +184,7 @@ def halfline_timings(terms: int, module=hl) -> dict:
     g = _random_function(rnd, terms, module)
     return {
         "halfline.inner_s": _best(module.inner, f, g),
+        "halfline.derivative_s": _best(module.ExpPoly.derivative, f),
         "halfline.green_identity_s": _best(module.green_identity, f, g),
         "halfline.resolvent_solve_s": _best(module.resolvent_solve, f),
     }
@@ -204,12 +206,14 @@ def baseline_halfline(src: str):
 
 def _halfline_files(directory: str, terms: int) -> dict:
     """Function files for the half-line CLI probes: a pair of ``terms``-term
-    functions for ``green`` and a trace-zero one for ``dissipative``."""
+    functions for ``green``, the first of them for ``resolvent`` and it made
+    trace-zero for ``dissipative``."""
     rnd = random.Random(SEED + terms)
     f, g = _random_function(rnd, terms), _random_function(rnd, terms)
     f0 = f - hl.exp_decay(1).scale(f.eval0())
     files = {
         "green": {"f": fmt.exppoly_to_json(f), "g": fmt.exppoly_to_json(g)},
+        "resolvent": fmt.exppoly_to_json(f),
         "dissipative": fmt.exppoly_to_json(f0),
     }
     paths = {}
@@ -307,21 +311,22 @@ def main(argv=None) -> int:
             "of the relation file; relation_from_json_s adds the span",
             "halfline_functions": "seeded random terms with distinct (degree, "
             "rate) keys, degrees 0..8, rates p/q with p in 1..12, q in 1..4; "
-            "the CLI halfline probes read such a pair (green) and its first "
-            "function made trace-zero (dissipative)",
+            "the CLI halfline probes read such a pair (green), its first "
+            "function (resolvent) and that function made trace-zero "
+            "(dissipative)",
         },
         "layers": {f"n={n}": layer_timings(n) for n in SIZES},
-        "halfline": {
-            f"terms={t}": halfline_timings(t) for t in HALFLINE_TERMS
-        },
     }
     trees = {"cli": str(ROOT / "src")}
+    modules = {"halfline": hl}
     if args.baseline_src:
         trees["cli_baseline"] = str(Path(args.baseline_src).resolve())
-        baseline = baseline_halfline(trees["cli_baseline"])
-        record["halfline_baseline"] = {
-            f"terms={t}": halfline_timings(t, baseline) for t in HALFLINE_TERMS
-        }
+        modules["halfline_baseline"] = baseline_halfline(trees["cli_baseline"])
+    # the two trees take turns at each size, so that a slow spell of the
+    # machine falls on both alike
+    for t in HALFLINE_TERMS:
+        for label, module in modules.items():
+            record.setdefault(label, {})[f"terms={t}"] = halfline_timings(t, module)
     record.update(cli_timings(trees))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(fmt.dumps(record))
