@@ -40,7 +40,7 @@ from .errors import (
     InvalidTriplet,
     NotUnitary,
 )
-from .linalg import UNITARY_TOL, is_unitary
+from .linalg import is_unitary
 from .relation import Relation, omega_matrix
 from .subspace import Subspace
 
@@ -252,7 +252,7 @@ def system_to_triplet(s: BoundarySystem, l0) -> BoundaryTriplet:
             f"L0 must map G1 to G2 coordinates, expected shape "
             f"{(s.g2.dim, s.g1.dim)}, got {l0.shape}"
         )
-    if not is_unitary(l0, UNITARY_TOL):
+    if not is_unitary(l0):
         raise NotUnitary("L0 is not unitary within tolerance")
     require_valid_system(s)
     l0_inv_f2 = l0.conj().T @ s.f2

@@ -3,12 +3,12 @@
 Subcommands load relations or half-line functions from JSON files, run the
 requested construction and emit a machine-readable report.  Each boundary
 system and triplet is verified once, when it is built, at the run's
-``--tol``; reports read that verification off the object, and every
-consumer refuses an object that failed it.  Exit codes: 0 when every
-asserted property holds (status "pass"), 1 when an asserted property fails
-("fail"), 2 on invalid input or a violated precondition ("error").  Reports
-are deterministic: identical inputs, including seeds, produce byte-identical
-output.  ``input_digest`` covers every input file the command read.
+``--tol``, and every check on it runs at that tolerance; reports read the
+verification off the object, and every consumer refuses an object that
+failed it.  Exit codes: 0 when every asserted property holds (status
+"pass"), 1 when an asserted property fails ("fail"), 2 on invalid input or
+a violated precondition ("error").  Reports are deterministic: identical
+inputs, including seeds, produce byte-identical output.  ``input_digest`` covers every input file the command read.
 
 Each ``cmd_*`` returns ``(echo, digest, status, payload)``; ``main`` hands
 that to ``_emit``, the one place where reports are assembled and written.
@@ -34,9 +34,9 @@ from . import formats as fmt
 from . import halfline as hl
 from . import relation as rel
 from .errors import DimensionMismatch, SkewextError
-from .linalg import UNITARY_TOL
+from .linalg import ROUNDTRIP_TOL
 from .sampling import random_unitary
-from .subspace import ORTH_TOL
+from .subspace import ORTH_TOL, RANK_TOL
 
 _STATUS_EXIT = {"pass": 0, "fail": 1, "error": 2}
 
@@ -110,7 +110,7 @@ def cmd_analyze(args):
         status = "error"
     else:
         system = bd.canonical_system(relation, args.tol)
-        report = ext.existence_report(system, args.tol)
+        report = ext.existence_report(system)
         payload.update(
             {
                 "indices": list(report.indices),
@@ -135,7 +135,7 @@ def cmd_canonical(args):
         "system_identity_holds": report.identity_holds,
         "extension_dissipative": rel.is_dissipative(dissip, args.tol),
         "extension_maximal": ext.is_maximal_dissipative(dissip, args.tol),
-        "adjoint_formula_holds": ext.adjoint_formula_check(system, args.tol),
+        "adjoint_formula_holds": ext.adjoint_formula_check(system),
     }
     payload = {
         "system": fmt.system_to_json(system),
@@ -147,10 +147,11 @@ def cmd_canonical(args):
     return {"input": args.input}, digest, _status(checks), payload
 
 
-def _extend_payload_A(system, param, tol) -> dict:
+def _extend_payload_A(system, param) -> dict:
+    tol = system.report.tol
     extension = ext.system_unitary_extension(system, param.matrix)
-    readoff = ext.system_unitary_readoff(system, extension, tol)
-    err = float(np.max(np.abs(readoff - param.matrix))) if param.matrix.size else 0.0
+    readoff = ext.system_unitary_readoff(system, extension)
+    err = float(np.max(np.abs(readoff - param.matrix), initial=0.0))
     return {
         "extension": fmt.relation_to_json(extension),
         "readoff_error": err,
@@ -159,12 +160,13 @@ def _extend_payload_A(system, param, tol) -> dict:
             "extends_negated_base": rel.extends(
                 extension, rel.negate(system.base), tol
             ),
-            "readoff_roundtrip_ok": err <= 10 * UNITARY_TOL,
+            "readoff_roundtrip_ok": err <= ROUNDTRIP_TOL,
         },
     }
 
 
-def _extend_payload_B(triplet, param, tol) -> dict:
+def _extend_payload_B(triplet, param) -> dict:
+    tol = triplet.report.tol
     extension = ext.triplet_unitary_extension(triplet, param.matrix)
     return {
         "extension": fmt.relation_to_json(extension),
@@ -175,10 +177,11 @@ def _extend_payload_B(triplet, param, tol) -> dict:
     }
 
 
-def _extend_payload_phi(triplet, param, tol) -> dict:
+def _extend_payload_phi(triplet, param) -> dict:
+    tol = triplet.report.tol
     extension = ext.extension_from_contraction(triplet, param.matrix)
-    kmat = ext.boundary_contraction_of(triplet, extension, tol)
-    err = float(np.max(np.abs(kmat - param.matrix))) if param.matrix.size else 0.0
+    kmat = ext.boundary_contraction_of(triplet, extension)
+    err = float(np.max(np.abs(kmat - param.matrix), initial=0.0))
     return {
         "extension": fmt.relation_to_json(extension),
         "contraction_roundtrip_error": err,
@@ -186,9 +189,9 @@ def _extend_payload_phi(triplet, param, tol) -> dict:
             "dissipative": rel.is_dissipative(extension, tol),
             "maximal": ext.is_maximal_dissipative(extension, tol),
             "extends_base": rel.extends(extension, triplet.base, tol),
-            "contraction_roundtrip_ok": err <= 10 * UNITARY_TOL,
+            "contraction_roundtrip_ok": err <= ROUNDTRIP_TOL,
             "unitarity_equivalence": ext.unitarity_equivalence_check(
-                triplet, extension, tol
+                triplet, extension
             ),
         },
     }
@@ -209,14 +212,14 @@ def cmd_extend(args):
     system = bd.canonical_system(relation, args.tol)
     l0_digest = None
     if args.mode == "A":
-        payload = _extend_payload_A(system, param, args.tol)
+        payload = _extend_payload_A(system, param)
     else:
         l0, l0_digest = _load_l0(args.l0, system.g1.dim)
         triplet = bd.system_to_triplet(system, l0)
         if args.mode == "B":
-            payload = _extend_payload_B(triplet, param, args.tol)
+            payload = _extend_payload_B(triplet, param)
         else:
-            payload = _extend_payload_phi(triplet, param, args.tol)
+            payload = _extend_payload_phi(triplet, param)
     echo = {"input": args.input, "param": args.param, "mode": args.mode, "l0": args.l0}
     digest = _input_digest(digest, param_digest, l0_digest)
     return echo, digest, _status(payload["checks"]), payload
@@ -241,14 +244,8 @@ def cmd_convert(args):
         rebuilt = bd.triplet_to_system(triplet)
         sreport = rebuilt.report
         back = bd.system_to_triplet(rebuilt, np.eye(triplet.g.dim))
-        roundtrip_err = 0.0
-        if triplet.gamma1.size:
-            roundtrip_err = float(
-                max(
-                    np.max(np.abs(back.gamma1 - triplet.gamma1)),
-                    np.max(np.abs(back.gamma2 - triplet.gamma2)),
-                )
-            )
+        diff = np.hstack([back.gamma1 - triplet.gamma1, back.gamma2 - triplet.gamma2])
+        roundtrip_err = float(np.max(np.abs(diff), initial=0.0))
         payload = {
             "system": fmt.system_to_json(rebuilt),
             "system_residual": sreport.residual,
@@ -361,15 +358,15 @@ def _sweep_instance(seed: int, tol: float) -> dict:
     k = int(rng.integers(0, n + 1))
     relation = rel.random_skew_symmetric(n, k, seed)
     system = bd.canonical_system(relation, tol)
-    report = ext.existence_report(system, tol)
+    report = ext.existence_report(system)
     dissip = ext.canonical_max_dissipative(system)
 
     g_dim = system.g1.dim
     l0 = random_unitary(g_dim, rng)
     l = random_unitary(g_dim, rng)
     extension = ext.system_unitary_extension(system, l)
-    readback = ext.system_unitary_readoff(system, extension, tol)
-    readoff_err = float(np.max(np.abs(readback - l))) if l.size else 0.0
+    readback = ext.system_unitary_readoff(system, extension)
+    readoff_err = float(np.max(np.abs(readback - l), initial=0.0))
 
     return {
         "seed": seed,
@@ -379,11 +376,11 @@ def _sweep_instance(seed: int, tol: float) -> dict:
             "canonical_system_ok": system.report.ok,
             "existence_agree": report.agree,
             "system_extension_sksa": rel.is_skew_self_adjoint(extension, tol),
-            "system_unitary_readoff_ok": readoff_err <= 10 * UNITARY_TOL,
-            "bridge_holds": ext.bridge_check(system, l0, l, tol),
+            "system_unitary_readoff_ok": readoff_err <= ROUNDTRIP_TOL,
+            "bridge_holds": ext.bridge_check(system, l0, l),
             "extension_dissipative": rel.is_dissipative(dissip, tol),
             "extension_maximal": ext.is_maximal_dissipative(dissip, tol),
-            "adjoint_formula_holds": ext.adjoint_formula_check(system, tol),
+            "adjoint_formula_holds": ext.adjoint_formula_check(system),
         },
     }
 
@@ -410,8 +407,8 @@ def _add_relation_input(parser):
     parser.add_argument(
         "--rank-tol",
         type=float,
-        default=None,
-        help="relative singular-value threshold for the rank of input relations",
+        default=RANK_TOL,
+        help="relative rank threshold for input relations (default %(default)s)",
     )
 
 

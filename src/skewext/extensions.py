@@ -17,6 +17,9 @@ contractions on G via the boundary-value quotient map
 (``boundary_contraction_of`` / ``extension_from_contraction``), with
 unitarity of the contraction equivalent to skew-self-adjointness of the
 extension.
+
+Checks on a boundary system or triplet run at the tolerance it was verified
+at (``report.tol``); relation-level predicates take theirs as an argument.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import (
     NotUnitary,
     ReadoffSingular,
 )
-from .linalg import UNITARY_TOL, is_contraction, is_unitary, matrix_2norm
+from .linalg import is_contraction, is_unitary, matrix_2norm
 from .relation import Relation
 
 PARAM_KINDS = ("unitary_A", "unitary_B", "contraction")
@@ -102,7 +105,7 @@ class ExistenceReport:
 
 
 def _require_unitary(m: np.ndarray, rows: int, cols: int, name: str):
-    if m.shape != (rows, cols) or not is_unitary(m, UNITARY_TOL):
+    if m.shape != (rows, cols) or not is_unitary(m):
         raise NotUnitary(
             f"{name} must be a unitary {rows}x{cols} matrix in boundary coordinates"
         )
@@ -133,7 +136,7 @@ def system_unitary_extension(s: BoundarySystem, l) -> Relation:
     return _adjoint_portion(s, l @ s.f1 - s.f2)
 
 
-def system_unitary_readoff(s: BoundarySystem, h: Relation, tol: float = sub.ORTH_TOL):
+def system_unitary_readoff(s: BoundarySystem, h: Relation):
     """Recover the unitary L: G1 -> G2 with L F1 = F2 on Graph(H).
 
     Inverts ``system_unitary_extension``: H must be a skew-self-adjoint
@@ -142,6 +145,7 @@ def system_unitary_readoff(s: BoundarySystem, h: Relation, tol: float = sub.ORTH
     bijection premise and raises ReadoffSingular.
     """
     require_valid_system(s)
+    tol = s.report.tol
     if not rel.is_skew_self_adjoint(h, tol):
         raise NotSkewSelfAdjoint("read-off needs a skew-self-adjoint relation")
     if not sub.contains_subspace(s.adjoint_graph, h.graph, tol):
@@ -174,25 +178,25 @@ def triplet_unitary_extension(t: BoundaryTriplet, l) -> Relation:
     return rel.negate(_adjoint_portion(t, condition))
 
 
-def bridge_check(s: BoundarySystem, l0, l, tol: float = sub.ORTH_TOL) -> bool:
+def bridge_check(s: BoundarySystem, l0, l) -> bool:
     """Whether the system-side extension of L equals the negated
     triplet-side extension of L0^{-1} L.
 
     Builds both sides of the bridge identity explicitly and compares the
-    graphs within ``tol``.
+    graphs within the system's tolerance.
     """
     l0 = np.asarray(l0, dtype=complex)
     l = np.asarray(l, dtype=complex)
     lhs = system_unitary_extension(s, l)
     triplet = system_to_triplet(s, l0)
     rhs = rel.negate(triplet_unitary_extension(triplet, l0.conj().T @ l))
-    return sub.distance(lhs.graph, rhs.graph) <= tol
+    return sub.distance(lhs.graph, rhs.graph) <= s.report.tol
 
 
-def _portion_coords(t: BoundaryTriplet, h: Relation, tol: float) -> np.ndarray:
+def _portion_coords(t: BoundaryTriplet, h: Relation) -> np.ndarray:
     """Coordinates, in the adjoint-graph basis, of the sign-flipped graph of H."""
     flipped = rel.negate(h)
-    if not sub.contains_subspace(t.adjoint_graph, flipped.graph, tol):
+    if not sub.contains_subspace(t.adjoint_graph, flipped.graph, t.report.tol):
         raise NotRestriction(
             "negated relation is not a restriction of the adjoint"
         )
@@ -209,9 +213,7 @@ def is_maximal_dissipative(h: Relation, tol: float = sub.ORTH_TOL) -> bool:
     return rel.is_dissipative(h, tol) and _range_of_one_minus(h) == h.space_dim
 
 
-def boundary_contraction_of(
-    t: BoundaryTriplet, h: Relation, tol: float = sub.ORTH_TOL
-) -> np.ndarray:
+def boundary_contraction_of(t: BoundaryTriplet, h: Relation) -> np.ndarray:
     """The contraction K on G with K(Gamma1 + Gamma2) = Gamma1 - Gamma2 on H.
 
     H must be a maximal dissipative extension of the base whose negation
@@ -219,11 +221,12 @@ def boundary_contraction_of(
     values cover all of G; if they do not, IllDefined is raised.
     """
     require_valid_triplet(t)
+    tol = t.report.tol
     if not rel.is_dissipative(h, tol):
         raise NotDissipative("relation is not dissipative")
     if _range_of_one_minus(h) != h.space_dim:
         raise NotMaximal("range condition fails: ran(1 - H) is a proper subspace")
-    coords = _portion_coords(t, h, tol)
+    coords = _portion_coords(t, h)
     plus = (t.gamma1 + t.gamma2) @ coords
     minus = (t.gamma1 - t.gamma2) @ coords
     k = t.g.dim
@@ -244,22 +247,21 @@ def extension_from_contraction(t: BoundaryTriplet, k) -> Relation:
     require_valid_triplet(t)
     k = np.asarray(k, dtype=complex)
     dim = t.g.dim
-    if k.shape != (dim, dim) or not is_contraction(k, UNITARY_TOL):
+    if k.shape != (dim, dim) or not is_contraction(k):
         raise NotContraction("parameter is not a contraction on G")
     condition = k @ (t.gamma1 + t.gamma2) - (t.gamma1 - t.gamma2)
     return rel.negate(_adjoint_portion(t, condition))
 
 
-def unitarity_equivalence_check(
-    t: BoundaryTriplet, h: Relation, tol: float = sub.ORTH_TOL
-) -> bool:
+def unitarity_equivalence_check(t: BoundaryTriplet, h: Relation) -> bool:
     """Whether skew-self-adjointness of H, unitarity of its boundary
     contraction, and the vanishing of <Gamma1 u, Gamma2 v> + <Gamma2 u, Gamma1 v>
     on the H-portion all hold or all fail together."""
-    kmat = boundary_contraction_of(t, h, tol)
+    tol = t.report.tol
+    kmat = boundary_contraction_of(t, h)
     sksa = rel.is_skew_self_adjoint(h, tol)
-    unitary = is_unitary(kmat, UNITARY_TOL)
-    coords = _portion_coords(t, h, tol)
+    unitary = is_unitary(kmat)
+    coords = _portion_coords(t, h)
     g1c = t.gamma1 @ coords
     g2c = t.gamma2 @ coords
     pairing = g2c.conj().T @ g1c + g1c.conj().T @ g2c
@@ -269,7 +271,7 @@ def unitarity_equivalence_check(
     return (sksa == unitary) and (sksa == vanishes)
 
 
-def existence_report(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> ExistenceReport:
+def existence_report(s: BoundarySystem) -> ExistenceReport:
     """Evaluate the four equivalent existence conditions for skew-self-adjoint
     extensions, each by its own computation path.
 
@@ -289,7 +291,8 @@ def existence_report(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> ExistenceR
     triplet_ok = False
     if equal_indices:
         eye = np.eye(k2, k1, dtype=complex)
-        has_sksa = rel.is_skew_self_adjoint(system_unitary_extension(s, eye), tol)
+        extension = system_unitary_extension(s, eye)
+        has_sksa = rel.is_skew_self_adjoint(extension, s.report.tol)
         try:
             triplet_ok = system_to_triplet(s, eye).report.ok
         except (NotUnitary, InvalidSystem):
@@ -318,7 +321,7 @@ def canonical_max_dissipative(s: BoundarySystem) -> Relation:
     return Relation(s.base.space_dim, graph)
 
 
-def adjoint_formula_check(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> bool:
+def adjoint_formula_check(s: BoundarySystem) -> bool:
     """Whether the adjoint of the canonical extension equals the sign-flipped
     sum of Graph(-H0) and the g1 deficiency piece, for the base of a
     canonical system (``canonical_system``).  Both pieces are orthogonal
@@ -327,4 +330,4 @@ def adjoint_formula_check(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> bool:
     lhs = rel.adjoint(canonical_max_dissipative(s))
     rhs_graph = sub.Subspace(g_neg.ambient_dim, np.hstack([g_neg.basis, ghat1.basis]))
     rhs = rel.negate(Relation(s.base.space_dim, rhs_graph))
-    return sub.distance(lhs.graph, rhs.graph) <= tol
+    return sub.distance(lhs.graph, rhs.graph) <= s.report.tol

@@ -167,7 +167,7 @@ def relation_to_json(t: Relation) -> dict:
     }
 
 
-def relation_from_json(obj, rank_tol=None) -> Relation:
+def relation_from_json(obj, rank_tol: float = RANK_TOL) -> Relation:
     """Relation from {"n": int, "graph_generators": [2n-vectors]}.
 
     Generators need not be orthonormal or independent; the span
@@ -186,7 +186,7 @@ def relation_from_json(obj, rank_tol=None) -> Relation:
         raise ValueError(
             f"generators have length {vectors.shape[1]}, expected {2 * n}"
         )
-    return rel.from_graph(n, vectors, tol=RANK_TOL if rank_tol is None else rank_tol)
+    return rel.from_graph(n, vectors, tol=rank_tol)
 
 
 def extension_param_from_json(obj) -> ExtensionParam:

@@ -122,8 +122,8 @@ class ExpPoly:
     """A finite sum of terms c * t^k * exp(-lam t) with exact coefficients.
 
     Terms are keyed by (k, lam) with k a nonnegative integer and lam a
-    positive rational; zero coefficients are dropped and keys are kept in
-    canonical order.  Instances are immutable.
+    positive rational; every key is checked, then zero coefficients are
+    dropped and keys are kept in canonical order.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -132,9 +132,6 @@ class ExpPoly:
         items = []
         for (k, lam), coeff in (terms or {}).items():
             lam = _frac(lam)
-            coeff = _coerce(coeff)
-            if coeff.is_zero():
-                continue
             if isinstance(k, bool) or not isinstance(k, int) or k < 0:
                 raise ValueError(f"degree must be a nonnegative integer, got {k!r}")
             if lam <= 0:
@@ -143,7 +140,9 @@ class ExpPoly:
                 raise ValueError(
                     f"rate denominator {lam.denominator} exceeds the cap"
                 )
-            items.append(((k, lam), coeff))
+            coeff = _coerce(coeff)
+            if not coeff.is_zero():
+                items.append(((k, lam), coeff))
         # sorted first, so that equal keys are neighbours and each key is
         # hashed once, by the dict that keeps it
         items.sort(key=lambda kv: (kv[0][1], kv[0][0]))
@@ -174,11 +173,10 @@ class ExpPoly:
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = out.get(key, RationalComplex()) + coeff
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            if key in out:
+                coeff = out.pop(key) + coeff
+            if not coeff.is_zero():
+                out[key] = coeff
         return ExpPoly(out)
 
     def __sub__(self, other):

@@ -2,7 +2,7 @@
 predicates.
 
 Everything here is tolerance-based: singular values may deviate from 1 by
-1e-8 for unitarity, and exceed 1 by as much for contractions.
+``UNITARY_TOL`` for unitarity, and exceed 1 by as much for contractions.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ import numpy as np
 #: allowed excess above 1 for contractions.
 UNITARY_TOL = 1e-8
 
+#: Allowed entrywise error of a parameter read back from its extension.
+ROUNDTRIP_TOL = 10 * UNITARY_TOL
+
 
 def matrix_2norm(m) -> float:
     """Spectral norm, with the empty matrix mapped to 0."""
@@ -22,17 +25,17 @@ def matrix_2norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    """Whether a square matrix has all singular values within ``tol`` of 1."""
+def is_unitary(m) -> bool:
+    """Whether a square matrix has all singular values within ``UNITARY_TOL`` of 1."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     if m.shape[0] == 0:
         return True
     s = np.linalg.svd(m, compute_uv=False)
-    return float(np.max(np.abs(s - 1.0))) <= tol
+    return float(np.max(np.abs(s - 1.0))) <= UNITARY_TOL
 
 
-def is_contraction(m, tol: float = UNITARY_TOL) -> bool:
-    """Whether the spectral norm is at most 1 + tol."""
-    return matrix_2norm(m) <= 1.0 + tol
+def is_contraction(m) -> bool:
+    """Whether the spectral norm is at most 1 + ``UNITARY_TOL``."""
+    return matrix_2norm(m) <= 1.0 + UNITARY_TOL

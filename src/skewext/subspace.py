@@ -151,11 +151,11 @@ def span_matrix(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     return Subspace(m, _canonical_phases(u[:, : numerical_rank(s, tol)]))
 
 
-def complement(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
+def complement(a: np.ndarray) -> Subspace:
     """Orthogonal complement of the column span of a complex matrix.
 
     One full SVD: the left singular vectors past the numerical rank at
-    relative tolerance ``tol``.  A matrix without columns, or with only
+    relative tolerance ``RANK_TOL``.  A matrix without columns, or with only
     zero entries, has the whole space as its complement (``full`` rejects
     an empty ambient space).
     """
@@ -164,7 +164,7 @@ def complement(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     if a.shape[1] == 0 or not np.any(a):
         return full(m)
     u, s, _ = np.linalg.svd(a, full_matrices=True)
-    return Subspace(m, _canonical_phases(u[:, numerical_rank(s, tol) :]))
+    return Subspace(m, _canonical_phases(u[:, numerical_rank(s) :]))
 
 
 def orthocomplement(s: Subspace) -> Subspace:
@@ -175,13 +175,11 @@ def orthocomplement(s: Subspace) -> Subspace:
     return complement(s.basis)
 
 
-def intersect(s: Subspace, t: Subspace, tol: float = RANK_TOL) -> Subspace:
+def intersect(s: Subspace, t: Subspace) -> Subspace:
     """The intersection S `intersect` T, computed as the complement of
     the sum of the complements."""
     _check_same_ambient(s, t)
-    return complement(
-        np.hstack([orthocomplement(s).basis, orthocomplement(t).basis]), tol
-    )
+    return complement(np.hstack([orthocomplement(s).basis, orthocomplement(t).basis]))
 
 
 def _columns_in(s: Subspace, a: np.ndarray, tol: float) -> bool:

@@ -272,6 +272,29 @@ def test_halfline_input_degree_cap(tmp_path, capsys):
     assert code == 2 and report is None
 
 
+@pytest.mark.parametrize(
+    "subcheck, terms",
+    [
+        (
+            "resolvent",
+            [
+                {"k": 0, "lambda": "-1", "re": "0", "im": "0"},
+                {"k": 1, "lambda": "1", "re": "1", "im": "0"},
+            ],
+        ),
+        ("green", [{"k": -3, "lambda": "1", "re": "0", "im": "0"}]),
+    ],
+)
+def test_halfline_rejects_bad_key_with_zero_coefficient(
+    subcheck, terms, tmp_path, capsys
+):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(terms))
+    argv = ["halfline", "--subcheck", subcheck, "--input", str(fn)]
+    code, report = run_cli(capsys, *argv)
+    assert code == 2 and report is None
+
+
 def test_halfline_dissipative_requires_trace_zero(tmp_path, capsys):
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps([{"k": 0, "lambda": "1", "re": "1", "im": "0"}]))

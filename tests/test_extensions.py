@@ -96,6 +96,22 @@ def test_readoff_rejects_non_restriction():
         ext.system_unitary_readoff(s, mult_by(1j))
 
 
+def test_readoff_runs_at_the_system_tolerance():
+    # a unitary extension whose graph is moved by about 1e-8 is
+    # skew-self-adjoint at 1e-6 but not at the default 1e-9: the read-off
+    # decides at the tolerance its system was verified at
+    h0 = rel.random_skew_symmetric(4, 2, seed=3)
+    loose = bd.canonical_system(h0, 1e-6)
+    rng = np.random.default_rng(7)
+    l = random_unitary(loose.g1.dim, rng)
+    basis = ext.system_unitary_extension(loose, l).graph.basis
+    noise = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+    h = rel.Relation(4, sub.span_matrix(basis + 1e-8 * noise))
+    assert np.max(np.abs(ext.system_unitary_readoff(loose, h) - l)) <= 1e-6
+    with pytest.raises(NotSkewSelfAdjoint):
+        ext.system_unitary_readoff(bd.canonical_system(h0), h)
+
+
 def test_triplet_extension_identity_gives_zero_operator():
     h = ext.triplet_unitary_extension(zero_triplet(), np.array([[1.0]]))
     assert sub.equal(h.graph, sub.span([(1, 0)]))
@@ -235,7 +251,7 @@ def test_bridge_identity_random(params, seeds):
     rng0, rng1 = (np.random.default_rng(x) for x in seeds)
     l0 = random_unitary(s.g1.dim, rng0)
     l = random_unitary(s.g1.dim, rng1)
-    assert ext.bridge_check(s, l0, l, 1e-9)
+    assert ext.bridge_check(s, l0, l)
 
 
 @settings(deadline=None, max_examples=30)
@@ -243,7 +259,7 @@ def test_bridge_identity_random(params, seeds):
 def test_phi_roundtrip_and_unitarity_equivalence(params, pseed):
     n, k, seed = params
     h0 = rel.random_skew_symmetric(n, k, seed)
-    t = bd.system_to_triplet(bd.canonical_system(h0), np.eye(n - k))
+    t = bd.system_to_triplet(bd.canonical_system(h0, 1e-8), np.eye(n - k))
     rng = np.random.default_rng(pseed)
 
     contraction = random_contraction(t.g.dim, rng, norm_cap=0.9)
@@ -253,12 +269,12 @@ def test_phi_roundtrip_and_unitarity_equivalence(params, pseed):
     assert rel.extends(h, h0, 1e-9)
     assert np.max(np.abs(ext.boundary_contraction_of(t, h) - contraction)) <= 1e-8
     assert not rel.is_skew_self_adjoint(h, 1e-8)
-    assert ext.unitarity_equivalence_check(t, h, 1e-8)
+    assert ext.unitarity_equivalence_check(t, h)
 
     unitary = random_unitary(t.g.dim, rng)
     hu = ext.extension_from_contraction(t, unitary)
     assert rel.is_skew_self_adjoint(hu, 1e-8)
-    assert ext.unitarity_equivalence_check(t, hu, 1e-8)
+    assert ext.unitarity_equivalence_check(t, hu)
 
 
 @settings(deadline=None, max_examples=40)
@@ -271,7 +287,7 @@ def test_existence_and_canonical_extension_random(params):
     assert rel.is_dissipative(h, 1e-9)
     assert ext.is_maximal_dissipative(h, 1e-9)
     assert rel.extends(h, rel.negate(h0), 1e-9)
-    assert ext.adjoint_formula_check(bd.canonical_system(h0), 1e-9)
+    assert ext.adjoint_formula_check(bd.canonical_system(h0))
 
 
 def scaled_f_system():

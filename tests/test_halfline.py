@@ -232,6 +232,20 @@ def test_existence_summary_all_false():
     assert not summary["system_equal_dims"]
 
 
+# a term's key is checked also when its coefficient is zero
+BAD_ZERO_TERMS = [
+    {(0, Fraction(-1)): QC(0), (1, Fraction(1)): QC(1)},
+    {(-3, Fraction(1)): QC(0)},
+    {(0, Fraction(1, 10**7)): QC(0)},
+]
+
+
+@pytest.mark.parametrize("terms", BAD_ZERO_TERMS)
+def test_zero_coefficient_term_key_is_checked(terms):
+    with pytest.raises(ValueError):
+        ExpPoly(terms)
+
+
 def test_boolean_degree_is_rejected():
     # a boolean degree would print as t^True and encode as "k": true,
     # which the decoder rejects
