@@ -98,3 +98,20 @@ class DecompositionFailure(SkewextError):
 class TraceNotZero(SkewextError):
     """Raised when a half-line function with nonzero boundary trace is supplied
     where the domain requires trace zero."""
+
+
+class NotOrthonormal(SkewextError, ValueError):
+    """Raised when a subspace basis is not orthonormal within tolerance."""
+
+
+class InvalidParameter(SkewextError, ValueError):
+    """Raised when an extension parameter has an unknown kind or is not a matrix."""
+
+
+class NotExact(SkewextError, TypeError):
+    """Raised when a half-line value is not an exact rational or Gaussian
+    rational (a float, say)."""
+
+
+class InvalidTerm(SkewextError, ValueError):
+    """Raised when a half-line term has a bad degree or rate, or repeats a key."""

@@ -41,6 +41,7 @@ from .boundary import (
 )
 from .errors import (
     IllDefined,
+    InvalidParameter,
     InvalidSystem,
     NotContraction,
     NotDissipative,
@@ -69,10 +70,12 @@ class ExtensionParam:
 
     def __post_init__(self):
         if self.kind not in PARAM_KINDS:
-            raise ValueError(f"kind must be one of {PARAM_KINDS}, got {self.kind!r}")
+            raise InvalidParameter(
+                f"kind must be one of {PARAM_KINDS}, got {self.kind!r}"
+            )
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2:
-            raise ValueError("parameter matrix must be two-dimensional")
+            raise InvalidParameter("parameter matrix must be two-dimensional")
         object.__setattr__(self, "matrix", m)
         if self.kind in ("unitary_A", "unitary_B") and not is_unitary(m):
             raise NotUnitary(f"{self.kind} parameter is not unitary within tolerance")
@@ -276,20 +279,24 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
     extensions, each by its own computation path.
 
     ``s`` is the canonical system of the relation (``canonical_system``), so
-    its boundary spaces are the deficiency spaces.  Equality of the
-    deficiency indices is read off their dimensions; the extension condition
-    is checked constructively by building one extension from a
+    its boundary spaces are the deficiency spaces.  The deficiency indices
+    are read off ``relation.deficiency`` of the base; the extension
+    condition is checked constructively by building one extension from a
     basis-matching unitary on the system; the triplet condition by
     attempting the system-to-triplet conversion and reading the verification
-    report the triplet carries from its construction; and the equal-dimension
-    system condition from the system itself.
+    report the triplet carries from its construction.  The equal-dimension
+    system condition uses neither the boundary spaces nor the deficiency
+    solver: by Sylvester's law the inertia of the form Omega on Graph(H0*)
+    is (k1, k2) plus a null part of dimension dim Graph(H0), so it compares
+    the counts of eigenvalues of ``omega_matrix`` on the adjoint-graph basis
+    above ``s.report.tol`` and below its negative.
     """
+    indices = rel.deficiency(s.base, s.report.tol).indices
     k1, k2 = s.g1.dim, s.g2.dim
-    equal_indices = k1 == k2
 
     has_sksa = False
     triplet_ok = False
-    if equal_indices:
+    if k1 == k2:
         eye = np.eye(k2, k1, dtype=complex)
         extension = system_unitary_extension(s, eye)
         has_sksa = rel.is_skew_self_adjoint(extension, s.report.tol)
@@ -298,12 +305,17 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
         except (NotUnitary, InvalidSystem):
             triplet_ok = False
 
+    basis = s.adjoint_graph.basis
+    omega = np.linalg.eigvalsh(rel.omega_matrix(basis, basis, s.base.space_dim))
+    positive = int(np.count_nonzero(omega > s.report.tol))
+    negative = int(np.count_nonzero(omega < -s.report.tol))
+
     return ExistenceReport(
-        indices=(k1, k2),
-        equal_indices=equal_indices,
+        indices=indices,
+        equal_indices=indices[0] == indices[1],
         has_sksa_extension=has_sksa,
         triplet_constructible=triplet_ok,
-        system_equal_dims=k1 == k2,
+        system_equal_dims=positive == negative,
     )
 
 

@@ -4,9 +4,13 @@ Complex numbers in the numeric substrate are [re, im] pairs of doubles;
 exact half-line values are "p/q" strings.  Encoders keep a complex matrix
 as a float64 array of shape (rows, cols, 2) of its pairs, and ``dumps``
 writes a report holding such arrays with the bytes of ``json.dumps(...,
-sort_keys=True, indent=2)``.  ``matrix_from_json`` is the one decoder of
-complex data.  Decoders raise ValueError on malformed input so the CLI can
-map it to the invalid-input exit code.
+sort_keys=True, indent=2)``.  One ``orjson`` call gives the digits of a
+whole array; ``repr`` writes only the entries whose magnitude puts
+``repr`` in exponent form.  Both write the shortest digits that round-trip
+and differ only in how they write an exponent, so the bytes are
+``json``'s.  ``matrix_from_json`` is the one decoder of complex data.
+Decoders raise ValueError on malformed input so the CLI can map it to the
+invalid-input exit code.
 """
 
 from __future__ import annotations
@@ -46,13 +50,26 @@ def _list_template(items: list, level: int) -> str:
 
 
 def _array_to_json(a: np.ndarray, level: int) -> str:
-    """A finite (rows, cols, 2) float64 array as nested lists: one
-    %-format of the pairs over an indented template (``%s`` of a float is
-    its repr, as in ``json``)."""
+    """A finite (rows, cols, 2) float64 array as nested lists: its
+    ``orjson`` tokens, with ``repr`` at the exponent-form magnitudes (see
+    ``dumps``), filled into an indented %-template."""
     rows, cols, _ = a.shape
     pair = _list_template(["%s", "%s"], level + 2)
     row = _list_template([pair] * cols, level + 1)
-    return _list_template([row] * rows, level) % tuple(a.ravel().tolist())
+    template = _list_template([row] * rows, level)
+    flat = a.ravel()
+    if not flat.size:
+        return template
+    # imported here, so that commands whose reports hold no arrays (analyze,
+    # sweep, halfline) do not pay its import (datetime, uuid, zoneinfo)
+    import orjson
+
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    tokens = text[1:-1].split(",")
+    mag = np.abs(flat)
+    for i in np.flatnonzero(((mag > 0) & (mag < 1e-4)) | (mag >= 1e16)).tolist():
+        tokens[i] = float.__repr__(float(flat[i]))
+    return template % tuple(tokens)
 
 
 def dumps(obj) -> str:
@@ -61,10 +78,17 @@ def dumps(obj) -> str:
 
     Arrays must be float64 of shape (rows, cols, 2), as ``matrix_to_json``
     builds them; dict keys must be strings.  Any other type raises
-    TypeError.  The indented ``json.dumps`` runs the pure-Python encoder,
-    which costs more than the numerics on large reports; here each array
-    is written by one string format.  Pieces are collected in one list and
-    joined once, so no container's text is copied into its parent's.
+    TypeError.  The indented ``json.dumps`` runs the pure-Python encoder
+    and ``repr`` of every float, which cost more than the numerics on large
+    reports.  Here a finite array is written by one ``orjson`` call for its
+    digits and one string format for its layout; ``repr`` writes only
+    entries with 0 < |x| < 1e-4 or |x| >= 1e16, where it uses exponent form
+    (``1e-05``, ``1e+16``) and ``orjson`` does not (``0.00001``,
+    ``1e16``).  Everywhere else both give the shortest round-trip digits,
+    so the bytes are ``json``'s.  An array holding NaN or an infinity goes
+    through ``tolist()`` and the scalar path.  Pieces are collected in one
+    list and joined once, so no container's text is copied into its
+    parent's.
     """
     parts = []
     write = parts.append

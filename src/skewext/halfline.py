@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, TraceNotZero
+from .errors import DimensionMismatch, InvalidTerm, NotExact, TraceNotZero
 
 #: Caps keeping exact term growth bounded; the degree cap limits input
 #: functions only (``formats.exppoly_from_json``), not derived ones.
@@ -55,7 +55,7 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int) or isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    raise NotExact(f"expected an exact rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _coerce(x) -> RationalComplex:
         return x
     if isinstance(x, (int, Fraction)):
         return RationalComplex(_frac(x), _ZERO)
-    raise TypeError(f"cannot coerce {type(x).__name__} to RationalComplex")
+    raise NotExact(f"cannot coerce {type(x).__name__} to RationalComplex")
 
 
 QC = RationalComplex  # short constructor alias used heavily in tests
@@ -133,11 +133,11 @@ class ExpPoly:
         for (k, lam), coeff in (terms or {}).items():
             lam = _frac(lam)
             if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-                raise ValueError(f"degree must be a nonnegative integer, got {k!r}")
+                raise InvalidTerm(f"degree must be a nonnegative integer, got {k!r}")
             if lam <= 0:
-                raise ValueError(f"rate must be positive, got {lam}")
+                raise InvalidTerm(f"rate must be positive, got {lam}")
             if lam.denominator > MAX_RATE_DENOMINATOR:
-                raise ValueError(
+                raise InvalidTerm(
                     f"rate denominator {lam.denominator} exceeds the cap"
                 )
             coeff = _coerce(coeff)
@@ -149,7 +149,7 @@ class ExpPoly:
         canon = dict(items)
         if len(canon) != len(items):
             key = next(a for (a, _), (b, _) in zip(items, items[1:]) if a == b)
-            raise ValueError(f"duplicate term key {key}")
+            raise InvalidTerm(f"duplicate term key {key}")
         object.__setattr__(self, "_terms", canon)
 
     @property

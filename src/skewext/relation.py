@@ -13,7 +13,7 @@ SECOND argument, ``<a, b> = b^H a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class Relation:
 
     space_dim: int
     graph: Subspace
+    # DeficiencyData by tolerance, filled by ``deficiency``
+    _deficiency: dict = field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         if self.space_dim < 1:
@@ -173,13 +175,18 @@ def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:
     complements of the column spans of X - X' and X + X' for the graph
     blocks (X, X').  On a skew-symmetric graph with orthonormal basis
     ||(X -+ X')c|| = ||c||, so every singular value at the rank cut is 1.
+    Computed once per relation and tolerance; later calls reuse it.
     """
-    if not is_skew_symmetric(t, tol):
-        raise NotSkewSymmetric("deficiency spaces need a skew-symmetric relation")
-    x, xp = t.blocks()
-    g1 = sub.complement(x - xp)
-    g2 = sub.complement(x + xp)
-    return DeficiencyData(g1=g1, g2=g2, indices=(g1.dim, g2.dim))
+    data = t._deficiency.get(tol)
+    if data is None:
+        if not is_skew_symmetric(t, tol):
+            raise NotSkewSymmetric("deficiency spaces need a skew-symmetric relation")
+        x, xp = t.blocks()
+        g1 = sub.complement(x - xp)
+        g2 = sub.complement(x + xp)
+        data = DeficiencyData(g1=g1, g2=g2, indices=(g1.dim, g2.dim))
+        t._deficiency[tol] = data
+    return data
 
 
 def extends(t: Relation, s: Relation, tol: float = sub.ORTH_TOL) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbientMismatch, EmptyAmbient
+from .errors import AmbientMismatch, EmptyAmbient, NotOrthonormal
 
 #: Default relative threshold for rank decisions (singular values below
 #: RANK_TOL times the largest one are treated as zero).
@@ -83,7 +83,7 @@ class Subspace:
         b.setflags(write=False)
         gram = b.conj().T @ b
         if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > ORTH_TOL:
-            raise ValueError("basis columns are not orthonormal")
+            raise NotOrthonormal("basis columns are not orthonormal")
 
     @property
     def dim(self) -> int:

@@ -189,6 +189,23 @@ def test_existence_report_mult_i():
     assert report.agree and report.has_sksa_extension
 
 
+def test_existence_booleans_are_computed_independently(monkeypatch):
+    # with the deficiency solver reporting unequal indices after the system
+    # is built, only the index boolean may follow it: the extension, the
+    # triplet and the inertia of Omega on Graph(H0*) see the relation itself
+    h0 = rel.random_skew_symmetric(4, 1, seed=7)
+    s = bd.canonical_system(h0)
+    true = rel.deficiency(h0, s.report.tol)
+    assert true.indices == (3, 3)
+    g2 = sub.Subspace(4, true.g2.basis[:, :2])
+    fake = rel.DeficiencyData(g1=true.g1, g2=g2, indices=(3, 2))
+    monkeypatch.setattr(rel, "deficiency", lambda t, tol=sub.ORTH_TOL: fake)
+    report = ext.existence_report(s)
+    assert report.indices == (3, 2)
+    assert report.booleans == (False, True, True, True)
+    assert not report.agree
+
+
 def test_canonical_max_dissipative_zero_relation():
     h = ext.canonical_max_dissipative(bd.canonical_system(rel.zero_relation(1)))
     assert sub.equal(h.graph, sub.span([(1, -1)]))  # mult by -1

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from skewext import formats as fmt
 from skewext import halfline as hl
@@ -92,6 +95,10 @@ def test_dumps_matches_json():
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     a = fmt.matrix_to_json(m)
     a[0, 0, 0] = -0.0
+    # where ``repr`` switches to exponent form, and the extreme doubles
+    a[0, 1] = np.nextafter(1e-4, 0), 1e-4
+    a[0, 2] = np.nextafter(1e16, 0), -1e16
+    a[1, 0] = 5e-324, -1.7976931348623157e308
     nonfinite = a.copy()
     nonfinite[1, 1, 1], nonfinite[2, 0, 0] = math.nan, math.inf
     nonfinite[0, 3, 1] = -math.inf
@@ -111,9 +118,32 @@ def test_dumps_matches_json():
     }
     for x in (obj, a, fmt.matrix_to_json(np.zeros((0, 0))), "top", 3, None, {}, []):
         assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
-    for bad in (np.zeros((2, 2)), np.zeros((2, 2, 3)), a.astype(np.float32), {1, 2}):
+    float32 = np.zeros((2, 2, 2), np.float32)
+    for bad in (np.zeros((2, 2)), np.zeros((2, 2, 3)), float32, {1, 2}):
         with pytest.raises(TypeError):
             fmt.dumps({"x": [bad]})
+
+
+EXPONENT_EDGES = [
+    np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, 5e-324,
+    np.finfo(float).smallest_normal, 1.7976931348623157e308,
+]
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from(EXPONENT_EDGES + [-x for x in EXPONENT_EDGES] + [0.0, -0.0]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    a=arrays(
+        np.float64,
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.just(2)),
+        elements=finite_doubles,
+    )
+)
+def test_dumps_writes_finite_arrays_as_json_does(a):
+    assert fmt.dumps(a) == json.dumps(a.tolist(), indent=2) + "\n"
 
 
 def test_extension_param_roundtrip_and_validation():
