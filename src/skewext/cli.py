@@ -341,7 +341,7 @@ def cmd_halfline(args):
     else:  # resolvent
         f, _, digest = _load_halfline_pair(args.input)
         u = hl.resolvent_solve(f)
-        identity = (u + u.derivative()) == f
+        identity = u.plus_derivative() == f
         trace = u.eval0().is_zero()
         payload = {
             "solution": fmt.exppoly_to_json(u),

@@ -249,15 +249,30 @@ def triplet_to_json(t: BoundaryTriplet) -> dict:
 
 
 def fraction_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def fraction_from_str(s) -> Fraction:
+    """A rational from a JSON integer or a string ``Fraction`` accepts.
+
+    The plain ASCII forms ``-?digits`` and ``-?digits/digits`` with a
+    nonzero denominator are read by ``int``; every other string (signs,
+    spaces, underscores, decimals, exponents, non-ASCII digits, a zero
+    denominator) goes to ``Fraction(s)``, whose regex parse costs more.
+    Both give the same value and reject the same strings.
+    """
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f'expected a "p/q" string, got {s!r}')
     try:
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if s.isascii() and digits.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {s!r}: {exc}") from None
@@ -275,7 +290,7 @@ def exppoly_to_json(f: hl.ExpPoly) -> list:
             "re": fraction_to_str(c.re),
             "im": fraction_to_str(c.im),
         }
-        for (k, lam), c in f.terms.items()
+        for (k, lam), c in f.items()
     ]
 
 

@@ -18,19 +18,27 @@ the whole family, and inner products are conjugate-linear in the second
 argument.  Irrational scalars (sqrt(2), norms) are never materialized;
 identities are arranged so only squared norms appear.
 
-The three kernels, ``inner``, ``ExpPoly.derivative`` and
-``resolvent_solve``, take one integer route (``_integer_groups``): a
-function is scaled to integer coefficients once (D, the lcm of all
-coefficient denominators) and its terms are grouped by rate.  ``inner``
-evaluates the closed form integral of t^m exp(-s t) = m! / s^(m+1) with
-term pairs summed in integers per rate sum s = N/M and total degree m;
-each rate sum becomes one integer numerator over N^(top+1), and those are
-added over one common denominator, so a call builds a single
-``RationalComplex``, its result.  The derivative and the resolvent form
-each output coefficient as one integer numerator over one denominator per
-rate group, and build one ``RationalComplex`` per nonzero output term.
-Since ``Fraction``s are canonical, every result equals the term-wise sum
-exactly.
+The three kernels, ``inner``, ``_first_order`` (a f + b f': the
+derivative, -f' and the resolvent check u + u') and ``resolvent_solve``,
+take one integer route (``_integer_groups``): a function is scaled to
+integer coefficients once (D, the lcm of all coefficient denominators) and
+its terms are grouped by rate.  ``inner`` evaluates the closed form
+integral of t^m exp(-s t) = m! / s^(m+1) with term pairs summed in
+integers per rate sum s = N/M and total degree m; each rate sum becomes
+one integer numerator over N^(top+1), and those are added over one common
+denominator, so a call builds a single ``RationalComplex``, its result.
+``_first_order`` and the resolvent form each output coefficient as one
+integer numerator over one denominator per rate group, and build one
+``RationalComplex`` per nonzero output term.  Since ``Fraction``s are
+canonical, every result equals the term-wise sum exactly.
+
+Validation happens once, at the input edge: ``ExpPoly(...)`` (and so
+``formats.exppoly_from_json``) checks every key and sorts on exact integer
+keys.  Kernel outputs, and negation, scaling and sums of valid functions,
+already have valid keys in canonical order and go through the one trusted
+constructor ``ExpPoly._from_sorted``, which skips the checks; the test
+suite wraps it to run them all again.  Equality compares the sorted term
+sequences, with no hashing.
 """
 
 from __future__ import annotations
@@ -123,7 +131,9 @@ class ExpPoly:
 
     Terms are keyed by (k, lam) with k a nonnegative integer and lam a
     positive rational; every key is checked, then zero coefficients are
-    dropped and keys are kept in canonical order.  Instances are immutable.
+    dropped and keys are kept in canonical (lam, k) order.  Instances are
+    immutable.  Kernel outputs, whose keys are valid and already in that
+    order, are built by ``_from_sorted`` without the checks.
     """
 
     __slots__ = ("_terms",)
@@ -143,19 +153,30 @@ class ExpPoly:
             coeff = _coerce(coeff)
             if not coeff.is_zero():
                 items.append(((k, lam), coeff))
-        # sorted first, so that equal keys are neighbours and each key is
-        # hashed once, by the dict that keeps it
-        items.sort(key=lambda kv: (kv[0][1], kv[0][0]))
-        canon = dict(items)
-        if len(canon) != len(items):
-            key = next(a for (a, _), (b, _) in zip(items, items[1:]) if a == b)
-            raise InvalidTerm(f"duplicate term key {key}")
-        object.__setattr__(self, "_terms", canon)
+        ranks = _ranks(items)
+        order = sorted(range(len(items)), key=ranks.__getitem__)
+        for i, j in zip(order, order[1:]):
+            if ranks[i] == ranks[j]:
+                raise InvalidTerm(f"duplicate term key {items[i][0]}")
+        object.__setattr__(self, "_terms", tuple(items[i] for i in order))
+
+    @classmethod
+    def _from_sorted(cls, items) -> "ExpPoly":
+        """The function with the (key, coefficient) pairs ``items``, trusted
+        to be what ``__init__`` would build: valid keys in canonical order,
+        no key twice, every coefficient a nonzero ``RationalComplex``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "_terms", tuple(items))
+        return f
 
     @property
     def terms(self):
         """Term mapping (k, lam) -> coefficient, as a fresh dict."""
         return dict(self._terms)
+
+    def items(self) -> tuple:
+        """The (key, coefficient) pairs in canonical order, not copied."""
+        return self._terms
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -163,31 +184,42 @@ class ExpPoly:
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented
+        # both are in canonical order, so equal functions have equal sequences
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(self._terms.items()))
+        return hash(self._terms)
 
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            if key in out:
-                coeff = out.pop(key) + coeff
-            if not coeff.is_zero():
-                out[key] = coeff
-        return ExpPoly(out)
+        items = self._terms + other._terms
+        ranks = _ranks(items)
+        # two sorted runs, which the sort merges; a key held by both
+        # operands is one pair of neighbours
+        out = []
+        last = None
+        for i in sorted(range(len(items)), key=ranks.__getitem__):
+            key, coeff = items[i]
+            if ranks[i] == last:
+                coeff = out.pop()[1] + coeff
+                if coeff.is_zero():
+                    continue
+            last = ranks[i]
+            out.append((key, coeff))
+        return ExpPoly._from_sorted(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExpPoly({key: -coeff for key, coeff in self._terms.items()})
+        return ExpPoly._from_sorted((key, -coeff) for key, coeff in self._terms)
 
     def scale(self, c) -> "ExpPoly":
         c = _coerce(c)
-        return ExpPoly({key: c * coeff for key, coeff in self._terms.items()})
+        if c.is_zero():
+            return ExpPoly._from_sorted(())
+        return ExpPoly._from_sorted((key, c * coeff) for key, coeff in self._terms)
 
     def derivative(self) -> "ExpPoly":
         """Exact derivative, from
@@ -195,13 +227,18 @@ class ExpPoly:
 
         Computed in integers per rate group lam = p/q, on the coefficients
         scaled by D as in ``inner``: the degree-j output is
-        (q (j+1) C_(j+1) - p C_j) / (D q) (see ``_derivative``)."""
-        return _derivative(self, 1)
+        (q (j+1) C_(j+1) - p C_j) / (D q) (see ``_first_order``)."""
+        return _first_order(self, 0, 1)
+
+    def plus_derivative(self) -> "ExpPoly":
+        """(1 + d/dt) f, the left side of the resolvent equation u + u' = f,
+        computed by the same kernel as ``derivative``."""
+        return _first_order(self, 1, 1)
 
     def eval0(self) -> RationalComplex:
         """The boundary trace f(0): the sum of all degree-zero coefficients."""
         total = RationalComplex()
-        for (k, _), coeff in self._terms.items():
+        for (k, _), coeff in self._terms:
             if k == 0:
                 total = total + coeff
         return total
@@ -209,10 +246,19 @@ class ExpPoly:
     def __repr__(self):
         if self.is_zero():
             return "ExpPoly(0)"
-        bits = [
-            f"({coeff}) t^{k} e^(-{lam} t)" for (k, lam), coeff in self._terms.items()
-        ]
+        bits = [f"({coeff}) t^{k} e^(-{lam} t)" for (k, lam), coeff in self._terms]
         return "ExpPoly(" + " + ".join(bits) + ")"
+
+
+def _ranks(items) -> list:
+    """Exact integer sort keys of (key, coefficient) pairs in canonical
+    (lam, k) order: with L the lcm of the rate denominators, lam = p/q ranks
+    as (p (L // q), k).  Integers compare in C, and unlike ``float(lam)``
+    they do not overflow above about 1e308."""
+    scale = math.lcm(*(lam.denominator for (_, lam), _ in items))
+    return [
+        (lam.numerator * (scale // lam.denominator), k) for (k, lam), _ in items
+    ]
 
 
 def term(k: int, lam, re=0, im=0) -> ExpPoly:
@@ -232,13 +278,13 @@ def _integer_groups(f: ExpPoly):
     order of lam, where ``terms`` lists (k, D re c, D im c) in increasing
     order of k.  The terms of ``f`` are already sorted by (lam, k), so the
     groups are read off in one pass without hashing a rate."""
-    coeffs = f._terms.values()
+    coeffs = [c for _, c in f._terms]
     scale = math.lcm(
         *(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs)
     )
     groups = []
     last = None
-    for (k, lam), c in f._terms.items():
+    for (k, lam), c in f._terms:
         ratio = lam.as_integer_ratio()
         if ratio != last:
             last = ratio
@@ -254,33 +300,33 @@ def _integer_groups(f: ExpPoly):
     return scale, groups
 
 
-def _derivative(f: ExpPoly, sign: int) -> ExpPoly:
-    """``sign`` times the derivative of ``f``, exactly.
+def _first_order(f: ExpPoly, a: int, b: int) -> ExpPoly:
+    """a f + b f', exactly, for integers a and b.
 
     At rate lam = p/q with integer coefficients C_k = D c_k, the output
     coefficient at degree j is
 
-        sign (q (j+1) C_(j+1) - p C_j)   over   D q,
+        (a q - b p) C_j + b q (j+1) C_(j+1)   over   D q,
 
     one ``Fraction`` pair and one ``RationalComplex`` per nonzero output
-    term; zero sums drop their key.
+    term; zero sums drop their key.  Groups come in increasing rate and
+    degrees in increasing order, so the output is built in canonical order.
     """
     scale, groups = _integer_groups(f)
-    out = {}
+    out = []
     for lam, p, q, terms in groups:
         coeffs = {k: (cr, ci) for k, cr, ci in terms}
         den = scale * q
-        sp, sq = sign * p, sign * q
+        here, up = a * q - b * p, b * q
         for j in sorted({*coeffs, *(k - 1 for k in coeffs if k)}):
             cr, ci = coeffs.get(j, (0, 0))
             nr, ni = coeffs.get(j + 1, (0, 0))
-            num_re = sq * (j + 1) * nr - sp * cr
-            num_im = sq * (j + 1) * ni - sp * ci
+            num_re = here * cr + up * (j + 1) * nr
+            num_im = here * ci + up * (j + 1) * ni
             if num_re or num_im:
-                out[(j, lam)] = RationalComplex(
-                    Fraction(num_re, den), Fraction(num_im, den)
-                )
-    return ExpPoly(out)
+                coeff = RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
+                out.append(((j, lam), coeff))
+    return ExpPoly._from_sorted(out)
 
 
 def _common_denominator(parts):
@@ -316,7 +362,7 @@ def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
         return RationalComplex()
     f_scale, f_groups = _integer_groups(f)
     g_scale, g_groups = _integer_groups(g)
-    width = max(k for k, _ in f._terms) + max(k for k, _ in g._terms) + 1
+    width = max(k for (k, _), _ in f._terms) + max(k for (k, _), _ in g._terms) + 1
     buckets = {}  # (N, M) -> (P_m real parts, P_m imaginary parts)
     for _, p, q, f_terms in f_groups:
         for _, r, s, g_terms in g_groups:
@@ -355,7 +401,7 @@ def norm_sq(f: ExpPoly) -> Fraction:
 
 def adjoint_apply(f: ExpPoly) -> ExpPoly:
     """The adjoint of the minimal operator acts as -d/dt on the whole family."""
-    return _derivative(f, -1)
+    return _first_order(f, 0, -1)
 
 
 def green_identity(f: ExpPoly, g: ExpPoly):
@@ -484,7 +530,7 @@ def canonical_extension_apply(f: ExpPoly) -> ExpPoly:
         raise TraceNotZero(
             f"extension domain needs f(0) = 0, got f(0) = {f.eval0()}"
         )
-    return _derivative(f, -1)
+    return _first_order(f, 0, -1)
 
 
 def resolvent_solve(f: ExpPoly) -> ExpPoly:
@@ -505,22 +551,28 @@ def resolvent_solve(f: ExpPoly) -> ExpPoly:
       over the non-resonant groups, added over one common denominator.
 
     No two groups write the same key, so each nonzero output term is one
-    ``Fraction`` pair and one ``RationalComplex``.
+    ``Fraction`` pair and one ``RationalComplex``.  The output is built in
+    canonical order: each non-resonant group's terms are found in
+    decreasing degree and reversed, and the (0, 1) term goes after the
+    groups of rate below 1.
     """
     scale, groups = _integer_groups(f)
-    out = {}
+    out = []
+    split = None  # where the rates >= 1 begin, the place of the (0, 1) term
     parts = []  # (S_0 real, S_0 imaginary, r^(top+1)) per non-resonant group
     for lam, p, q, terms in groups:
+        if split is None and p >= q:
+            split = len(out)
         if p == q:
             for a, cr, ci in terms:
                 den = scale * (a + 1)
-                out[(a + 1, lam)] = RationalComplex(
-                    Fraction(cr, den), Fraction(ci, den)
-                )
+                coeff = RationalComplex(Fraction(cr, den), Fraction(ci, den))
+                out.append(((a + 1, lam), coeff))
             continue
         r = p - q
         top = terms[-1][0]
         coeffs = {k: (cr, ci) for k, cr, ci in terms}
+        run = []  # this group's terms, in decreasing degree
         s_re = s_im = 0
         power = 1  # r^(top-j)
         for j in range(top, -1, -1):
@@ -530,15 +582,16 @@ def resolvent_solve(f: ExpPoly) -> ExpPoly:
             power *= r
             if s_re or s_im:
                 den = -scale * power
-                out[(j, lam)] = RationalComplex(
-                    Fraction(s_re, den), Fraction(s_im, den)
-                )
+                coeff = RationalComplex(Fraction(s_re, den), Fraction(s_im, den))
+                run.append(((j, lam), coeff))
+        out += reversed(run)
         parts.append((s_re, s_im, power))
     num_re, num_im, den = _common_denominator(parts)
     if num_re or num_im:
         den *= scale
-        out[(0, _ONE)] = RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
-    return ExpPoly(out)
+        trace = RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
+        out.insert(len(out) if split is None else split, ((0, _ONE), trace))
+    return ExpPoly._from_sorted(out)
 
 
 @dataclass(frozen=True)

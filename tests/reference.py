@@ -4,7 +4,7 @@ The library builds none of these: its pipelines use closed forms and
 orthogonal pieces instead.  They are kept here, unchanged, as independent
 routes to the same objects (the oblique projection behind the canonical
 boundary map, -T* through the swapped orthocomplement, the half-line inner
-product, derivative and resolvent term by term) and as convenient
+product, derivative, a f + b f' and resolvent term by term) and as convenient
 constructors of test inputs.
 """
 
@@ -168,8 +168,8 @@ def inner_termwise(f: ExpPoly, g: ExpPoly) -> RationalComplex:
     integral of t^(a+b) exp(-(lam+mu) t) = (a+b)! / (lam+mu)^(a+b+1).
     """
     total = RationalComplex()
-    for (a, lam), c in f._terms.items():
-        for (b, mu), d in g._terms.items():
+    for (a, lam), c in f.items():
+        for (b, mu), d in g.items():
             weight = Fraction(math.factorial(a + b), 1) / (lam + mu) ** (a + b + 1)
             total = total + c * d.conj() * weight
     return total
@@ -187,10 +187,20 @@ def derivative_termwise(f: ExpPoly) -> ExpPoly:
     """Exact term-wise derivative:
     t^k exp(-lam t) -> k t^(k-1) exp(-lam t) - lam t^k exp(-lam t)."""
     out = {}
-    for (k, lam), coeff in f._terms.items():
+    for (k, lam), coeff in f.items():
         if k > 0:
             _accumulate(out, (k - 1, lam), coeff * Fraction(k))
         _accumulate(out, (k, lam), coeff * (-lam))
+    return ExpPoly(out)
+
+
+def first_order_termwise(f: ExpPoly, a: int, b: int) -> ExpPoly:
+    """a f + b f', added one exact term at a time."""
+    out = {}
+    for key, coeff in f.items():
+        _accumulate(out, key, coeff * a)
+    for key, coeff in derivative_termwise(f).items():
+        _accumulate(out, key, coeff * b)
     return ExpPoly(out)
 
 
@@ -203,7 +213,7 @@ def resolvent_termwise(f: ExpPoly) -> ExpPoly:
     which stay inside the family.
     """
     out = {}
-    for (a, lam), c in f._terms.items():
+    for (a, lam), c in f.items():
         if lam == 1:
             _accumulate(out, (a + 1, _ONE), c * Fraction(1, a + 1))
             continue

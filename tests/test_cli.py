@@ -4,6 +4,7 @@ import json
 import pytest
 
 from skewext import extensions as ext
+from skewext import halfline as hl
 from skewext import relation as rel
 from skewext.cli import build_parser, main
 
@@ -250,6 +251,27 @@ def test_halfline_resolvent_resonant(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "key, identity, trace",
+    [((1, 1), False, True), ((0, 1), True, False), ((0, 2), False, False)],
+)
+def test_halfline_resolvent_check_fails_on_a_changed_solution(
+    key, identity, trace, tmp_path, capsys, monkeypatch
+):
+    # u = t e^(-t) solves u + u' = e^(-t); adding a term at ``key`` breaks
+    # the identity, the trace u(0) = 0, or both ((1 + d/dt) e^(-t) = 0)
+    solve = hl.resolvent_solve
+    monkeypatch.setattr(hl, "resolvent_solve", lambda f: solve(f) + hl.term(*key, 1))
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps([{"k": 0, "lambda": "1", "re": "1", "im": "0"}]))
+    code, report = run_cli(
+        capsys, "halfline", "--subcheck", "resolvent", "--input", str(fn)
+    )
+    assert code == 1 and report["status"] == "fail"
+    assert report["payload"]["resolvent_identity_exact"] is identity
+    assert report["payload"]["trace_zero"] is trace
+
+
 def test_halfline_resolvent_above_input_degree_cap(tmp_path, capsys):
     # t^32 e^(-t) is a valid input; its resolvent solution has degree 33
     fn = tmp_path / "fn.json"
@@ -266,6 +288,15 @@ def test_halfline_resolvent_above_input_degree_cap(tmp_path, capsys):
 def test_halfline_input_degree_cap(tmp_path, capsys):
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps([{"k": 33, "lambda": "1", "re": "1", "im": "0"}]))
+    code, report = run_cli(
+        capsys, "halfline", "--subcheck", "resolvent", "--input", str(fn)
+    )
+    assert code == 2 and report is None
+
+
+def test_halfline_rejects_a_5000_digit_rate(tmp_path, capsys):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps([{"k": 0, "lambda": "1" * 5000, "re": "1", "im": "0"}]))
     code, report = run_cli(
         capsys, "halfline", "--subcheck", "resolvent", "--input", str(fn)
     )

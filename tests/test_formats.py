@@ -182,6 +182,43 @@ def test_exppoly_rejects_malformed():
         )
 
 
+@pytest.mark.parametrize(
+    "s",
+    [
+        "0123", "-0", "+3", " 3", "3/", "1/0", "0/00", "3/-2", "1_000", "1.5",
+        "1e3", "\u0663", "-", "", "7", "-6/4", "00/0001", "1/00", "3 /4", "\u00bd",
+        pytest.param("1" * 5000 + "/3", id="5000-digit numerator"),
+    ],
+)
+def test_fraction_from_str_agrees_with_fraction(s):
+    # plain ASCII p/q is read by int(); the result and the accept/reject
+    # outcome, with its message, must be those of Fraction(s)
+    try:
+        expected = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ValueError) as info:
+            fmt.fraction_from_str(s)
+        assert str(info.value) == f"bad rational {s!r}: {exc}"
+    else:
+        got = fmt.fraction_from_str(s)
+        assert type(got) is Fraction and got == expected
+
+
+def test_exppoly_from_json_orders_rates_beyond_double_range():
+    big = 10**400
+    rates = [Fraction(big), Fraction(1, 2), Fraction(big - 1), Fraction(big + 1, 7)]
+    records = [
+        {"k": k, "lambda": str(lam), "re": "1", "im": str(k)}
+        for lam in rates
+        for k in (1, 0)
+    ]
+    f = fmt.exppoly_from_json(records)
+    assert list(f.terms) == [(k, lam) for lam in sorted(rates) for k in (0, 1)]
+    assert fmt.exppoly_to_json(f) == sorted(
+        records, key=lambda r: (Fraction(r["lambda"]), r["k"])
+    )
+
+
 def test_unitary_matrix_from_json_accepts_both_shapes():
     raw = [[[1.0, 0.0]]]
     assert np.array_equal(fmt.unitary_matrix_from_json(raw), np.eye(1))

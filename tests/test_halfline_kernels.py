@@ -1,15 +1,17 @@
 """The integer half-line derivative and resolvent against the term-wise
 references.
 
-``ExpPoly.derivative`` and ``halfline.resolvent_solve`` scale a function to
-integer coefficients once and form each output coefficient as one integer
-numerator per rate group; ``reference.derivative_termwise`` and
-``reference.resolvent_termwise`` add one exact term at a time.  Both must
-agree exactly (``Fraction``s are canonical), on the resonant rate 1, on
-rates below 1 (a negative gap to the resonant rate), on degrees up to 32,
-on rate denominators up to the cap and on zero polynomials, and a sum that
-cancels must drop its key.  The kernels build one ``RationalComplex`` per
-output term, and -f' is built as one ``ExpPoly``.
+``halfline._first_order`` (a f + b f': the derivative, -f' and the
+resolvent check u + u') and ``halfline.resolvent_solve`` scale a function
+to integer coefficients once and form each output coefficient as one
+integer numerator per rate group; the ``reference`` module's term-wise
+versions add one exact term at a time.  Both must agree exactly
+(``Fraction``s are canonical), on the resonant rate 1, on rates below 1 (a
+negative gap to the resonant rate), on degrees up to 32, on rate
+denominators up to the cap and on zero polynomials, and a sum that cancels
+must drop its key.  The kernels build one ``RationalComplex`` per output
+term, and -f' is built as one ``ExpPoly``.  The resolvent check must fail
+on a solution with one coefficient changed.
 """
 
 import random
@@ -19,7 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import derivative_termwise, random_exppoly, resolvent_termwise
+from reference import (
+    derivative_termwise,
+    first_order_termwise,
+    random_exppoly,
+    resolvent_termwise,
+)
 from skewext import halfline as hl
 from skewext.halfline import QC, ExpPoly, exp_decay, term
 
@@ -77,6 +84,28 @@ def test_negated_derivative_equals_termwise_reference(f):
     assert hl.adjoint_apply(f) == expected
     f0 = f - exp_decay(1).scale(f.eval0())
     assert hl.canonical_extension_apply(f0) == -derivative_termwise(f0)
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (0, -1), (1, 1)])
+@settings(deadline=None, max_examples=100)
+@given(f=exppolys())
+def test_first_order_kernel_equals_termwise_reference(a, b, f):
+    assert hl._first_order(f, a, b) == first_order_termwise(f, a, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    f=exppolys(),
+    key=st.tuples(st.integers(0, 3), small_rates),
+    delta=coefficients.filter(lambda c: not c.is_zero()),
+)
+def test_resolvent_check_fails_on_a_changed_coefficient(f, key, delta):
+    u = hl.resolvent_solve(f)
+    assert u.plus_derivative() == f and u.eval0().is_zero()
+    changed = u + term(*key, delta.re, delta.im)
+    # (1 + d/dt) e^(-t) = 0, so only the trace sees a change at (0, 1)
+    assert (changed.plus_derivative() == f) == (key == (0, 1))
+    assert changed.eval0().is_zero() == (key[0] != 0)
 
 
 def test_kernels_on_degree_32_at_the_resonant_rate():
@@ -138,7 +167,15 @@ def test_kernels_build_one_rational_complex_per_output_term(kernel, monkeypatch)
 def test_negated_derivative_builds_one_exppoly(apply, monkeypatch):
     f = random_exppoly(random.Random(5), 60)
     f0 = f - exp_decay(1).scale(f.eval0())
+    # an ExpPoly is built through __init__ or through the trusted _from_sorted
     calls = _counting(monkeypatch, ExpPoly, "__init__")
+    trusted = ExpPoly._from_sorted
+
+    def counting_trusted(items):
+        calls.append(None)
+        return trusted(items)
+
+    monkeypatch.setattr(ExpPoly, "_from_sorted", staticmethod(counting_trusted))
     apply(f0)
     assert len(calls) == 1
 

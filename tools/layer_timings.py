@@ -11,9 +11,9 @@ CLI figures are the median wall time of ``REPEAT`` fresh interpreters
 running ``python3 -m skewext.cli``, so they include the import.  With
 ``--baseline-src`` the CLI figures are also taken with that source tree
 on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, and the
-half-line figures are also taken with that tree's ``halfline`` module
-(``halfline_baseline``), the two modules taking turns at each size, for a
-before/after comparison on the same machine.
+half-line figures are also taken with that tree's ``halfline`` and
+``formats`` modules (``halfline_baseline``), the two trees taking turns at
+each size, for a before/after comparison on the same machine.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
@@ -178,15 +178,32 @@ def _random_function(rnd: random.Random, count: int, module=hl):
     return module.ExpPoly(terms)
 
 
+def _resolvent_check(module):
+    """The identity check of ``halfline --subcheck resolvent`` in the tree
+    of ``module``: (1 + d/dt) u == f by one kernel call, or u + u' == f in
+    a tree without ``ExpPoly.plus_derivative``."""
+    if hasattr(module.ExpPoly, "plus_derivative"):
+        return lambda u, f: u.plus_derivative() == f
+    return lambda u, f: (u + u.derivative()) == f
+
+
 def halfline_timings(terms: int, module=hl) -> dict:
     rnd = random.Random(SEED + terms)
     f = _random_function(rnd, terms, module)
     g = _random_function(rnd, terms, module)
+    formats = importlib.import_module(module.__package__ + ".formats")
+    records = formats.exppoly_to_json(f)
+    u = module.resolvent_solve(f)
+    check = _resolvent_check(module)
+    if not check(u, f):
+        raise RuntimeError("the resolvent solution fails its own check")
     return {
         "halfline.inner_s": _best(module.inner, f, g),
         "halfline.derivative_s": _best(module.ExpPoly.derivative, f),
         "halfline.green_identity_s": _best(module.green_identity, f, g),
         "halfline.resolvent_solve_s": _best(module.resolvent_solve, f),
+        "halfline.resolvent_check_s": _best(check, u, f),
+        "halfline.parse_s": _best(formats.exppoly_from_json, records),
     }
 
 
@@ -314,6 +331,10 @@ def main(argv=None) -> int:
             "the CLI halfline probes read such a pair (green), its first "
             "function (resolvent) and that function made trace-zero "
             "(dissipative)",
+            "halfline_ops": "parse_s is formats.exppoly_from_json of the first "
+            "function's term list; resolvent_check_s is the identity check of "
+            "the resolvent subcheck on that function and its resolvent_solve "
+            "solution",
         },
         "layers": {f"n={n}": layer_timings(n) for n in SIZES},
     }
