@@ -397,8 +397,21 @@ def cmd_sweep(args):
     return echo, None, "pass" if not failures else "fail", payload
 
 
+def _in_range(convert, low, high):
+    """An argparse ``type``: ``convert`` the text and accept only values with
+    low < value < high (NaN fails both comparisons), else a usage error."""
+
+    def parse(text):
+        if not low < (value := convert(text)) < high:
+            raise argparse.ArgumentTypeError(f"{text} is not in ({low}, {high})")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in conversion errors
+    return parse
+
+
 def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=ORTH_TOL)
+    parser.add_argument("--tol", type=_in_range(float, 0, np.inf), default=ORTH_TOL)
     parser.add_argument("--out", help="report path (stdout when omitted)")
 
 
@@ -406,7 +419,7 @@ def _add_relation_input(parser):
     parser.add_argument("--input", required=True)
     parser.add_argument(
         "--rank-tol",
-        type=float,
+        type=_in_range(float, 0, 1),
         default=RANK_TOL,
         help="relative rank threshold for input relations (default %(default)s)",
     )
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_halfline)
 
     p = subs.add_parser("sweep", help="random-instance verification battery")
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_in_range(int, -1, np.inf), default=20)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -488,7 +501,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         sys.stderr.write(f"error: invalid input: {exc}\n")
         return 2
     except SkewextError as exc:

@@ -3,9 +3,11 @@
 A relation generalizes an operator: its graph may be non-densely defined
 or multivalued.  A graph element is written ``(x, x')`` with both halves
 in C^n; the top n coordinates of the graph subspace hold ``x`` and the
-bottom n hold ``x'``.  Adjoints, deficiency spaces and the skew-symmetry
-and dissipativity predicates all reduce to subspace arithmetic on the
-graph.
+bottom n hold ``x'``.  Everything is read off the blocks (X, X') of the
+orthonormal graph basis: the domain ran(X), the kernel X ker(X'), the
+multivalued part X' ker(X), the adjoint and deficiency spaces as
+complements of block combinations, and the skew-symmetry and
+dissipativity predicates as small matrices over the basis.
 
 The inner product convention is fixed globally: conjugate-linear in the
 SECOND argument, ``<a, b> = b^H a``.
@@ -79,27 +81,35 @@ def from_graph(n: int, generators, tol: float = sub.RANK_TOL) -> Relation:
 
 
 def domain(t: Relation) -> Subspace:
-    """First-component projection of the graph, computed as mul(T*)^perp.
+    """{x : (x, x') in graph} = ran(X) for the graph blocks (X, X').
 
-    Spanning the top graph block directly would cut its rank relative to
-    its own largest singular value, so a block of pure round-off (a purely
-    multivalued relation) would count as full rank.
+    X is a block of an orthonormal basis, so its rank is cut at the
+    absolute threshold ``RANK_TOL``: a top block of pure round-off (a purely
+    multivalued relation) has no domain.
     """
-    return sub.orthocomplement(mul_part(adjoint(t)))
+    ran_x, _ = sub._block_range_and_null(t.blocks()[0])
+    return Subspace(t.space_dim, sub._canonical_phases(ran_x))
 
 
 def kernel(t: Relation) -> Subspace:
-    """{x : (x, 0) in graph}."""
-    n = t.space_dim
-    top = Subspace(2 * n, np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex))
-    return Subspace(n, sub.intersect(t.graph, top).basis[:n, :])
+    """{x : (x, 0) in graph} = X ker(X')."""
+    x, xp = t.blocks()
+    return _image_of_null_space(x, xp)
 
 
 def mul_part(t: Relation) -> Subspace:
-    """{x' : (0, x') in graph}; trivial exactly when the relation is an operator."""
-    n = t.space_dim
-    bottom = Subspace(2 * n, np.vstack([np.zeros((n, n)), np.eye(n)]).astype(complex))
-    return Subspace(n, sub.intersect(t.graph, bottom).basis[n:, :])
+    """{x' : (0, x') in graph} = X' ker(X); trivial exactly when the
+    relation is an operator."""
+    x, xp = t.blocks()
+    return _image_of_null_space(xp, x)
+
+
+def _image_of_null_space(image: np.ndarray, cut: np.ndarray) -> Subspace:
+    """``image`` times an orthonormal basis of ker(``cut``), for the two
+    blocks of the graph basis.  Since X^H X + X'^H X' = I, ``image`` is
+    isometric on ker(``cut``), so the product is already orthonormal."""
+    _, null = sub._block_range_and_null(cut)
+    return Subspace(image.shape[0], sub._canonical_phases(image @ null))
 
 
 def adjoint(t: Relation) -> Relation:
@@ -136,10 +146,8 @@ def is_skew_symmetric(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
 
     Equivalent to Graph(T) being contained in Graph(-T*).
     """
-    if t.graph_dim == 0:
-        return True
     m = omega_matrix(t.graph.basis, t.graph.basis, t.space_dim)
-    return float(np.max(np.abs(m))) <= tol
+    return float(np.max(np.abs(m), initial=0.0)) <= tol
 
 
 def is_skew_self_adjoint(t: Relation, tol: float = sub.ORTH_TOL) -> bool:

@@ -1,10 +1,13 @@
 """Numerically robust subspace arithmetic over the complex field.
 
 A subspace of C^m is stored as an m-by-k matrix with orthonormal columns
-(``k`` may be 0; the zero subspace is a first-class value).  All rank
-decisions use singular values with a relative threshold, well conditioned
-at the small ambient dimensions this package works at.  Values are
-immutable and every operation is a pure function.
+(``k`` may be 0; the zero subspace is a first-class value).  Rank decisions
+on arbitrary matrices use singular values with a relative threshold, well
+conditioned at the small ambient dimensions this package works at; a block
+of rows of an orthonormal basis has its singular values in [0, 1] and is cut
+at the absolute threshold ``RANK_TOL`` instead.  Distances compare the bases
+directly, without forming projectors.  Values are immutable and every
+operation is a pure function.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbientMismatch, EmptyAmbient, NotOrthonormal
+from .linalg import matrix_2norm
 
-#: Default relative threshold for rank decisions (singular values below
-#: RANK_TOL times the largest one are treated as zero).
+#: Default threshold for rank decisions: singular values below RANK_TOL
+#: times the largest one are treated as zero, and on a block of rows of an
+#: orthonormal basis those at or below RANK_TOL itself.
 RANK_TOL = 1e-10
 
 #: Default tolerance for orthonormality/equality checks.
@@ -30,6 +35,17 @@ def numerical_rank(singular_values, tol: float = RANK_TOL) -> int:
     if s.size == 0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def _block_range_and_null(block: np.ndarray):
+    """Orthonormal bases of the range and of the null space of a block of
+    rows of an orthonormal basis, from one SVD.  The block's singular values
+    lie in [0, 1], so the rank cut is absolute: those above ``RANK_TOL``
+    count.  A cut relative to the largest would count a block of pure
+    round-off as full rank."""
+    u, s, vh = np.linalg.svd(block, full_matrices=True)
+    r = int(np.sum(s > RANK_TOL))
+    return u[:, :r], vh[r:, :].conj().T
 
 
 def rank(m: np.ndarray) -> int:
@@ -82,7 +98,8 @@ class Subspace:
         object.__setattr__(self, "basis", b)
         b.setflags(write=False)
         gram = b.conj().T @ b
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > ORTH_TOL:
+        # written as "not <=" so that a NaN deviation is rejected too
+        if gram.size and not np.max(np.abs(gram - np.eye(b.shape[1]))) <= ORTH_TOL:
             raise NotOrthonormal("basis columns are not orthonormal")
 
     @property
@@ -132,8 +149,6 @@ def _canonical_phases(b: np.ndarray) -> np.ndarray:
     Kills the phase freedom SVD leaves per basis vector, which keeps
     one-dimensional results (and CLI output) in a predictable orientation.
     """
-    if b.shape[1] == 0:
-        return b
     idx = np.argmax(np.abs(b), axis=0)
     pivots = b[idx, np.arange(b.shape[1])]
     return b * (pivots.conj() / np.abs(pivots))
@@ -143,10 +158,8 @@ def span_matrix(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     """Column span of a complex matrix (columns are the spanning vectors)."""
     a = np.asarray(a, dtype=complex)
     m = a.shape[0]
-    if m == 0:
-        raise EmptyAmbient("ambient dimension must be positive")
     if a.shape[1] == 0 or not np.any(a):
-        return zero(m)
+        return zero(m)  # which rejects m == 0
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return Subspace(m, _canonical_phases(u[:, : numerical_rank(s, tol)]))
 
@@ -165,21 +178,6 @@ def complement(a: np.ndarray) -> Subspace:
         return full(m)
     u, s, _ = np.linalg.svd(a, full_matrices=True)
     return Subspace(m, _canonical_phases(u[:, numerical_rank(s) :]))
-
-
-def orthocomplement(s: Subspace) -> Subspace:
-    """The orthogonal complement of a subspace.
-
-    Always satisfies ``dim(s) + dim(result) == ambient_dim``.
-    """
-    return complement(s.basis)
-
-
-def intersect(s: Subspace, t: Subspace) -> Subspace:
-    """The intersection S `intersect` T, computed as the complement of
-    the sum of the complements."""
-    _check_same_ambient(s, t)
-    return complement(np.hstack([orthocomplement(s).basis, orthocomplement(t).basis]))
 
 
 def _columns_in(s: Subspace, a: np.ndarray, tol: float) -> bool:
@@ -219,15 +217,13 @@ def equal(s: Subspace, t: Subspace, tol: float = ORTH_TOL) -> bool:
 
 def distance(s: Subspace, t: Subspace) -> float:
     """Gap metric between subspaces: the 2-norm of the difference of the
-    orthogonal projectors (the sine of the largest principal angle when
-    dimensions agree; 1.0 when they differ)."""
+    orthogonal projectors.  It is 1.0 when the dimensions differ, and
+    otherwise the sine of the largest principal angle, the 2-norm of the
+    part of the basis of ``t`` orthogonal to ``s``."""
     _check_same_ambient(s, t)
-    ps = s.basis @ s.basis.conj().T
-    pt = t.basis @ t.basis.conj().T
-    d = ps - pt
-    if d.size == 0:
-        return 0.0
-    return float(np.linalg.norm(d, 2))
+    if s.dim != t.dim:
+        return 1.0
+    return matrix_2norm(t.basis - s.basis @ (s.basis.conj().T @ t.basis))
 
 
 def _check_same_ambient(s: Subspace, t: Subspace):

@@ -3,9 +3,10 @@
 The library builds none of these: its pipelines use closed forms and
 orthogonal pieces instead.  They are kept here, unchanged, as independent
 routes to the same objects (the oblique projection behind the canonical
-boundary map, -T* through the swapped orthocomplement, the half-line inner
-product, derivative, a f + b f' and resolvent term by term) and as convenient
-constructors of test inputs.
+boundary map, -T* through the swapped orthocomplement, the kernel,
+multivalued part and domain of a relation by subspace intersection, the gap
+distance by projectors, the half-line inner product, derivative, a f + b f'
+and resolvent term by term) and as convenient constructors of test inputs.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import numpy as np
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, SkewextError
 from skewext.halfline import QC, ExpPoly, RationalComplex
-from skewext.relation import Relation
+from skewext.relation import Relation, adjoint
 from skewext.sampling import complex_gaussian
 from skewext.subspace import (
     ORTH_TOL,
     RANK_TOL,
     Subspace,
     _check_same_ambient,
+    complement,
     span_matrix,
 )
 
@@ -44,6 +46,44 @@ def sum_of(s: Subspace, t: Subspace, tol: float = RANK_TOL) -> Subspace:
     """The subspace sum S + T."""
     _check_same_ambient(s, t)
     return span_matrix(np.hstack([s.basis, t.basis]), tol)
+
+
+def intersect(s: Subspace, t: Subspace) -> Subspace:
+    """The intersection S `intersect` T, computed as the complement of
+    the sum of the complements."""
+    _check_same_ambient(s, t)
+    return complement(np.hstack([complement(s.basis).basis, complement(t.basis).basis]))
+
+
+def _coordinate_half(n: int, top: bool) -> Subspace:
+    """{(x, 0)} (``top``) or {(0, x')} in C^2n."""
+    eye, zeros = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    return Subspace(2 * n, np.vstack([eye, zeros] if top else [zeros, eye]))
+
+
+def kernel_by_intersection(t: Relation) -> Subspace:
+    """ker(T): the first components of Graph(T) cut with {(x, 0)}."""
+    n = t.space_dim
+    return Subspace(n, intersect(t.graph, _coordinate_half(n, True)).basis[:n, :])
+
+
+def mul_by_intersection(t: Relation) -> Subspace:
+    """mul(T): the second components of Graph(T) cut with {(0, x')}."""
+    n = t.space_dim
+    return Subspace(n, intersect(t.graph, _coordinate_half(n, False)).basis[n:, :])
+
+
+def domain_by_intersection(t: Relation) -> Subspace:
+    """dom(T) = mul(T*)^perp, with mul(T*) by intersection."""
+    return complement(mul_by_intersection(adjoint(t)).basis)
+
+
+def distance_by_projectors(s: Subspace, t: Subspace) -> float:
+    """The gap metric as the 2-norm of the difference of the orthogonal
+    projectors."""
+    _check_same_ambient(s, t)
+    d = s.basis @ s.basis.conj().T - t.basis @ t.basis.conj().T
+    return float(np.linalg.norm(d, 2))
 
 
 def oblique_project(parts, v, tol: float = ORTH_TOL):
@@ -133,7 +173,7 @@ def neg_adjoint(t: Relation) -> Relation:
     Graph(-T*) = Swap(Graph(T)^perp) is the graph-level form of the
     adjoint and is verified in the tests against ``negate(adjoint(t))``.
     """
-    return Relation(t.space_dim, _swap(sub.orthocomplement(t.graph), t.space_dim))
+    return Relation(t.space_dim, _swap(complement(t.graph.basis), t.space_dim))
 
 
 def random_contraction(

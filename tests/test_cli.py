@@ -479,9 +479,12 @@ def test_out_into_missing_directory(tmp_path, zero_relation_file, capsys):
 def test_one_parser_serves_every_call_without_carrying_values(capsys):
     code, report = run_cli(capsys, "sweep", "--count", "2", "--seed", "4", "--tol", "1e-6")
     assert code == 0 and report["args"] == {"count": 2, "seed": 4}
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--count", "x"])
-    assert exc.value.code == 2
+    # a value outside a flag's range is a usage error, like a malformed one
+    bad_flags = (["--count", "x"], ["--count", "-3"], ["--tol", "inf"], ["--tol", "0"])
+    for bad in bad_flags:
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *bad])
+        assert exc.value.code == 2
     capsys.readouterr()
     # the defaults come back on the next call through the same parser
     code, report = run_cli(capsys, "sweep", "--count", "1")
@@ -492,6 +495,16 @@ def test_one_parser_serves_every_call_without_carrying_values(capsys):
 
 def test_rank_tol_only_on_relation_commands(zero_relation_file, capsys):
     assert main(["canonical", "--input", zero_relation_file, "--rank-tol", "1e-8"]) == 0
+    capsys.readouterr()
+    # outside (0, 1) the cut would drop every generator of the input
+    for bad in ("nan", "2", "1", "0", "-1e-8"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", zero_relation_file, "--rank-tol", bad])
+        assert exc.value.code == 2
+    for bad in ("inf", "nan", "-1e-9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", zero_relation_file, "--tol", bad])
+        assert exc.value.code == 2
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--rank-tol", "1e-8"])

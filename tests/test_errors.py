@@ -31,6 +31,10 @@ one = hl.QC(1)
     "build, leaf, builtin",
     [
         (lambda: sub.Subspace(2, np.ones((2, 1))), NotOrthonormal, ValueError),
+        pytest.param(
+            lambda: sub.Subspace(2, [[np.nan], [0]]), NotOrthonormal, ValueError,
+            id="nan-basis",
+        ),
         (lambda: ExtensionParam("bogus", np.eye(1)), InvalidParameter, ValueError),
         (lambda: ExtensionParam("unitary_B", np.ones(2)), InvalidParameter, ValueError),
         (lambda: hl.RationalComplex(0.5), NotExact, TypeError),

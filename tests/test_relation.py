@@ -207,7 +207,7 @@ def test_generator_is_skew_symmetric_with_equal_indices(params):
     eye = np.eye(n, dtype=complex)
     for g, sign in ((d.g1, 1.0), (d.g2, -1.0)):
         diag = sub.Subspace(2 * n, np.vstack([eye, sign * eye]) / np.sqrt(2.0))
-        cut = sub.intersect(rel.adjoint(t).graph, diag)
+        cut = ref.intersect(rel.adjoint(t).graph, diag)
         first = sub.span_matrix(cut.basis[:n, :]) if cut.dim else sub.zero(n)
         assert sub.equal(g, first)
     # the rank cuts for g1, g2 are well conditioned: X -+ X' is an isometry

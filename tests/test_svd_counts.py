@@ -1,4 +1,4 @@
-"""SVD budget of the CLI pipelines.
+"""SVD budget of the CLI pipelines and of the relation-level spaces.
 
 Every complement is one SVD and no orthonormal product is re-spanned; these
 bounds catch a reintroduced span-then-complement or re-span step.  Calls are
@@ -8,6 +8,7 @@ counted on ``numpy.linalg.svd``, the name every module calls through.
 import numpy as np
 import pytest
 
+from skewext import relation as rel
 from skewext.cli import main
 
 
@@ -45,3 +46,14 @@ def test_sweep_svd_budget(svd_calls, capsys):
     assert main(["sweep", "--count", "20", "--seed", "0"]) == 0
     capsys.readouterr()
     assert svd_calls[0] <= 300
+
+
+@pytest.mark.parametrize(
+    "space, dim", [(rel.kernel, 1), (rel.mul_part, 1), (rel.domain, 2)]
+)
+def test_relation_spaces_take_one_svd_of_a_graph_block(space, dim, svd_calls):
+    # graph spanned by (e1, 0), (0, e2) and (e3, i e3)
+    t = rel.from_graph(3, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1j)])
+    svd_calls[0] = 0
+    assert space(t).dim == dim
+    assert svd_calls[0] == 1

@@ -110,9 +110,6 @@ def layer_timings(n: int) -> dict:
     rng = np.random.default_rng(SEED)
     h = rel.random_skew_symmetric(n, n // 2, SEED)
     a = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
-    other = sub.span_matrix(
-        rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
-    )
     s = bd.canonical_system(h)
     d = s.g1.dim
     l = random_unitary(d, rng)
@@ -125,6 +122,12 @@ def layer_timings(n: int) -> dict:
         "system": fmt.system_to_json(s),
         "max_dissipative_extension": fmt.relation_to_json(dissip),
     }
+    # the two graphs the adjoint formula compares
+    g_neg, ghat1, _ = bd.canonical_pieces(s)
+    formula_lhs = rel.adjoint(dissip).graph
+    formula_rhs = rel.negate(
+        rel.Relation(n, sub.Subspace(2 * n, np.hstack([g_neg.basis, ghat1.basis])))
+    ).graph
     relation_obj = json.loads(fmt.dumps(fmt.relation_to_json(h)))
     gens = relation_obj["graph_generators"]
     b = _best
@@ -132,11 +135,14 @@ def layer_timings(n: int) -> dict:
         "indices": [s.g1.dim, s.g2.dim],
         "subspace.span_matrix_s": b(sub.span_matrix, a),
         "subspace.complement_s": b(sub.complement, a),
-        "subspace.intersect_s": b(sub.intersect, s.adjoint_graph, other),
+        "subspace.distance_s": b(sub.distance, formula_lhs, formula_rhs),
         "subspace.contains_subspace_s": b(
             sub.contains_subspace, s.adjoint_graph, h.graph
         ),
         "relation.adjoint_s": b(rel.adjoint, h),
+        "relation.kernel_s": b(rel.kernel, h),
+        "relation.mul_part_s": b(rel.mul_part, h),
+        "relation.domain_s": b(rel.domain, h),
         "relation.deficiency_s": b(rel.deficiency, h),
         "boundary.canonical_system_s": b(bd.canonical_system, h),
         "boundary.system_to_triplet_s": b(bd.system_to_triplet, s, np.eye(d)),
