@@ -104,6 +104,10 @@ class NotOrthonormal(SkewextError, ValueError):
     """Raised when a subspace basis is not orthonormal within tolerance."""
 
 
+class InvalidTolerance(SkewextError, ValueError):
+    """Raised when a rank threshold lies outside (0, 1), or is NaN."""
+
+
 class InvalidParameter(SkewextError, ValueError):
     """Raised when an extension parameter has an unknown kind or is not a matrix."""
 

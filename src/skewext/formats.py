@@ -11,6 +11,10 @@ and differ only in how they write an exponent, so the bytes are
 ``json``'s.  ``matrix_from_json`` is the one decoder of complex data.
 Decoders raise ValueError on malformed input so the CLI can map it to the
 invalid-input exit code.
+
+numpy, ``orjson`` and the relation and extension modules are imported by
+the functions that use them, on their first call: the half-line codecs,
+and ``dumps`` of a report without arrays, load none of them.
 """
 
 from __future__ import annotations
@@ -18,15 +22,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import halfline as hl
-from . import relation as rel
-from .boundary import BoundarySystem, BoundaryTriplet
-from .extensions import ExtensionParam
-from .relation import Relation
-from .subspace import RANK_TOL, Subspace
+from .tolerances import RANK_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .boundary import BoundarySystem, BoundaryTriplet
+    from .extensions import ExtensionParam
+    from .relation import Relation
+    from .subspace import Subspace
 
 
 def _float_to_json(x: float) -> str:
@@ -62,6 +69,7 @@ def _array_to_json(a: np.ndarray, level: int) -> str:
         return template
     # imported here, so that commands whose reports hold no arrays (analyze,
     # sweep, halfline) do not pay its import (datetime, uuid, zoneinfo)
+    import numpy as np
     import orjson
 
     text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
@@ -125,7 +133,14 @@ def dumps(obj) -> str:
                 raise TypeError("report keys must be strings")
             keyed = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)]
             container(keyed, level, "{}")
-        elif isinstance(o, np.ndarray):
+        else:
+            # arrays come after every builtin type, so that writing a report
+            # without them does not load numpy
+            import numpy as np
+
+            if not isinstance(o, np.ndarray):
+                name = type(o).__name__
+                raise TypeError(f"Object of type {name} is not JSON serializable")
             if o.dtype != np.float64 or o.ndim != 3 or o.shape[2] != 2:
                 raise TypeError(
                     f"arrays must be float64 (rows, cols, 2), got {o.dtype} {o.shape}"
@@ -134,9 +149,6 @@ def dumps(obj) -> str:
                 write(_array_to_json(o, level))
             else:
                 encode(o.tolist(), level)
-        else:
-            name = type(o).__name__
-            raise TypeError(f"Object of type {name} is not JSON serializable")
 
     encode(obj, 0)
     write("\n")
@@ -146,6 +158,8 @@ def dumps(obj) -> str:
 def matrix_to_json(m) -> np.ndarray:
     """A complex matrix as a float64 array of shape (rows, cols, 2) holding
     its [re, im] pairs; ``dumps`` writes it as nested lists."""
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     return np.stack((m.real, m.imag), axis=-1)
 
@@ -159,6 +173,8 @@ def matrix_from_json(obj) -> np.ndarray:
     refused) that is finite and fits in a double.  Types are checked in one
     pass over the entries and the values converted by one ``np.array``.
     """
+    import numpy as np
+
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ValueError("matrix must be a list of rows of [re, im] pairs")
     widths = {len(row) for row in obj}
@@ -195,8 +211,11 @@ def relation_from_json(obj, rank_tol: float = RANK_TOL) -> Relation:
     """Relation from {"n": int, "graph_generators": [2n-vectors]}.
 
     Generators need not be orthonormal or independent; the span
-    normalizes, discarding singular values below ``rank_tol`` relative.
+    normalizes, discarding singular values below ``rank_tol`` relative;
+    ``rank_tol`` must lie in (0, 1).
     """
+    from . import relation as rel
+
     if not isinstance(obj, dict):
         raise ValueError("relation file must hold a JSON object")
     n = obj.get("n")
@@ -216,6 +235,8 @@ def relation_from_json(obj, rank_tol: float = RANK_TOL) -> Relation:
 def extension_param_from_json(obj) -> ExtensionParam:
     if not isinstance(obj, dict):
         raise ValueError("parameter file must hold a JSON object")
+    from .extensions import ExtensionParam
+
     return ExtensionParam(
         kind=obj.get("kind"), matrix=matrix_from_json(obj.get("matrix"))
     )

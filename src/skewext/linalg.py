@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Allowed deviation of singular values from 1 for unitary matrices, and
-#: allowed excess above 1 for contractions.
-UNITARY_TOL = 1e-8
-
-#: Allowed entrywise error of a parameter read back from its extension.
-ROUNDTRIP_TOL = 10 * UNITARY_TOL
+from .tolerances import ROUNDTRIP_TOL, UNITARY_TOL  # noqa: F401 (re-exported)
 
 
 def matrix_2norm(m) -> float:

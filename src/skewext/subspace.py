@@ -16,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbientMismatch, EmptyAmbient, NotOrthonormal
+from .errors import AmbientMismatch, EmptyAmbient, InvalidTolerance, NotOrthonormal
 from .linalg import matrix_2norm
-
-#: Default threshold for rank decisions: singular values below RANK_TOL
-#: times the largest one are treated as zero, and on a block of rows of an
-#: orthonormal basis those at or below RANK_TOL itself.
-RANK_TOL = 1e-10
-
-#: Default tolerance for orthonormality/equality checks.
-ORTH_TOL = 1e-9
+from .tolerances import ORTH_TOL, RANK_TOL
 
 
 def numerical_rank(singular_values, tol: float = RANK_TOL) -> int:
@@ -138,7 +131,7 @@ def span(vectors, m=None, tol: float = RANK_TOL) -> Subspace:
     m : int, optional
         Ambient dimension; mandatory when ``vectors`` is empty.
     tol : float
-        Relative rank threshold.
+        Relative rank threshold, in (0, 1).
     """
     return span_matrix(_as_matrix(vectors, m), tol)
 
@@ -155,7 +148,14 @@ def _canonical_phases(b: np.ndarray) -> np.ndarray:
 
 
 def span_matrix(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
-    """Column span of a complex matrix (columns are the spanning vectors)."""
+    """Column span of a complex matrix (columns are the spanning vectors).
+
+    ``tol`` is the relative rank threshold of ``span``; a value outside
+    (0, 1), NaN included, raises ``InvalidTolerance``.
+    """
+    # written as "not <" so that NaN is rejected too
+    if not 0 < tol < 1:
+        raise InvalidTolerance(f"rank threshold {tol!r} is not in (0, 1)")
     a = np.asarray(a, dtype=complex)
     m = a.shape[0]
     if a.shape[1] == 0 or not np.any(a):

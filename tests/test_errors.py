@@ -11,12 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from skewext import formats as fmt
 from skewext import halfline as hl
+from skewext import relation as rel
 from skewext import subspace as sub
 from skewext.cli import main
 from skewext.errors import (
     InvalidParameter,
     InvalidTerm,
+    InvalidTolerance,
     NotExact,
     NotOrthonormal,
     SkewextError,
@@ -25,6 +28,13 @@ from skewext.extensions import ExtensionParam
 
 
 one = hl.QC(1)
+
+
+def _relation_at(rank_tol):
+    """The relation file of ``generate --n 3 --k 1 --seed 1``, read back at
+    ``rank_tol``."""
+    obj = json.loads(fmt.dumps(fmt.relation_to_json(rel.random_skew_symmetric(3, 1, 1))))
+    return fmt.relation_from_json(obj, rank_tol=rank_tol)
 
 
 @pytest.mark.parametrize(
@@ -44,6 +54,13 @@ one = hl.QC(1)
         (lambda: hl.ExpPoly({(0, -1): one}), InvalidTerm, ValueError),
         (lambda: hl.ExpPoly({(0, Fraction(1, 10**7)): one}), InvalidTerm, ValueError),
         (lambda: hl.ExpPoly({(0, 1): one, (0, "1"): one}), InvalidTerm, ValueError),
+        *(
+            pytest.param(
+                lambda t=t: _relation_at(t), InvalidTolerance, ValueError,
+                id=f"rank-tol-{t}",
+            )
+            for t in (np.nan, 2.0, -1.0, 0)
+        ),
     ],
 )
 def test_library_errors_are_skewext_errors(build, leaf, builtin):

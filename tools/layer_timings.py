@@ -247,6 +247,15 @@ def _halfline_files(directory: str, terms: int) -> dict:
     return paths
 
 
+# ``import skewext.cli`` plus the module the relation commands load; a tree
+# without that module loads the numeric substrate with the CLI itself
+NUMERIC_IMPORT = """import skewext.cli
+try:
+    import skewext.relation_commands
+except ModuleNotFoundError:
+    pass"""
+
+
 def cli_timings(trees: dict) -> dict:
     """Median wall time of each CLI probe per source tree; the trees take
     turns, in alternating order, so that load on the machine falls on both
@@ -268,6 +277,8 @@ def cli_timings(trees: dict) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         wall("import_s", ["-c", "import skewext.cli"], tmp)
+        wall("import_numeric_s", ["-c", NUMERIC_IMPORT], tmp)
+        wall("halfline_deficiency_s", [*cli, "halfline", "--subcheck", "deficiency"], tmp)
         for count in (20, 200):
             argv = [*cli, "sweep", "--count", str(count)]
             wall(f"sweep_count_{count}_s", argv, tmp)
@@ -322,7 +333,10 @@ def main(argv=None) -> int:
             "warm-up call, BLAS on one thread, inputs built outside the timer",
             "cli": "median of repeat fresh `python3 -m skewext.cli` processes, "
             "import included, BLAS on one thread; with a baseline tree the two "
-            "trees take turns in alternating order",
+            "trees take turns in alternating order; import_s imports "
+            "skewext.cli, import_numeric_s that and the relation-command "
+            "module (numpy and the numeric substrate), and "
+            "halfline_deficiency_s reads no input, so it is start-up alone",
             "relations": "relation.random_skew_symmetric(n, n // 2, 7)",
             "report": "the canonical payload: system_to_json plus "
             "relation_to_json of the canonical maximal dissipative extension; "
