@@ -255,6 +255,12 @@ def system_to_triplet(s: BoundarySystem, l0) -> BoundaryTriplet:
     if not is_unitary(l0):
         raise NotUnitary("L0 is not unitary within tolerance")
     require_valid_system(s)
+    return _triplet_of(s, l0)
+
+
+def _triplet_of(s: BoundarySystem, l0: np.ndarray) -> BoundaryTriplet:
+    """The triplet of ``system_to_triplet`` for a valid system with equal
+    boundary dimensions and an L0 its caller has checked to be unitary."""
     l0_inv_f2 = l0.conj().T @ s.f2
     return BoundaryTriplet(
         base=s.base,

@@ -12,10 +12,10 @@ inputs, including seeds, produce byte-identical output.  ``input_digest`` covers
 
 Each ``cmd_*`` returns ``(echo, digest, status, payload)``; ``main`` hands
 that to ``_emit``, the one place where reports are assembled and written.
-Payload matrices stay float64 arrays until ``_emit`` writes the report with
-``formats.dumps``, whose bytes are those of ``json.dumps(report,
-sort_keys=True, indent=2)`` plus a newline; ``generate`` writes its relation
-file the same way.
+Payload matrices stay float64 arrays, and half-line functions ``ExpPoly``
+values, until ``_emit`` writes the report with ``formats.dumps``, whose
+bytes are those of ``json.dumps(report, sort_keys=True, indent=2)`` plus a
+newline; ``generate`` writes its relation file the same way.
 
 This module holds the parser, ``_emit``, ``main`` and the half-line
 command, and imports only the standard library, ``errors``, ``halfline``,
@@ -106,8 +106,8 @@ def cmd_halfline(args):
         excluded = hl.solve_adjoint_eigen(-1)
         payload = {
             "indices": [len(g1_basis), len(g2_basis)],
-            "g1_basis": [fmt.exppoly_to_json(f) for f in g1_basis],
-            "g2_basis": [fmt.exppoly_to_json(f) for f in g2_basis],
+            "g1_basis": g1_basis,
+            "g2_basis": g2_basis,
             "g2_exclusion": excluded.message(),
         }
         status = "pass" if payload["indices"] == [1, 0] else "fail"
@@ -129,7 +129,7 @@ def cmd_halfline(args):
         image = hl.canonical_extension_apply(f)
         value = hl.inner(image, f).re
         payload = {
-            "applied": fmt.exppoly_to_json(image),
+            "applied": image,
             "re_inner": fmt.fraction_to_str(value),
             "nonpositive": value <= 0,
         }
@@ -140,7 +140,7 @@ def cmd_halfline(args):
         identity = u.plus_derivative() == f
         trace = u.eval0().is_zero()
         payload = {
-            "solution": fmt.exppoly_to_json(u),
+            "solution": u,
             "resolvent_identity_exact": identity,
             "trace_zero": trace,
         }

@@ -33,6 +33,7 @@ from . import subspace as sub
 from .boundary import (
     BoundarySystem,
     BoundaryTriplet,
+    _triplet_of,
     canonical_pieces,
     canonical_system,  # noqa: F401  re-export; perfbench/test_smoke.py traces it
     require_valid_system,
@@ -42,7 +43,6 @@ from .boundary import (
 from .errors import (
     IllDefined,
     InvalidParameter,
-    InvalidSystem,
     NotContraction,
     NotDissipative,
     NotMaximal,
@@ -136,6 +136,12 @@ def system_unitary_extension(s: BoundarySystem, l) -> Relation:
     require_valid_system(s)
     l = np.asarray(l, dtype=complex)
     _require_unitary(l, s.g2.dim, s.g1.dim, "L")
+    return _unitary_restriction(s, l)
+
+
+def _unitary_restriction(s: BoundarySystem, l: np.ndarray) -> Relation:
+    """The relation of ``system_unitary_extension`` for a valid system and
+    an L its caller has checked to be unitary."""
     return _adjoint_portion(s, l @ s.f1 - s.f2)
 
 
@@ -281,10 +287,11 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
     ``s`` is the canonical system of the relation (``canonical_system``), so
     its boundary spaces are the deficiency spaces.  The deficiency indices
     are read off ``relation.deficiency`` of the base; the extension
-    condition is checked constructively by building one extension from a
-    basis-matching unitary on the system; the triplet condition by
-    attempting the system-to-triplet conversion and reading the verification
-    report the triplet carries from its construction.  The equal-dimension
+    condition is checked constructively by building one extension from the
+    basis-matching unitary I on the system; the triplet condition by
+    converting the system with L0 = I and reading the verification report
+    the triplet carries from its construction.  I is checked to be unitary
+    once, for both constructions.  The equal-dimension
     system condition uses neither the boundary spaces nor the deficiency
     solver: by Sylvester's law the inertia of the form Omega on Graph(H0*)
     is (k1, k2) plus a null part of dimension dim Graph(H0), so it compares
@@ -297,13 +304,13 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
     has_sksa = False
     triplet_ok = False
     if k1 == k2:
+        require_valid_system(s)
         eye = np.eye(k2, k1, dtype=complex)
-        extension = system_unitary_extension(s, eye)
+        # the one unitarity check of L = L0 = I, shared by both constructions
+        _require_unitary(eye, k2, k1, "L")
+        extension = _unitary_restriction(s, eye)
         has_sksa = rel.is_skew_self_adjoint(extension, s.report.tol)
-        try:
-            triplet_ok = system_to_triplet(s, eye).report.ok
-        except (NotUnitary, InvalidSystem):
-            triplet_ok = False
+        triplet_ok = _triplet_of(s, eye).report.ok
 
     basis = s.adjoint_graph.basis
     omega = np.linalg.eigvalsh(rel.omega_matrix(basis, basis, s.base.space_dim))

@@ -2,13 +2,15 @@
 
 Complex numbers in the numeric substrate are [re, im] pairs of doubles;
 exact half-line values are "p/q" strings.  Encoders keep a complex matrix
-as a float64 array of shape (rows, cols, 2) of its pairs, and ``dumps``
-writes a report holding such arrays with the bytes of ``json.dumps(...,
-sort_keys=True, indent=2)``.  One ``orjson`` call gives the digits of a
-whole array; ``repr`` writes only the entries whose magnitude puts
-``repr`` in exponent form.  Both write the shortest digits that round-trip
-and differ only in how they write an exponent, so the bytes are
-``json``'s.  ``matrix_from_json`` is the one decoder of complex data.
+as a float64 array of shape (rows, cols, 2) of its pairs, and half-line
+functions stay ``ExpPoly`` objects until ``dumps`` writes them, each as
+the list of its term records {"k", "lambda", "re", "im"} by one
+%-template.  ``dumps`` writes a report holding such values with the bytes
+of ``json.dumps(..., sort_keys=True, indent=2)``.  One ``orjson`` call
+gives the digits of a whole array; ``repr`` writes only the entries whose
+magnitude puts ``repr`` in exponent form.  Both write the shortest digits
+that round-trip and differ only in how they write an exponent, so the
+bytes are ``json``'s.  ``matrix_from_json`` is the one decoder of complex data.
 Decoders raise ValueError on malformed input so the CLI can map it to the
 invalid-input exit code.
 
@@ -80,13 +82,32 @@ def _array_to_json(a: np.ndarray, level: int) -> str:
     return template % tuple(tokens)
 
 
+def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
+    """A function as its list of term records at nesting ``level``: each
+    record's keys in sorted order ("im", "k", "lambda", "re"), the rationals
+    as "p/q" strings, filled into one indented %-template."""
+    items = f.items()
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 2)
+    record = (
+        "{" + inner + '"im": "%s",' + inner + '"k": %s,' + inner + '"lambda": "%s",'
+        + inner + '"re": "%s"\n' + "  " * (level + 1) + "}"
+    )
+    template = _list_template([record] * len(items), level)
+    return template % tuple(
+        x for (k, lam), c in items for x in (c.im, k, lam, c.re)
+    )
+
+
 def dumps(obj) -> str:
     """The report text: byte for byte ``json.dumps(obj, sort_keys=True,
     indent=2)`` and a newline, with every array replaced by its ``tolist()``.
 
     Arrays must be float64 of shape (rows, cols, 2), as ``matrix_to_json``
-    builds them; dict keys must be strings.  Any other type raises
-    TypeError.  The indented ``json.dumps`` runs the pure-Python encoder
+    builds them; an ``ExpPoly`` is written as its list of term records, one
+    %-template per function; dict keys must be strings.  Any other type
+    raises TypeError.  The indented ``json.dumps`` runs the pure-Python encoder
     and ``repr`` of every float, which cost more than the numerics on large
     reports.  Here a finite array is written by one ``orjson`` call for its
     digits and one string format for its layout; ``repr`` writes only
@@ -133,9 +154,11 @@ def dumps(obj) -> str:
                 raise TypeError("report keys must be strings")
             keyed = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)]
             container(keyed, level, "{}")
+        elif isinstance(o, hl.ExpPoly):
+            write(_exppoly_to_json(o, level))
         else:
-            # arrays come after every builtin type, so that writing a report
-            # without them does not load numpy
+            # arrays come after every builtin type and ``ExpPoly``, so that
+            # writing a report without them does not load numpy
             import numpy as np
 
             if not isinstance(o, np.ndarray):
@@ -303,37 +326,52 @@ def rational_complex_to_json(z: hl.RationalComplex) -> dict:
     return {"re": fraction_to_str(z.re), "im": fraction_to_str(z.im)}
 
 
-def exppoly_to_json(f: hl.ExpPoly) -> list:
-    return [
-        {
-            "k": k,
-            "lambda": fraction_to_str(lam),
-            "re": fraction_to_str(c.re),
-            "im": fraction_to_str(c.im),
-        }
-        for (k, lam), c in f.items()
-    ]
+def _raise_first_repeat(items):
+    """Raise ValueError naming the first key of ``items`` that repeats an
+    earlier one, in input order; return if none does."""
+    seen = set()
+    for key, _ in items:
+        if key in seen:
+            raise ValueError(f"duplicate term for {key}")
+        seen.add(key)
 
 
 def exppoly_from_json(obj) -> hl.ExpPoly:
+    """A function from a list of term records {"k", "lambda", "re", "im"}.
+
+    Each term is checked once: its record shape, degree type and degree cap
+    and its three rationals here, then its degree sign, rate sign and rate
+    denominator cap (``halfline._check_key``), and the keys of all terms,
+    zero coefficients included, are ordered and compared for repeats by
+    their exact integer ranks (``halfline._canonical_order``).  The result
+    is built by the trusted constructor, with no dict.  Errors keep their
+    precedence: the first malformed record or repeated key in input order,
+    then the first bad key.
+    """
     if not isinstance(obj, list):
         raise ValueError("function must be a list of term records")
-    terms = {}
-    for record in obj:
-        if not isinstance(record, dict):
-            raise ValueError(f"term record must be an object, got {record!r}")
-        k = record.get("k")
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ValueError('"k" must be an integer')
-        if k > hl.MAX_DEGREE:
-            raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
-        lam = fraction_from_str(record.get("lambda"))
-        coeff = hl.RationalComplex(
-            fraction_from_str(record.get("re", "0")),
-            fraction_from_str(record.get("im", "0")),
-        )
-        key = (k, lam)
-        if key in terms:
-            raise ValueError(f"duplicate term for {key}")
-        terms[key] = coeff
-    return hl.ExpPoly(terms)
+    items = []
+    try:
+        for record in obj:
+            if not isinstance(record, dict):
+                raise ValueError(f"term record must be an object, got {record!r}")
+            k = record.get("k")
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise ValueError('"k" must be an integer')
+            if k > hl.MAX_DEGREE:
+                raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
+            lam = fraction_from_str(record.get("lambda"))
+            coeff = hl.RationalComplex(
+                fraction_from_str(record.get("re", "0")),
+                fraction_from_str(record.get("im", "0")),
+            )
+            items.append(((k, lam), coeff))
+        for (k, lam), _ in items:
+            hl._check_key(k, lam)
+        ordered = hl._canonical_order(items)
+    except ValueError:
+        # a repeated key before the failing record, or anywhere when every
+        # record is well formed, is what is reported
+        _raise_first_repeat(items)
+        raise
+    return hl.ExpPoly._from_sorted(item for item in ordered if not item[1].is_zero())

@@ -18,24 +18,31 @@ the whole family, and inner products are conjugate-linear in the second
 argument.  Irrational scalars (sqrt(2), norms) are never materialized;
 identities are arranged so only squared norms appear.
 
-The three kernels, ``inner``, ``_first_order`` (a f + b f': the
+The three kernels, ``inner_sum``, ``_first_order`` (a f + b f': the
 derivative, -f' and the resolvent check u + u') and ``resolvent_solve``,
 take one integer route (``_integer_groups``): a function is scaled to
 integer coefficients once (D, the lcm of all coefficient denominators) and
-its terms are grouped by rate.  ``inner`` evaluates the closed form
-integral of t^m exp(-s t) = m! / s^(m+1) with term pairs summed in
-integers per rate sum s = N/M and total degree m; each rate sum becomes
-one integer numerator over N^(top+1), and those are added over one common
-denominator, so a call builds a single ``RationalComplex``, its result.
-``_first_order`` and the resolvent form each output coefficient as one
-integer numerator over one denominator per rate group, and build one
-``RationalComplex`` per nonzero output term.  Since ``Fraction``s are
-canonical, every result equals the term-wise sum exactly.
+its terms are grouped by rate.  ``inner_sum`` is the exact sum of inner
+products over a sequence of pairs, which is also the inner product on a
+direct sum of half-lines; ``inner`` is its one-pair case, and the left side
+of ``green_identity`` is one call on two pairs.  It brings all pairs to one
+integer scale and all rates to one denominator, and evaluates the closed
+form integral of t^m exp(-s t) = m! / s^(m+1) with term pairs summed in
+integers per rate sum s = N/M and total degree m, in buckets the pairs
+share.  Each rate sum becomes one integer numerator over N^(top+1), by
+Horner with the weights m! M^(m+1) built once per distinct M, and those
+fractions are added by a balanced pairwise sum, so a call builds a single
+``RationalComplex``, its result.  ``_first_order`` and the resolvent form
+each output coefficient as one integer numerator over one denominator per
+rate group, and build one ``RationalComplex`` per nonzero output term.
+Since ``Fraction``s are canonical, every result equals the term-wise sum
+exactly.
 
-Validation happens once, at the input edge: ``ExpPoly(...)`` (and so
-``formats.exppoly_from_json``) checks every key and sorts on exact integer
-keys.  Kernel outputs, and negation, scaling and sums of valid functions,
-already have valid keys in canonical order and go through the one trusted
+Validation happens once, at the input edge: ``ExpPoly(...)`` and
+``formats.exppoly_from_json`` check every key (``_check_key``) and sort on
+exact integer keys (``_canonical_order``), the decoder with no dict.
+Kernel outputs, and negation, scaling and sums of valid functions, already
+have valid keys in canonical order and go through the one trusted
 constructor ``ExpPoly._from_sorted``, which skips the checks; the test
 suite wraps it to run them all again.  Equality compares the sorted term
 sequences, with no hashing.
@@ -142,23 +149,11 @@ class ExpPoly:
         items = []
         for (k, lam), coeff in (terms or {}).items():
             lam = _frac(lam)
-            if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-                raise InvalidTerm(f"degree must be a nonnegative integer, got {k!r}")
-            if lam <= 0:
-                raise InvalidTerm(f"rate must be positive, got {lam}")
-            if lam.denominator > MAX_RATE_DENOMINATOR:
-                raise InvalidTerm(
-                    f"rate denominator {lam.denominator} exceeds the cap"
-                )
+            _check_key(k, lam)
             coeff = _coerce(coeff)
             if not coeff.is_zero():
                 items.append(((k, lam), coeff))
-        ranks = _ranks(items)
-        order = sorted(range(len(items)), key=ranks.__getitem__)
-        for i, j in zip(order, order[1:]):
-            if ranks[i] == ranks[j]:
-                raise InvalidTerm(f"duplicate term key {items[i][0]}")
-        object.__setattr__(self, "_terms", tuple(items[i] for i in order))
+        object.__setattr__(self, "_terms", _canonical_order(items))
 
     @classmethod
     def _from_sorted(cls, items) -> "ExpPoly":
@@ -261,6 +256,28 @@ def _ranks(items) -> list:
     ]
 
 
+def _check_key(k, lam: Fraction):
+    """Raise InvalidTerm unless the degree ``k`` is a nonnegative integer and
+    the rate ``lam`` is positive with a denominator within the cap."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise InvalidTerm(f"degree must be a nonnegative integer, got {k!r}")
+    if lam <= 0:
+        raise InvalidTerm(f"rate must be positive, got {lam}")
+    if lam.denominator > MAX_RATE_DENOMINATOR:
+        raise InvalidTerm(f"rate denominator {lam.denominator} exceeds the cap")
+
+
+def _canonical_order(items) -> tuple:
+    """The (key, coefficient) pairs ``items``, with checked keys, sorted into
+    canonical (lam, k) order by ``_ranks``; InvalidTerm if a key repeats."""
+    ranks = _ranks(items)
+    order = sorted(range(len(items)), key=ranks.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if ranks[i] == ranks[j]:
+            raise InvalidTerm(f"duplicate term key {items[i][0]}")
+    return tuple(items[i] for i in order)
+
+
 def term(k: int, lam, re=0, im=0) -> ExpPoly:
     """The single term (re + im*i) t^k exp(-lam t)."""
     return ExpPoly({(k, _frac(lam)): RationalComplex(_frac(re), _frac(im))})
@@ -329,70 +346,118 @@ def _first_order(f: ExpPoly, a: int, b: int) -> ExpPoly:
     return ExpPoly._from_sorted(out)
 
 
-def _common_denominator(parts):
+def _pairwise_sum(parts):
     """The sum of the complex fractions (re + i im) / den in ``parts``, as
-    ``(re, im, den)`` over the lcm of their denominators."""
-    den = math.lcm(*(d for _, _, d in parts))
-    num_re = num_im = 0
-    for part_re, part_im, part_den in parts:
-        factor = den // part_den
-        num_re += part_re * factor
-        num_im += part_im * factor
-    return num_re, num_im, den
+    ``(re, im, den)``: neighbours are added in a balanced tree, each step
+    over the lcm d1 d2 / gcd(d1, d2) of its two denominators, so that no
+    operand grows to the size of the final denominator before the last
+    steps.  The empty sum is (0, 0, 1)."""
+    while len(parts) > 1:
+        paired = []
+        for (re1, im1, den1), (re2, im2, den2) in zip(parts[::2], parts[1::2]):
+            h = math.gcd(den1, den2)
+            a, b = den2 // h, den1 // h
+            paired.append((re1 * a + re2 * b, im1 * a + im2 * b, den1 * a))
+        if len(parts) % 2:
+            paired.append(parts[-1])
+        parts = paired
+    return parts[0] if parts else (0, 0, 1)
 
 
-def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
-    """Exact L2(0, infinity) inner product, conjugate-linear in ``g``.
+def _moment_weights(m: int, width: int) -> list:
+    """deg! M^(deg+1) for deg = 0 .. width - 1: with the rate sum s = N/M,
+    the integral of t^deg exp(-s t) is this weight over N^(deg+1)."""
+    weights = [m]
+    for deg in range(1, width):
+        weights.append(weights[-1] * m * deg)
+    return weights
 
-    Each term pair contributes c conj(d) m! / s^(m+1), from the closed form
-    integral of t^m exp(-s t) = m! / s^(m+1), with m = a + b and
-    s = lam + mu.  The sum is taken in integers: with D_f and D_g the
-    lcms of the coefficient denominators, the integer products
-    (D_f c) conj(D_g d) are added up per rate sum s = N/M (different rate
-    pairs often share one) and per total degree m, into P_m.  Each rate sum
-    then gives the single integer numerator
+
+def inner_sum(pairs) -> RationalComplex:
+    """The exact sum of the L2(0, infinity) inner products <f_i, g_i> over a
+    sequence of pairs ``(f_i, g_i)``, each conjugate-linear in ``g_i``.
+
+    It is also the inner product on a direct sum of half-lines.  Each term
+    pair contributes c conj(d) m! / s^(m+1), from the closed form integral
+    of t^m exp(-s t) = m! / s^(m+1), with m = a + b and s = lam + mu.  All
+    pairs are brought to one integer scale: with D_f and D_g the lcms of a
+    pair's coefficient denominators (``_integer_groups``), D is the lcm of
+    the products D_f D_g over all pairs, and each f is scaled by D / D_g
+    instead of D_f.  Every rate is written over the lcm L of all rate
+    denominators, so a rate sum s is an integer S over L.  The integer
+    products (D c / D_g) conj(D_g d) are added per S (different rate pairs,
+    and different pairs of functions, often share one) and per total degree
+    m, into P_m.  Each rate sum s = N/M in lowest terms then gives the
+    single integer numerator
 
         sum over m of P_m m! M^(m+1) N^(top-m)   over   N^(top+1),
 
-    top being its highest degree; the numerators are added over the lcm of
-    these denominators, which is divided by D_f D_g once.  The result
-    equals the term-wise sum exactly, since ``Fraction``s are canonical.
+    top being its highest degree, by Horner in N with the weights
+    m! M^(m+1) built once per distinct M.  These fractions are added by a
+    balanced pairwise sum (``_pairwise_sum``) and divided by D once, so a
+    call builds a single ``RationalComplex``, its result.  Since
+    ``Fraction``s are canonical, it equals the term-wise sum exactly.
     """
-    if f.is_zero() or g.is_zero():
+    prepared = []
+    for f, g in pairs:
+        if f.is_zero() or g.is_zero():
+            continue
+        f_scale, f_groups = _integer_groups(f)
+        g_scale, g_groups = _integer_groups(g)
+        prepared.append((f_scale * g_scale, f_groups, g_groups))
+    if not prepared:
         return RationalComplex()
-    f_scale, f_groups = _integer_groups(f)
-    g_scale, g_groups = _integer_groups(g)
-    width = max(k for (k, _), _ in f._terms) + max(k for (k, _), _ in g._terms) + 1
-    buckets = {}  # (N, M) -> (P_m real parts, P_m imaginary parts)
-    for _, p, q, f_terms in f_groups:
-        for _, r, s, g_terms in g_groups:
-            n, m = p * s + r * q, q * s
-            h = math.gcd(n, m)
-            key = (n // h, m // h)
-            sums = buckets.get(key)
-            if sums is None:
-                sums = buckets[key] = ([0] * width, [0] * width)
-            sum_re, sum_im = sums
-            for a, cr, ci in f_terms:
-                for b, dr, di in g_terms:
-                    sum_re[a + b] += cr * dr + ci * di
-                    sum_im[a + b] += ci * dr - cr * di
+    scale = math.lcm(*(pair_scale for pair_scale, _, _ in prepared))
+    rate_den = math.lcm(
+        *(q for _, f_groups, g_groups in prepared for _, _, q, _ in f_groups + g_groups)
+    )
+    width = 1 + max(
+        max(terms[-1][0] for *_, terms in f_groups)
+        + max(terms[-1][0] for *_, terms in g_groups)
+        for _, f_groups, g_groups in prepared
+    )
+    buckets = {}  # S -> (P_m real parts, P_m imaginary parts)
+    for pair_scale, f_groups, g_groups in prepared:
+        factor = scale // pair_scale
+        g_rates = [(r * (rate_den // s), g_terms) for _, r, s, g_terms in g_groups]
+        for _, p, q, f_terms in f_groups:
+            f_rate = p * (rate_den // q)
+            if factor != 1:
+                f_terms = [(a, cr * factor, ci * factor) for a, cr, ci in f_terms]
+            for g_rate, g_terms in g_rates:
+                sums = buckets.get(f_rate + g_rate)
+                if sums is None:
+                    sums = buckets[f_rate + g_rate] = ([0] * width, [0] * width)
+                sum_re, sum_im = sums
+                for a, cr, ci in f_terms:
+                    for b, dr, di in g_terms:
+                        sum_re[a + b] += cr * dr + ci * di
+                        sum_im[a + b] += ci * dr - cr * di
+    weights = {}  # M -> _moment_weights(M, width)
     parts = []
-    for (n, m), (sum_re, sum_im) in buckets.items():
+    for total, (sum_re, sum_im) in buckets.items():
+        h = math.gcd(total, rate_den)
+        n, m = total // h, rate_den // h
         top = width - 1
         while top and not (sum_re[top] or sum_im[top]):
             top -= 1
-        # Horner in N; weight = deg! M^(deg+1)
+        weight = weights.get(m)
+        if weight is None:
+            weight = weights[m] = _moment_weights(m, width)
         num_re = num_im = 0
-        weight = m
         for deg in range(top + 1):
-            num_re = num_re * n + sum_re[deg] * weight
-            num_im = num_im * n + sum_im[deg] * weight
-            weight *= m * (deg + 1)
+            num_re = num_re * n + sum_re[deg] * weight[deg]
+            num_im = num_im * n + sum_im[deg] * weight[deg]
         parts.append((num_re, num_im, n ** (top + 1)))
-    num_re, num_im, den = _common_denominator(parts)
-    den *= f_scale * g_scale
+    num_re, num_im, den = _pairwise_sum(parts)
+    den *= scale
     return RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
+
+
+def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
+    """Exact L2(0, infinity) inner product, conjugate-linear in ``g``: the
+    one-pair case of ``inner_sum``."""
+    return inner_sum(((f, g),))
 
 
 def norm_sq(f: ExpPoly) -> Fraction:
@@ -411,7 +476,7 @@ def green_identity(f: ExpPoly, g: ExpPoly):
     rhs = f(0) * conj(g(0)); integration by parts makes them equal on the
     whole family.
     """
-    lhs = inner(adjoint_apply(f), g) + inner(f, adjoint_apply(g))
+    lhs = inner_sum(((adjoint_apply(f), g), (f, adjoint_apply(g))))
     rhs = f.eval0() * g.eval0().conj()
     return lhs, rhs
 
@@ -548,7 +613,7 @@ def resolvent_solve(f: ExpPoly) -> ExpPoly:
       S_j = sum over a >= j of C_a (a!/j!) q^(a+1-j) r^(top-a),
       by Horner: S_top = q C_top, S_j = q (C_j r^(top-j) + (j+1) S_(j+1));
     - since u(0) = 0, the (0, 1) term is the sum of S_0 / (D r^(top+1))
-      over the non-resonant groups, added over one common denominator.
+      over the non-resonant groups, added by ``_pairwise_sum``.
 
     No two groups write the same key, so each nonzero output term is one
     ``Fraction`` pair and one ``RationalComplex``.  The output is built in
@@ -586,7 +651,7 @@ def resolvent_solve(f: ExpPoly) -> ExpPoly:
                 run.append(((j, lam), coeff))
         out += reversed(run)
         parts.append((s_re, s_im, power))
-    num_re, num_im, den = _common_denominator(parts)
+    num_re, num_im, den = _pairwise_sum(parts)
     if num_re or num_im:
         den *= scale
         trace = RationalComplex(Fraction(num_re, den), Fraction(num_im, den))

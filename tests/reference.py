@@ -6,7 +6,8 @@ routes to the same objects (the oblique projection behind the canonical
 boundary map, -T* through the swapped orthocomplement, the kernel,
 multivalued part and domain of a relation by subspace intersection, the gap
 distance by projectors, the half-line inner product, derivative, a f + b f'
-and resolvent term by term) and as convenient constructors of test inputs.
+and resolvent term by term, the term records of a half-line function one
+dict per term) and as convenient constructors of test inputs.
 """
 
 from __future__ import annotations
@@ -199,6 +200,15 @@ def random_exppoly(rnd: random.Random, count: int) -> ExpPoly:
             Fraction(rnd.randint(1, 9), rnd.randint(1, 6)),
         )
     return ExpPoly(terms)
+
+
+def exppoly_to_json(f: ExpPoly) -> list:
+    """A function as its list of term records, one dict per term: the plain
+    form that ``formats.dumps`` writes an ``ExpPoly`` in."""
+    return [
+        {"k": k, "lambda": str(lam), "re": str(c.re), "im": str(c.im)}
+        for (k, lam), c in f.items()
+    ]
 
 
 def inner_termwise(f: ExpPoly, g: ExpPoly) -> RationalComplex:

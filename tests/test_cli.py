@@ -326,6 +326,27 @@ def test_halfline_rejects_bad_key_with_zero_coefficient(
     assert code == 2 and report is None
 
 
+@pytest.mark.parametrize("subcheck", ["green", "resolvent", "dissipative"])
+def test_halfline_rejects_a_repeated_key_with_zero_coefficient(
+    subcheck, tmp_path, capsys
+):
+    fn = tmp_path / "fn.json"
+    fn.write_text(
+        json.dumps(
+            [
+                {"k": 0, "lambda": "1", "re": "0", "im": "0"},
+                {"k": 0, "lambda": "1", "re": "1", "im": "0"},
+            ]
+        )
+    )
+    code = main(["halfline", "--subcheck", subcheck, "--input", str(fn)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: invalid input: duplicate term for (0, Fraction(1, 1))\n"
+    )
+
+
 def test_halfline_dissipative_requires_trace_zero(tmp_path, capsys):
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps([{"k": 0, "lambda": "1", "re": "1", "im": "0"}]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import exppoly_to_json
 from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext import relation as rel
@@ -161,7 +162,7 @@ def test_extension_param_roundtrip_and_validation():
 
 def test_exppoly_roundtrip():
     f = hl.term(2, Fraction(5, 3), Fraction(-7, 2), Fraction(1, 3)) + hl.exp_decay(1)
-    assert fmt.exppoly_from_json(fmt.exppoly_to_json(f)) == f
+    assert fmt.exppoly_from_json(exppoly_to_json(f)) == f
 
 
 def test_exppoly_rejects_malformed():
@@ -214,7 +215,7 @@ def test_exppoly_from_json_orders_rates_beyond_double_range():
     ]
     f = fmt.exppoly_from_json(records)
     assert list(f.terms) == [(k, lam) for lam in sorted(rates) for k in (0, 1)]
-    assert fmt.exppoly_to_json(f) == sorted(
+    assert exppoly_to_json(f) == sorted(
         records, key=lambda r: (Fraction(r["lambda"]), r["k"])
     )
 
@@ -223,3 +224,99 @@ def test_unitary_matrix_from_json_accepts_both_shapes():
     raw = [[[1.0, 0.0]]]
     assert np.array_equal(fmt.unitary_matrix_from_json(raw), np.eye(1))
     assert np.array_equal(fmt.unitary_matrix_from_json({"matrix": raw}), np.eye(1))
+
+
+def test_exppoly_from_json_rejects_a_repeated_key_with_zero_coefficient():
+    # the repeat is found among all records, before zero coefficients drop
+    for first, second in (("0", "2"), ("2", "0"), ("0", "0")):
+        records = [
+            {"k": 0, "lambda": "1", "re": first, "im": "0"},
+            {"k": 0, "lambda": "2/2", "re": second, "im": "0"},
+        ]
+        with pytest.raises(ValueError, match="duplicate term"):
+            fmt.exppoly_from_json(records)
+
+
+def _two_pass_decode(obj):
+    """The decoder as two passes: records into a dict keyed (k, lam), with a
+    repeated key refused on sight, then ``ExpPoly(dict)`` checks every key."""
+    if not isinstance(obj, list):
+        raise ValueError("function must be a list of term records")
+    terms = {}
+    for record in obj:
+        if not isinstance(record, dict):
+            raise ValueError(f"term record must be an object, got {record!r}")
+        k = record.get("k")
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValueError('"k" must be an integer')
+        if k > hl.MAX_DEGREE:
+            raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
+        lam = fmt.fraction_from_str(record.get("lambda"))
+        coeff = hl.RationalComplex(
+            fmt.fraction_from_str(record.get("re", "0")),
+            fmt.fraction_from_str(record.get("im", "0")),
+        )
+        if (k, lam) in terms:
+            raise ValueError(f"duplicate term for {(k, lam)}")
+        terms[(k, lam)] = coeff
+    return hl.ExpPoly(terms)
+
+
+def _term(k, lam, re="1"):
+    return {"k": k, "lambda": lam, "re": re, "im": "0"}
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [_term(0, "1"), _term(0, "1", "2"), _term("x", "1")],
+        [_term("x", "1"), _term(0, "1"), _term(0, "1")],
+        [_term(-1, "1"), _term(0, "2"), _term(0, "2")],
+        [_term(-1, "1"), _term(-1, "1")],
+        [_term(0, "-1"), _term(0, "-1")],
+        [_term(0, "3"), _term(1, "2"), _term(1, "2"), _term(0, "3")],
+        [_term(0, "-1"), _term(-2, "1")],
+        [_term(0, "1/1000001", "0"), _term(0, "1")],
+        [_term(1, "1/0"), _term(1, "1/2"), _term(1, "2/4")],
+        [_term(0, "1"), _term(34, "1"), _term(0, "1")],
+        [_term(0, "1"), 5, _term(0, "1")],
+        [_term(0, "1"), _term(1, "1"), _term(-1, "1"), _term(1, "1")],
+        [_term(2, "1/2", "0"), _term(2, "0")],
+        [_term(0, "7/3"), _term(1, "5", "-3/4"), _term(0, "1", "0")],
+    ],
+)
+def test_exppoly_from_json_raises_as_the_two_pass_decoder(records):
+    # the same accepted function, or the same error type and message
+    try:
+        expected = _two_pass_decode(records)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            fmt.exppoly_from_json(records)
+        assert str(info.value) == str(exc)
+    else:
+        assert fmt.exppoly_from_json(records) == expected
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        hl.ExpPoly(),
+        hl.term(0, 1, 3, -4),
+        hl.term(2, Fraction(5, 3), Fraction(-7, 2), Fraction(1, 3))
+        + hl.exp_decay(Fraction(1, 2))
+        + hl.term(1, 2**70 + 1, -(2**65) - 3, Fraction(2**80, 3)),
+        hl.term(32, Fraction(10**6 - 1, 10**6), 0, Fraction(-1, 2**64 + 1)),
+    ],
+    ids=["zero", "integers", "rationals", "cap-rate"],
+)
+def test_dumps_writes_exppolys_as_json_writes_their_records(f):
+    # the function at nesting levels 0 to 3, beside other values
+    plain = exppoly_to_json(f)
+    for obj, expected in [
+        (f, plain),
+        ([f, 1], [plain, 1]),
+        ({"a": f, "b": [f]}, {"a": plain, "b": [plain]}),
+        ({"x": [{"y": f}, f]}, {"x": [{"y": plain}, plain]}),
+        ({"x": [{"y": [f, hl.ExpPoly()]}]}, {"x": [{"y": [plain, []]}]}),
+    ]:
+        assert fmt.dumps(obj) == json.dumps(expected, sort_keys=True, indent=2) + "\n"

@@ -1,12 +1,14 @@
 """The grouped half-line inner product against the term-wise reference.
 
-``halfline.inner`` sums integer numerators grouped by rate sum and degree
-over one denominator; ``reference.inner_termwise`` adds one exact term per
-pair.  Both must agree exactly (``Fraction``s are canonical), including on
-colliding rate sums, the resonant rate 1, degree-33 resolvent outputs,
-zero polynomials, purely imaginary coefficients and rate denominators up
-to the cap.  The kernel also builds a constant number of
-``RationalComplex`` values, however many term pairs it sums.
+``halfline.inner_sum`` sums integer numerators grouped by rate sum and
+degree over all its pairs at once, and ``halfline.inner`` is its one-pair
+case; ``reference.inner_termwise`` adds one exact term per term pair.  Both
+must agree exactly (``Fraction``s are canonical), including on colliding
+rate sums, the resonant rate 1, degree-33 resolvent outputs, zero
+polynomials, purely imaginary coefficients, rate denominators up to the
+cap, and sums over pairs with different coefficient scales.  The kernel
+also builds a constant number of ``RationalComplex`` values, however many
+term pairs it sums.
 """
 
 import random
@@ -101,10 +103,52 @@ def test_inner_sesquilinear(f1, f2, g, a, b):
     assert hl.inner(g, combo) == a.conj() * hl.inner(g, f1) + b.conj() * hl.inner(g, f2)
 
 
-@pytest.mark.parametrize("count", [5, 60])
-def test_inner_builds_no_rational_complex_per_term_pair(count, monkeypatch):
-    rnd = random.Random(count)
-    f, g = random_exppoly(rnd, count), random_exppoly(rnd, count)
+def _termwise_sum(pairs):
+    total = QC()
+    for f, g in pairs:
+        total = total + inner_termwise(f, g)
+    return total
+
+
+# coefficients on very different scales: the pairs' integer scales differ
+scaled = st.sampled_from([QC(1), QC(Fraction(1, 7**5)), QC(0, 10**20), QC(-3, 2**70)])
+
+
+@st.composite
+def pair_sequences(draw):
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        f = draw(st.one_of(kernel_inputs(), st.just(ExpPoly())))
+        g = draw(st.one_of(kernel_inputs(), st.just(ExpPoly())))
+        pairs.append((f.scale(draw(scaled)), g.scale(draw(scaled))))
+    return pairs
+
+
+@settings(deadline=None, max_examples=100)
+@given(pairs=pair_sequences())
+def test_inner_sum_equals_the_sum_of_termwise_inner_products(pairs):
+    assert hl.inner_sum(pairs) == _termwise_sum(pairs)
+    assert hl.inner_sum(iter(pairs)) == hl.inner_sum(tuple(pairs))
+
+
+def test_inner_sum_of_one_pair_and_of_no_pair():
+    f = term(2, Fraction(3, 2), 1, 1) + term(0, 1, 0, -4)
+    g = term(1, Fraction(1, 6), Fraction(-5, 3), 2) + exp_decay(3)
+    assert hl.inner_sum([(f, g)]) == hl.inner(f, g) == inner_termwise(f, g)
+    assert hl.inner_sum([]) == hl.inner_sum([(f, ExpPoly()), (ExpPoly(), g)]) == QC()
+
+
+def test_inner_sum_adds_pairs_on_different_scales_and_rates():
+    rnd = random.Random(3)
+    f, g = random_exppoly(rnd, 12), random_exppoly(rnd, 12)
+    h = term(4, Fraction(999_999, 1_000_000), Fraction(1, 3**40), -(10**30))
+    pairs = [(f, g), (h, f.scale(QC(0, Fraction(1, 11)))), (g, h), (h, h)]
+    assert hl.inner_sum(pairs) == _termwise_sum(pairs)
+    assert hl.inner_sum(pairs) == sum((hl.inner(x, y) for x, y in pairs), QC())
+
+
+@pytest.fixture
+def rational_complex_count(monkeypatch):
     calls = []
     original = hl.RationalComplex.__post_init__
 
@@ -113,7 +157,42 @@ def test_inner_builds_no_rational_complex_per_term_pair(count, monkeypatch):
         original(self)
 
     monkeypatch.setattr(hl.RationalComplex, "__post_init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("count", [5, 60])
+def test_inner_builds_no_rational_complex_per_term_pair(
+    count, rational_complex_count
+):
+    rnd = random.Random(count)
+    f, g = random_exppoly(rnd, count), random_exppoly(rnd, count)
+    rational_complex_count.clear()
     hl.inner(f, g)
     # the result is the only one; term-wise summation built more than
     # count**2 (3600 at 60 terms)
-    assert len(calls) <= 2
+    assert len(rational_complex_count) <= 2
+
+
+@pytest.mark.parametrize("count", [5, 60])
+def test_green_left_side_builds_one_rational_complex(
+    count, rational_complex_count, monkeypatch
+):
+    rnd = random.Random(count)
+    f, g = random_exppoly(rnd, count), random_exppoly(rnd, count)
+    kernel = hl.inner_sum
+    built = []
+
+    def counting_sum(pairs):
+        pairs = list(pairs)
+        before = len(rational_complex_count)
+        result = kernel(pairs)
+        built.append((len(pairs), len(rational_complex_count) - before))
+        return result
+
+    monkeypatch.setattr(hl, "inner_sum", counting_sum)
+    lhs, _ = hl.green_identity(f, g)
+    # one kernel call over both pairs, whose result is its only value
+    assert built == [(2, 1)]
+    assert lhs == inner_termwise(hl.adjoint_apply(f), g) + inner_termwise(
+        f, hl.adjoint_apply(g)
+    )

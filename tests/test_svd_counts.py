@@ -34,7 +34,7 @@ def relation_file(tmp_path, capsys):
     return str(path)
 
 
-@pytest.mark.parametrize("command, bound", [("canonical", 7), ("analyze", 9)])
+@pytest.mark.parametrize("command, bound", [("canonical", 7), ("analyze", 8)])
 def test_relation_commands_svd_budget(command, bound, relation_file, svd_calls, capsys):
     svd_calls[0] = 0
     assert main([command, "--input", relation_file]) == 0

@@ -193,16 +193,46 @@ def _resolvent_check(module):
     return lambda u, f: (u + u.derivative()) == f
 
 
+def _records(f) -> list:
+    """The term records of a function, one dict per term, as function files
+    hold them."""
+    return [
+        {"k": k, "lambda": str(lam), "re": str(c.re), "im": str(c.im)}
+        for (k, lam), c in f.items()
+    ]
+
+
+def _resolvent_report(formats):
+    """The report text of ``halfline --subcheck resolvent`` for a solution u
+    in the tree of ``formats``: its payload written by ``formats.dumps``,
+    with u as an ``ExpPoly``, or as the per-term dicts of
+    ``formats.exppoly_to_json`` in a tree that has it."""
+    records = getattr(formats, "exppoly_to_json", lambda u: u)
+
+    def report(u):
+        payload = {
+            "solution": records(u),
+            "resolvent_identity_exact": True,
+            "trace_zero": True,
+        }
+        return formats.dumps(payload)
+
+    return report
+
+
 def halfline_timings(terms: int, module=hl) -> dict:
     rnd = random.Random(SEED + terms)
     f = _random_function(rnd, terms, module)
     g = _random_function(rnd, terms, module)
     formats = importlib.import_module(module.__package__ + ".formats")
-    records = formats.exppoly_to_json(f)
+    records = _records(f)
     u = module.resolvent_solve(f)
     check = _resolvent_check(module)
     if not check(u, f):
         raise RuntimeError("the resolvent solution fails its own check")
+    report = _resolvent_report(formats)
+    if report(u) != fmt.dumps(json.loads(report(u))):
+        raise RuntimeError("the resolvent report is not json's bytes")
     return {
         "halfline.inner_s": _best(module.inner, f, g),
         "halfline.derivative_s": _best(module.ExpPoly.derivative, f),
@@ -210,6 +240,7 @@ def halfline_timings(terms: int, module=hl) -> dict:
         "halfline.resolvent_solve_s": _best(module.resolvent_solve, f),
         "halfline.resolvent_check_s": _best(check, u, f),
         "halfline.parse_s": _best(formats.exppoly_from_json, records),
+        "halfline.report_s": _best(report, u),
     }
 
 
@@ -234,11 +265,7 @@ def _halfline_files(directory: str, terms: int) -> dict:
     rnd = random.Random(SEED + terms)
     f, g = _random_function(rnd, terms), _random_function(rnd, terms)
     f0 = f - hl.exp_decay(1).scale(f.eval0())
-    files = {
-        "green": {"f": fmt.exppoly_to_json(f), "g": fmt.exppoly_to_json(g)},
-        "resolvent": fmt.exppoly_to_json(f),
-        "dissipative": fmt.exppoly_to_json(f0),
-    }
+    files = {"green": {"f": f, "g": g}, "resolvent": f, "dissipative": f0}
     paths = {}
     for subcheck, obj in files.items():
         paths[subcheck] = os.path.join(directory, f"{subcheck}{terms}.json")
@@ -354,7 +381,9 @@ def main(argv=None) -> int:
             "halfline_ops": "parse_s is formats.exppoly_from_json of the first "
             "function's term list; resolvent_check_s is the identity check of "
             "the resolvent subcheck on that function and its resolvent_solve "
-            "solution",
+            "solution; report_s is formats.dumps of that subcheck's payload "
+            "for the solution, with the per-term dicts built in a tree whose "
+            "formats has exppoly_to_json",
         },
         "layers": {f"n={n}": layer_timings(n) for n in SIZES},
     }
