@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -42,22 +41,12 @@ from .tolerances import ORTH_TOL, RANK_TOL
 _STATUS_EXIT = {"pass": 0, "fail": 1, "error": 2}
 
 
-def _digest_bytes(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _load_json(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return json.loads(raw.decode("utf-8")), _digest_bytes(raw)
-
-
 def _emit(args, echo: dict, digest, status: str, payload: dict) -> int:
     """Build the report envelope, write it to stdout or ``--out`` and map
     its status to the exit code.  Commands without an input file are
     identified by the digest of their echoed arguments."""
     if digest is None:
-        digest = _digest_bytes(json.dumps(echo, sort_keys=True).encode("utf-8"))
+        digest = fmt._digest_bytes(json.dumps(echo, sort_keys=True).encode("utf-8"))
     report = {
         "command": args.command,
         "args": echo,
@@ -78,7 +67,7 @@ def _emit(args, echo: dict, digest, status: str, payload: dict) -> int:
 def _load_halfline_pair(path):
     if path is None:
         raise ValueError("this subcheck needs --input with a function file")
-    obj, digest = _load_json(path)
+    obj, digest = fmt._load_json(path)
     if isinstance(obj, list):
         return fmt.exppoly_from_json(obj), None, digest
     if isinstance(obj, dict) and "f" in obj:

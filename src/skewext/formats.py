@@ -5,7 +5,12 @@ exact half-line values are "p/q" strings.  Encoders keep a complex matrix
 as a float64 array of shape (rows, cols, 2) of its pairs, and half-line
 functions stay ``ExpPoly`` objects until ``dumps`` writes them, each as
 the list of its term records {"k", "lambda", "re", "im"} by one
-%-template.  ``dumps`` writes a report holding such values with the bytes
+%-template, the "p/q" digits written from the function's integer form
+(``_fraction_digits``), with no ``Fraction`` built.  Digits are written in
+blocks (``_int_digits``), so a value longer than CPython's int-to-str
+limit is written too, without changing that process-wide limit.  The
+decoder ``exppoly_from_json`` builds the integer form straight from the
+parsed strings.  ``dumps`` writes a report holding such values with the bytes
 of ``json.dumps(..., sort_keys=True, indent=2)``.  One ``orjson`` call
 gives the digits of a whole array; ``repr`` writes only the entries whose
 magnitude puts ``repr`` in exponent form.  Both write the shortest digits
@@ -16,11 +21,15 @@ to the invalid-input exit code.
 
 numpy, ``orjson`` and the relation and extension modules are imported by
 the functions that use them, on their first call: the half-line codecs,
-and ``dumps`` of a report without arrays, load none of them.
+and ``dumps`` of a report without arrays, load none of them.  The input
+file reader ``_load_json`` and ``_digest_bytes`` live here too, so the
+CLI and the relation commands share them without importing one another.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -88,15 +97,20 @@ def _array_to_json(a: np.ndarray, level: int) -> str:
 def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
     """A function as its list of term records at nesting ``level``: each
     record's keys in sorted order ("im", "k", "lambda", "re"), the rationals
-    as "p/q" strings, filled into one indented %-template."""
-    items = f.items()
-    if not items:
+    as "p/q" strings written from its integer form (``_fraction_digits``),
+    filled into one indented %-template."""
+    den, groups = f.integer_form()
+    if not groups:
         return "[]"
-    inner = "\n" + "  " * (level + 2)
+    values = []
+    for _, p, q, terms in groups:
+        rate = _fraction_digits(p, q)
+        for k, re, im in terms:
+            values += (_fraction_digits(im, den), k, rate, _fraction_digits(re, den))
     fields = ['"im": "%s"', '"k": %s', '"lambda": "%s"', '"re": "%s"']
     record = _list_template(fields, level + 1, "{}")
-    template = _list_template([record] * len(items), level)
-    return template % tuple(x for (k, lam), c in items for x in (c.im, k, lam, c.re))
+    template = _list_template([record] * (len(values) // 4), level)
+    return template % tuple(values)
 
 
 def dumps(obj) -> str:
@@ -291,12 +305,49 @@ def triplet_to_json(t: BoundaryTriplet) -> dict:
     }
 
 
+#: an integer of fewer bits is below 2**1992 < 10**600, so ``str`` writes
+#: it within CPython's int-to-str digit limit at any setting (the lowest
+#: allowed is 640 digits)
+_SHORT_BITS = 1993
+
+
+def _int_digits(n: int) -> str:
+    """The decimal digits of ``n`` as ``str(n)`` writes them, also beyond
+    ``sys.get_int_max_str_digits()``: a long ``n`` is split by one divmod
+    by a power of ten at about half its digits, and each part is written
+    the same way."""
+    if n.bit_length() < _SHORT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_digits(-n)
+    # n has at least 600 digits, so both parts are shorter than n
+    half = int(n.bit_length() * 0.30103) // 2
+    high, low = divmod(n, 10**half)
+    return _int_digits(high) + _int_digits(low).zfill(half)
+
+
+def _fraction_digits(num: int, den: int) -> str:
+    """num / den (den > 0) as ``str(Fraction(num, den))`` writes it: lowest
+    terms, and the numerator alone over 1."""
+    h = math.gcd(num, den)
+    if h != 1:
+        num //= h
+        den //= h
+    if den.bit_length() < _SHORT_BITS and num.bit_length() < _SHORT_BITS:
+        return str(num) if den == 1 else f"{num}/{den}"
+    if den == 1:
+        return _int_digits(num)
+    return _int_digits(num) + "/" + _int_digits(den)
+
+
 def fraction_to_str(x: Fraction) -> str:
-    return str(x if isinstance(x, Fraction) else Fraction(x))
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return _fraction_digits(x.numerator, x.denominator)
 
 
-def fraction_from_str(s) -> Fraction:
-    """A rational from a JSON integer or a string ``Fraction`` accepts.
+def _ratio_from_str(s) -> tuple:
+    """A rational from a JSON integer or a string ``Fraction`` accepts, as
+    ``(numerator, denominator)`` with a positive denominator, not reduced.
 
     The plain ASCII forms ``-?digits`` and ``-?digits/digits`` with a
     nonzero denominator are read by ``int``; every other string (signs,
@@ -305,7 +356,7 @@ def fraction_from_str(s) -> Fraction:
     Both give the same value and reject the same strings.
     """
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str):
         raise ValueError(f'expected a "p/q" string, got {s!r}')
     try:
@@ -313,12 +364,18 @@ def fraction_from_str(s) -> Fraction:
         digits = num[1:] if num[:1] == "-" else num
         if s.isascii() and digits.isdigit():
             if not slash:
-                return Fraction(int(num))
+                return int(num), 1
             if den.isdigit() and den.strip("0"):
-                return Fraction(int(num), int(den))
-        return Fraction(s)
+                return int(num), int(den)
+        return Fraction(s).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {s!r}: {exc}") from None
+
+
+def fraction_from_str(s) -> Fraction:
+    """A rational from a JSON integer or a string ``Fraction`` accepts, read
+    by ``_ratio_from_str``."""
+    return Fraction(*_ratio_from_str(s))
 
 
 def rational_complex_to_json(z: hl.RationalComplex) -> dict:
@@ -342,10 +399,12 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
     and its three rationals here, then its degree sign, rate sign and rate
     denominator cap (``halfline._check_key``), and the keys of all terms,
     zero coefficients included, are ordered and compared for repeats by
-    their exact integer ranks (``halfline._canonical_order``).  The result
-    is built by the trusted constructor, with no dict.  Errors keep their
-    precedence: the first malformed record or repeated key in input order,
-    then the first bad key.
+    their exact integer ranks (``halfline._canonical_order``).  Rates are
+    reduced ``Fraction`` keys; coefficients stay integer pairs, brought to
+    the lcm of their denominators and reduced by one gcd into the integer
+    form, which the trusted constructor takes, with no dict and no
+    ``RationalComplex``.  Errors keep their precedence: the first malformed
+    record or repeated key in input order, then the first bad key.
     """
     if not isinstance(obj, list):
         raise ValueError("function must be a list of term records")
@@ -360,11 +419,9 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
             if k > hl.MAX_DEGREE:
                 raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
             lam = fraction_from_str(record.get("lambda"))
-            coeff = hl.RationalComplex(
-                fraction_from_str(record.get("re", "0")),
-                fraction_from_str(record.get("im", "0")),
-            )
-            items.append(((k, lam), coeff))
+            re = _ratio_from_str(record.get("re", "0"))
+            im = _ratio_from_str(record.get("im", "0"))
+            items.append(((k, lam), re + im))
         for (k, lam), _ in items:
             hl._check_key(k, lam)
         ordered = hl._canonical_order(items)
@@ -373,4 +430,16 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
         # record is well formed, is what is reported
         _raise_first_repeat(items)
         raise
-    return hl.ExpPoly._from_sorted(item for item in ordered if not item[1].is_zero())
+    nonzero = [item for item in ordered if item[1][0] or item[1][2]]
+    return hl._reduced(*hl._integer_form(nonzero))
+
+
+def _digest_bytes(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _load_json(path):
+    """The JSON value in the file ``path`` and the digest of its bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return json.loads(raw.decode("utf-8")), _digest_bytes(raw)

@@ -18,41 +18,46 @@ the whole family, and inner products are conjugate-linear in the second
 argument.  Irrational scalars (sqrt(2), norms) are never materialized;
 identities are arranged so only squared norms appear.
 
-The three kernels, ``inner_sum``, ``_first_order`` (a f + b f': the
-derivative, -f' and the resolvent check u + u') and ``resolvent_solve``,
-take one integer route (``_integer_groups``): a function is scaled to
-integer coefficients once (D, the lcm of all coefficient denominators) and
-its terms are grouped by rate.  ``inner_sum`` is the exact sum of inner
-products over a sequence of pairs, which is also the inner product on a
-direct sum of half-lines; ``inner`` is its one-pair case, and the left side
-of ``green_identity`` is one call on two pairs.  It brings all pairs to one
-integer scale and all rates to one denominator, and evaluates the closed
-form integral of t^m exp(-s t) = m! / s^(m+1) with term pairs summed in
-integers per rate sum s = N/M and total degree m, in buckets the pairs
-share.  Each rate sum becomes one integer numerator over N^(top+1), by
-Horner with the weights m! M^(m+1) built once per distinct M, and those
+A function is held in one integer form: a common denominator D and one
+group (lam, p, q, ((k, D re c, D im c), ...)) per rate lam = p/q in lowest
+terms, rates in increasing order, degrees increasing within a group, no
+zero term.  The form is canonical, gcd(D, every numerator) = 1, so equal
+functions have equal forms and equality is a tuple comparison.  Every
+kernel reads and writes this form: ``_first_order`` (a f + b f': the
+derivative, -f' and the resolvent check u + u'), ``resolvent_solve``,
+negation, scaling and sums bring their output to one denominator and
+divide it by one gcd (``_reduced``); ``eval0`` adds the degree-zero
+numerators.  The (key, ``RationalComplex``) view behind ``items()`` and
+``terms`` is built on its first request and kept; no check needs it, and
+``formats`` writes a report's digits from the integers.
+
+``inner_sum`` is the exact sum of inner products over a sequence of pairs,
+which is also the inner product on a direct sum of half-lines; ``inner``
+is its one-pair case, and the left side of ``green_identity`` is one call
+on two pairs.  It brings all pairs to one integer scale and all rates to
+one denominator, and evaluates the closed form integral of
+t^m exp(-s t) = m! / s^(m+1) with term pairs summed in integers per rate
+sum s = N/M and total degree m, in buckets the pairs share.  Each rate sum
+becomes one integer fraction over N^(top+1), by Horner with the weights
+m! M^(m+1) built once per distinct M, reduced by its gcd, and those
 fractions are added by a balanced pairwise sum, so a call builds a single
-``RationalComplex``, its result.  ``_first_order`` and the resolvent form
-each output coefficient as one integer numerator over one denominator per
-rate group, and build one ``RationalComplex`` per nonzero output term.
-Since ``Fraction``s are canonical, every result equals the term-wise sum
-exactly.
+``RationalComplex``, its result, equal to the term-wise sum exactly.
 
 Validation happens once, at the input edge: ``ExpPoly(...)`` and
 ``formats.exppoly_from_json`` check every key (``_check_key``) and sort on
-exact integer keys (``_canonical_order``), the decoder with no dict.
-Kernel outputs, and negation, scaling and sums of valid functions, already
-have valid keys in canonical order and go through the one trusted
-constructor ``ExpPoly._from_sorted``, which skips the checks; the test
-suite wraps it to run them all again.  Equality compares the sorted term
-sequences, with no hashing.
+exact integer keys (``_canonical_order``), the decoder with no dict and no
+``RationalComplex``.  Kernel outputs, and negation, scaling and sums of
+valid functions, already have valid keys in canonical order and go through
+the one trusted constructor ``ExpPoly._from_integers``, which skips the
+checks; the test suite wraps it to rebuild every such function through
+``ExpPoly(...)`` and require the same form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, InvalidTerm, NotExact, TraceNotZero
 
@@ -73,16 +78,41 @@ def _frac(x) -> Fraction:
     raise NotExact(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class RationalComplex:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
+    An immutable value, equal and hashed by (re, im).  It is written out
+    rather than declared a frozen dataclass, and the records below are
+    ``NamedTuple``s, so that ``import skewext.cli`` does not load
+    ``dataclasses`` and the ``inspect`` it imports, over a third of the
+    import's time."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = _ZERO, im: Fraction = _ZERO):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "re", _frac(self.re))
         object.__setattr__(self, "im", _frac(self.im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other):
         other = _coerce(other)
@@ -137,13 +167,14 @@ class ExpPoly:
     """A finite sum of terms c * t^k * exp(-lam t) with exact coefficients.
 
     Terms are keyed by (k, lam) with k a nonnegative integer and lam a
-    positive rational; every key is checked, then zero coefficients are
-    dropped and keys are kept in canonical (lam, k) order.  Instances are
-    immutable.  Kernel outputs, whose keys are valid and already in that
-    order, are built by ``_from_sorted`` without the checks.
+    positive rational; every key is checked and zero coefficients are
+    dropped.  The terms are held in the canonical integer form of the
+    module docstring (``integer_form``).  Instances are immutable.  Kernel
+    outputs, whose keys are valid and already in canonical order, are built
+    by ``_from_integers`` without the checks.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_groups", "_items")
 
     def __init__(self, terms=None):
         items = []
@@ -152,77 +183,98 @@ class ExpPoly:
             _check_key(k, lam)
             coeff = _coerce(coeff)
             if not coeff.is_zero():
-                items.append(((k, lam), coeff))
-        object.__setattr__(self, "_terms", _canonical_order(items))
+                re, im = coeff.re, coeff.im
+                ratios = (re.numerator, re.denominator, im.numerator, im.denominator)
+                items.append(((k, lam), ratios))
+        # over the lcm of fractions in lowest terms, the form is canonical
+        self._den, self._groups = _integer_form(_canonical_order(items))
+        self._items = None
 
     @classmethod
-    def _from_sorted(cls, items) -> "ExpPoly":
-        """The function with the (key, coefficient) pairs ``items``, trusted
-        to be what ``__init__`` would build: valid keys in canonical order,
-        no key twice, every coefficient a nonzero ``RationalComplex``."""
+    def _from_integers(cls, den: int, groups: tuple) -> "ExpPoly":
+        """The function with the integer form ``(den, groups)``, trusted to
+        be what ``__init__`` would build: valid keys in canonical order, no
+        zero term, gcd(den, every numerator) = 1."""
         f = object.__new__(cls)
-        object.__setattr__(f, "_terms", tuple(items))
+        f._den, f._groups, f._items = den, groups, None
         return f
+
+    def integer_form(self) -> tuple:
+        """``(D, groups)``: the common denominator and the groups
+        (lam, p, q, ((k, D re c, D im c), ...)) of the module docstring, in
+        canonical order; not copied."""
+        return self._den, self._groups
+
+    def items(self) -> tuple:
+        """The (key, coefficient) pairs in canonical order, coefficients as
+        ``RationalComplex``; built on the first call and kept."""
+        if self._items is None:
+            den = self._den
+            self._items = tuple(
+                ((k, lam), RationalComplex(Fraction(re, den), Fraction(im, den)))
+                for lam, _, _, terms in self._groups
+                for k, re, im in terms
+            )
+        return self._items
 
     @property
     def terms(self):
         """Term mapping (k, lam) -> coefficient, as a fresh dict."""
-        return dict(self._terms)
-
-    def items(self) -> tuple:
-        """The (key, coefficient) pairs in canonical order, not copied."""
-        return self._terms
+        return dict(self.items())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._groups
 
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        # both are in canonical order, so equal functions have equal sequences
-        return self._terms == other._terms
+        # canonical forms: equal functions have equal forms
+        return self._den == other._den and self._groups == other._groups
 
     def __hash__(self):
-        return hash(self._terms)
+        return hash((self._den, self._groups))
 
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        items = self._terms + other._terms
-        ranks = _ranks(items)
-        # two sorted runs, which the sort merges; a key held by both
-        # operands is one pair of neighbours
-        out = []
-        last = None
-        for i in sorted(range(len(items)), key=ranks.__getitem__):
-            key, coeff = items[i]
-            if ranks[i] == last:
-                coeff = out.pop()[1] + coeff
-                if coeff.is_zero():
-                    continue
-            last = ranks[i]
-            out.append((key, coeff))
-        return ExpPoly._from_sorted(out)
+        den = math.lcm(self._den, other._den)
+        sums = {}
+        for f in (self, other):
+            factor = den // f._den
+            for lam, _, _, terms in f._groups:
+                for k, re, im in terms:
+                    old_re, old_im = sums.get((k, lam), (0, 0))
+                    sums[k, lam] = (old_re + re * factor, old_im + im * factor)
+        items = [(key, c) for key, c in sums.items() if c[0] or c[1]]
+        return _reduced(den, _grouped(_canonical_order(items)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExpPoly._from_sorted((key, -coeff) for key, coeff in self._terms)
+        groups = tuple(
+            (lam, p, q, tuple((k, -re, -im) for k, re, im in terms))
+            for lam, p, q, terms in self._groups
+        )
+        return ExpPoly._from_integers(self._den, groups)
 
     def scale(self, c) -> "ExpPoly":
         c = _coerce(c)
         if c.is_zero():
-            return ExpPoly._from_sorted(())
-        return ExpPoly._from_sorted((key, c * coeff) for key, coeff in self._terms)
+            return ExpPoly._from_integers(1, ())
+        e = math.lcm(c.re.denominator, c.im.denominator)
+        cr = c.re.numerator * (e // c.re.denominator)
+        ci = c.im.numerator * (e // c.im.denominator)
+        groups = []
+        for lam, p, q, terms in self._groups:
+            scaled = tuple((k, x * cr - y * ci, x * ci + y * cr) for k, x, y in terms)
+            groups.append((lam, p, q, scaled))
+        return _reduced(self._den * e, tuple(groups))
 
     def derivative(self) -> "ExpPoly":
         """Exact derivative, from
-        t^k exp(-lam t) -> k t^(k-1) exp(-lam t) - lam t^k exp(-lam t).
-
-        Computed in integers per rate group lam = p/q, on the coefficients
-        scaled by D as in ``inner``: the degree-j output is
-        (q (j+1) C_(j+1) - p C_j) / (D q) (see ``_first_order``)."""
+        t^k exp(-lam t) -> k t^(k-1) exp(-lam t) - lam t^k exp(-lam t),
+        in integers per rate group (see ``_first_order``)."""
         return _first_order(self, 0, 1)
 
     def plus_derivative(self) -> "ExpPoly":
@@ -231,17 +283,20 @@ class ExpPoly:
         return _first_order(self, 1, 1)
 
     def eval0(self) -> RationalComplex:
-        """The boundary trace f(0): the sum of all degree-zero coefficients."""
-        total = RationalComplex()
-        for (k, _), coeff in self._terms:
+        """The boundary trace f(0): the sum of all degree-zero coefficients,
+        the first term of a group when it has degree zero."""
+        re = im = 0
+        for _, _, _, terms in self._groups:
+            k, cr, ci = terms[0]
             if k == 0:
-                total = total + coeff
-        return total
+                re += cr
+                im += ci
+        return RationalComplex(Fraction(re, self._den), Fraction(im, self._den))
 
     def __repr__(self):
         if self.is_zero():
             return "ExpPoly(0)"
-        bits = [f"({coeff}) t^{k} e^(-{lam} t)" for (k, lam), coeff in self._terms]
+        bits = [f"({coeff}) t^{k} e^(-{lam} t)" for (k, lam), coeff in self.items()]
         return "ExpPoly(" + " + ".join(bits) + ")"
 
 
@@ -288,62 +343,82 @@ def exp_decay(lam=1) -> ExpPoly:
     return term(0, lam, 1)
 
 
-def _integer_groups(f: ExpPoly):
-    """``f`` scaled to integers once: ``(D, groups)`` with D the lcm of the
-    denominators of all real and imaginary parts, and ``groups`` a list with
-    one entry ``(lam, p, q, terms)`` per rate lam = p/q, in increasing
-    order of lam, where ``terms`` lists (k, D re c, D im c) in increasing
-    order of k.  The terms of ``f`` are already sorted by (lam, k), so the
-    groups are read off in one pass without hashing a rate."""
-    coeffs = [c for _, c in f._terms]
-    scale = math.lcm(
-        *(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs)
-    )
+def _grouped(items) -> tuple:
+    """The groups (lam, p, q, ((k, re, im), ...)) of the (key, (re, im))
+    integer pairs ``items``, which are in canonical order."""
     groups = []
     last = None
-    for (k, lam), c in f._terms:
+    for (k, lam), (re, im) in items:
         ratio = lam.as_integer_ratio()
         if ratio != last:
             last = ratio
             terms = []
             groups.append((lam, *ratio, terms))
-        terms.append(
-            (
-                k,
-                c.re.numerator * (scale // c.re.denominator),
-                c.im.numerator * (scale // c.im.denominator),
-            )
+        terms.append((k, re, im))
+    return tuple((lam, p, q, tuple(terms)) for lam, p, q, terms in groups)
+
+
+def _integer_form(items) -> tuple:
+    """``(D, groups)`` of the (key, (re_num, re_den, im_num, im_den)) pairs
+    ``items``, in canonical order with nonzero coefficients: D is the lcm of
+    all denominators.  It is canonical when every fraction is in lowest
+    terms; ``_reduced`` makes it so otherwise."""
+    den = math.lcm(*(d for _, (_, rd, _, id_) in items for d in (rd, id_)))
+    return den, _grouped(
+        (key, (rn * (den // rd), in_ * (den // id_)))
+        for key, (rn, rd, in_, id_) in items
+    )
+
+
+def _reduced(den: int, groups: tuple) -> ExpPoly:
+    """The function with the integer form ``(den, groups)``, valid in every
+    respect but the gcd: den and all numerators are divided by their gcd."""
+    h = math.gcd(
+        den, *[x for _, _, _, terms in groups for _, re, im in terms for x in (re, im)]
+    )
+    if h != 1:
+        den //= h
+        groups = tuple(
+            (lam, p, q, tuple((k, re // h, im // h) for k, re, im in terms))
+            for lam, p, q, terms in groups
         )
-    return scale, groups
+    return ExpPoly._from_integers(den, groups)
 
 
 def _first_order(f: ExpPoly, a: int, b: int) -> ExpPoly:
-    """a f + b f', exactly, for integers a and b.
+    """a f + b f', exactly, for integers a and b != 0.
 
-    At rate lam = p/q with integer coefficients C_k = D c_k, the output
-    coefficient at degree j is
+    With C_k the numerators of f over D and Q the lcm of its rate
+    denominators, the output numerator over D Q at degree j and rate
+    lam = p/q is
 
-        (a q - b p) C_j + b q (j+1) C_(j+1)   over   D q,
+        (a q - b p) (Q / q) C_j + b Q (j+1) C_(j+1).
 
-    one ``Fraction`` pair and one ``RationalComplex`` per nonzero output
-    term; zero sums drop their key.  Groups come in increasing rate and
-    degrees in increasing order, so the output is built in canonical order.
+    Zero sums drop their key, and the output is reduced once.  Groups come
+    in increasing rate and degrees in increasing order, so the output is
+    built in canonical order.
     """
-    scale, groups = _integer_groups(f)
+    groups = f._groups
+    big_q = math.lcm(*(q for _, _, q, _ in groups))
+    up = b * big_q
     out = []
     for lam, p, q, terms in groups:
-        coeffs = {k: (cr, ci) for k, cr, ci in terms}
-        den = scale * q
-        here, up = a * q - b * p, b * q
-        for j in sorted({*coeffs, *(k - 1 for k in coeffs if k)}):
-            cr, ci = coeffs.get(j, (0, 0))
-            nr, ni = coeffs.get(j + 1, (0, 0))
-            num_re = here * cr + up * (j + 1) * nr
-            num_im = here * ci + up * (j + 1) * ni
-            if num_re or num_im:
-                coeff = RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
-                out.append(((j, lam), coeff))
-    return ExpPoly._from_sorted(out)
+        here = (a * q - b * p) * (big_q // q)
+        run = []
+        prev = -1  # the degree of the previous input term
+        for (k, cr, ci), (nk, nr, ni) in zip(terms, terms[1:] + ((-1, 0, 0),)):
+            if k - 1 > prev:  # no input term at degree k - 1: only b f' reaches it
+                run.append((k - 1, up * k * cr, up * k * ci))
+            out_re, out_im = here * cr, here * ci
+            if nk == k + 1:
+                out_re += up * nk * nr
+                out_im += up * nk * ni
+            if out_re or out_im:
+                run.append((k, out_re, out_im))
+            prev = k
+        if run:
+            out.append((lam, p, q, tuple(run)))
+    return _reduced(f._den * big_q, tuple(out))
 
 
 def _pairwise_sum(parts):
@@ -380,31 +455,31 @@ def inner_sum(pairs) -> RationalComplex:
     It is also the inner product on a direct sum of half-lines.  Each term
     pair contributes c conj(d) m! / s^(m+1), from the closed form integral
     of t^m exp(-s t) = m! / s^(m+1), with m = a + b and s = lam + mu.  All
-    pairs are brought to one integer scale: with D_f and D_g the lcms of a
-    pair's coefficient denominators (``_integer_groups``), D is the lcm of
-    the products D_f D_g over all pairs, and each f is scaled by D / D_g
-    instead of D_f.  Every rate is written over the lcm L of all rate
-    denominators, so a rate sum s is an integer S over L.  The integer
-    products (D c / D_g) conj(D_g d) are added per S (different rate pairs,
-    and different pairs of functions, often share one) and per total degree
-    m, into P_m.  Each rate sum s = N/M in lowest terms then gives the
-    single integer numerator
+    pairs are brought to one integer scale: with D_f and D_g the
+    denominators of a pair's integer forms, D is the lcm of the products
+    D_f D_g over all pairs, and each f is scaled by D / (D_f D_g).  Every
+    rate is written over the lcm L of all rate denominators, so a rate sum
+    s is an integer S over L.  The integer products of the numerators are
+    added per S (different rate pairs, and different pairs of functions,
+    often share one) and per total degree m, into P_m.  Each rate sum
+    s = N/M in lowest terms then gives the single fraction
 
         sum over m of P_m m! M^(m+1) N^(top-m)   over   N^(top+1),
 
     top being its highest degree, by Horner in N with the weights
-    m! M^(m+1) built once per distinct M.  These fractions are added by a
-    balanced pairwise sum (``_pairwise_sum``) and divided by D once, so a
-    call builds a single ``RationalComplex``, its result.  Since
-    ``Fraction``s are canonical, it equals the term-wise sum exactly.
+    m! M^(m+1) built once per distinct M.  Each fraction is divided by the
+    gcd of its three integers, which keeps a rate sum whose terms cancel
+    (Green's identity holds per rate sum) from carrying N^(top+1) into the
+    sum.  The fractions are added by a balanced pairwise sum
+    (``_pairwise_sum``) and divided by D once, so a call builds a single
+    ``RationalComplex``, its result.  Since ``Fraction``s are canonical, it
+    equals the term-wise sum exactly.
     """
     prepared = []
     for f, g in pairs:
         if f.is_zero() or g.is_zero():
             continue
-        f_scale, f_groups = _integer_groups(f)
-        g_scale, g_groups = _integer_groups(g)
-        prepared.append((f_scale * g_scale, f_groups, g_groups))
+        prepared.append((f._den * g._den, f._groups, g._groups))
     if not prepared:
         return RationalComplex()
     scale = math.lcm(*(pair_scale for pair_scale, _, _ in prepared))
@@ -448,7 +523,9 @@ def inner_sum(pairs) -> RationalComplex:
         for deg in range(top + 1):
             num_re = num_re * n + sum_re[deg] * weight[deg]
             num_im = num_im * n + sum_im[deg] * weight[deg]
-        parts.append((num_re, num_im, n ** (top + 1)))
+        den = n ** (top + 1)
+        h = math.gcd(num_re, num_im, den)
+        parts.append((num_re // h, num_im // h, den // h))
     num_re, num_im, den = _pairwise_sum(parts)
     den *= scale
     return RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
@@ -481,8 +558,7 @@ def green_identity(f: ExpPoly, g: ExpPoly):
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class EigenSolveReport:
+class EigenSolveReport(NamedTuple):
     """Outcome of solving H* f = mu f within the family.
 
     ``basis`` spans the solution space; when it is empty,
@@ -531,8 +607,7 @@ def deficiency_exact():
     return list(g1.basis), list(g2.basis)
 
 
-@dataclass(frozen=True)
-class CanonicalBoundaryValue:
+class CanonicalBoundaryValue(NamedTuple):
     """Exact boundary data of the canonical system at a family member.
 
     The g1 component of f is c * exp(-t) with c = f(0); the boundary map
@@ -603,64 +678,74 @@ def resolvent_solve(f: ExpPoly) -> ExpPoly:
 
     This constructively witnesses surjectivity of 1 - H: the integral
     u(t) = exp(-t) * integral_0^t exp(s) f(s) ds, evaluated in integers per
-    rate group of f, with coefficients C_a = D c_a as in ``inner``:
+    rate group of f, on its numerators C_a over D:
 
     - the resonant rate 1 sends t^a exp(-t) to t^(a+1) exp(-t) / (a+1),
       the coefficient C_a / (D (a+1)), which stays inside the family;
     - any other rate lam = p/q has the nonzero gap r = p - q (negative
       when lam < 1).  With top its highest degree, the output at (j, lam)
-      is -S_j over D r^(top+1-j), where
+      is -S_j r^j over D r^(top+1), where
       S_j = sum over a >= j of C_a (a!/j!) q^(a+1-j) r^(top-a),
       by Horner: S_top = q C_top, S_j = q (C_j r^(top-j) + (j+1) S_(j+1));
-    - since u(0) = 0, the (0, 1) term is the sum of S_0 / (D r^(top+1))
-      over the non-resonant groups, added by ``_pairwise_sum``.
+    - since u(0) = 0, the (0, 1) term is minus the sum of all other
+      degree-zero terms.
 
-    No two groups write the same key, so each nonzero output term is one
-    ``Fraction`` pair and one ``RationalComplex``.  The output is built in
-    canonical order: each non-resonant group's terms are found in
-    decreasing degree and reversed, and the (0, 1) term goes after the
-    groups of rate below 1.
+    Each group's numerators are brought to the lcm G of the groups'
+    denominators, and the output over D G is reduced once.  No two groups
+    write the same key, and the output is built in canonical order: each
+    non-resonant group's terms are found in decreasing degree and
+    reversed, and the (0, 1) term goes first at rate 1.
     """
-    scale, groups = _integer_groups(f)
-    out = []
-    split = None  # where the rates >= 1 begin, the place of the (0, 1) term
-    parts = []  # (S_0 real, S_0 imaginary, r^(top+1)) per non-resonant group
-    for lam, p, q, terms in groups:
-        if split is None and p >= q:
-            split = len(out)
+    runs = []  # (lam, p, q, terms, den), the numerators over D den
+    for lam, p, q, terms in f._groups:
         if p == q:
-            for a, cr, ci in terms:
-                den = scale * (a + 1)
-                coeff = RationalComplex(Fraction(cr, den), Fraction(ci, den))
-                out.append(((a + 1, lam), coeff))
+            width = math.lcm(*(a + 1 for a, _, _ in terms))
+            run = tuple(
+                (a + 1, cr * (width // (a + 1)), ci * (width // (a + 1)))
+                for a, cr, ci in terms
+            )
+            runs.append((lam, p, q, run, width))
             continue
         r = p - q
         top = terms[-1][0]
         coeffs = {k: (cr, ci) for k, cr, ci in terms}
+        powers = [1]  # r^0 .. r^(top+1)
+        for _ in range(top + 1):
+            powers.append(powers[-1] * r)
+        sign = 1 if powers[-1] > 0 else -1
         run = []  # this group's terms, in decreasing degree
         s_re = s_im = 0
-        power = 1  # r^(top-j)
         for j in range(top, -1, -1):
             cr, ci = coeffs.get(j, (0, 0))
-            s_re = q * (cr * power + (j + 1) * s_re)
-            s_im = q * (ci * power + (j + 1) * s_im)
-            power *= r
+            s_re = q * (cr * powers[top - j] + (j + 1) * s_re)
+            s_im = q * (ci * powers[top - j] + (j + 1) * s_im)
             if s_re or s_im:
-                den = -scale * power
-                coeff = RationalComplex(Fraction(s_re, den), Fraction(s_im, den))
-                run.append(((j, lam), coeff))
-        out += reversed(run)
-        parts.append((s_re, s_im, power))
-    num_re, num_im, den = _pairwise_sum(parts)
-    if num_re or num_im:
-        den *= scale
-        trace = RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
-        out.insert(len(out) if split is None else split, ((0, _ONE), trace))
-    return ExpPoly._from_sorted(out)
+                weight = -sign * powers[j]  # over D |r^(top+1)|
+                run.append((j, s_re * weight, s_im * weight))
+        runs.append((lam, p, q, tuple(reversed(run)), sign * powers[-1]))
+    common = math.lcm(*(den for *_, den in runs))
+    out = []
+    trace_re = trace_im = 0
+    for lam, p, q, run, den in runs:
+        factor = common // den
+        if factor != 1:
+            run = tuple((k, re * factor, im * factor) for k, re, im in run)
+        if run[0][0] == 0:
+            trace_re -= run[0][1]
+            trace_im -= run[0][2]
+        out.append((lam, p, q, run))
+    if trace_re or trace_im:
+        trace = (0, trace_re, trace_im)
+        at = next((i for i, (_, p, q, _) in enumerate(out) if p >= q), len(out))
+        if at < len(out) and out[at][1] == out[at][2]:
+            lam, p, q, run = out[at]
+            out[at] = (lam, p, q, (trace, *run))
+        else:
+            out.insert(at, (_ONE, 1, 1, (trace,)))
+    return _reduced(f._den * common, tuple(out))
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     """Exact evaluation of Re <(1 - H*) g, g> against <g, g>.
 
     ``value`` >= ``norm_sq`` holds on the whole family (which makes 1 - H*

@@ -16,7 +16,7 @@ from . import boundary as bd
 from . import extensions as ext
 from . import formats as fmt
 from . import relation as rel
-from .cli import _digest_bytes, _load_json
+from .formats import _digest_bytes, _load_json
 from .sampling import random_unitary
 from .tolerances import ROUNDTRIP_TOL
 

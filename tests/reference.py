@@ -7,7 +7,8 @@ boundary map, -T* through the swapped orthocomplement, the kernel,
 multivalued part and domain of a relation by subspace intersection, the gap
 distance by projectors, the half-line inner product, derivative, a f + b f'
 and resolvent term by term, the term records of a half-line function one
-dict per term) and as convenient constructors of test inputs.
+dict per term, the canonical order of a term dict and the structure of
+the canonical integer form) and as convenient constructors of test inputs.
 """
 
 from __future__ import annotations
@@ -233,29 +234,38 @@ def _accumulate(acc: dict, key, coeff: RationalComplex):
         acc[key] = total
 
 
-def derivative_termwise(f: ExpPoly) -> ExpPoly:
-    """Exact term-wise derivative:
+def derivative_terms(f: ExpPoly) -> dict:
+    """Exact term-wise derivative as a term dict:
     t^k exp(-lam t) -> k t^(k-1) exp(-lam t) - lam t^k exp(-lam t)."""
     out = {}
     for (k, lam), coeff in f.items():
         if k > 0:
             _accumulate(out, (k - 1, lam), coeff * Fraction(k))
         _accumulate(out, (k, lam), coeff * (-lam))
-    return ExpPoly(out)
+    return out
 
 
-def first_order_termwise(f: ExpPoly, a: int, b: int) -> ExpPoly:
-    """a f + b f', added one exact term at a time."""
+def derivative_termwise(f: ExpPoly) -> ExpPoly:
+    return ExpPoly(derivative_terms(f))
+
+
+def first_order_terms(f: ExpPoly, a: int, b: int) -> dict:
+    """a f + b f', added one exact term at a time, as a term dict."""
     out = {}
     for key, coeff in f.items():
         _accumulate(out, key, coeff * a)
-    for key, coeff in derivative_termwise(f).items():
+    for key, coeff in derivative_terms(f).items():
         _accumulate(out, key, coeff * b)
-    return ExpPoly(out)
+    return out
 
 
-def resolvent_termwise(f: ExpPoly) -> ExpPoly:
-    """The unique family member u with u + u' = f and u(0) = 0, exactly.
+def first_order_termwise(f: ExpPoly, a: int, b: int) -> ExpPoly:
+    return ExpPoly(first_order_terms(f, a, b))
+
+
+def resolvent_terms(f: ExpPoly) -> dict:
+    """The unique family member u with u + u' = f and u(0) = 0, exactly, as
+    a term dict.
 
     This constructively witnesses surjectivity of 1 - H: the integral
     u(t) = exp(-t) * integral_0^t exp(s) f(s) ds is evaluated term-wise.
@@ -273,4 +283,41 @@ def resolvent_termwise(f: ExpPoly) -> ExpPoly:
         for j in range(a + 1):
             weight = Fraction(math.factorial(a), math.factorial(j)) / mu ** (a + 1 - j)
             _accumulate(out, (j, lam), -(c * weight))
-    return ExpPoly(out)
+    return out
+
+
+def resolvent_termwise(f: ExpPoly) -> ExpPoly:
+    return ExpPoly(resolvent_terms(f))
+
+
+def sorted_terms(terms: dict) -> tuple:
+    """The (key, coefficient) pairs of a term dict with no zero coefficient,
+    sorted into canonical (lam, k) order by comparing ``Fraction``s: the
+    view ``ExpPoly.items()`` must give."""
+    return tuple(sorted(terms.items(), key=lambda item: (item[0][1], item[0][0])))
+
+
+def assert_canonical(den, groups):
+    """Raise AssertionError unless ``(den, groups)`` is a canonical integer
+    form of ``halfline``: integer types, rates in lowest terms and strictly
+    increasing, degrees nonnegative and strictly increasing within a group,
+    no zero term, and gcd(den, every numerator) = 1."""
+    assert type(den) is int and den >= 1
+    assert type(groups) is tuple
+    numerators = []
+    last = None
+    for group in groups:
+        assert type(group) is tuple and len(group) == 4
+        lam, p, q, terms = group
+        assert type(lam) is Fraction and type(p) is int and type(q) is int
+        assert (p, q) == lam.as_integer_ratio() and p > 0
+        assert last is None or last[0] * q < p * last[1]
+        last = (p, q)
+        assert type(terms) is tuple and terms
+        degrees = [k for k, _, _ in terms]
+        assert all(type(k) is int for k in degrees) and degrees[0] >= 0
+        assert all(a < b for a, b in zip(degrees, degrees[1:]))
+        for _, re, im in terms:
+            assert type(re) is int and type(im) is int and (re or im)
+            numerators += (re, im)
+    assert math.gcd(den, *numerators) == 1

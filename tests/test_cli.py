@@ -1,8 +1,10 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from reference import resolvent_termwise
 from skewext import extensions as ext
 from skewext import halfline as hl
 from skewext import relation as rel
@@ -301,6 +303,40 @@ def test_halfline_rejects_a_5000_digit_rate(tmp_path, capsys):
         capsys, "halfline", "--subcheck", "resolvent", "--input", str(fn)
     )
     assert code == 2 and report is None
+
+
+def _parse_digits(text: str) -> int:
+    """An integer from its decimal digits, 500 at a time, so that no single
+    ``int`` call meets the int-to-str digit limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_halfline_resolvent_writes_digits_beyond_the_str_limit(tmp_path, capsys):
+    # a valid input whose solution has denominators near (10^200)^33, about
+    # 6600 digits, beyond CPython's default int-to-str limit of 4300
+    rate = 10**200 + 1
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps([{"k": 32, "lambda": str(rate), "re": "1", "im": "0"}]))
+    code, report = run_cli(
+        capsys, "halfline", "--subcheck", "resolvent", "--input", str(fn)
+    )
+    assert code == 0 and report["status"] == "pass"
+    expected = resolvent_termwise(hl.term(32, rate, 1))
+    written = {}
+    for record in report["payload"]["solution"]:
+        key = (record["k"], Fraction(record["lambda"]))
+        parts = [record[part].partition("/") for part in ("re", "im")]
+        written[key] = [
+            Fraction(_parse_digits(num), _parse_digits(den) if den else 1)
+            for num, _, den in parts
+        ]
+    assert written == {key: [c.re, c.im] for key, c in expected.terms.items()}
+    assert max(c.re.denominator for c in expected.terms.values()) > 10**4300
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,20 @@ def test_fraction_from_str_agrees_with_fraction(s):
         assert type(got) is Fraction and got == expected
 
 
+@pytest.mark.parametrize(
+    "n",
+    [0, 7, -7, 2**1992 - 1, 2**1992, 10**600 - 1, 10**600, -(10**600) - 1,
+     10**1200 + 5, -(7**5000)],
+)
+def test_fraction_digits_are_those_of_str(n):
+    # written in blocks once n has 600 digits; every case here is within
+    # the default int-to-str limit, so str() is the reference
+    assert fmt._int_digits(n) == str(n)
+    for den in (1, 3, 10**601 + 1):
+        assert fmt._fraction_digits(n * 2, den * 2) == str(Fraction(n, den))
+        assert fmt.fraction_to_str(Fraction(n, den)) == str(Fraction(n, den))
+
+
 def test_exppoly_from_json_orders_rates_beyond_double_range():
     big = 10**400
     rates = [Fraction(big), Fraction(1, 2), Fraction(big - 1), Fraction(big + 1, 7)]

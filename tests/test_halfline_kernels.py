@@ -2,16 +2,19 @@
 references.
 
 ``halfline._first_order`` (a f + b f': the derivative, -f' and the
-resolvent check u + u') and ``halfline.resolvent_solve`` scale a function
-to integer coefficients once and form each output coefficient as one
-integer numerator per rate group; the ``reference`` module's term-wise
+resolvent check u + u') and ``halfline.resolvent_solve`` read a function's
+integer form and write the output's, one integer numerator per term over
+one common denominator; the ``reference`` module's term-wise
 versions add one exact term at a time.  Both must agree exactly
 (``Fraction``s are canonical), on the resonant rate 1, on rates below 1 (a
 negative gap to the resonant rate), on degrees up to 32, on rate
 denominators up to the cap and on zero polynomials, and a sum that cancels
-must drop its key.  The kernels build one ``RationalComplex`` per output
-term, and -f' is built as one ``ExpPoly``.  The resolvent check must fail
-on a solution with one coefficient changed.
+must drop its key.  Every kernel output, and every function the checked
+constructors build, is in the canonical integer form, and its lazy
+``items()`` view equals the term-wise result in canonical order.  The
+kernels build at most one ``RationalComplex`` per output term, and -f' is
+built as one ``ExpPoly``.  The resolvent check must fail on a solution
+with one coefficient changed.
 """
 
 import random
@@ -22,11 +25,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    assert_canonical,
+    derivative_terms,
     derivative_termwise,
+    exppoly_to_json,
+    first_order_terms,
     first_order_termwise,
     random_exppoly,
+    resolvent_terms,
     resolvent_termwise,
+    sorted_terms,
 )
+from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext.halfline import QC, ExpPoly, exp_decay, term
 
@@ -167,15 +177,16 @@ def test_kernels_build_one_rational_complex_per_output_term(kernel, monkeypatch)
 def test_negated_derivative_builds_one_exppoly(apply, monkeypatch):
     f = random_exppoly(random.Random(5), 60)
     f0 = f - exp_decay(1).scale(f.eval0())
-    # an ExpPoly is built through __init__ or through the trusted _from_sorted
+    # an ExpPoly is built through __init__ or through the trusted
+    # _from_integers
     calls = _counting(monkeypatch, ExpPoly, "__init__")
-    trusted = ExpPoly._from_sorted
+    trusted = ExpPoly._from_integers
 
-    def counting_trusted(items):
+    def counting_trusted(den, groups):
         calls.append(None)
-        return trusted(items)
+        return trusted(den, groups)
 
-    monkeypatch.setattr(ExpPoly, "_from_sorted", staticmethod(counting_trusted))
+    monkeypatch.setattr(ExpPoly, "_from_integers", staticmethod(counting_trusted))
     apply(f0)
     assert len(calls) == 1
 
@@ -191,4 +202,57 @@ def test_cancelled_sums_build_no_rational_complex(apply, f, monkeypatch):
     out_terms = len(apply(f).terms)
     calls = _counting(monkeypatch, hl.RationalComplex, "__post_init__")
     apply(f)
-    assert len(calls) == out_terms == 1
+    # the kernels build none; the count is the one-term view that the
+    # test suite's trusted-constructor guard builds
+    assert len(calls) <= out_terms == 1
+
+
+def _sum_terms(*term_dicts) -> dict:
+    out = {}
+    for terms in term_dicts:
+        for key, coeff in terms.items():
+            total = out.pop(key, QC()) + coeff
+            if not total.is_zero():
+                out[key] = total
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(f=exppolys(), g=exppolys(), c=coefficients)
+def test_kernel_outputs_are_canonical_and_viewed_termwise(f, g, c):
+    f_terms, g_terms = f.terms, g.terms
+    f0 = f - exp_decay(1).scale(f.eval0())
+    neg_g = {key: -coeff for key, coeff in g_terms.items()}
+    cases = [
+        (f.derivative(), derivative_terms(f)),
+        (f.plus_derivative(), first_order_terms(f, 1, 1)),
+        (hl.adjoint_apply(f), first_order_terms(f, 0, -1)),
+        (hl.canonical_extension_apply(f0), first_order_terms(f0, 0, -1)),
+        (hl.resolvent_solve(f), resolvent_terms(f)),
+        (-g, neg_g),
+        (f.scale(c), {} if c.is_zero() else {k: c * v for k, v in f_terms.items()}),
+        (f + g, _sum_terms(f_terms, g_terms)),
+        (f - g, _sum_terms(f_terms, neg_g)),
+        (fmt.exppoly_from_json(exppoly_to_json(f)), f_terms),
+    ]
+    for out, terms in cases:
+        assert_canonical(*out.integer_form())
+        assert out.items() == sorted_terms(terms)
+        assert out.eval0() == sum((v for (k, _), v in terms.items() if k == 0), QC())
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, hl.MAX_DEGREE), rates), coefficients, max_size=8
+    )
+)
+def test_checked_constructors_are_canonical_and_viewed_termwise(terms):
+    nonzero = {key: c for key, c in terms.items() if not c.is_zero()}
+    records = [
+        {"k": k, "lambda": str(lam), "re": str(c.re), "im": str(c.im)}
+        for (k, lam), c in terms.items()
+    ]
+    for f in (ExpPoly(terms), fmt.exppoly_from_json(records)):
+        assert_canonical(*f.integer_form())
+        assert f.items() == sorted_terms(nonzero)

@@ -8,9 +8,11 @@ rate sums, the resonant rate 1, degree-33 resolvent outputs, zero
 polynomials, purely imaginary coefficients, rate denominators up to the
 cap, and sums over pairs with different coefficient scales.  The kernel
 also builds a constant number of ``RationalComplex`` values, however many
-term pairs it sums.
+term pairs it sums, and reduces each rate-sum fraction before adding them,
+so that rate sums which cancel add no denominator.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -196,3 +198,36 @@ def test_green_left_side_builds_one_rational_complex(
     assert lhs == inner_termwise(hl.adjoint_apply(f), g) + inner_termwise(
         f, hl.adjoint_apply(g)
     )
+
+
+def _largest_primes_below(n: int, count: int) -> list:
+    primes = []
+    m = n - 1
+    while len(primes) < count:
+        if all(m % d for d in range(2, math.isqrt(m) + 1)):
+            primes.append(m)
+        m -= 1
+    return primes
+
+
+def test_green_buckets_reduce_before_the_pairwise_sum(monkeypatch):
+    # t^32 and t^31 against exp(-lam t) with 60 coprime rate denominators
+    # near the cap: every rate sum of Green's left side cancels, so each of
+    # the 1830 bucket fractions reduces to 0/1; unreduced, their
+    # denominators N^(top+1) have 1319 to 2657 bits, and adding them takes
+    # seconds
+    rates = [
+        Fraction(p + 1 + i, p) for i, p in enumerate(_largest_primes_below(10**6, 60))
+    ]
+    f = ExpPoly({(32 - i % 2, lam): QC(1) for i, lam in enumerate(rates)})
+    kernel = hl._pairwise_sum
+    largest = []
+
+    def recording_sum(parts):
+        largest.append(max(den.bit_length() for _, _, den in parts))
+        return kernel(parts)
+
+    monkeypatch.setattr(hl, "_pairwise_sum", recording_sum)
+    lhs, rhs = hl.green_identity(f, f)
+    assert lhs == rhs == QC()
+    assert len(largest) == 1 and largest[0] <= 64

@@ -6,7 +6,9 @@ Each case runs in a fresh interpreter.  ``import skewext.cli`` and every
 ``errors``, ``halfline``, ``formats`` and ``tolerances``: no numpy, no
 orjson and none of the numeric modules.  Those load when ``main``
 dispatches a relation command, and ``skewext.<module>`` still resolves
-after a bare ``import skewext``.
+after a bare ``import skewext``.  The import loads no ``dataclasses``
+either.  Under ``python -m skewext.cli`` no command imports
+``skewext.cli`` a second time beside ``__main__``.
 """
 
 import json
@@ -97,6 +99,8 @@ def test_import_of_the_cli_loads_no_numeric_module():
     result = _probe("import skewext.cli\ncode = None")
     assert {"skewext.cli", "skewext.formats", "skewext.halfline"} <= _loaded(result)
     _light_only(_loaded(result))
+    # nor dataclasses and the inspect it imports, a third of the start-up
+    assert {"dataclasses", "inspect"}.isdisjoint(_loaded(result))
 
 
 @pytest.mark.parametrize(
@@ -129,3 +133,29 @@ def test_a_relation_command_loads_the_numeric_substrate(tmp_path):
     result = _probe(CLI_RUN.format(argv=argv))
     assert result["code"] == 0
     assert {"numpy", "skewext.boundary", "skewext.relation_commands"} <= _loaded(result)
+
+
+# runs the CLI as ``python -m skewext.cli`` does, then reports whether the
+# module was also imported under its own name
+MODULE_RUN = """import runpy
+sys.argv = ["skewext", *{argv!r}]
+try:
+    runpy.run_module("skewext.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = [exc.code, "skewext.cli" in sys.modules]"""
+
+
+@pytest.mark.parametrize("command", ["canonical", "halfline"])
+def test_run_as_a_module_imports_the_cli_once(command, halfline_files, tmp_path):
+    if command == "canonical":
+        path = tmp_path / "rel.json"
+        relation = rel.random_skew_symmetric(3, 1, 1)
+        path.write_text(fmt.dumps(fmt.relation_to_json(relation)))
+        argv = ["canonical", "--input", str(path)]
+    else:
+        argv = ["halfline", "--subcheck", "resolvent"]
+        argv += ["--input", str(halfline_files["resolvent"])]
+    argv += ["--out", str(tmp_path / "report.json")]
+    result = _probe(MODULE_RUN.format(argv=argv))
+    assert result["code"] == [0, False]
+    assert json.loads((tmp_path / "report.json").read_text())["status"] == "pass"

@@ -244,6 +244,36 @@ def halfline_timings(terms: int, module=hl) -> dict:
     }
 
 
+def _coprime_function(module=hl):
+    """t^32 and t^31 (alternating) times exp(-lam t), with lam = (p + 1 + i)/p
+    for the i-th of the 60 largest primes p below 10^6: rate denominators
+    at the cap and pairwise coprime, as an ``ExpPoly`` of ``module``."""
+    primes = []
+    m = 10**6 - 1
+    while len(primes) < 60:
+        if all(m % d for d in range(2, int(m**0.5) + 1)):
+            primes.append(m)
+        m -= 1
+    return module.ExpPoly(
+        {
+            (32 - i % 2, Fraction(p + 1 + i, p)): module.RationalComplex(1)
+            for i, p in enumerate(primes)
+        }
+    )
+
+
+def coprime_timing(module=hl) -> dict:
+    """``green_identity(f, f)`` on ``_coprime_function``: one timed call,
+    since a tree that adds unreduced rate-sum fractions takes seconds."""
+    f = _coprime_function(module)
+    start = time.perf_counter()
+    lhs, rhs = module.green_identity(f, f)
+    elapsed = time.perf_counter() - start
+    if lhs != rhs:
+        raise RuntimeError("the Green identity fails on the coprime-rate input")
+    return {"halfline.green_coprime_s": float(f"{elapsed:.4g}")}
+
+
 def baseline_halfline(src: str):
     """The ``halfline`` module of the source tree ``src``, imported under the
     package name ``skewext_baseline`` so that it sits beside this tree's."""
@@ -383,7 +413,12 @@ def main(argv=None) -> int:
             "the resolvent subcheck on that function and its resolvent_solve "
             "solution; report_s is formats.dumps of that subcheck's payload "
             "for the solution, with the per-term dicts built in a tree whose "
-            "formats has exppoly_to_json",
+            "formats has exppoly_to_json (in a tree whose ExpPoly has "
+            "integer_form, the digits are written from the integers); "
+            "green_coprime_s is one timed green_identity(f, f) call, with no "
+            "warm-up, on 60 terms t^32 and t^31 (alternating) times "
+            "exp(-lam t), lam = (p + 1 + i)/p for the i-th of the 60 largest "
+            "primes p below 10^6",
         },
         "layers": {f"n={n}": layer_timings(n) for n in SIZES},
     }
@@ -397,6 +432,8 @@ def main(argv=None) -> int:
     for t in HALFLINE_TERMS:
         for label, module in modules.items():
             record.setdefault(label, {})[f"terms={t}"] = halfline_timings(t, module)
+    for label, module in modules.items():
+        record[label]["coprime"] = coprime_timing(module)
     record.update(cli_timings(trees))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(fmt.dumps(record))
