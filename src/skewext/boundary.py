@@ -7,9 +7,13 @@ the abstract Green identity on a single boundary space G.  Both carry their
 boundary maps as matrices against one fixed orthonormal basis of
 Graph(H0*), so boundary maps are linear by construction, and elements of
 G1, G2, G are coordinate vectors against orthonormal bases (making
-"unitary between boundary spaces" a plain matrix predicate).  Each system
-and triplet is verified once, when it is built, and carries the report;
-the conversions and the extension constructors refuse one that failed.
+"unitary between boundary spaces" a plain matrix predicate).  A triplet is
+the system with G1 = G2 and F = (Gamma1 +- Gamma2)/sqrt(2), so both share
+one construction check (``_freeze_maps``) and one verifier (``_verify``):
+Omega on Graph(H0*) against the pulled-back boundary form, and the row rank
+of the boundary maps.  Each is verified once, when it is built, and carries
+the report; the conversions and the extension constructors refuse one that
+failed.
 
 The canonical boundary system exists for every skew-symmetric relation:
 its boundary spaces are the deficiency spaces g1 = ker(1 - H0*) and
@@ -87,17 +91,7 @@ class BoundarySystem:
     report: VerificationReport = field(init=False, compare=False)
 
     def __post_init__(self, tol):
-        n = self.base.space_dim
-        if self.adjoint_graph.ambient_dim != 2 * n:
-            raise AmbientMismatch("adjoint graph must live in C^(2n)")
-        if self.g1.ambient_dim != n or self.g2.ambient_dim != n:
-            raise AmbientMismatch("boundary spaces must live in C^n")
-        f = np.asarray(self.f_matrix, dtype=complex)
-        expected = (self.g1.dim + self.g2.dim, self.adjoint_graph.dim)
-        if f.shape != expected:
-            raise AmbientMismatch(f"F must have shape {expected}, got {f.shape}")
-        f.setflags(write=False)
-        object.__setattr__(self, "f_matrix", f)
+        _freeze_maps(self, (self.g1, self.g2), {"f_matrix": self.g1.dim + self.g2.dim})
         object.__setattr__(self, "report", verify_system(self, tol))
 
     @cached_property
@@ -135,85 +129,86 @@ class BoundaryTriplet:
     report: VerificationReport = field(init=False, compare=False)
 
     def __post_init__(self, tol):
-        n = self.base.space_dim
-        if self.adjoint_graph.ambient_dim != 2 * n:
-            raise AmbientMismatch("adjoint graph must live in C^(2n)")
-        if self.g.ambient_dim != n:
-            raise AmbientMismatch("boundary space must live in C^n")
-        expected = (self.g.dim, self.adjoint_graph.dim)
-        for name in ("gamma1", "gamma2"):
-            m = np.asarray(getattr(self, name), dtype=complex)
-            if m.shape != expected:
-                raise AmbientMismatch(
-                    f"{name} must have shape {expected}, got {m.shape}"
-                )
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        _freeze_maps(self, (self.g,), {"gamma1": self.g.dim, "gamma2": self.g.dim})
         object.__setattr__(self, "report", verify_triplet(self, tol))
 
 
-def _row_rank_full(m: np.ndarray) -> bool:
-    rows = m.shape[0]
-    return rows == 0 or sub.rank(m) == rows
+def _freeze_maps(data, spaces, rows: dict):
+    """The construction check of a system or triplet ``data``: Graph(H0*)
+    in C^2n, each boundary space of ``spaces`` in C^n, and each map named in
+    ``rows`` of shape (its row count, dim Graph(H0*)).  Each map is then
+    held as a read-only complex array."""
+    n = data.base.space_dim
+    if data.adjoint_graph.ambient_dim != 2 * n:
+        raise AmbientMismatch("adjoint graph must live in C^(2n)")
+    if any(g.ambient_dim != n for g in spaces):
+        raise AmbientMismatch("boundary spaces must live in C^n")
+    for name, count in rows.items():
+        m = np.asarray(getattr(data, name), dtype=complex)
+        expected = (count, data.adjoint_graph.dim)
+        if m.shape != expected:
+            raise AmbientMismatch(f"{name} must have shape {expected}, got {m.shape}")
+        m.setflags(write=False)
+        object.__setattr__(data, name, m)
 
 
-def _identity_report(lhs: np.ndarray, rhs: np.ndarray, tol: float):
-    if lhs.size == 0:
-        return True, 0.0
-    residual = float(np.max(np.abs(lhs - rhs)))
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return residual <= tol * scale, residual
+def _verify(data, form: np.ndarray, maps: np.ndarray, tol: float):
+    """The report of a system or triplet ``data``: the largest entry of
+    Omega - ``form`` over the adjoint-graph basis, held against ``tol``
+    times max(1, |Omega|, |form|) entrywise, and whether the stacked
+    boundary maps ``maps`` have full row rank.  Never raises."""
+    omega = omega_matrix(data.adjoint_graph.basis)
+    holds, residual = True, 0.0
+    if omega.size:
+        residual = float(np.max(np.abs(omega - form)))
+        scale = max(1.0, float(np.max(np.abs(omega))), float(np.max(np.abs(form))))
+        holds = residual <= tol * scale
+    rows = maps.shape[0]
+    return VerificationReport(
+        surjective=rows == 0 or sub.rank(maps) == rows,
+        identity_holds=holds,
+        residual=residual,
+        tol=tol,
+    )
 
 
 def verify_system(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> VerificationReport:
-    """Check surjectivity of F and the form-intertwining identity.
-
-    Never raises; returns a report with the max residual of
-    Omega(u_i, u_j) - omega(F u_i, F u_j) over graph basis pairs.
-    """
-    n = s.base.space_dim
-    omega = omega_matrix(s.adjoint_graph.basis, s.adjoint_graph.basis, n)
-    w = (s.f1.conj().T @ s.f1 - s.f2.conj().T @ s.f2).T
-    identity_holds, residual = _identity_report(omega, w, tol)
-    return VerificationReport(
-        surjective=_row_rank_full(s.f_matrix),
-        identity_holds=identity_holds,
-        residual=residual,
-        tol=tol,
-    )
+    """Check surjectivity of F and the form-intertwining identity
+    Omega(u, v) = <F1 u, F1 v> - <F2 u, F2 v> on Graph(H0*)."""
+    return _verify(s, s.f1.conj().T @ s.f1 - s.f2.conj().T @ s.f2, s.f_matrix, tol)
 
 
 def verify_triplet(t: BoundaryTriplet, tol: float = sub.ORTH_TOL) -> VerificationReport:
-    """Check stacked surjectivity of (Gamma1, Gamma2) and the Green identity."""
-    n = t.base.space_dim
-    omega = omega_matrix(t.adjoint_graph.basis, t.adjoint_graph.basis, n)
-    green = (t.gamma2.conj().T @ t.gamma1 + t.gamma1.conj().T @ t.gamma2).T
-    identity_holds, residual = _identity_report(omega, green, tol)
-    return VerificationReport(
-        surjective=_row_rank_full(np.vstack([t.gamma1, t.gamma2])),
-        identity_holds=identity_holds,
-        residual=residual,
-        tol=tol,
-    )
+    """Check stacked surjectivity of (Gamma1, Gamma2) and the Green identity
+    Omega(u, v) = <Gamma1 u, Gamma2 v> + <Gamma2 u, Gamma1 v>."""
+    green = t.gamma2.conj().T @ t.gamma1 + t.gamma1.conj().T @ t.gamma2
+    return _verify(t, green, np.vstack([t.gamma1, t.gamma2]), tol)
 
 
 def require_valid_system(s: BoundarySystem):
     """Raise InvalidSystem unless the system verified when it was built."""
-    report = s.report
-    if not report.ok:
-        raise InvalidSystem(
-            f"boundary system fails verification (residual {report.residual:.3e}, "
-            f"surjective={report.surjective})"
-        )
+    _require_valid(s, InvalidSystem, "system")
 
 
 def require_valid_triplet(t: BoundaryTriplet):
     """Raise InvalidTriplet unless the triplet verified when it was built."""
-    report = t.report
+    _require_valid(t, InvalidTriplet, "triplet")
+
+
+def _require_valid(data, error: type, kind: str):
+    report = data.report
     if not report.ok:
-        raise InvalidTriplet(
-            f"boundary triplet fails verification (residual {report.residual:.3e}, "
+        raise error(
+            f"boundary {kind} fails verification (residual {report.residual:.3e}, "
             f"surjective={report.surjective})"
+        )
+
+
+def _require_unitary(m: np.ndarray, rows: int, cols: int, name: str):
+    """Raise NotUnitary unless ``m`` is a unitary rows x cols matrix."""
+    if m.shape != (rows, cols) or not is_unitary(m):
+        raise NotUnitary(
+            f"{name} must be a unitary {rows}x{cols} matrix in boundary coordinates"
         )
 
 
@@ -247,13 +242,7 @@ def system_to_triplet(s: BoundarySystem, l0) -> BoundaryTriplet:
     if s.g1.dim != s.g2.dim:
         raise DimensionMismatch(s.g1.dim, s.g2.dim)
     l0 = np.asarray(l0, dtype=complex)
-    if l0.shape != (s.g2.dim, s.g1.dim):
-        raise NotUnitary(
-            f"L0 must map G1 to G2 coordinates, expected shape "
-            f"{(s.g2.dim, s.g1.dim)}, got {l0.shape}"
-        )
-    if not is_unitary(l0):
-        raise NotUnitary("L0 is not unitary within tolerance")
+    _require_unitary(l0, s.g2.dim, s.g1.dim, "L0")
     require_valid_system(s)
     return _triplet_of(s, l0)
 

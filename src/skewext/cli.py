@@ -6,9 +6,11 @@ system and triplet is verified once, when it is built, at the run's
 ``--tol``, and every check on it runs at that tolerance; reports read the
 verification off the object, and every consumer refuses an object that
 failed it.  Exit codes: 0 when every asserted property holds (status
-"pass"), 1 when an asserted property fails ("fail"), 2 on invalid input or
-a violated precondition ("error").  Reports are deterministic: identical
-inputs, including seeds, produce byte-identical output.  ``input_digest`` covers every input file the command read.
+"pass"), 1 when an asserted property fails ("fail"), 2 on invalid input, a
+path that cannot be read or written, or a violated precondition ("error").
+Reports are deterministic: identical inputs, including seeds, produce
+byte-identical output.  ``input_digest`` covers every input file the
+command read.
 
 Each ``cmd_*`` returns ``(echo, digest, status, payload)``; ``main`` hands
 that to ``_emit``, the one place where reports are assembled and written.
@@ -239,7 +241,7 @@ def main(argv=None) -> int:
 
             command = COMMANDS[args.command]
         return _emit(args, *command(args))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ValueError, KeyError, TypeError) as exc:

@@ -33,6 +33,7 @@ from . import subspace as sub
 from .boundary import (
     BoundarySystem,
     BoundaryTriplet,
+    _require_unitary,
     _triplet_of,
     canonical_pieces,
     canonical_system,  # noqa: F401  re-export; perfbench/test_smoke.py traces it
@@ -105,13 +106,6 @@ class ExistenceReport:
     @property
     def agree(self) -> bool:
         return len(set(self.booleans)) == 1
-
-
-def _require_unitary(m: np.ndarray, rows: int, cols: int, name: str):
-    if m.shape != (rows, cols) or not is_unitary(m):
-        raise NotUnitary(
-            f"{name} must be a unitary {rows}x{cols} matrix in boundary coordinates"
-        )
 
 
 def _adjoint_portion(data, condition: np.ndarray) -> Relation:
@@ -312,8 +306,7 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
         has_sksa = rel.is_skew_self_adjoint(extension, s.report.tol)
         triplet_ok = _triplet_of(s, eye).report.ok
 
-    basis = s.adjoint_graph.basis
-    omega = np.linalg.eigvalsh(rel.omega_matrix(basis, basis, s.base.space_dim))
+    omega = np.linalg.eigvalsh(rel.omega_matrix(s.adjoint_graph.basis))
     positive = int(np.count_nonzero(omega > s.report.tol))
     negative = int(np.count_nonzero(omega < -s.report.tol))
 

@@ -7,8 +7,10 @@ functions stay ``ExpPoly`` objects until ``dumps`` writes them, each as
 the list of its term records {"k", "lambda", "re", "im"} by one
 %-template, the "p/q" digits written from the function's integer form
 (``_fraction_digits``), with no ``Fraction`` built.  Digits are written in
-blocks (``_int_digits``), so a value longer than CPython's int-to-str
-limit is written too, without changing that process-wide limit.  The
+blocks (``halfline._int_digits``, which writes the exact values in
+``halfline``'s messages too), so a value longer than CPython's int-to-str
+limit is written, and read back in halves (``_digits_int``), without
+changing that process-wide limit.  The
 decoder ``exppoly_from_json`` builds the integer form straight from the
 parsed strings.  ``dumps`` writes a report holding such values with the bytes
 of ``json.dumps(..., sort_keys=True, indent=2)``.  One ``orjson`` call
@@ -36,6 +38,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import halfline as hl
+from .halfline import _fraction_digits, _int_digits
 from .tolerances import RANK_TOL
 
 if TYPE_CHECKING:
@@ -305,44 +308,27 @@ def triplet_to_json(t: BoundaryTriplet) -> dict:
     }
 
 
-#: an integer of fewer bits is below 2**1992 < 10**600, so ``str`` writes
-#: it within CPython's int-to-str digit limit at any setting (the lowest
-#: allowed is 640 digits)
-_SHORT_BITS = 1993
-
-
-def _int_digits(n: int) -> str:
-    """The decimal digits of ``n`` as ``str(n)`` writes them, also beyond
-    ``sys.get_int_max_str_digits()``: a long ``n`` is split by one divmod
-    by a power of ten at about half its digits, and each part is written
-    the same way."""
-    if n.bit_length() < _SHORT_BITS:
-        return str(n)
-    if n < 0:
-        return "-" + _int_digits(-n)
-    # n has at least 600 digits, so both parts are shorter than n
-    half = int(n.bit_length() * 0.30103) // 2
-    high, low = divmod(n, 10**half)
-    return _int_digits(high) + _int_digits(low).zfill(half)
-
-
-def _fraction_digits(num: int, den: int) -> str:
-    """num / den (den > 0) as ``str(Fraction(num, den))`` writes it: lowest
-    terms, and the numerator alone over 1."""
-    h = math.gcd(num, den)
-    if h != 1:
-        num //= h
-        den //= h
-    if den.bit_length() < _SHORT_BITS and num.bit_length() < _SHORT_BITS:
-        return str(num) if den == 1 else f"{num}/{den}"
-    if den == 1:
-        return _int_digits(num)
-    return _int_digits(num) + "/" + _int_digits(den)
-
-
 def fraction_to_str(x: Fraction) -> str:
     x = x if isinstance(x, Fraction) else Fraction(x)
     return _fraction_digits(x.numerator, x.denominator)
+
+
+#: a string of fewer characters is within CPython's int-to-str digit limit
+#: at any setting (the lowest allowed is 640 digits), so ``int`` reads it
+_SHORT_DIGITS = 600
+
+
+def _digits_int(s: str) -> int:
+    """The integer of the ASCII digits ``s``, with an optional leading "-",
+    as ``int(s)`` reads it, also beyond ``sys.get_int_max_str_digits()``:
+    the mirror of ``_int_digits``, a long string is split at half its length
+    and each part read the same way."""
+    if len(s) < _SHORT_DIGITS:
+        return int(s)
+    if s[0] == "-":
+        return -_digits_int(s[1:])
+    low = len(s) // 2
+    return _digits_int(s[:-low]) * 10**low + _digits_int(s[-low:])
 
 
 def _ratio_from_str(s) -> tuple:
@@ -350,10 +336,12 @@ def _ratio_from_str(s) -> tuple:
     ``(numerator, denominator)`` with a positive denominator, not reduced.
 
     The plain ASCII forms ``-?digits`` and ``-?digits/digits`` with a
-    nonzero denominator are read by ``int``; every other string (signs,
-    spaces, underscores, decimals, exponents, non-ASCII digits, a zero
-    denominator) goes to ``Fraction(s)``, whose regex parse costs more.
-    Both give the same value and reject the same strings.
+    nonzero denominator are read by ``int``, and past the int-to-str limit,
+    where ``Fraction(s)`` refuses them, by ``_digits_int``, so the digits
+    ``formats`` writes are read back.  Every other string (signs, spaces,
+    underscores, decimals, exponents, non-ASCII digits, a zero denominator)
+    goes to ``Fraction(s)``, whose regex parse costs more; it keeps that
+    outcome and message.
     """
     if isinstance(s, int) and not isinstance(s, bool):
         return s, 1
@@ -363,10 +351,11 @@ def _ratio_from_str(s) -> tuple:
         num, slash, den = s.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if s.isascii() and digits.isdigit():
+            read = int if len(s) < _SHORT_DIGITS else _digits_int
             if not slash:
-                return int(num), 1
+                return read(num), 1
             if den.isdigit() and den.strip("0"):
-                return int(num), int(den)
+                return read(num), read(den)
         return Fraction(s).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {s!r}: {exc}") from None
@@ -388,7 +377,9 @@ def _raise_first_repeat(items):
     seen = set()
     for key, _ in items:
         if key in seen:
-            raise ValueError(f"duplicate term for {key}")
+            k, lam = key
+            num, den = map(_int_digits, lam.as_integer_ratio())
+            raise ValueError(f"duplicate term for ({k}, Fraction({num}, {den}))")
         seen.add(key)
 
 

@@ -29,7 +29,10 @@ negation, scaling and sums bring their output to one denominator and
 divide it by one gcd (``_reduced``); ``eval0`` adds the degree-zero
 numerators.  The (key, ``RationalComplex``) view behind ``items()`` and
 ``terms`` is built on its first request and kept; no check needs it, and
-``formats`` writes a report's digits from the integers.
+``formats`` writes a report's digits from the integers.  Those digits, and
+every exact value in a message or ``repr`` here, are written by
+``_int_digits`` and ``_fraction_digits``, also past CPython's int-to-str
+limit.
 
 ``inner_sum`` is the exact sum of inner products over a sequence of pairs,
 which is also the inner product on a direct sum of half-lines; ``inner``
@@ -68,6 +71,41 @@ MAX_RATE_DENOMINATOR = 10**6
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+#: an integer of fewer bits is below 2**1992 < 10**600, so ``str`` writes
+#: it within CPython's int-to-str digit limit at any setting (the lowest
+#: allowed is 640 digits)
+_SHORT_BITS = 1993
+
+
+def _int_digits(n: int) -> str:
+    """The decimal digits of ``n`` as ``str(n)`` writes them, also beyond
+    ``sys.get_int_max_str_digits()``: a long ``n`` is split by one divmod
+    by a power of ten at about half its digits, and each part is written
+    the same way."""
+    if n.bit_length() < _SHORT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_digits(-n)
+    # n has at least 600 digits, so both parts are shorter than n
+    half = int(n.bit_length() * 0.30103) // 2
+    high, low = divmod(n, 10**half)
+    return _int_digits(high) + _int_digits(low).zfill(half)
+
+
+def _fraction_digits(num: int, den: int) -> str:
+    """num / den (den > 0) as ``str(Fraction(num, den))`` writes it: lowest
+    terms, and the numerator alone over 1."""
+    h = math.gcd(num, den)
+    if h != 1:
+        num //= h
+        den //= h
+    if den.bit_length() < _SHORT_BITS and num.bit_length() < _SHORT_BITS:
+        return str(num) if den == 1 else f"{num}/{den}"
+    if den == 1:
+        return _int_digits(num)
+    return _int_digits(num) + "/" + _int_digits(den)
 
 
 def _frac(x) -> Fraction:
@@ -149,7 +187,9 @@ class RationalComplex:
         return complex(float(self.re), float(self.im))
 
     def __str__(self):
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+        re = _fraction_digits(*self.re.as_integer_ratio())
+        im = _fraction_digits(*self.im.as_integer_ratio())
+        return f"{re}{'+' if self.im >= 0 else ''}{im}i"
 
 
 def _coerce(x) -> RationalComplex:
@@ -296,7 +336,10 @@ class ExpPoly:
     def __repr__(self):
         if self.is_zero():
             return "ExpPoly(0)"
-        bits = [f"({coeff}) t^{k} e^(-{lam} t)" for (k, lam), coeff in self.items()]
+        bits = [
+            f"({coeff}) t^{k} e^(-{_fraction_digits(*lam.as_integer_ratio())} t)"
+            for (k, lam), coeff in self.items()
+        ]
         return "ExpPoly(" + " + ".join(bits) + ")"
 
 
@@ -315,11 +358,14 @@ def _check_key(k, lam: Fraction):
     """Raise InvalidTerm unless the degree ``k`` is a nonnegative integer and
     the rate ``lam`` is positive with a denominator within the cap."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise InvalidTerm(f"degree must be a nonnegative integer, got {k!r}")
+        got = _int_digits(k) if type(k) is int else repr(k)
+        raise InvalidTerm(f"degree must be a nonnegative integer, got {got}")
     if lam <= 0:
-        raise InvalidTerm(f"rate must be positive, got {lam}")
+        got = _fraction_digits(*lam.as_integer_ratio())
+        raise InvalidTerm(f"rate must be positive, got {got}")
     if lam.denominator > MAX_RATE_DENOMINATOR:
-        raise InvalidTerm(f"rate denominator {lam.denominator} exceeds the cap")
+        got = _int_digits(lam.denominator)
+        raise InvalidTerm(f"rate denominator {got} exceeds the cap")
 
 
 def _canonical_order(items) -> tuple:

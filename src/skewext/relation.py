@@ -130,15 +130,14 @@ def negate(t: Relation) -> Relation:
     return Relation(t.space_dim, Subspace(2 * t.space_dim, basis))
 
 
-def omega_matrix(u_basis: np.ndarray, v_basis: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of the standard symmetric form over two graph bases.
-
-    Entry (i, j) is Omega(u_i, v_j) = <x_i, y'_j> + <x'_i, y_j> for graph
-    columns u_i = (x_i, x'_i) and v_j = (y_j, y'_j).
+def omega_matrix(basis: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix X'^H X + X^H X' of the standard symmetric form on
+    a graph basis (X; X') of C^2n: entry (i, j) is
+    Omega(u_j, u_i) = <x_j, x'_i> + <x'_j, x_i> for columns u_i = (x_i, x'_i).
     """
-    x, xp = u_basis[:n, :], u_basis[n:, :]
-    y, yp = v_basis[:n, :], v_basis[n:, :]
-    return (yp.conj().T @ x + y.conj().T @ xp).T
+    n = basis.shape[0] // 2
+    x, xp = basis[:n, :], basis[n:, :]
+    return xp.conj().T @ x + x.conj().T @ xp
 
 
 def is_skew_symmetric(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
@@ -146,7 +145,7 @@ def is_skew_symmetric(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
 
     Equivalent to Graph(T) being contained in Graph(-T*).
     """
-    m = omega_matrix(t.graph.basis, t.graph.basis, t.space_dim)
+    m = omega_matrix(t.graph.basis)
     return float(np.max(np.abs(m), initial=0.0)) <= tol
 
 
@@ -165,12 +164,11 @@ def is_dissipative(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
 
     The supremum over the graph is one Hermitian eigenproblem: with X, X'
     the graph basis blocks, the condition is that the largest eigenvalue
-    of X'^H X + X^H X' is at most 2 tol.
+    of X'^H X + X^H X' (``omega_matrix``) is at most 2 tol.
     """
     if t.graph_dim == 0:
         return True
-    x, xp = t.blocks()
-    herm = xp.conj().T @ x + x.conj().T @ xp
+    herm = omega_matrix(t.graph.basis)
     return float(np.max(np.linalg.eigvalsh(herm))) <= 2.0 * tol
 
 

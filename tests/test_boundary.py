@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from skewext import boundary as bd
 from skewext import relation as rel
 from skewext import subspace as sub
 from skewext.errors import (
+    AmbientMismatch,
     DecompositionFailure,
     DimensionMismatch,
     InvalidTriplet,
@@ -40,9 +43,9 @@ def zero_relation_triplet():
 
 
 def test_forms_on_vectors():
-    # Omega((x,x'),(y,y')) = <x,y'> + <x',y> evaluated directly
+    # Omega((x,x'),(y,y')) = <x,y'> + <x',y>: entry [1, 0] on the columns [u v]
     def omega(u, v):
-        return rel.omega_matrix(np.array([u]).T, np.array([v]).T, n=1)[0, 0]
+        return rel.omega_matrix(np.array([u, v]).T)[1, 0]
 
     assert omega((1, 0), (0, 1)) == pytest.approx(1)
     assert omega((1, 1j), (1, 1j)) == pytest.approx(0)
@@ -168,6 +171,30 @@ def test_system_to_triplet_rejects_non_unitary():
     s = bd.canonical_system(rel.zero_relation(1))
     with pytest.raises(NotUnitary):
         bd.system_to_triplet(s, np.array([[2.0]]))
+    # a unitary of the wrong shape is refused by the same check
+    with pytest.raises(NotUnitary):
+        bd.system_to_triplet(s, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("system", name) for name in ("adjoint_graph", "g1", "g2", "f_matrix")]
+    + [("triplet", name) for name in ("adjoint_graph", "g", "gamma1", "gamma2")],
+)
+def test_construction_check_refuses_wrong_ambients_and_shapes(kind, name):
+    # systems and triplets share one construction check: each field in turn
+    # is given one more ambient dimension (its basis padded by a zero row, so
+    # its dimension stays), or a map one more row
+    s = bd.canonical_system(rel.random_skew_symmetric(2, 1, seed=0))
+    data = s if kind == "system" else bd.system_to_triplet(s, np.eye(s.g1.dim))
+    value = getattr(data, name)
+    if isinstance(value, sub.Subspace):
+        padded = np.vstack([value.basis, np.zeros((1, value.dim))])
+        wrong = sub.Subspace(value.ambient_dim + 1, padded)
+    else:
+        wrong = np.zeros((value.shape[0] + 1, value.shape[1]), dtype=complex)
+    with pytest.raises(AmbientMismatch):
+        dataclasses.replace(data, **{name: wrong})
 
 
 def test_canonical_decomposition_zero_relation():

@@ -6,6 +6,7 @@ import pytest
 
 from reference import resolvent_termwise
 from skewext import extensions as ext
+from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext import relation as rel
 from skewext.cli import build_parser, main
@@ -296,13 +297,18 @@ def test_halfline_input_degree_cap(tmp_path, capsys):
     assert code == 2 and report is None
 
 
-def test_halfline_rejects_a_5000_digit_rate(tmp_path, capsys):
+def test_halfline_reads_a_5000_digit_rate(tmp_path, capsys):
+    # plain digits past CPython's int-to-str limit of 4300 are read in halves
+    rate = (10**5000 - 1) // 9
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps([{"k": 0, "lambda": "1" * 5000, "re": "1", "im": "0"}]))
     code, report = run_cli(
         capsys, "halfline", "--subcheck", "resolvent", "--input", str(fn)
     )
-    assert code == 2 and report is None
+    assert code == 0 and report["status"] == "pass"
+    solution = fmt.exppoly_from_json(report["payload"]["solution"])
+    assert solution == hl.resolvent_solve(hl.term(0, rate, 1))
+    assert {lam for _, lam in solution.terms} == {1, rate}
 
 
 def _parse_digits(text: str) -> int:
@@ -314,6 +320,48 @@ def _parse_digits(text: str) -> int:
         chunk = digits[i:i + 500]
         value = value * 10 ** len(chunk) + int(chunk)
     return sign * value
+
+
+_BIG = "1" + "0" * 4400  # 10^4400, past the int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "subcheck, terms, message",
+    [
+        (
+            "dissipative",
+            [
+                {"k": 0, "lambda": "1", "re": "1/3", "im": "0"},
+                {"k": 0, "lambda": "1e4400", "re": "1e4400", "im": "0"},
+            ],
+            "TraceNotZero: extension domain needs f(0) = 0, "
+            f"got f(0) = 3{_BIG[2:]}1/3+0i",
+        ),
+        (
+            "resolvent",
+            [{"k": 0, "lambda": "-1e4400", "re": "1", "im": "0"}],
+            f"invalid input: rate must be positive, got -{_BIG}",
+        ),
+        (
+            "resolvent",
+            [
+                {"k": 0, "lambda": "1e4400", "re": "1", "im": "0"},
+                {"k": 0, "lambda": "1e4400", "re": "2", "im": "0"},
+            ],
+            f"invalid input: duplicate term for (0, Fraction({_BIG}, 1))",
+        ),
+    ],
+    ids=["trace", "rate-sign", "duplicate"],
+)
+def test_halfline_errors_write_values_past_the_str_limit(
+    tmp_path, capsys, subcheck, terms, message
+):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(terms))
+    code = main(["halfline", "--subcheck", subcheck, "--input", str(fn)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_halfline_resolvent_writes_digits_beyond_the_str_limit(tmp_path, capsys):
@@ -337,6 +385,14 @@ def test_halfline_resolvent_writes_digits_beyond_the_str_limit(tmp_path, capsys)
         ]
     assert written == {key: [c.re, c.im] for key, c in expected.terms.items()}
     assert max(c.re.denominator for c in expected.terms.values()) > 10**4300
+    # the written solution, values up to 6610 characters, is valid input again
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(report["payload"]["solution"]))
+    for subcheck in ("resolvent", "green"):
+        code, again = run_cli(
+            capsys, "halfline", "--subcheck", subcheck, "--input", str(solution)
+        )
+        assert code == 0 and again["status"] == "pass"
 
 
 @pytest.mark.parametrize(
@@ -509,6 +565,23 @@ def test_extend_rejects_malformed_param_matrix(
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: invalid input:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "{dir}"],
+        ["analyze", "--input", "{rel}", "--out", "{dir}"],
+        ["generate", "--n", "2", "--k", "1", "--seed", "0", "--out-relation", "{dir}"],
+    ],
+    ids=["input", "out", "out-relation"],
+)
+def test_directory_as_a_path_is_an_error(tmp_path, zero_relation_file, capsys, argv):
+    argv = [a.format(dir=tmp_path, rel=zero_relation_file) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_out_into_missing_directory(tmp_path, zero_relation_file, capsys):

@@ -183,6 +183,10 @@ def test_exppoly_rejects_malformed():
         )
 
 
+#: plain digit strings past the int-to-str limit, which Fraction(s) refuses
+BEYOND_LIMIT = {"1" * 5000 + "/3": Fraction((10**5000 - 1) // 9, 3)}
+
+
 @pytest.mark.parametrize(
     "s",
     [
@@ -192,10 +196,11 @@ def test_exppoly_rejects_malformed():
     ],
 )
 def test_fraction_from_str_agrees_with_fraction(s):
-    # plain ASCII p/q is read by int(); the result and the accept/reject
-    # outcome, with its message, must be those of Fraction(s)
+    # plain ASCII p/q is read by int(), in halves past the int-to-str limit;
+    # the result and the accept/reject outcome, with its message, must be
+    # those of Fraction(s), which cannot read past the limit
     try:
-        expected = Fraction(s)
+        expected = BEYOND_LIMIT[s] if s in BEYOND_LIMIT else Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(ValueError) as info:
             fmt.fraction_from_str(s)
@@ -217,6 +222,18 @@ def test_fraction_digits_are_those_of_str(n):
     for den in (1, 3, 10**601 + 1):
         assert fmt._fraction_digits(n * 2, den * 2) == str(Fraction(n, den))
         assert fmt.fraction_to_str(Fraction(n, den)) == str(Fraction(n, den))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [10**599, -(10**599), 10**600 - 1, -(7**5000), 10**6609 + 3, 1 - 10**20000],
+    ids=["1e599", "-1e599", "1e600-1", "-7^5000", "1e6609+3", "1-1e20000"],
+)
+def test_digits_written_past_the_str_limit_are_read_back(n):
+    # the reader splits a long digit string in halves, as the writer does
+    assert fmt._digits_int(fmt._int_digits(n)) == n
+    assert fmt._digits_int("00" + fmt._int_digits(abs(n))) == abs(n)
+    assert fmt.fraction_from_str(fmt._fraction_digits(n, 7)) == Fraction(n, 7)
 
 
 def test_exppoly_from_json_orders_rates_beyond_double_range():

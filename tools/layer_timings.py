@@ -73,39 +73,6 @@ def _median(times):
     return float(f"{statistics.median(times):.4g}")
 
 
-def _plain(x):
-    """``x`` with every array replaced by its ``tolist()``: the payload the
-    indented ``json.dumps`` needs."""
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    return x
-
-
-def _json_indent(payload):
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
-
-
-def _per_pair_decode(gens):
-    """The per-pair decoder that ``formats.matrix_from_json`` replaced: one
-    type check and one ``complex()`` per [re, im] pair."""
-    rows = []
-    for g in gens:
-        row = []
-        for p in g:
-            if not isinstance(p, (list, tuple)) or len(p) != 2:
-                raise ValueError(p)
-            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in p):
-                raise ValueError(p)
-            z = complex(*p)
-            if not np.isfinite(z):
-                raise ValueError(p)
-            row.append(z)
-        rows.append(row)
-    return np.array(rows, dtype=complex)
-
-
 def layer_timings(n: int) -> dict:
     rng = np.random.default_rng(SEED)
     h = rel.random_skew_symmetric(n, n // 2, SEED)
@@ -161,10 +128,8 @@ def layer_timings(n: int) -> dict:
         "extensions.canonical_max_dissipative_s": b(ext.canonical_max_dissipative, s),
         "extensions.adjoint_formula_check_s": b(ext.adjoint_formula_check, s),
         "formats.report_bytes": len(fmt.dumps(payload)),
-        "formats.report_encode_json_indent_s": b(_json_indent, payload),
         "formats.report_encode_dumps_s": b(fmt.dumps, payload),
         "formats.relation_pairs": sum(len(g) for g in gens),
-        "formats.decode_per_pair_s": b(_per_pair_decode, gens),
         "formats.decode_matrix_from_json_s": b(fmt.matrix_from_json, gens),
         "formats.relation_from_json_s": b(fmt.relation_from_json, relation_obj),
     }
@@ -184,13 +149,10 @@ def _random_function(rnd: random.Random, count: int, module=hl):
     return module.ExpPoly(terms)
 
 
-def _resolvent_check(module):
-    """The identity check of ``halfline --subcheck resolvent`` in the tree
-    of ``module``: (1 + d/dt) u == f by one kernel call, or u + u' == f in
-    a tree without ``ExpPoly.plus_derivative``."""
-    if hasattr(module.ExpPoly, "plus_derivative"):
-        return lambda u, f: u.plus_derivative() == f
-    return lambda u, f: (u + u.derivative()) == f
+def _resolvent_check(u, f):
+    """The identity check of ``halfline --subcheck resolvent``:
+    (1 + d/dt) u == f by one kernel call."""
+    return u.plus_derivative() == f
 
 
 def _records(f) -> list:
@@ -204,17 +166,10 @@ def _records(f) -> list:
 
 def _resolvent_report(formats):
     """The report text of ``halfline --subcheck resolvent`` for a solution u
-    in the tree of ``formats``: its payload written by ``formats.dumps``,
-    with u as an ``ExpPoly``, or as the per-term dicts of
-    ``formats.exppoly_to_json`` in a tree that has it."""
-    records = getattr(formats, "exppoly_to_json", lambda u: u)
+    in the tree of ``formats``: its payload written by ``formats.dumps``."""
 
     def report(u):
-        payload = {
-            "solution": records(u),
-            "resolvent_identity_exact": True,
-            "trace_zero": True,
-        }
+        payload = {"solution": u, "resolvent_identity_exact": True, "trace_zero": True}
         return formats.dumps(payload)
 
     return report
@@ -227,8 +182,7 @@ def halfline_timings(terms: int, module=hl) -> dict:
     formats = importlib.import_module(module.__package__ + ".formats")
     records = _records(f)
     u = module.resolvent_solve(f)
-    check = _resolvent_check(module)
-    if not check(u, f):
+    if not _resolvent_check(u, f):
         raise RuntimeError("the resolvent solution fails its own check")
     report = _resolvent_report(formats)
     if report(u) != fmt.dumps(json.loads(report(u))):
@@ -238,7 +192,7 @@ def halfline_timings(terms: int, module=hl) -> dict:
         "halfline.derivative_s": _best(module.ExpPoly.derivative, f),
         "halfline.green_identity_s": _best(module.green_identity, f, g),
         "halfline.resolvent_solve_s": _best(module.resolvent_solve, f),
-        "halfline.resolvent_check_s": _best(check, u, f),
+        "halfline.resolvent_check_s": _best(_resolvent_check, u, f),
         "halfline.parse_s": _best(formats.exppoly_from_json, records),
         "halfline.report_s": _best(report, u),
     }
@@ -304,13 +258,8 @@ def _halfline_files(directory: str, terms: int) -> dict:
     return paths
 
 
-# ``import skewext.cli`` plus the module the relation commands load; a tree
-# without that module loads the numeric substrate with the CLI itself
-NUMERIC_IMPORT = """import skewext.cli
-try:
-    import skewext.relation_commands
-except ModuleNotFoundError:
-    pass"""
+# ``import skewext.cli`` plus the module the relation commands load
+NUMERIC_IMPORT = "import skewext.cli; import skewext.relation_commands"
 
 
 def cli_timings(trees: dict) -> dict:
@@ -397,12 +346,10 @@ def main(argv=None) -> int:
             "relations": "relation.random_skew_symmetric(n, n // 2, 7)",
             "report": "the canonical payload: system_to_json plus "
             "relation_to_json of the canonical maximal dissipative extension; "
-            "report_encode_json_indent_s is the former path (tolist of every "
-            "array, then json.dumps(sort_keys=True, indent=2)), "
             "report_encode_dumps_s is formats.dumps",
-            "decode": "decode_per_pair_s is the former per-pair decoder, "
-            "decode_matrix_from_json_s the vectorised one, on the generators "
-            "of the relation file; relation_from_json_s adds the span",
+            "decode": "decode_matrix_from_json_s is formats.matrix_from_json "
+            "on the generators of the relation file; relation_from_json_s "
+            "adds the span",
             "halfline_functions": "seeded random terms with distinct (degree, "
             "rate) keys, degrees 0..8, rates p/q with p in 1..12, q in 1..4; "
             "the CLI halfline probes read such a pair (green), its first "
@@ -412,13 +359,10 @@ def main(argv=None) -> int:
             "function's term list; resolvent_check_s is the identity check of "
             "the resolvent subcheck on that function and its resolvent_solve "
             "solution; report_s is formats.dumps of that subcheck's payload "
-            "for the solution, with the per-term dicts built in a tree whose "
-            "formats has exppoly_to_json (in a tree whose ExpPoly has "
-            "integer_form, the digits are written from the integers); "
-            "green_coprime_s is one timed green_identity(f, f) call, with no "
-            "warm-up, on 60 terms t^32 and t^31 (alternating) times "
-            "exp(-lam t), lam = (p + 1 + i)/p for the i-th of the 60 largest "
-            "primes p below 10^6",
+            "for the solution; green_coprime_s is one timed "
+            "green_identity(f, f) call, with no warm-up, on 60 terms t^32 and "
+            "t^31 (alternating) times exp(-lam t), lam = (p + 1 + i)/p for the "
+            "i-th of the 60 largest primes p below 10^6",
         },
         "layers": {f"n={n}": layer_timings(n) for n in SIZES},
     }
