@@ -137,14 +137,14 @@ def _freeze_maps(data, spaces, rows: dict):
     """The construction check of a system or triplet ``data``: Graph(H0*)
     in C^2n, each boundary space of ``spaces`` in C^n, and each map named in
     ``rows`` of shape (its row count, dim Graph(H0*)).  Each map is then
-    held as a read-only complex array."""
+    held as a read-only complex copy, so the caller's array stays writable."""
     n = data.base.space_dim
     if data.adjoint_graph.ambient_dim != 2 * n:
         raise AmbientMismatch("adjoint graph must live in C^(2n)")
     if any(g.ambient_dim != n for g in spaces):
         raise AmbientMismatch("boundary spaces must live in C^n")
     for name, count in rows.items():
-        m = np.asarray(getattr(data, name), dtype=complex)
+        m = np.array(getattr(data, name), dtype=complex)
         expected = (count, data.adjoint_graph.dim)
         if m.shape != expected:
             raise AmbientMismatch(f"{name} must have shape {expected}, got {m.shape}")

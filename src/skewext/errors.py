@@ -108,10 +108,6 @@ class InvalidTolerance(SkewextError, ValueError):
     """Raised when a rank threshold lies outside (0, 1), or is NaN."""
 
 
-class InvalidParameter(SkewextError, ValueError):
-    """Raised when an extension parameter has an unknown kind or is not a matrix."""
-
-
 class NotExact(SkewextError, TypeError):
     """Raised when a half-line value is not an exact rational or Gaussian
     rational (a float, say)."""

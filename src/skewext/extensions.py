@@ -1,22 +1,21 @@
 """Extension parametrizations for skew-symmetric relations.
 
-Two classical bijections are implemented side by side and bridged:
-
-* ``system_unitary_extension`` builds the skew-self-adjoint restrictions of H0*
-  from unitaries L: G1 -> G2 using a boundary system (the extensions live
-  INSIDE Graph(H0*)).
-* ``triplet_unitary_extension`` builds the skew-self-adjoint extensions of H0
-  from unitaries on G using a boundary triplet (the extensions are
-  restrictions of -H0*, so their graphs are sign-flipped portions of
-  Graph(H0*)).
-
-The two families sit on opposite sides of the sign involution H -> -H;
-``bridge_check`` verifies the identity connecting them through a reference
-unitary L0.  Maximal dissipative extensions are parametrized by
-contractions on G via the boundary-value quotient map
-(``boundary_contraction_of`` / ``extension_from_contraction``), with
+Every extension here is one boundary condition: the part of Graph(H0*) on
+which K A = B, for a pair (A, B) of boundary maps (``_pair``) and a
+parameter K.  A boundary system gives (A, B) = (F1, F2); its unitaries
+L: G1 -> G2 select the skew-self-adjoint restrictions of H0*
+(``system_unitary_extension``).  A triplet gives
+(A, B) = (Gamma1 + Gamma2, Gamma1 - Gamma2), and its extensions are the
+sign-flipped portions, restrictions of -H0*: unitaries on G select the
+skew-self-adjoint extensions of H0 (``triplet_unitary_extension``, the
+Gorbachuk condition (L - 1) Gamma1 + (L + 1) Gamma2 = 0) and contractions
+the maximal dissipative ones (``extension_from_contraction``), with
 unitarity of the contraction equivalent to skew-self-adjointness of the
-extension.
+extension.  Each constructor checks its parameter and builds the graph
+through ``_adjoint_portion``; both read-offs (``system_unitary_readoff``,
+``boundary_contraction_of``) are the one inverse K = B[h] A[h]^+
+(``_readoff``).  ``bridge_check`` verifies the identity connecting the two
+unitary families through a reference unitary L0.
 
 Checks on a boundary system or triplet run at the tolerance it was verified
 at (``report.tol``); relation-level predicates take theirs as an argument.
@@ -43,45 +42,15 @@ from .boundary import (
 )
 from .errors import (
     IllDefined,
-    InvalidParameter,
     NotContraction,
     NotDissipative,
     NotMaximal,
     NotRestriction,
     NotSkewSelfAdjoint,
-    NotUnitary,
     ReadoffSingular,
 )
 from .linalg import is_contraction, is_unitary, matrix_2norm
 from .relation import Relation
-
-PARAM_KINDS = ("unitary_A", "unitary_B", "contraction")
-
-
-@dataclass(frozen=True)
-class ExtensionParam:
-    """A parametrizing matrix in orthonormal boundary-space coordinates.
-
-    ``unitary_A`` maps G1 to G2 coordinates, ``unitary_B`` acts on G, and
-    ``contraction`` acts on G with spectral norm at most 1.
-    """
-
-    kind: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in PARAM_KINDS:
-            raise InvalidParameter(
-                f"kind must be one of {PARAM_KINDS}, got {self.kind!r}"
-            )
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise InvalidParameter("parameter matrix must be two-dimensional")
-        object.__setattr__(self, "matrix", m)
-        if self.kind in ("unitary_A", "unitary_B") and not is_unitary(m):
-            raise NotUnitary(f"{self.kind} parameter is not unitary within tolerance")
-        if self.kind == "contraction" and not is_contraction(m):
-            raise NotContraction("contraction parameter has norm above 1")
 
 
 @dataclass(frozen=True)
@@ -108,17 +77,54 @@ class ExistenceReport:
         return len(set(self.booleans)) == 1
 
 
-def _adjoint_portion(data, condition: np.ndarray) -> Relation:
-    """The relation whose graph is the part of Graph(H0*) on which a boundary
-    condition M (a matrix on graph coordinates) vanishes, for a boundary
-    system or triplet ``data``.
+def _pair(data):
+    """The boundary maps (A, B) of a system or triplet ``data`` whose
+    condition K A = B selects an extension, and whether the extension is
+    the negated portion of Graph(H0*): (F1, F2) and no for a system;
+    (Gamma1 + Gamma2, Gamma1 - Gamma2) and yes for a triplet, whose
+    extensions act as -H0*, and where K = L turns the classical condition
+    (L - 1) Gamma1 + (L + 1) Gamma2 = 0 into K A = B."""
+    if isinstance(data, BoundarySystem):
+        return data.f1, data.f2, False
+    return data.gamma1 + data.gamma2, data.gamma1 - data.gamma2, True
 
-    ker(M) is ran(M^H)^perp, and the adjoint-graph basis times that
-    orthonormal kernel basis is already an orthonormal graph basis.
+
+def _adjoint_portion(data, k: np.ndarray) -> Relation:
+    """The extension that K selects for a system or triplet ``data``: the
+    part of Graph(H0*) on which K A = B (``_pair``), negated for a triplet.
+    Every extension constructor builds its graph here.
+
+    ker(K A - B) is ran((K A - B)^H)^perp, and the adjoint-graph basis
+    times that orthonormal kernel basis is already an orthonormal graph
+    basis.
     """
-    kernel = sub.complement(condition.conj().T)
+    a, b, negated = _pair(data)
+    kernel = sub.complement((k @ a - b).conj().T)
     graph = data.adjoint_graph.basis @ kernel.basis
-    return Relation(data.base.space_dim, sub.Subspace(2 * data.base.space_dim, graph))
+    n = data.base.space_dim
+    portion = Relation(n, sub.Subspace(2 * n, graph))
+    return rel.negate(portion) if negated else portion
+
+
+def _readoff(data, h: Relation, singular: type, premise: str):
+    """The K with K A = B on the portion of Graph(H0*) that H selects, the
+    inverse of ``_adjoint_portion``: K = B[h] A[h]^+ from the boundary
+    images A[h], B[h] of the portion, returned with them.  Raises
+    NotRestriction unless the portion lies in Graph(H0*), and the caller's
+    ``singular`` error unless A[h] spans its boundary space.
+    """
+    a, b, negated = _pair(data)
+    graph = (rel.negate(h) if negated else h).graph
+    if not sub.contains_subspace(data.adjoint_graph, graph, data.report.tol):
+        raise NotRestriction(
+            f"{'negated ' if negated else ''}relation is not a restriction "
+            "of the adjoint"
+        )
+    coords = data.adjoint_graph.basis.conj().T @ graph.basis
+    a, b = a @ coords, b @ coords
+    if a.shape[0] and sub.rank(a) < a.shape[0]:
+        raise singular(premise)
+    return b @ np.linalg.pinv(a), a, b
 
 
 def system_unitary_extension(s: BoundarySystem, l) -> Relation:
@@ -130,13 +136,7 @@ def system_unitary_extension(s: BoundarySystem, l) -> Relation:
     require_valid_system(s)
     l = np.asarray(l, dtype=complex)
     _require_unitary(l, s.g2.dim, s.g1.dim, "L")
-    return _unitary_restriction(s, l)
-
-
-def _unitary_restriction(s: BoundarySystem, l: np.ndarray) -> Relation:
-    """The relation of ``system_unitary_extension`` for a valid system and
-    an L its caller has checked to be unitary."""
-    return _adjoint_portion(s, l @ s.f1 - s.f2)
+    return _adjoint_portion(s, l)
 
 
 def system_unitary_readoff(s: BoundarySystem, h: Relation):
@@ -148,37 +148,27 @@ def system_unitary_readoff(s: BoundarySystem, h: Relation):
     bijection premise and raises ReadoffSingular.
     """
     require_valid_system(s)
-    tol = s.report.tol
-    if not rel.is_skew_self_adjoint(h, tol):
+    if not rel.is_skew_self_adjoint(h, s.report.tol):
         raise NotSkewSelfAdjoint("read-off needs a skew-self-adjoint relation")
-    if not sub.contains_subspace(s.adjoint_graph, h.graph, tol):
-        raise NotRestriction("relation is not a restriction of the adjoint")
-    coords = s.adjoint_graph.basis.conj().T @ h.graph.basis
-    image1 = s.f1 @ coords
-    image2 = s.f2 @ coords
-    k1 = s.g1.dim
-    if k1 and sub.rank(image1) < k1:
-        raise ReadoffSingular(
-            "F1 image of the graph is rank-deficient; input violates the "
-            "bijection premise"
-        )
-    return image2 @ np.linalg.pinv(image1)
+    premise = (
+        "F1 image of the graph is rank-deficient; input violates the "
+        "bijection premise"
+    )
+    return _readoff(s, h, ReadoffSingular, premise)[0]
 
 
 def triplet_unitary_extension(t: BoundaryTriplet, l) -> Relation:
     """Skew-self-adjoint extension of H0 selected by a unitary L on G.
 
     The defining boundary condition (L - 1) Gamma1 + (L + 1) Gamma2 = 0 is
-    solved inside Graph(H0*) and the selected portion is sign-flipped,
-    since the extension acts as -H0* on its domain.
+    L (Gamma1 + Gamma2) = Gamma1 - Gamma2, the contraction condition of
+    ``extension_from_contraction`` at K = L; the portion of Graph(H0*) it
+    selects is sign-flipped, since the extension acts as -H0* on its domain.
     """
     require_valid_triplet(t)
     l = np.asarray(l, dtype=complex)
-    k = t.g.dim
-    _require_unitary(l, k, k, "L")
-    eye = np.eye(k, dtype=complex)
-    condition = (l - eye) @ t.gamma1 + (l + eye) @ t.gamma2
-    return rel.negate(_adjoint_portion(t, condition))
+    _require_unitary(l, t.g.dim, t.g.dim, "L")
+    return _adjoint_portion(t, l)
 
 
 def bridge_check(s: BoundarySystem, l0, l) -> bool:
@@ -194,16 +184,6 @@ def bridge_check(s: BoundarySystem, l0, l) -> bool:
     triplet = system_to_triplet(s, l0)
     rhs = rel.negate(triplet_unitary_extension(triplet, l0.conj().T @ l))
     return sub.distance(lhs.graph, rhs.graph) <= s.report.tol
-
-
-def _portion_coords(t: BoundaryTriplet, h: Relation) -> np.ndarray:
-    """Coordinates, in the adjoint-graph basis, of the sign-flipped graph of H."""
-    flipped = rel.negate(h)
-    if not sub.contains_subspace(t.adjoint_graph, flipped.graph, t.report.tol):
-        raise NotRestriction(
-            "negated relation is not a restriction of the adjoint"
-        )
-    return t.adjoint_graph.basis.conj().T @ flipped.graph.basis
 
 
 def _range_of_one_minus(h: Relation) -> int:
@@ -229,13 +209,8 @@ def boundary_contraction_of(t: BoundaryTriplet, h: Relation) -> np.ndarray:
         raise NotDissipative("relation is not dissipative")
     if _range_of_one_minus(h) != h.space_dim:
         raise NotMaximal("range condition fails: ran(1 - H) is a proper subspace")
-    coords = _portion_coords(t, h)
-    plus = (t.gamma1 + t.gamma2) @ coords
-    minus = (t.gamma1 - t.gamma2) @ coords
-    k = t.g.dim
-    if k and sub.rank(plus) < k:
-        raise IllDefined("boundary sums do not span G; maximality premise violated")
-    kmat = minus @ np.linalg.pinv(plus)
+    premise = "boundary sums do not span G; maximality premise violated"
+    kmat, plus, minus = _readoff(t, h, IllDefined, premise)
     if matrix_2norm(kmat @ plus - minus) > tol * max(1.0, matrix_2norm(minus)):
         raise IllDefined("boundary map is not single-valued on G")
     return kmat
@@ -252,8 +227,7 @@ def extension_from_contraction(t: BoundaryTriplet, k) -> Relation:
     dim = t.g.dim
     if k.shape != (dim, dim) or not is_contraction(k):
         raise NotContraction("parameter is not a contraction on G")
-    condition = k @ (t.gamma1 + t.gamma2) - (t.gamma1 - t.gamma2)
-    return rel.negate(_adjoint_portion(t, condition))
+    return _adjoint_portion(t, k)
 
 
 def unitarity_equivalence_check(t: BoundaryTriplet, h: Relation) -> bool:
@@ -264,7 +238,8 @@ def unitarity_equivalence_check(t: BoundaryTriplet, h: Relation) -> bool:
     kmat = boundary_contraction_of(t, h)
     sksa = rel.is_skew_self_adjoint(h, tol)
     unitary = is_unitary(kmat)
-    coords = _portion_coords(t, h)
+    # boundary_contraction_of has checked that the portion lies in Graph(H0*)
+    coords = t.adjoint_graph.basis.conj().T @ rel.negate(h).graph.basis
     g1c = t.gamma1 @ coords
     g2c = t.gamma2 @ coords
     pairing = g2c.conj().T @ g1c + g1c.conj().T @ g2c
@@ -302,7 +277,7 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
         eye = np.eye(k2, k1, dtype=complex)
         # the one unitarity check of L = L0 = I, shared by both constructions
         _require_unitary(eye, k2, k1, "L")
-        extension = _unitary_restriction(s, eye)
+        extension = _adjoint_portion(s, eye)
         has_sksa = rel.is_skew_self_adjoint(extension, s.report.tol)
         triplet_ok = _triplet_of(s, eye).report.ok
 

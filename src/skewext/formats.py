@@ -45,7 +45,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .boundary import BoundarySystem, BoundaryTriplet
-    from .extensions import ExtensionParam
     from .relation import Relation
     from .subspace import Subspace
 
@@ -271,14 +270,12 @@ def relation_from_json(obj, rank_tol: float = RANK_TOL) -> Relation:
     return rel.from_graph(n, vectors, tol=rank_tol)
 
 
-def extension_param_from_json(obj) -> ExtensionParam:
+def extension_param_from_json(obj) -> tuple:
+    """The (kind, matrix) of a parameter file.  The kind is checked by the
+    command against its mode, and the matrix by the constructor using it."""
     if not isinstance(obj, dict):
         raise ValueError("parameter file must hold a JSON object")
-    from .extensions import ExtensionParam
-
-    return ExtensionParam(
-        kind=obj.get("kind"), matrix=matrix_from_json(obj.get("matrix"))
-    )
+    return obj.get("kind"), matrix_from_json(obj.get("matrix"))
 
 
 def unitary_matrix_from_json(obj) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import ROUNDTRIP_TOL, UNITARY_TOL  # noqa: F401 (re-exported)
+from .tolerances import UNITARY_TOL
 
 
 def matrix_2norm(m) -> float:

@@ -94,11 +94,11 @@ def cmd_canonical(args):
     return {"input": args.input}, digest, _status(checks), payload
 
 
-def _extend_payload_A(system, param) -> dict:
+def _extend_payload_A(system, l) -> dict:
     tol = system.report.tol
-    extension = ext.system_unitary_extension(system, param.matrix)
+    extension = ext.system_unitary_extension(system, l)
     readoff = ext.system_unitary_readoff(system, extension)
-    err = float(np.max(np.abs(readoff - param.matrix), initial=0.0))
+    err = float(np.max(np.abs(readoff - l), initial=0.0))
     return {
         "extension": fmt.relation_to_json(extension),
         "readoff_error": err,
@@ -112,9 +112,9 @@ def _extend_payload_A(system, param) -> dict:
     }
 
 
-def _extend_payload_B(triplet, param) -> dict:
+def _extend_payload_B(triplet, l) -> dict:
     tol = triplet.report.tol
-    extension = ext.triplet_unitary_extension(triplet, param.matrix)
+    extension = ext.triplet_unitary_extension(triplet, l)
     return {
         "extension": fmt.relation_to_json(extension),
         "checks": {
@@ -124,11 +124,11 @@ def _extend_payload_B(triplet, param) -> dict:
     }
 
 
-def _extend_payload_phi(triplet, param) -> dict:
+def _extend_payload_phi(triplet, k) -> dict:
     tol = triplet.report.tol
-    extension = ext.extension_from_contraction(triplet, param.matrix)
+    extension = ext.extension_from_contraction(triplet, k)
     kmat = ext.boundary_contraction_of(triplet, extension)
-    err = float(np.max(np.abs(kmat - param.matrix), initial=0.0))
+    err = float(np.max(np.abs(kmat - k), initial=0.0))
     return {
         "extension": fmt.relation_to_json(extension),
         "contraction_roundtrip_error": err,
@@ -147,26 +147,25 @@ def _extend_payload_phi(triplet, param) -> dict:
 def cmd_extend(args):
     relation, digest = _load_relation(args)
     param_obj, param_digest = _load_json(args.param)
-    param = fmt.extension_param_from_json(param_obj)
+    kind, matrix = fmt.extension_param_from_json(param_obj)
     expected_kind = {"A": "unitary_A", "B": "unitary_B", "phi": "contraction"}[
         args.mode
     ]
-    if param.kind != expected_kind:
+    if kind != expected_kind:
         raise ValueError(
-            f"mode {args.mode} needs a {expected_kind!r} parameter, "
-            f"got {param.kind!r}"
+            f"mode {args.mode} needs a {expected_kind!r} parameter, got {kind!r}"
         )
     system = bd.canonical_system(relation, args.tol)
     l0_digest = None
     if args.mode == "A":
-        payload = _extend_payload_A(system, param)
+        payload = _extend_payload_A(system, matrix)
     else:
         l0, l0_digest = _load_l0(args.l0, system.g1.dim)
         triplet = bd.system_to_triplet(system, l0)
         if args.mode == "B":
-            payload = _extend_payload_B(triplet, param)
+            payload = _extend_payload_B(triplet, matrix)
         else:
-            payload = _extend_payload_phi(triplet, param)
+            payload = _extend_payload_phi(triplet, matrix)
     echo = {"input": args.input, "param": args.param, "mode": args.mode, "l0": args.l0}
     digest = _input_digest(digest, param_digest, l0_digest)
     return echo, digest, _status(payload["checks"]), payload

@@ -82,7 +82,8 @@ class Subspace:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise EmptyAmbient("ambient dimension must be positive")
-        b = np.asarray(self.basis, dtype=complex)
+        # a copy, so freezing it leaves the caller's array writable
+        b = np.array(self.basis, dtype=complex)
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise AmbientMismatch(
                 f"basis shape {b.shape} does not match ambient dimension "

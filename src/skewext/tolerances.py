@@ -2,7 +2,7 @@
 
 Plain floats with no imports, so that the CLI parser can show its defaults
 without loading the numeric substrate.  ``subspace`` and ``linalg`` import
-them from here, so ``subspace.RANK_TOL`` and ``linalg.ROUNDTRIP_TOL`` still
+them from here, so ``subspace.RANK_TOL`` and ``subspace.ORTH_TOL`` still
 name the same values.
 """
 

@@ -61,6 +61,18 @@ def test_canonical_system_of_zero_relation():
     assert np.allclose(s.f_matrix, expected, atol=1e-12)
 
 
+def test_system_keeps_the_callers_array_writable():
+    s = bd.canonical_system(rel.zero_relation(1))
+    f = np.array(s.f_matrix)  # complex, so a plain asarray would not copy
+    built = bd.BoundarySystem(
+        base=s.base, adjoint_graph=s.adjoint_graph, g1=s.g1, g2=s.g2, f_matrix=f
+    )
+    assert f.flags.writeable
+    assert not built.f_matrix.flags.writeable
+    f[0, 0] = 7.0
+    assert np.array_equal(built.f_matrix, s.f_matrix)
+
+
 def test_verify_system_detects_scaled_f():
     s = bd.canonical_system(rel.zero_relation(1))
     bad = bd.BoundarySystem(

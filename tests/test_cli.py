@@ -160,6 +160,28 @@ def test_extend_wrong_param_kind(tmp_path, capsys, zero_relation_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "mode, kind, entry, err",
+    [
+        ("A", "bogus", [1.0, 0.0], "error: invalid input: mode A needs a 'unitary_A'"),
+        ("A", "unitary_A", [2.0, 0.0], "error: NotUnitary: "),
+        ("B", "unitary_B", [0.5, 0.0], "error: NotUnitary: "),
+        ("phi", "contraction", [2.0, 0.0], "error: NotContraction: "),
+    ],
+)
+def test_extend_rejects_a_bad_param(
+    mode, kind, entry, err, tmp_path, capsys, zero_relation_file
+):
+    param = tmp_path / "param.json"
+    param.write_text(json.dumps({"kind": kind, "matrix": [[entry]]}))
+    code = main(
+        ["extend", "--input", zero_relation_file, "--param", str(param), "--mode", mode]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(err)
+
+
 def test_convert_directions(capsys, zero_relation_file):
     code, report = run_cli(
         capsys, "convert", "--input", zero_relation_file, "--direction", "s2t"

@@ -17,14 +17,12 @@ from skewext import relation as rel
 from skewext import subspace as sub
 from skewext.cli import main
 from skewext.errors import (
-    InvalidParameter,
     InvalidTerm,
     InvalidTolerance,
     NotExact,
     NotOrthonormal,
     SkewextError,
 )
-from skewext.extensions import ExtensionParam
 
 
 one = hl.QC(1)
@@ -45,8 +43,6 @@ def _relation_at(rank_tol):
             lambda: sub.Subspace(2, [[np.nan], [0]]), NotOrthonormal, ValueError,
             id="nan-basis",
         ),
-        (lambda: ExtensionParam("bogus", np.eye(1)), InvalidParameter, ValueError),
-        (lambda: ExtensionParam("unitary_B", np.ones(2)), InvalidParameter, ValueError),
         (lambda: hl.RationalComplex(0.5), NotExact, TypeError),
         (lambda: one + 0.5, NotExact, TypeError),
         (lambda: hl.ExpPoly({(0, 1.5): one}), NotExact, TypeError),

@@ -18,6 +18,7 @@ from skewext.errors import (
     NotUnitary,
 )
 from skewext.sampling import random_unitary
+from skewext.tolerances import ROUNDTRIP_TOL
 
 import reference as ref
 from reference import random_contraction
@@ -46,14 +47,22 @@ def mult_by(a):
 
 
 def test_param_validation():
-    ext.ExtensionParam("unitary_A", np.eye(2))
-    ext.ExtensionParam("contraction", 0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        ext.ExtensionParam("bogus", np.eye(2))
+    # each constructor checks the parameter it uses, shape included
+    s = bd.canonical_system(rel.random_skew_symmetric(3, 1, seed=2))
+    t = bd.system_to_triplet(s, np.eye(2))
+    ext.system_unitary_extension(s, np.eye(2))
+    ext.triplet_unitary_extension(t, np.eye(2))
+    ext.extension_from_contraction(t, 0.5 * np.eye(2))
     with pytest.raises(NotUnitary):
-        ext.ExtensionParam("unitary_B", 2.0 * np.eye(2))
+        ext.triplet_unitary_extension(t, 2.0 * np.eye(2))
+    with pytest.raises(NotUnitary):
+        ext.triplet_unitary_extension(t, np.eye(3))
     with pytest.raises(NotContraction):
-        ext.ExtensionParam("contraction", 2.0 * np.eye(2))
+        ext.extension_from_contraction(t, 2.0 * np.eye(2))
+    with pytest.raises(NotContraction):
+        ext.extension_from_contraction(t, 0.5 * np.eye(3))
+    with pytest.raises(NotContraction):
+        ext.extension_from_contraction(t, np.ones(2) / 2)
 
 
 def test_system_extension_identity_gives_zero_operator():
@@ -257,6 +266,13 @@ def test_triplet_extension_properties(params, lseed):
     flipped = rel.negate(h)
     assert rel.is_skew_self_adjoint(flipped, 1e-9)
     assert sub.contains_subspace(s.adjoint_graph, flipped.graph, 1e-9)
+    # (L - 1) Gamma1 + (L + 1) Gamma2 = L (Gamma1 + Gamma2) - (Gamma1 - Gamma2):
+    # the unitary L selects the extension of the contraction K = L, and the
+    # contraction read-off gives L back
+    h_k = ext.extension_from_contraction(t, l)
+    assert sub.distance(h_k.graph, h.graph) <= t.report.tol
+    k_back = ext.boundary_contraction_of(t, h)
+    assert np.max(np.abs(k_back - l), initial=0.0) <= ROUNDTRIP_TOL
 
 
 @settings(deadline=None, max_examples=30)

@@ -13,7 +13,6 @@ from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext import relation as rel
 from skewext import subspace as sub
-from skewext.errors import NotUnitary
 
 
 def test_relation_roundtrip():
@@ -148,16 +147,17 @@ def test_dumps_writes_finite_arrays_as_json_does(a):
 
 
 def test_extension_param_roundtrip_and_validation():
-    p = fmt.extension_param_from_json(
-        {"kind": "unitary_B", "matrix": [[[0.0, 1.0]]]}
-    )
-    assert p.kind == "unitary_B"
+    # the kind and the matrix come back unchecked: the command compares the
+    # kind with its mode, and the constructor checks the matrix
+    for kind in ("unitary_B", "nope", None):
+        obj = {"kind": kind, "matrix": [[[2.0, 1.0]]]}
+        got, matrix = fmt.extension_param_from_json(obj)
+        assert got == kind
+        assert matrix.dtype == complex and matrix.tolist() == [[2 + 1j]]
     with pytest.raises(ValueError):
-        fmt.extension_param_from_json({"kind": "nope", "matrix": [[[1.0, 0.0]]]})
-    with pytest.raises(NotUnitary):
-        fmt.extension_param_from_json(
-            {"kind": "unitary_A", "matrix": [[[2.0, 0.0]]]}
-        )
+        fmt.extension_param_from_json([{"kind": "unitary_B"}])
+    with pytest.raises(ValueError):
+        fmt.extension_param_from_json({"kind": "unitary_B", "matrix": [[1.0]]})
 
 
 def test_exppoly_roundtrip():

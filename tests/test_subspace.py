@@ -84,6 +84,15 @@ def test_sum_and_contains_and_equal():
     assert sub.equal(sub.span([e1, e2]), sub.span([(1, 1), (1, -1)]))
 
 
+def test_subspace_keeps_the_callers_array_writable():
+    b = np.array([[1.0], [0.0]], dtype=complex)
+    s = sub.Subspace(2, b)
+    assert b.flags.writeable
+    assert not s.basis.flags.writeable
+    b[0, 0] = 0.0
+    assert s.basis[0, 0] == 1.0
+
+
 def test_ambient_mismatch_raises():
     with pytest.raises(AmbientMismatch):
         ref.sum_of(sub.full(2), sub.full(3))
