@@ -230,12 +230,13 @@ def extension_from_contraction(t: BoundaryTriplet, k) -> Relation:
     return _adjoint_portion(t, k)
 
 
-def unitarity_equivalence_check(t: BoundaryTriplet, h: Relation) -> bool:
+def unitarity_equivalence_check(t: BoundaryTriplet, h: Relation, kmat) -> bool:
     """Whether skew-self-adjointness of H, unitarity of its boundary
-    contraction, and the vanishing of <Gamma1 u, Gamma2 v> + <Gamma2 u, Gamma1 v>
-    on the H-portion all hold or all fail together."""
+    contraction ``kmat``, and the vanishing of
+    <Gamma1 u, Gamma2 v> + <Gamma2 u, Gamma1 v> on the H-portion all hold or
+    all fail together.  ``kmat`` is ``boundary_contraction_of(t, h)``, read
+    off once by the caller."""
     tol = t.report.tol
-    kmat = boundary_contraction_of(t, h)
     sksa = rel.is_skew_self_adjoint(h, tol)
     unitary = is_unitary(kmat)
     # boundary_contraction_of has checked that the portion lies in Graph(H0*)

@@ -13,19 +13,22 @@ limit is written, and read back in halves (``_digits_int``), without
 changing that process-wide limit.  The
 decoder ``exppoly_from_json`` builds the integer form straight from the
 parsed strings.  ``dumps`` writes a report holding such values with the bytes
-of ``json.dumps(..., sort_keys=True, indent=2)``.  One ``orjson`` call
-gives the digits of a whole array; ``repr`` writes only the entries whose
-magnitude puts ``repr`` in exponent form.  Both write the shortest digits
-that round-trip and differ only in how they write an exponent, so the
-bytes are ``json``'s.  ``matrix_from_json`` is the one decoder of complex
-data.  Decoders raise ValueError on malformed input so the CLI can map it
-to the invalid-input exit code.
+of ``json.dumps(..., sort_keys=True, indent=2)``.  A finite array is
+written, layout and digits, by one indented ``orjson`` call at its nesting
+depth; ``repr`` writes only the entries whose magnitude puts ``repr`` in
+exponent form.  Both write the shortest digits that round-trip and the
+same indented layout, and differ only in how they write an exponent, so
+the bytes are ``json``'s.  ``matrix_from_json`` is the one decoder of
+complex data.  Decoders raise ValueError on malformed input so the CLI can
+map it to the invalid-input exit code.
 
 numpy, ``orjson`` and the relation and extension modules are imported by
 the functions that use them, on their first call: the half-line codecs,
 and ``dumps`` of a report without arrays, load none of them.  The input
-file reader ``_load_json`` and ``_digest_bytes`` live here too, so the
-CLI and the relation commands share them without importing one another.
+file readers and ``_digest_bytes`` live here too, so the CLI and the
+relation commands share them without importing one another:
+``_load_numeric_json`` reads the relation commands' files with ``orjson``,
+``_load_json`` the half-line command's with ``json``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -73,27 +78,41 @@ def _list_template(items: list, level: int, brackets: str = "[]") -> str:
 
 
 def _array_to_json(a: np.ndarray, level: int) -> str:
-    """A finite (rows, cols, 2) float64 array as nested lists: its
-    ``orjson`` tokens, with ``repr`` at the exponent-form magnitudes (see
-    ``dumps``), filled into an indented %-template."""
-    rows, cols, _ = a.shape
-    pair = _list_template(["%s", "%s"], level + 2)
-    row = _list_template([pair] * cols, level + 1)
-    template = _list_template([row] * rows, level)
-    flat = a.ravel()
-    if not flat.size:
-        return template
-    # imported here, so that commands whose reports hold no arrays (analyze,
-    # sweep, halfline) do not pay its import (datetime, uuid, zoneinfo)
+    """A finite (rows, cols, 2) float64 array as nested lists at nesting
+    ``level``: one indented ``orjson`` call, with ``repr`` at the
+    exponent-form magnitudes (see ``dumps``)."""
+    # imported here, so that a report without arrays (sweep, halfline) does
+    # not pay orjson's import (datetime, uuid, zoneinfo)
     import numpy as np
     import orjson
 
-    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    tokens = text[1:-1].split(",")
-    mag = np.abs(flat)
-    for i in np.flatnonzero(((mag > 0) & (mag < 1e-4)) | (mag >= 1e16)).tolist():
-        tokens[i] = float.__repr__(float(flat[i]))
-    return template % tuple(tokens)
+    # orjson writes only C-contiguous arrays
+    a = np.ascontiguousarray(a)
+    mag = np.abs(a)
+    exponent = ((mag > 0) & (mag < 1e-4)) | (mag >= 1e16)
+    special = a[exponent].tolist()
+    # each exponent-form entry becomes NaN, which orjson writes as null; the
+    # array is finite, so every null in the text is one of them
+    body = np.where(exponent, np.nan, a) if special else a
+    # nested in ``level`` one-element lists, the array is indented as it sits
+    # in the report; the wrappers' lines are then sliced off
+    for _ in range(level):
+        body = [body]
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
+    text = orjson.dumps(body, option=option).decode()
+    text = text[level * (level + 3) : len(text) - level * (level + 1)]
+    if not special:
+        return text
+    # "n" occurs in the text only as the first letter of a null, and a
+    # one-letter search runs at memchr speed, unlike a split on "null"
+    pieces = []
+    start = 0
+    for x in special:
+        end = text.index("n", start)
+        pieces += (text[start:end], float.__repr__(x))
+        start = end + 4
+    pieces.append(text[start:])
+    return "".join(pieces)
 
 
 def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
@@ -124,15 +143,19 @@ def dumps(obj) -> str:
     %-template per function; dict keys must be strings.  Any other type
     raises TypeError.  The indented ``json.dumps`` runs the pure-Python
     encoder and ``repr`` of every float, which cost more than the numerics
-    on large reports.  Here a finite array is written by one ``orjson`` call
-    for its digits and one string format for its layout; ``repr`` writes
-    only entries with 0 < |x| < 1e-4 or |x| >= 1e16, where it uses exponent
-    form (``1e-05``, ``1e+16``) and ``orjson`` does not (``0.00001``,
-    ``1e16``).  Everywhere else both give the shortest round-trip digits,
-    so the bytes are ``json``'s.  An array holding NaN or an infinity goes
-    through ``tolist()`` and the scalar path.  Pieces are collected in one
-    list and joined once, so no container's text is copied into its
-    parent's.
+    on large reports.  Here a finite array is written by one
+    ``orjson.dumps`` with ``OPT_INDENT_2``, nested in as many one-element
+    lists as the array's nesting depth so that its lines carry the report's
+    indentation, the wrappers' lines then sliced off.  ``orjson`` writes the
+    layout of the indented ``json.dumps``, empty shapes included, and the
+    shortest round-trip digits; it differs only at 0 < |x| < 1e-4 and
+    |x| >= 1e16, where ``repr`` uses exponent form (``1e-05``, ``1e+16``)
+    and ``orjson`` does not (``0.00001``, ``1e16``).  Those entries are
+    NaN in the copy ``orjson`` writes, so they come out as ``null``, and
+    their ``repr`` is put in place of each ``null``.  An array holding
+    NaN or an infinity goes through ``tolist()`` and the scalar path.
+    Pieces are collected in one list and joined once, so no container's
+    text is copied into its parent's.
     """
     parts = []
     write = parts.append
@@ -427,7 +450,48 @@ def _digest_bytes(data: bytes) -> str:
 
 
 def _load_json(path):
-    """The JSON value in the file ``path`` and the digest of its bytes."""
+    """The JSON value in the file ``path``, read by ``json``, and the digest
+    of its bytes: the reader of the half-line command, which loads no
+    ``orjson``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     return json.loads(raw.decode("utf-8")), _digest_bytes(raw)
+
+
+#: the deepest nesting of arrays and objects ``_load_numeric_json`` reads:
+#: ``orjson`` parses nesting on the C stack, and about 150,000 levels
+#: overflow an 8 MB stack (a segfault); the files it reads nest 4 deep
+_MAX_NESTING = 10_000
+#: a JSON string, escapes included; compiled on first use, not at import
+_JSON_STRING = rb'"(?:[^"\\]|\\.)*"'
+_BRACKET_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+
+
+def _nesting_depth(raw: bytes) -> int:
+    """The deepest nesting of arrays and objects in the JSON text ``raw``:
+    its brackets outside strings, counted."""
+    not_brackets = bytes(set(range(256)) - set(_BRACKET_STEP))
+    brackets = re.sub(_JSON_STRING, b"", raw).translate(None, not_brackets)
+    return max(accumulate(map(_BRACKET_STEP.__getitem__, brackets)), default=0)
+
+
+def _load_numeric_json(path):
+    """The JSON value in the file ``path``, read by ``orjson``, and the digest
+    of its bytes: the reader of the relation commands' relation, parameter
+    and ``--l0`` files.
+
+    Unlike ``json`` it refuses ``NaN``, ``Infinity``, numbers beyond double
+    range (``1e400``, a 400-digit integer), a byte order mark, invalid UTF-8
+    and lone surrogates at parse time, and reads an integer beyond 64 bits as
+    a double; each refusal is a ValueError, as is nesting deeper than
+    ``_MAX_NESTING``.  A file with fewer opening brackets than that cannot
+    nest deeper, so only larger files have their depth counted.
+    """
+    import orjson
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    opening = raw.count(b"[") + raw.count(b"{")
+    if opening > _MAX_NESTING and _nesting_depth(raw) > _MAX_NESTING:
+        raise ValueError(f"arrays and objects nest more than {_MAX_NESTING} deep")
+    return orjson.loads(raw), _digest_bytes(raw)

@@ -16,7 +16,7 @@ from . import boundary as bd
 from . import extensions as ext
 from . import formats as fmt
 from . import relation as rel
-from .formats import _digest_bytes, _load_json
+from .formats import _digest_bytes, _load_numeric_json
 from .sampling import random_unitary
 from .tolerances import ROUNDTRIP_TOL
 
@@ -36,7 +36,7 @@ def _status(checks: dict) -> str:
 
 
 def _load_relation(args):
-    obj, digest = _load_json(args.input)
+    obj, digest = _load_numeric_json(args.input)
     return fmt.relation_from_json(obj, rank_tol=args.rank_tol), digest
 
 
@@ -45,7 +45,7 @@ def _load_l0(path, dim: int):
     file; the identity and ``None`` when no file is given."""
     if path is None:
         return np.eye(dim, dtype=complex), None
-    obj, digest = _load_json(path)
+    obj, digest = _load_numeric_json(path)
     return fmt.unitary_matrix_from_json(obj), digest
 
 
@@ -138,7 +138,7 @@ def _extend_payload_phi(triplet, k) -> dict:
             "extends_base": rel.extends(extension, triplet.base, tol),
             "contraction_roundtrip_ok": err <= ROUNDTRIP_TOL,
             "unitarity_equivalence": ext.unitarity_equivalence_check(
-                triplet, extension
+                triplet, extension, kmat
             ),
         },
     }
@@ -146,7 +146,7 @@ def _extend_payload_phi(triplet, k) -> dict:
 
 def cmd_extend(args):
     relation, digest = _load_relation(args)
-    param_obj, param_digest = _load_json(args.param)
+    param_obj, param_digest = _load_numeric_json(args.param)
     kind, matrix = fmt.extension_param_from_json(param_obj)
     expected_kind = {"A": "unitary_A", "B": "unitary_B", "phi": "contraction"}[
         args.mode

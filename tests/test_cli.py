@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,107 @@ def test_extend_rejects_a_bad_param(
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(err)
+
+
+# a relation command's input files, each with one matrix entry X, and the
+# command reading it; the valid entry of each file is 1.0 or 0.5
+INPUT_FILES = {
+    "relation": (
+        b'{"n": 1, "graph_generators": [[[X, 0.0], [0.0, 1.0]]]}',
+        ["canonical", "--input", "{file}"],
+    ),
+    "param": (
+        b'{"kind": "contraction", "matrix": [[[X, 0.0]]]}',
+        ["extend", "--input", "{zero}", "--mode", "phi", "--param", "{file}"],
+    ),
+    "l0": (
+        b'{"matrix": [[[X, 0.0]]]}',
+        ["convert", "--input", "{zero}", "--direction", "s2t", "--l0", "{file}"],
+    ),
+}
+VALID_ENTRY = {"relation": b"1.0", "param": b"0.5", "l0": b"1.0"}
+INPUT_DEFECTS = {
+    "nan": lambda text, entry: text.replace(b"X", b"NaN"),
+    "infinity": lambda text, entry: text.replace(b"X", b"Infinity"),
+    "beyond double range": lambda text, entry: text.replace(b"X", b"1e400"),
+    "400-digit integer": lambda text, entry: text.replace(b"X", b"7" * 400),
+    "byte order mark": lambda text, entry: b"\xef\xbb\xbf" + text.replace(b"X", entry),
+    "invalid utf-8": lambda text, entry: (
+        text.replace(b"X", entry)[:-1] + b', "note": "\xff"}'
+    ),
+}
+
+
+def _run_on_input(role, text, tmp_path, zero_relation_file):
+    path = tmp_path / f"{role}.json"
+    path.write_bytes(text)
+    argv = INPUT_FILES[role][1]
+    return main([a.format(file=path, zero=zero_relation_file) for a in argv])
+
+
+@pytest.mark.parametrize("defect", sorted(INPUT_DEFECTS))
+@pytest.mark.parametrize("role", sorted(INPUT_FILES))
+def test_relation_commands_refuse_what_orjson_cannot_read(
+    role, defect, tmp_path, capsys, zero_relation_file
+):
+    template, entry = INPUT_FILES[role][0], VALID_ENTRY[role]
+    # the file is read without the defect
+    valid = template.replace(b"X", entry)
+    assert _run_on_input(role, valid, tmp_path, zero_relation_file) == 0
+    capsys.readouterr()
+    text = INPUT_DEFECTS[defect](template, entry)
+    code = _run_on_input(role, text, tmp_path, zero_relation_file)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid input: ")
+
+
+@pytest.mark.parametrize("role", sorted(INPUT_FILES))
+def test_relation_commands_refuse_nesting_that_would_overflow_the_parser(
+    role, tmp_path, zero_relation_file
+):
+    # 300,000 levels overflow orjson's C stack; the run is a child process,
+    # so that a crash fails this test alone
+    depth = 300_000
+    text = INPUT_FILES[role][0].replace(b"X", b"[" * depth + b"1" + b"]" * depth)
+    path = tmp_path / f"{role}.json"
+    path.write_bytes(text)
+    argv = [a.format(file=path, zero=zero_relation_file) for a in INPUT_FILES[role][1]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "skewext.cli", *argv], env=env, capture_output=True
+    )
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr.startswith(b"error: invalid input: arrays and objects nest")
+
+
+def test_relation_file_with_many_brackets_within_the_nesting_cap_is_read(
+    tmp_path, capsys
+):
+    # more opening brackets than the cap, but nested below it, some in strings
+    depth = fmt._MAX_NESTING - 1
+    deep = "[" * depth + "]" * depth
+    note = '\\"' + "[{" * fmt._MAX_NESTING
+    obj = '{"n": 1, "graph_generators": [], "deep": %s, "note": "%s"}' % (deep, note)
+    path = tmp_path / "rel.json"
+    path.write_text(obj)
+    assert fmt._nesting_depth(path.read_bytes()) == fmt._MAX_NESTING
+    assert main(["canonical", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+def test_an_integer_beyond_64_bits_reads_as_the_nearest_double(tmp_path, capsys):
+    path = tmp_path / "rel.json"
+    reports = []
+    for entry in (str(2**64), "1.8446744073709552e19"):
+        path.write_text(
+            '{"n": 1, "graph_generators": [[[%s, 0.0], [0.0, %s]]]}' % (entry, entry)
+        )
+        assert main(["canonical", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        reports.append([line for line in lines if '"input_digest"' not in line])
+    assert reports[0] == reports[1]
 
 
 def test_convert_directions(capsys, zero_relation_file):

@@ -181,8 +181,8 @@ def test_extension_from_contraction_rejects_expansion():
 
 def test_unitarity_equivalence_examples():
     t = zero_triplet()
-    assert ext.unitarity_equivalence_check(t, mult_by(0.0))
-    assert ext.unitarity_equivalence_check(t, mult_by(-1.0))
+    for h in (mult_by(0.0), mult_by(-1.0)):
+        assert ext.unitarity_equivalence_check(t, h, ext.boundary_contraction_of(t, h))
 
 
 def test_existence_report_zero_relation():
@@ -300,14 +300,15 @@ def test_phi_roundtrip_and_unitarity_equivalence(params, pseed):
     assert rel.is_dissipative(h, 1e-9)
     assert ext.is_maximal_dissipative(h, 1e-9)
     assert rel.extends(h, h0, 1e-9)
-    assert np.max(np.abs(ext.boundary_contraction_of(t, h) - contraction)) <= 1e-8
+    kmat = ext.boundary_contraction_of(t, h)
+    assert np.max(np.abs(kmat - contraction)) <= 1e-8
     assert not rel.is_skew_self_adjoint(h, 1e-8)
-    assert ext.unitarity_equivalence_check(t, h)
+    assert ext.unitarity_equivalence_check(t, h, kmat)
 
     unitary = random_unitary(t.g.dim, rng)
     hu = ext.extension_from_contraction(t, unitary)
     assert rel.is_skew_self_adjoint(hu, 1e-8)
-    assert ext.unitarity_equivalence_check(t, hu)
+    assert ext.unitarity_equivalence_check(t, hu, ext.boundary_contraction_of(t, hu))
 
 
 @settings(deadline=None, max_examples=40)

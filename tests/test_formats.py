@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -132,18 +132,47 @@ finite_doubles = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
     st.sampled_from(EXPONENT_EDGES + [-x for x in EXPONENT_EDGES] + [0.0, -0.0]),
 )
+# magnitudes where ``repr`` writes an exponent: 0 < |x| < 1e-4 or |x| >= 1e16
+_SMALL, _LARGE = (5e-324, np.nextafter(1e-4, 0)), (1e16, 1.7976931348623157e308)
+exponent_doubles = st.one_of(
+    [st.floats(lo, hi) for lo, hi in (_SMALL, _LARGE)]
+    + [st.floats(-hi, -lo) for lo, hi in (_SMALL, _LARGE)]
+)
+array_shapes = st.tuples(st.integers(0, 40), st.integers(0, 40), st.just(2))
+VIEWS = {
+    "whole": lambda a: a,
+    "transposed": lambda a: a.transpose(1, 0, 2),
+    "strided": lambda a: a[::2, ::-3],
+    "pairs reversed": lambda a: a[:, :, ::-1],
+}
+EMPTY_SHAPES = [(0, 0, 2), (0, 7, 2), (7, 0, 2)]
+
+
+def nested(a, path):
+    """``a`` inside the containers of ``path``, innermost last, each with a
+    sibling, so that the array sits at nesting depth ``len(path)``."""
+    for kind in reversed(path):
+        a = [a, 0] if kind == "list" else {"m": a, "z": None}
+    return a
 
 
 @settings(deadline=None, max_examples=200)
 @given(
-    a=arrays(
-        np.float64,
-        st.tuples(st.integers(0, 4), st.integers(0, 4), st.just(2)),
-        elements=finite_doubles,
-    )
+    a=st.one_of(
+        arrays(np.float64, array_shapes, elements=finite_doubles),
+        arrays(np.float64, array_shapes, elements=exponent_doubles),
+    ),
+    view=st.sampled_from(sorted(VIEWS)),
+    path=st.lists(st.sampled_from(["list", "dict"]), max_size=5),
 )
-def test_dumps_writes_finite_arrays_as_json_does(a):
-    assert fmt.dumps(a) == json.dumps(a.tolist(), indent=2) + "\n"
+@example(a=np.full((40, 40, 2), -1e-5), view="transposed", path=["dict"] * 5)
+@example(a=np.full((40, 40, 2), 1e300), view="strided", path=["list"] * 5)
+def test_dumps_writes_finite_arrays_as_json_does(a, view, path):
+    x = nested(VIEWS[view](a), path)
+    assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
+    for shape in EMPTY_SHAPES:
+        x = nested(VIEWS[view](np.zeros(shape)), path)
+        assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
 
 
 def test_extension_param_roundtrip_and_validation():

@@ -5,12 +5,17 @@ built; these counts catch a consumer that verifies an object again.  Calls
 are counted on ``skewext.boundary.verify_system`` and ``verify_triplet``,
 the module globals the constructors call through.  Likewise the pieces of
 the canonical decomposition are built once per system, counted on
-``skewext.boundary._hat_space``.
+``skewext.boundary._hat_space``, and the contraction of an ``extend
+--mode phi`` extension is read off once, counted on
+``skewext.extensions.boundary_contraction_of``.
 """
+
+import json
 
 import pytest
 
 from skewext import boundary as bd
+from skewext import extensions as ext
 from skewext.cli import main
 
 
@@ -86,3 +91,25 @@ def test_canonical_builds_canonical_pieces_once(hat_space_calls, relation_file, 
     assert main(["canonical", "--input", relation_file]) == 0
     capsys.readouterr()
     assert len(hat_space_calls) == 2
+
+
+def test_extend_phi_reads_the_contraction_off_once(
+    relation_file, tmp_path, monkeypatch, capsys
+):
+    calls = []
+    original = ext.boundary_contraction_of
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ext, "boundary_contraction_of", counting)
+    # the generated relation (n = 8, graph dimension 3) has G of dimension 5;
+    # K = I/2 on it
+    matrix = [[[0.5 if i == j else 0.0, 0.0] for j in range(5)] for i in range(5)]
+    param = tmp_path / "k.json"
+    param.write_text(json.dumps({"kind": "contraction", "matrix": matrix}))
+    argv = ["extend", "--input", relation_file, "--param", str(param), "--mode", "phi"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -95,9 +95,19 @@ def layer_timings(n: int) -> dict:
     formula_rhs = rel.negate(
         rel.Relation(n, sub.Subspace(2 * n, np.hstack([g_neg.basis, ghat1.basis])))
     ).graph
-    relation_obj = json.loads(fmt.dumps(fmt.relation_to_json(h)))
+    relation_text = fmt.dumps(fmt.relation_to_json(h))
+    relation_obj = json.loads(relation_text)
     gens = relation_obj["graph_generators"]
+    # the largest array of the canonical payload, at its depth in the report
+    # (report, payload, system or extension, array)
+    entries = [v for part in payload.values() for v in part.values()]
+    largest = max((v for v in entries if isinstance(v, np.ndarray)), key=np.size)
     b = _best
+    with tempfile.TemporaryDirectory() as tmp:
+        relation_path = os.path.join(tmp, "relation.json")
+        with open(relation_path, "w", encoding="utf-8") as fh:
+            fh.write(relation_text)
+        relation_load_s = b(fmt._load_numeric_json, relation_path)
     return {
         "indices": [s.g1.dim, s.g2.dim],
         "subspace.span_matrix_s": b(sub.span_matrix, a),
@@ -129,6 +139,9 @@ def layer_timings(n: int) -> dict:
         "extensions.adjoint_formula_check_s": b(ext.adjoint_formula_check, s),
         "formats.report_bytes": len(fmt.dumps(payload)),
         "formats.report_encode_dumps_s": b(fmt.dumps, payload),
+        "formats.array_write_s": b(fmt._array_to_json, largest, 3),
+        "formats.relation_file_bytes": len(relation_text),
+        "formats.relation_load_s": relation_load_s,
         "formats.relation_pairs": sum(len(g) for g in gens),
         "formats.decode_matrix_from_json_s": b(fmt.matrix_from_json, gens),
         "formats.relation_from_json_s": b(fmt.relation_from_json, relation_obj),
@@ -346,10 +359,14 @@ def main(argv=None) -> int:
             "relations": "relation.random_skew_symmetric(n, n // 2, 7)",
             "report": "the canonical payload: system_to_json plus "
             "relation_to_json of the canonical maximal dissipative extension; "
-            "report_encode_dumps_s is formats.dumps",
+            "report_encode_dumps_s is formats.dumps; array_write_s is "
+            "formats._array_to_json of the payload's largest array at its "
+            "report depth 3",
             "decode": "decode_matrix_from_json_s is formats.matrix_from_json "
             "on the generators of the relation file; relation_from_json_s "
-            "adds the span",
+            "adds the span; relation_load_s is formats._load_numeric_json "
+            "(file read, nesting check, orjson parse, sha256 digest) of the "
+            "relation file generate writes, of relation_file_bytes bytes",
             "halfline_functions": "seeded random terms with distinct (degree, "
             "rate) keys, degrees 0..8, rates p/q with p in 1..12, q in 1..4; "
             "the CLI halfline probes read such a pair (green), its first "
