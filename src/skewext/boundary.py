@@ -102,6 +102,12 @@ class BoundarySystem:
             _hat_space(self.g2, -1.0),
         )
 
+    @cached_property
+    def _canonical_extension(self):
+        g_neg, _, ghat2 = self._canonical_pieces
+        graph = Subspace(g_neg.ambient_dim, np.hstack([g_neg.basis, ghat2.basis]))
+        return Relation(self.base.space_dim, graph)
+
     @property
     def f1(self) -> np.ndarray:
         return self.f_matrix[: self.g1.dim, :]

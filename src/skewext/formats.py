@@ -38,7 +38,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -232,7 +232,8 @@ def matrix_from_json(obj) -> np.ndarray:
     reference matrices).  Rows must have equal lengths, every pair exactly
     two entries, and every entry be a JSON integer or float (booleans are
     refused) that is finite and fits in a double.  Types are checked in one
-    pass over the entries and the values converted by one ``np.array``.
+    pass over the entries and the values converted by one ``np.fromiter``
+    over them.
     """
     import numpy as np
 
@@ -248,7 +249,9 @@ def matrix_from_json(obj) -> np.ndarray:
     if not {type(x) for p in pairs for x in p} <= {int, float}:
         raise ValueError("pair entries must be JSON numbers")
     try:
-        values = np.array(pairs, dtype=float).reshape(shape)
+        values = np.fromiter(
+            chain.from_iterable(pairs), dtype=float, count=2 * len(pairs)
+        ).reshape(shape)
     except OverflowError:
         raise ValueError("pair entry does not fit in a double") from None
     if not np.isfinite(values).all():
@@ -452,10 +455,15 @@ def _digest_bytes(data: bytes) -> str:
 def _load_json(path):
     """The JSON value in the file ``path``, read by ``json``, and the digest
     of its bytes: the reader of the half-line command, which loads no
-    ``orjson``."""
+    ``orjson``.  ``json`` parses nesting by recursion, so nesting beyond the
+    interpreter's recursion limit is refused as a ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return json.loads(raw.decode("utf-8")), _digest_bytes(raw)
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("arrays and objects nest too deep") from None
+    return obj, _digest_bytes(raw)
 
 
 #: the deepest nesting of arrays and objects ``_load_numeric_json`` reads:

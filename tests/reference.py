@@ -5,7 +5,8 @@ orthogonal pieces instead.  They are kept here, unchanged, as independent
 routes to the same objects (the oblique projection behind the canonical
 boundary map, -T* through the swapped orthocomplement, the kernel,
 multivalued part and domain of a relation by subspace intersection, the gap
-distance by projectors, the half-line inner product, derivative, a f + b f'
+distance by projectors, the gap of the adjoint formula through Graph(H*) as a
+complement, the half-line inner product, derivative, a f + b f'
 and resolvent term by term, the term records of a half-line function one
 dict per term, the canonical order of a term dict and the structure of
 the canonical integer form) and as convenient constructors of test inputs.
@@ -22,7 +23,7 @@ import numpy as np
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, SkewextError
 from skewext.halfline import QC, ExpPoly, RationalComplex
-from skewext.relation import Relation, adjoint
+from skewext.relation import Relation, adjoint, negate
 from skewext.sampling import complex_gaussian
 from skewext.subspace import (
     ORTH_TOL,
@@ -86,6 +87,23 @@ def distance_by_projectors(s: Subspace, t: Subspace) -> float:
     _check_same_ambient(s, t)
     d = s.basis @ s.basis.conj().T - t.basis @ t.basis.conj().T
     return float(np.linalg.norm(d, 2))
+
+
+def formula_graph(first: Subspace, second: Subspace, negated: bool = True) -> Subspace:
+    """The graph of -(S + T), or of S + T when not ``negated``, for graph
+    subspaces S, T of C^2n with orthonormal bases orthogonal to each other:
+    the bases side by side, then the relation negated."""
+    n = first.ambient_dim // 2
+    graph = Subspace(2 * n, np.hstack([first.basis, second.basis]))
+    summed = Relation(n, graph)
+    return (negate(summed) if negated else summed).graph
+
+
+def adjoint_gap_by_complement(h: Relation, graph: Subspace) -> float:
+    """The gap between Graph(H*) and ``graph``: Graph(H*) from
+    ``relation.adjoint`` (one complement SVD), then ``subspace.distance``,
+    which reads 1.0 when the dimensions differ."""
+    return sub.distance(adjoint(h).graph, graph)
 
 
 def oblique_project(parts, v, tol: float = ORTH_TOL):

@@ -424,6 +424,19 @@ def test_halfline_input_degree_cap(tmp_path, capsys):
     assert code == 2 and report is None
 
 
+@pytest.mark.parametrize("subcheck", ["green", "resolvent", "dissipative"])
+def test_halfline_refuses_nesting_beyond_the_json_recursion_limit(
+    subcheck, tmp_path, capsys
+):
+    depth = 100_000
+    fn = tmp_path / "fn.json"
+    fn.write_text("[" * depth + "]" * depth)
+    code = main(["halfline", "--subcheck", subcheck, "--input", str(fn)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: invalid input: arrays and objects nest too deep\n"
+
+
 def test_halfline_reads_a_5000_digit_rate(tmp_path, capsys):
     # plain digits past CPython's int-to-str limit of 4300 are read in halves
     rate = (10**5000 - 1) // 9

@@ -236,6 +236,73 @@ def test_adjoint_formula_zero_relation_and_mult_i():
     assert ext.adjoint_formula_check(bd.canonical_system(mult_by(1j)))
 
 
+def _formula_instances():
+    """(n, k, seed) of 100 random canonical systems: 94 with n <= 8, among
+    them k = 0 and k = n at every n, and n = 32 and 64 at k = 0, n/2, n."""
+    rng = np.random.default_rng(2017)
+    out = [(n, k, 100 + n) for n in range(1, 9) for k in (0, n)]
+    while len(out) < 94:
+        n = int(rng.integers(1, 9))
+        out.append((n, int(rng.integers(0, n + 1)), int(rng.integers(10**6))))
+    return out + [(n, k, n) for n in (32, 64) for k in (0, n // 2, n)]
+
+
+def test_adjoint_gap_equals_the_complement_gap():
+    for n, k, seed in _formula_instances():
+        s = bd.canonical_system(rel.random_skew_symmetric(n, k, seed))
+        h = ext.canonical_max_dissipative(s)
+        g_neg, ghat1, ghat2 = bd.canonical_pieces(s)
+        # the formula graph, then the two wrong ones of equal dimension: g2
+        # in place of g1, and the sum not negated
+        for first, second, negated in (
+            (g_neg, ghat1, True),
+            (g_neg, ghat2, True),
+            (g_neg, ghat1, False),
+        ):
+            graph = ref.formula_graph(first, second, negated)
+            new = ext._adjoint_gap(h, graph)
+            old = ref.adjoint_gap_by_complement(h, graph)
+            assert abs(new - old) <= 1e-12, (n, k, seed, negated)
+        assert ext.adjoint_formula_check(s)
+        assert ext._adjoint_gap(h, ref.formula_graph(g_neg, ghat1)) <= s.report.tol
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (4, 1), (8, 5), (32, 16)])
+def test_wrong_formula_graphs_fail_by_both_routes(n, k):
+    s = bd.canonical_system(rel.random_skew_symmetric(n, k, 3))
+    h = ext.canonical_max_dissipative(s)
+    g_neg, ghat1, ghat2 = bd.canonical_pieces(s)
+    tol = s.report.tol
+    wrong = {
+        "g2 in place of g1": ref.formula_graph(g_neg, ghat2),
+        "not negated": ref.formula_graph(g_neg, ghat1, negated=False),
+        # dimensions adding to 2n - dim g1 < 2n
+        "g1 piece dropped": ref.formula_graph(g_neg, sub.zero(2 * n)),
+    }
+    for name, graph in wrong.items():
+        assert ext._adjoint_gap(h, graph) > tol, name
+        assert ref.adjoint_gap_by_complement(h, graph) > tol, name
+    assert ext._adjoint_gap(h, wrong["g1 piece dropped"]) == np.inf
+    assert ref.adjoint_gap_by_complement(h, wrong["g1 piece dropped"]) == 1.0
+
+
+def test_adjoint_formula_check_builds_no_adjoint_and_no_complement(monkeypatch):
+    s = bd.canonical_system(rel.random_skew_symmetric(6, 2, 5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adjoint formula check took a complement")
+
+    monkeypatch.setattr(rel, "adjoint", refuse)
+    monkeypatch.setattr(sub, "complement", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert ext.adjoint_formula_check(s)
+
+
+def test_canonical_max_dissipative_is_built_once_per_system():
+    s = bd.canonical_system(rel.random_skew_symmetric(5, 2, 11))
+    assert ext.canonical_max_dissipative(s) is ext.canonical_max_dissipative(s)
+
+
 @settings(deadline=None, max_examples=40)
 @given(params=relation_params, lseed=st.integers(0, 10**6))
 def test_system_extension_properties(params, lseed):

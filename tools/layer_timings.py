@@ -10,10 +10,12 @@ one untimed warm-up call; inputs are built outside the timed region.  The
 CLI figures are the median wall time of ``REPEAT`` fresh interpreters
 running ``python3 -m skewext.cli``, so they include the import.  With
 ``--baseline-src`` the CLI figures are also taken with that source tree
-on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, and the
-half-line figures are also taken with that tree's ``halfline`` and
-``formats`` modules (``halfline_baseline``), the two trees taking turns at
-each size, for a before/after comparison on the same machine.
+on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, the
+n = 64 layer figures are also taken on that tree in a child interpreter
+(``layers_baseline``), and the half-line figures are also taken with that
+tree's ``halfline`` and ``formats`` modules (``halfline_baseline``), the
+two trees taking turns at each size, for a before/after comparison on the
+same machine.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
@@ -57,6 +59,8 @@ SIZES = (4, 16, 64, 128)
 HALFLINE_TERMS = (5, 20, 60)
 SEED = 7
 REPEAT = 7
+#: the size whose layers are also taken on a ``--baseline-src`` tree
+BASELINE_LAYER_SIZE = 64
 
 
 def _best(fn, *args):
@@ -65,6 +69,20 @@ def _best(fn, *args):
     for _ in range(REPEAT):
         start = time.perf_counter()
         fn(*args)
+        times.append(time.perf_counter() - start)
+    return float(f"{min(times):.4g}")
+
+
+def _best_fresh(make, fn):
+    """Like ``_best``, but every call of ``fn`` gets a new input from
+    ``make()``, built outside the timed region, so that no call reads what an
+    earlier one cached on its input."""
+    fn(make())
+    times = []
+    for _ in range(REPEAT):
+        arg = make()
+        start = time.perf_counter()
+        fn(arg)
         times.append(time.perf_counter() - start)
     return float(f"{min(times):.4g}")
 
@@ -103,6 +121,10 @@ def layer_timings(n: int) -> dict:
     entries = [v for part in payload.values() for v in part.values()]
     largest = max((v for v in entries if isinstance(v, np.ndarray)), key=np.size)
     b = _best
+
+    def fresh_system():
+        return bd.canonical_system(h)
+
     with tempfile.TemporaryDirectory() as tmp:
         relation_path = os.path.join(tmp, "relation.json")
         with open(relation_path, "w", encoding="utf-8") as fh:
@@ -135,8 +157,13 @@ def layer_timings(n: int) -> dict:
         "extensions.boundary_contraction_of_s": b(
             ext.boundary_contraction_of, t, ext_phi
         ),
-        "extensions.canonical_max_dissipative_s": b(ext.canonical_max_dissipative, s),
-        "extensions.adjoint_formula_check_s": b(ext.adjoint_formula_check, s),
+        # a system caches its canonical extension, so both run on new ones
+        "extensions.canonical_max_dissipative_s": _best_fresh(
+            fresh_system, ext.canonical_max_dissipative
+        ),
+        "extensions.adjoint_formula_check_s": _best_fresh(
+            fresh_system, ext.adjoint_formula_check
+        ),
         "formats.report_bytes": len(fmt.dumps(payload)),
         "formats.report_encode_dumps_s": b(fmt.dumps, payload),
         "formats.array_write_s": b(fmt._array_to_json, largest, 3),
@@ -146,6 +173,23 @@ def layer_timings(n: int) -> dict:
         "formats.decode_matrix_from_json_s": b(fmt.matrix_from_json, gens),
         "formats.relation_from_json_s": b(fmt.relation_from_json, relation_obj),
     }
+
+
+def baseline_layers(src: str, n: int) -> dict:
+    """``layer_timings(n)`` on the source tree ``src``, in a child
+    interpreter that imports ``skewext`` from ``src`` before it runs this
+    file, so that every module the timings use comes from that tree."""
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import skewext\n"
+        f"tool = runpy.run_path({str(Path(__file__).resolve())!r})\n"
+        f"print(json.dumps(tool['layer_timings']({n})))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True
+    )
+    return json.loads(done.stdout)
 
 
 def _random_function(rnd: random.Random, count: int, module=hl):
@@ -357,6 +401,12 @@ def main(argv=None) -> int:
             "module (numpy and the numeric substrate), and "
             "halfline_deficiency_s reads no input, so it is start-up alone",
             "relations": "relation.random_skew_symmetric(n, n // 2, 7)",
+            "fresh_systems": "canonical_max_dissipative_s and "
+            "adjoint_formula_check_s each run on a canonical system built "
+            "outside the timer for that run, since a system caches its "
+            "canonical extension",
+            "layers_baseline": "the n = 64 layers of the --baseline-src tree, "
+            "taken in a child interpreter that imports skewext from that tree",
             "report": "the canonical payload: system_to_json plus "
             "relation_to_json of the canonical maximal dissipative extension; "
             "report_encode_dumps_s is formats.dumps; array_write_s is "
@@ -387,6 +437,10 @@ def main(argv=None) -> int:
     modules = {"halfline": hl}
     if args.baseline_src:
         trees["cli_baseline"] = str(Path(args.baseline_src).resolve())
+        n = BASELINE_LAYER_SIZE
+        record["layers_baseline"] = {
+            f"n={n}": baseline_layers(trees["cli_baseline"], n)
+        }
         modules["halfline_baseline"] = baseline_halfline(trees["cli_baseline"])
     # the two trees take turns at each size, so that a slow spell of the
     # machine falls on both alike
