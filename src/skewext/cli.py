@@ -7,7 +7,9 @@ system and triplet is verified once, when it is built, at the run's
 verification off the object, and every consumer refuses an object that
 failed it.  Exit codes: 0 when every asserted property holds (status
 "pass"), 1 when an asserted property fails ("fail"), 2 on invalid input, a
-path that cannot be read or written, or a violated precondition ("error").
+path that cannot be read or written, a violated precondition or a failed
+library check ("error"); standard error then says ``error: invalid input:``
+for input the library refuses and names the error class otherwise.
 Reports are deterministic: identical inputs, including seeds, produce
 byte-identical output.  ``input_digest`` covers every input file the
 command read.
@@ -37,7 +39,7 @@ import sys
 
 from . import formats as fmt
 from . import halfline as hl
-from .errors import DimensionMismatch, SkewextError
+from .errors import DimensionMismatch, NotOrthonormal, SkewextError
 from .tolerances import ORTH_TOL, RANK_TOL
 
 _STATUS_EXIT = {"pass": 0, "fail": 1, "error": 2}
@@ -118,7 +120,7 @@ def cmd_halfline(args):
     elif args.subcheck == "dissipative":
         f, _, digest = _load_halfline_pair(args.input)
         image = hl.canonical_extension_apply(f)
-        value = hl.inner(image, f).re
+        value = hl.inner_sum_re(((image, f),))
         payload = {
             "applied": image,
             "re_inner": fmt.fraction_to_str(value),
@@ -245,7 +247,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ValueError, KeyError, TypeError) as exc:
-        sys.stderr.write(f"error: invalid input: {exc}\n")
+        # NotOrthonormal is a ValueError for library callers, but a failed
+        # check of the library's own bases, not a fault of the input
+        library = isinstance(exc, NotOrthonormal)
+        label = type(exc).__name__ if library else "invalid input"
+        sys.stderr.write(f"error: {label}: {exc}\n")
         return 2
     except SkewextError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -45,6 +45,12 @@ becomes one integer fraction over N^(top+1), by Horner with the weights
 m! M^(m+1) built once per distinct M, reduced by its gcd, and those
 fractions are added by a balanced pairwise sum, so a call builds a single
 ``RationalComplex``, its result, equal to the term-wise sum exactly.
+``inner_sum_re`` is its real part, exactly and without the imaginary
+part: the weights m!/s^(m+1) are real, so it takes the same preparation,
+finish and pairwise sum and accumulates only Re(c conj(d)).  The checks
+that report a real part use it: ``norm_sq``, ``adjoint_injectivity_check``
+and the CLI's ``halfline --subcheck dissipative`` (Re <Hf, f>); ``green``
+keeps ``inner_sum``, since its report compares both parts.
 
 Validation happens once, at the input edge: ``ExpPoly(...)`` and
 ``formats.exppoly_from_json`` check every key (``_check_key``) and sort on
@@ -175,10 +181,6 @@ class RationalComplex:
 
     def conj(self) -> "RationalComplex":
         return RationalComplex(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -494,40 +496,23 @@ def _moment_weights(m: int, width: int) -> list:
     return weights
 
 
-def inner_sum(pairs) -> RationalComplex:
-    """The exact sum of the L2(0, infinity) inner products <f_i, g_i> over a
-    sequence of pairs ``(f_i, g_i)``, each conjugate-linear in ``g_i``.
+def _prepared(pairs):
+    """The inputs of the inner-product kernels: ``(scale, rate_den, width,
+    sides)``, or None when every pair has a zero function.
 
-    It is also the inner product on a direct sum of half-lines.  Each term
-    pair contributes c conj(d) m! / s^(m+1), from the closed form integral
-    of t^m exp(-s t) = m! / s^(m+1), with m = a + b and s = lam + mu.  All
-    pairs are brought to one integer scale: with D_f and D_g the
-    denominators of a pair's integer forms, D is the lcm of the products
-    D_f D_g over all pairs, and each f is scaled by D / (D_f D_g).  Every
-    rate is written over the lcm L of all rate denominators, so a rate sum
-    s is an integer S over L.  The integer products of the numerators are
-    added per S (different rate pairs, and different pairs of functions,
-    often share one) and per total degree m, into P_m.  Each rate sum
-    s = N/M in lowest terms then gives the single fraction
-
-        sum over m of P_m m! M^(m+1) N^(top-m)   over   N^(top+1),
-
-    top being its highest degree, by Horner in N with the weights
-    m! M^(m+1) built once per distinct M.  Each fraction is divided by the
-    gcd of its three integers, which keeps a rate sum whose terms cancel
-    (Green's identity holds per rate sum) from carrying N^(top+1) into the
-    sum.  The fractions are added by a balanced pairwise sum
-    (``_pairwise_sum``) and divided by D once, so a call builds a single
-    ``RationalComplex``, its result.  Since ``Fraction``s are canonical, it
-    equals the term-wise sum exactly.
-    """
+    ``scale`` is the lcm D of the products D_f D_g of the pairs' integer
+    denominators, ``rate_den`` the lcm L of all rate denominators and
+    ``width`` one more than the highest total degree.  ``sides`` holds one
+    ``(f_rates, g_rates)`` per pair with two nonzero functions: its groups
+    as (S, terms), S the rate over L, the numerators of f multiplied by
+    D / (D_f D_g), so that every term pair's product is over D."""
     prepared = []
     for f, g in pairs:
         if f.is_zero() or g.is_zero():
             continue
         prepared.append((f._den * g._den, f._groups, g._groups))
     if not prepared:
-        return RationalComplex()
+        return None
     scale = math.lcm(*(pair_scale for pair_scale, _, _ in prepared))
     rate_den = math.lcm(
         *(q for _, f_groups, g_groups in prepared for _, _, q, _ in f_groups + g_groups)
@@ -537,23 +522,29 @@ def inner_sum(pairs) -> RationalComplex:
         + max(terms[-1][0] for *_, terms in g_groups)
         for _, f_groups, g_groups in prepared
     )
-    buckets = {}  # S -> (P_m real parts, P_m imaginary parts)
+    sides = []
     for pair_scale, f_groups, g_groups in prepared:
         factor = scale // pair_scale
-        g_rates = [(r * (rate_den // s), g_terms) for _, r, s, g_terms in g_groups]
+        f_rates = []
         for _, p, q, f_terms in f_groups:
-            f_rate = p * (rate_den // q)
             if factor != 1:
                 f_terms = [(a, cr * factor, ci * factor) for a, cr, ci in f_terms]
-            for g_rate, g_terms in g_rates:
-                sums = buckets.get(f_rate + g_rate)
-                if sums is None:
-                    sums = buckets[f_rate + g_rate] = ([0] * width, [0] * width)
-                sum_re, sum_im = sums
-                for a, cr, ci in f_terms:
-                    for b, dr, di in g_terms:
-                        sum_re[a + b] += cr * dr + ci * di
-                        sum_im[a + b] += ci * dr - cr * di
+            f_rates.append((p * (rate_den // q), f_terms))
+        g_rates = [(r * (rate_den // s), g_terms) for _, r, s, g_terms in g_groups]
+        sides.append((f_rates, g_rates))
+    return scale, rate_den, width, sides
+
+
+def _bucket_sum(buckets, rate_den: int, width: int) -> tuple:
+    """The exact sum of the rate-sum buckets ``buckets``, S -> (P_m real
+    parts, P_m imaginary parts), as ``(re, im, den)``.
+
+    Each rate sum s = S / L = N/M in lowest terms gives the single fraction
+    sum over m of P_m m! M^(m+1) N^(top-m) over N^(top+1), top its highest
+    degree with a nonzero P_m, by Horner in N with the weights built once
+    per distinct M.  The weights are real, so the real and imaginary parts
+    take the same steps.  Each fraction is divided by the gcd of its three
+    integers and the fractions are added by ``_pairwise_sum``."""
     weights = {}  # M -> _moment_weights(M, width)
     parts = []
     for total, (sum_re, sum_im) in buckets.items():
@@ -572,9 +563,88 @@ def inner_sum(pairs) -> RationalComplex:
         den = n ** (top + 1)
         h = math.gcd(num_re, num_im, den)
         parts.append((num_re // h, num_im // h, den // h))
-    num_re, num_im, den = _pairwise_sum(parts)
+    return _pairwise_sum(parts)
+
+
+def inner_sum(pairs) -> RationalComplex:
+    """The exact sum of the L2(0, infinity) inner products <f_i, g_i> over a
+    sequence of pairs ``(f_i, g_i)``, each conjugate-linear in ``g_i``.
+
+    It is also the inner product on a direct sum of half-lines.  Each term
+    pair contributes c conj(d) m! / s^(m+1), from the closed form integral
+    of t^m exp(-s t) = m! / s^(m+1), with m = a + b and s = lam + mu.  All
+    pairs are brought to one integer scale: with D_f and D_g the
+    denominators of a pair's integer forms, D is the lcm of the products
+    D_f D_g over all pairs, and each f is scaled by D / (D_f D_g).  Every
+    rate is written over the lcm L of all rate denominators, so a rate sum
+    s is an integer S over L (``_prepared``).  The integer products of the
+    numerators are added per S (different rate pairs, and different pairs
+    of functions, often share one) and per total degree m, into P_m.  Each
+    rate sum s = N/M in lowest terms then gives the single fraction
+
+        sum over m of P_m m! M^(m+1) N^(top-m)   over   N^(top+1),
+
+    top being its highest degree, by Horner in N with the weights
+    m! M^(m+1) built once per distinct M.  Each fraction is divided by the
+    gcd of its three integers, which keeps a rate sum whose terms cancel
+    (Green's identity holds per rate sum) from carrying N^(top+1) into the
+    sum (``_bucket_sum``).  The fractions are added by a balanced pairwise
+    sum (``_pairwise_sum``) and divided by D once, so a call builds a single
+    ``RationalComplex``, its result.  Since ``Fraction``s are canonical, it
+    equals the term-wise sum exactly.
+    """
+    prepared = _prepared(pairs)
+    if prepared is None:
+        return RationalComplex()
+    scale, rate_den, width, sides = prepared
+    buckets = {}  # S -> (P_m real parts, P_m imaginary parts)
+    for f_rates, g_rates in sides:
+        for f_rate, f_terms in f_rates:
+            for g_rate, g_terms in g_rates:
+                sums = buckets.get(f_rate + g_rate)
+                if sums is None:
+                    sums = buckets[f_rate + g_rate] = ([0] * width, [0] * width)
+                sum_re, sum_im = sums
+                for a, cr, ci in f_terms:
+                    for b, dr, di in g_terms:
+                        sum_re[a + b] += cr * dr + ci * di
+                        sum_im[a + b] += ci * dr - cr * di
+    num_re, num_im, den = _bucket_sum(buckets, rate_den, width)
     den *= scale
     return RationalComplex(Fraction(num_re, den), Fraction(num_im, den))
+
+
+def inner_sum_re(pairs) -> Fraction:
+    """Re of ``inner_sum(pairs)``, exactly, without its imaginary part.
+
+    Every rate sum s = lam + mu is a positive rational, so the weights
+    m! / s^(m+1) are real and the real part of a bucket is the bucket of the
+    real parts Re(c conj(d)) = Re c Re d + Im c Im d.  The preparation
+    (``_prepared``), the per-bucket finish and the pairwise sum
+    (``_bucket_sum``) are those of ``inner_sum``; only the accumulation
+    differs: one list of P_m per rate sum, the imaginary channel of every
+    bucket being one shared list of zeros, on which the finish multiplies
+    zeros only.  The imaginary part, whose denominator need not cancel where
+    the real part's does, is never built.
+    """
+    prepared = _prepared(pairs)
+    if prepared is None:
+        return _ZERO
+    scale, rate_den, width, sides = prepared
+    zeros = [0] * width
+    buckets = {}  # S -> (P_m real parts, zeros)
+    for f_rates, g_rates in sides:
+        for f_rate, f_terms in f_rates:
+            for g_rate, g_terms in g_rates:
+                sums = buckets.get(f_rate + g_rate)
+                if sums is None:
+                    sums = buckets[f_rate + g_rate] = ([0] * width, zeros)
+                sum_re = sums[0]
+                for a, cr, ci in f_terms:
+                    for b, dr, di in g_terms:
+                        sum_re[a + b] += cr * dr + ci * di
+    num, _, den = _bucket_sum(buckets, rate_den, width)
+    return Fraction(num, den * scale)
 
 
 def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
@@ -584,7 +654,8 @@ def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
 
 
 def norm_sq(f: ExpPoly) -> Fraction:
-    return inner(f, f).re
+    """<f, f>, exactly: a real value, so ``inner_sum_re`` computes it."""
+    return inner_sum_re(((f, f),))
 
 
 def adjoint_apply(f: ExpPoly) -> ExpPoly:
@@ -808,7 +879,7 @@ class InjectivityReport(NamedTuple):
 def adjoint_injectivity_check(g: ExpPoly) -> InjectivityReport:
     """Evaluate the injectivity inequality for the adjoint of the canonical
     extension, which acts as +d/dt on the whole family."""
-    value = (inner(g, g) - inner(g.derivative(), g)).re
+    value = inner_sum_re(((_first_order(g, 1, -1), g),))
     nsq = norm_sq(g)
     trace_zero = g.eval0().is_zero()
     return InjectivityReport(

@@ -110,6 +110,25 @@ def test_canonical_report(capsys, zero_relation_file):
     assert report["payload"]["system_residual"] <= 1e-9
 
 
+def test_a_failed_library_check_on_valid_input_is_named_not_invalid_input(
+    tmp_path, capsys, monkeypatch
+):
+    # NotOrthonormal is also a ValueError (tests/test_errors.py), but here the
+    # input is valid: the orthonormality check of the library's own bases
+    # is made to fail, so the message names the library error
+    from skewext import subspace as sub
+
+    path = tmp_path / "rel.json"
+    path.write_text(fmt.dumps(fmt.relation_to_json(rel.random_skew_symmetric(3, 1, 1))))
+    assert main(["canonical", "--input", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sub, "ORTH_TOL", -1.0)
+    code = main(["canonical", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: NotOrthonormal: basis columns are not orthonormal\n"
+
+
 def test_extend_mode_A(tmp_path, capsys, zero_relation_file):
     param = tmp_path / "param.json"
     param.write_text(json.dumps({"kind": "unitary_A", "matrix": [[[0.0, 1.0]]]}))

@@ -10,8 +10,15 @@ cap, and sums over pairs with different coefficient scales.  The kernel
 also builds a constant number of ``RationalComplex`` values, however many
 term pairs it sums, and reduces each rate-sum fraction before adding them,
 so that rate sums which cancel add no denominator.
+
+``halfline.inner_sum_re`` is the real part of ``inner_sum`` by its own
+accumulation; it must equal ``inner_sum(pairs).re`` exactly, also on long
+coefficients and coprime rates, and the checks that report only a real part
+(``dissipative``, ``norm_sq``, ``adjoint_injectivity_check``) must not call
+the complex kernel.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,8 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import inner_termwise, random_exppoly
+from reference import exppoly_to_json, inner_termwise, random_exppoly
 from skewext import halfline as hl
+from skewext.cli import main
 from skewext.halfline import QC, ExpPoly, exp_decay, term
 
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
@@ -231,3 +239,99 @@ def test_green_buckets_reduce_before_the_pairwise_sum(monkeypatch):
     lhs, rhs = hl.green_identity(f, f)
     assert lhs == rhs == QC()
     assert len(largest) == 1 and largest[0] <= 64
+
+
+@settings(deadline=None, max_examples=100)
+@given(pairs=pair_sequences())
+def test_inner_sum_re_is_the_real_part_of_inner_sum(pairs):
+    assert hl.inner_sum_re(pairs) == hl.inner_sum(pairs).re
+    assert type(hl.inner_sum_re(pairs)) is Fraction
+    assert hl.inner_sum_re(iter(pairs)) == hl.inner_sum_re(tuple(pairs))
+
+
+def test_inner_sum_re_of_no_pair_and_of_zero_functions():
+    f = term(2, Fraction(3, 2), 1, 1) + term(0, 1, 0, -4)
+    assert hl.inner_sum_re([]) == hl.inner_sum_re([(f, ExpPoly()), (ExpPoly(), f)]) == 0
+    assert hl.inner_sum_re([(f, f)]) == inner_termwise(f, f).re
+
+
+def _hostile_function(rnd, rates, count):
+    """``count`` terms at ``rates`` with coefficients near 10^40 over
+    denominators near 10^30, both signs, degrees up to the cap."""
+    terms = {}
+    while len(terms) < count:
+        key = (rnd.randint(0, hl.MAX_DEGREE), rnd.choice(rates))
+        terms[key] = QC(
+            Fraction(rnd.randint(-(10**40), 10**40), rnd.randint(10**29, 10**30)),
+            Fraction(rnd.randint(-(10**40), 10**40), rnd.randint(10**29, 10**30)),
+        )
+    return ExpPoly(terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inner_sum_re_on_long_coefficients_and_coprime_rates(seed):
+    rnd = random.Random(seed)
+    coprime = [
+        Fraction(p + 1 + i, p) for i, p in enumerate(_largest_primes_below(10**6, 12))
+    ]
+    rates = coprime + [Fraction(1), Fraction(10**6 - 1, 10**6), Fraction(7, 3)]
+    f, g = _hostile_function(rnd, rates, 8), _hostile_function(rnd, rates, 8)
+    pairs = [(f, g), (g.derivative(), f.scale(QC(0, Fraction(1, 10**30)))), (f, f)]
+    assert hl.inner_sum_re(pairs) == hl.inner_sum(pairs).re
+    assert hl.inner_sum_re(pairs[:1]) == inner_termwise(f, g).re
+    assert hl.norm_sq(f) == inner_termwise(f, f).re
+
+
+@pytest.fixture
+def complex_kernel_calls(monkeypatch):
+    """Every call of the complex kernel ``inner_sum``, which ``inner`` also
+    goes through."""
+    calls = []
+    kernel = hl.inner_sum
+
+    def recording(pairs):
+        calls.append(pairs)
+        return kernel(pairs)
+
+    monkeypatch.setattr(hl, "inner_sum", recording)
+    return calls
+
+
+def test_real_part_checks_do_not_call_the_complex_kernel(
+    complex_kernel_calls, tmp_path, capsys
+):
+    rnd = random.Random(5)
+    f = random_exppoly(rnd, 20)
+    f0 = f - exp_decay(1).scale(f.eval0())
+    assert hl.norm_sq(f) == inner_termwise(f, f).re
+    report = hl.adjoint_injectivity_check(f)
+    assert report.value == (inner_termwise(f, f) - inner_termwise(f.derivative(), f)).re
+    assert report.holds and not report.equality
+    path = tmp_path / "f0.json"
+    path.write_text(json.dumps(exppoly_to_json(f0)))
+    assert main(["halfline", "--subcheck", "dissipative", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["re_inner"] == "0"
+    assert complex_kernel_calls == []
+    # the counter sees the complex kernel where it is used
+    hl.green_identity(f, f)
+    assert len(complex_kernel_calls) == 1
+
+
+def test_dissipative_on_coprime_rates_with_complex_coefficients(tmp_path, capsys):
+    # 30 trace-zero terms at coprime rate denominators near the cap: Re <Hf, f>
+    # is 0, while the imaginary part the subcheck does not report has a
+    # denominator of more than 10^4 bits
+    rates = [
+        Fraction(p + 1 + i, p) for i, p in enumerate(_largest_primes_below(10**6, 30))
+    ]
+    f = ExpPoly({(1 + i % 8, lam): QC(1, i + 1) for i, lam in enumerate(rates)})
+    image = hl.canonical_extension_apply(f)
+    full = hl.inner(image, f)
+    assert full.re == 0 and full.im.denominator.bit_length() > 10**4
+    path = tmp_path / "coprime.json"
+    path.write_text(json.dumps(exppoly_to_json(f)))
+    code = main(["halfline", "--subcheck", "dissipative", "--input", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["status"] == "pass"
+    assert report["payload"]["re_inner"] == "0"
+    assert report["payload"]["nonpositive"] is True

@@ -56,7 +56,7 @@ from skewext import subspace as sub  # noqa: E402
 from skewext.sampling import random_unitary  # noqa: E402
 
 SIZES = (4, 16, 64, 128)
-HALFLINE_TERMS = (5, 20, 60)
+HALFLINE_TERMS = (10, 30, 60)
 SEED = 7
 REPEAT = 7
 #: the size whose layers are also taken on a ``--baseline-src`` tree
@@ -232,10 +232,28 @@ def _resolvent_report(formats):
     return report
 
 
+def _dissipative_kernel(module):
+    """Re <H f, f> from (H f, f) as ``halfline --subcheck dissipative``
+    computes it in the tree of ``module``: by ``inner_sum_re``, or, in a tree
+    without it, as the real part of ``inner``."""
+    kernel = getattr(module, "inner_sum_re", None)
+    if kernel is None:
+        return lambda image, f: module.inner(image, f).re
+    return lambda image, f: kernel(((image, f),))
+
+
+def _trace_zero(f, module=hl):
+    """f minus f(0) exp(-t): the function made trace-zero as the
+    ``dissipative`` probes make it."""
+    return f - module.exp_decay(1).scale(f.eval0())
+
+
 def halfline_timings(terms: int, module=hl) -> dict:
     rnd = random.Random(SEED + terms)
     f = _random_function(rnd, terms, module)
     g = _random_function(rnd, terms, module)
+    f0 = _trace_zero(f, module)
+    image = module.canonical_extension_apply(f0)
     formats = importlib.import_module(module.__package__ + ".formats")
     records = _records(f)
     u = module.resolvent_solve(f)
@@ -248,6 +266,7 @@ def halfline_timings(terms: int, module=hl) -> dict:
         "halfline.inner_s": _best(module.inner, f, g),
         "halfline.derivative_s": _best(module.ExpPoly.derivative, f),
         "halfline.green_identity_s": _best(module.green_identity, f, g),
+        "halfline.dissipative_s": _best(_dissipative_kernel(module), image, f0),
         "halfline.resolvent_solve_s": _best(module.resolvent_solve, f),
         "halfline.resolvent_check_s": _best(_resolvent_check, u, f),
         "halfline.parse_s": _best(formats.exppoly_from_json, records),
@@ -255,34 +274,65 @@ def halfline_timings(terms: int, module=hl) -> dict:
     }
 
 
-def _coprime_function(module=hl):
-    """t^32 and t^31 (alternating) times exp(-lam t), with lam = (p + 1 + i)/p
-    for the i-th of the 60 largest primes p below 10^6: rate denominators
-    at the cap and pairwise coprime, as an ``ExpPoly`` of ``module``."""
+def _coprime_rates(count: int) -> list:
+    """lam = (p + 1 + i)/p for the i-th of the ``count`` largest primes p
+    below 10^6: rate denominators at the cap and pairwise coprime."""
     primes = []
     m = 10**6 - 1
-    while len(primes) < 60:
+    while len(primes) < count:
         if all(m % d for d in range(2, int(m**0.5) + 1)):
             primes.append(m)
         m -= 1
+    return [Fraction(p + 1 + i, p) for i, p in enumerate(primes)]
+
+
+def _coprime_function(module=hl):
+    """t^32 and t^31 (alternating) times exp(-lam t) at the 60
+    ``_coprime_rates``, as an ``ExpPoly`` of ``module``."""
     return module.ExpPoly(
         {
-            (32 - i % 2, Fraction(p + 1 + i, p)): module.RationalComplex(1)
-            for i, p in enumerate(primes)
+            (32 - i % 2, lam): module.RationalComplex(1)
+            for i, lam in enumerate(_coprime_rates(60))
         }
     )
 
 
-def coprime_timing(module=hl) -> dict:
-    """``green_identity(f, f)`` on ``_coprime_function``: one timed call,
-    since a tree that adds unreduced rate-sum fractions takes seconds."""
-    f = _coprime_function(module)
+def _coprime_trace_zero_function(module=hl):
+    """(1 + (i + 1) i) t^(1 + i % 8) exp(-lam t) at the 30 ``_coprime_rates``:
+    trace-zero, with complex coefficients, so that Im <H f, f> has a long
+    denominator while Re <H f, f> = 0."""
+    return module.ExpPoly(
+        {
+            (1 + i % 8, lam): module.RationalComplex(1, i + 1)
+            for i, lam in enumerate(_coprime_rates(30))
+        }
+    )
+
+
+def _timed_once(fn, *args):
     start = time.perf_counter()
-    lhs, rhs = module.green_identity(f, f)
-    elapsed = time.perf_counter() - start
+    result = fn(*args)
+    return result, float(f"{time.perf_counter() - start:.4g}")
+
+
+def coprime_timing(module=hl) -> dict:
+    """``green_identity(f, f)`` on ``_coprime_function``, and the
+    ``dissipative`` kernel on ``_coprime_trace_zero_function``: one timed
+    call each, since a tree that adds unreduced rate-sum fractions takes
+    seconds on the first."""
+    f = _coprime_function(module)
+    (lhs, rhs), green_s = _timed_once(module.green_identity, f, f)
     if lhs != rhs:
         raise RuntimeError("the Green identity fails on the coprime-rate input")
-    return {"halfline.green_coprime_s": float(f"{elapsed:.4g}")}
+    f0 = _coprime_trace_zero_function(module)
+    image = module.canonical_extension_apply(f0)
+    value, dissipative_s = _timed_once(_dissipative_kernel(module), image, f0)
+    if value != 0:
+        raise RuntimeError("Re <Hf, f> is not 0 on the coprime-rate input")
+    return {
+        "halfline.green_coprime_s": green_s,
+        "halfline.dissipative_coprime_s": dissipative_s,
+    }
 
 
 def baseline_halfline(src: str):
@@ -305,7 +355,7 @@ def _halfline_files(directory: str, terms: int) -> dict:
     trace-zero for ``dissipative``."""
     rnd = random.Random(SEED + terms)
     f, g = _random_function(rnd, terms), _random_function(rnd, terms)
-    f0 = f - hl.exp_decay(1).scale(f.eval0())
+    f0 = _trace_zero(f)
     files = {"green": {"f": f, "g": g}, "resolvent": f, "dissipative": f0}
     paths = {}
     for subcheck, obj in files.items():
@@ -426,10 +476,16 @@ def main(argv=None) -> int:
             "function's term list; resolvent_check_s is the identity check of "
             "the resolvent subcheck on that function and its resolvent_solve "
             "solution; report_s is formats.dumps of that subcheck's payload "
-            "for the solution; green_coprime_s is one timed "
+            "for the solution; dissipative_s is Re <H f0, f0> as the "
+            "dissipative subcheck computes it in each tree (inner_sum_re, or "
+            "the real part of inner where a tree lacks it), f0 the first "
+            "function made trace-zero; green_coprime_s is one timed "
             "green_identity(f, f) call, with no warm-up, on 60 terms t^32 and "
             "t^31 (alternating) times exp(-lam t), lam = (p + 1 + i)/p for the "
-            "i-th of the 60 largest primes p below 10^6",
+            "i-th of the 60 largest primes p below 10^6; dissipative_coprime_s "
+            "is one timed dissipative kernel call, with no warm-up, on 30 "
+            "terms (1 + (i + 1) i) t^(1 + i % 8) exp(-lam t) at the first 30 "
+            "of those rates",
         },
         "layers": {f"n={n}": layer_timings(n) for n in SIZES},
     }
