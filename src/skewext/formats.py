@@ -115,61 +115,19 @@ def _array_to_json(a: np.ndarray, level: int) -> str:
     return "".join(pieces)
 
 
-def _group_over_own_denominator(den: int, terms) -> tuple:
-    """``(den // h, terms)`` for h = gcd(den, every numerator of the rate
-    group ``terms``), with each term's numerators divided by h.
-
-    h is found while dividing: each numerator takes one divmod by the
-    running divisor, which starts at den and shrinks to gcd(divisor,
-    remainder) only where a remainder is left, the quotients so far then
-    scaled by the factor it lost.  On outputs whose groups have short
-    denominators of their own under a long common one (rates with coprime
-    denominators), this is one long division per numerator, where reducing
-    each coefficient against den is a long gcd and two long divisions."""
-    h = den
-    quotients = []
-    for x in [x for _, re, im in terms for x in (re, im)]:
-        q, r = divmod(x, h)
-        if r:
-            g = math.gcd(h, r)
-            factor = h // g
-            quotients = [y * factor for y in quotients]
-            q = q * factor + r // g
-            h = g
-        quotients.append(q)
-    quotients = zip(terms, quotients[::2], quotients[1::2])
-    return den // h, [(k, re, im) for (k, _, _), re, im in quotients]
-
-
-#: a common denominator of at least this many bits is divided out per rate
-#: group before the digits are written; below it, reducing each
-#: coefficient against it costs no more (resolvent outputs of 100 to 320
-#: terms, 2 cores: even at 1200 to 1900 bits, the groups 14 to 24 % faster
-#: from 3100 bits and 18 % slower at 350 bits)
-_GROUPED_DIGITS_BITS = 2048
-
-
 def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
     """A function as its list of term records at nesting ``level``: each
     record's keys in sorted order ("im", "k", "lambda", "re"), the rationals
     as "p/q" strings written from its integer form (``_fraction_digits``),
-    filled into one indented %-template.  Over a long common denominator,
-    each rate group is first put over its own denominator
-    (``_group_over_own_denominator``), so that every coefficient is reduced
-    against that shorter one."""
+    filled into one indented %-template."""
     den, groups = f.integer_form()
     if not groups:
         return "[]"
     values = []
     for _, p, q, terms in groups:
         rate = _fraction_digits(p, q)
-        if den.bit_length() < _GROUPED_DIGITS_BITS:
-            group_den = den
-        else:
-            group_den, terms = _group_over_own_denominator(den, terms)
         for k, re, im in terms:
-            re_digits = _fraction_digits(re, group_den)
-            values += (_fraction_digits(im, group_den), k, rate, re_digits)
+            values += (_fraction_digits(im, den), k, rate, _fraction_digits(re, den))
     fields = ['"im": "%s"', '"k": %s', '"lambda": "%s"', '"re": "%s"']
     record = _list_template(fields, level + 1, "{}")
     template = _list_template([record] * (len(values) // 4), level)

@@ -221,6 +221,18 @@ def random_exppoly(rnd: random.Random, count: int) -> ExpPoly:
     return ExpPoly(terms)
 
 
+def largest_primes_below(n: int, count: int) -> list:
+    """The ``count`` largest primes below ``n``, largest first, by trial
+    division."""
+    primes = []
+    m = n - 1
+    while len(primes) < count:
+        if all(m % d for d in range(2, math.isqrt(m) + 1)):
+            primes.append(m)
+        m -= 1
+    return primes
+
+
 def exppoly_to_json(f: ExpPoly) -> list:
     """A function as its list of term records, one dict per term: the plain
     form that ``formats.dumps`` writes an ``ExpPoly`` in."""

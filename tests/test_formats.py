@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import exppoly_to_json
+from reference import exppoly_to_json, largest_primes_below
 from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext import relation as rel
@@ -382,58 +382,18 @@ def test_dumps_writes_exppolys_as_json_writes_their_records(f):
         assert fmt.dumps(obj) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
-def _coprime_resolvent():
-    """The resolvent of 60 terms (1 + i i) t^(32 - i % 2) exp(-lam t) at
-    rates lam = (p + 1 + i)/p, p the 40 largest primes below 10^6: one long
-    common denominator over rate groups with short ones of their own."""
-    primes = []
-    m = 10**6 - 1
-    while len(primes) < 60:
-        if all(m % d for d in range(2, math.isqrt(m) + 1)):
-            primes.append(m)
-        m -= 1
+def test_coprime_rate_resolvent_is_written_as_json_writes_its_records():
+    # the resolvent of 60 terms (1 + i i) t^(32 - i % 2) exp(-lam t) at rates
+    # lam = (p + 1 + i)/p, p the 60 largest primes below 10^6: about 2000
+    # coefficients over one common denominator of about 2600 bits
     f = hl.ExpPoly(
         {
             (32 - i % 2, Fraction(p + 1 + i, p)): hl.QC(1, i)
-            for i, p in enumerate(primes)
+            for i, p in enumerate(largest_primes_below(10**6, 60))
         }
     )
-    return hl.resolvent_solve(f)
-
-
-def test_long_denominator_functions_are_written_as_json_writes_their_records():
-    u = _coprime_resolvent()
-    den, groups = u.integer_form()
-    assert den.bit_length() >= fmt._GROUPED_DIGITS_BITS
-    # a group over its own denominator: far shorter than the common one
-    assert min(fmt._group_over_own_denominator(den, t)[0] for *_, t in groups) < 2**64
+    u = hl.resolvent_solve(f)
+    assert u.integer_form()[0].bit_length() > 2000
     payload = {"solution": u, "resolvent_identity_exact": True, "trace_zero": True}
     expected = {**payload, "solution": exppoly_to_json(u)}
     assert fmt.dumps(payload) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    common=st.integers(1, 10**30),
-    own=st.integers(1, 10**6),
-    numerators=st.lists(
-        st.tuples(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40)),
-        min_size=1,
-        max_size=6,
-    ),
-    shared=st.integers(1, 10**20),
-)
-def test_group_over_own_denominator_divides_by_the_group_gcd(
-    common, own, numerators, shared
-):
-    # numerators sharing a factor with the denominator, so that the running
-    # divisor shrinks at some numerators and not at others
-    den = common * own
-    terms = tuple(
-        (k, re * math.gcd(shared, common), im * common)
-        for k, (re, im) in enumerate(numerators)
-    )
-    h = math.gcd(den, *[x for _, re, im in terms for x in (re, im)])
-    group_den, reduced = fmt._group_over_own_denominator(den, terms)
-    assert group_den == den // h
-    assert reduced == [(k, re // h, im // h) for k, re, im in terms]

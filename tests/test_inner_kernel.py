@@ -19,7 +19,6 @@ the complex kernel.
 """
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -27,7 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import exppoly_to_json, inner_termwise, random_exppoly
+from reference import (
+    exppoly_to_json,
+    inner_termwise,
+    largest_primes_below,
+    random_exppoly,
+)
 from skewext import halfline as hl
 from skewext.cli import main
 from skewext.halfline import QC, ExpPoly, exp_decay, term
@@ -208,16 +212,6 @@ def test_green_left_side_builds_one_rational_complex(
     )
 
 
-def _largest_primes_below(n: int, count: int) -> list:
-    primes = []
-    m = n - 1
-    while len(primes) < count:
-        if all(m % d for d in range(2, math.isqrt(m) + 1)):
-            primes.append(m)
-        m -= 1
-    return primes
-
-
 def test_green_buckets_reduce_before_the_pairwise_sum(monkeypatch):
     # t^32 and t^31 against exp(-lam t) with 60 coprime rate denominators
     # near the cap: every rate sum of Green's left side cancels, so each of
@@ -225,7 +219,7 @@ def test_green_buckets_reduce_before_the_pairwise_sum(monkeypatch):
     # denominators N^(top+1) have 1319 to 2657 bits, and adding them takes
     # seconds
     rates = [
-        Fraction(p + 1 + i, p) for i, p in enumerate(_largest_primes_below(10**6, 60))
+        Fraction(p + 1 + i, p) for i, p in enumerate(largest_primes_below(10**6, 60))
     ]
     f = ExpPoly({(32 - i % 2, lam): QC(1) for i, lam in enumerate(rates)})
     kernel = hl._pairwise_sum
@@ -272,7 +266,7 @@ def _hostile_function(rnd, rates, count):
 def test_inner_sum_re_on_long_coefficients_and_coprime_rates(seed):
     rnd = random.Random(seed)
     coprime = [
-        Fraction(p + 1 + i, p) for i, p in enumerate(_largest_primes_below(10**6, 12))
+        Fraction(p + 1 + i, p) for i, p in enumerate(largest_primes_below(10**6, 12))
     ]
     rates = coprime + [Fraction(1), Fraction(10**6 - 1, 10**6), Fraction(7, 3)]
     f, g = _hostile_function(rnd, rates, 8), _hostile_function(rnd, rates, 8)
@@ -322,7 +316,7 @@ def test_dissipative_on_coprime_rates_with_complex_coefficients(tmp_path, capsys
     # is 0, while the imaginary part the subcheck does not report has a
     # denominator of more than 10^4 bits
     rates = [
-        Fraction(p + 1 + i, p) for i, p in enumerate(_largest_primes_below(10**6, 30))
+        Fraction(p + 1 + i, p) for i, p in enumerate(largest_primes_below(10**6, 30))
     ]
     f = ExpPoly({(1 + i % 8, lam): QC(1, i + 1) for i, lam in enumerate(rates)})
     image = hl.canonical_extension_apply(f)
