@@ -17,14 +17,17 @@ failed.
 
 The canonical boundary system exists for every skew-symmetric relation:
 its boundary spaces are the deficiency spaces g1 = ker(1 - H0*) and
-g2 = ker(1 + H0*), and its boundary map reads off the (scaled) components
-of a graph element along the orthogonal graph-level decomposition
+g2 = ker(1 + H0*), and its basis of Graph(H0*) is the orthogonal
+graph-level decomposition
 
-    Graph(H0*) = Graph(-H0)  +  {(x, x) : x in g1}  +  {(x, -x) : x in g2}.
+    Graph(H0*) = Graph(-H0)  +  {(x, x) : x in g1}  +  {(x, -x) : x in g2},
 
-The decomposition is computed at the graph level, where it is orthogonal;
-for operators it agrees with the usual domain-level direct sum, and for
-relations with multivalued parts it is the well-defined variant.
+the orthonormal bases of the three pieces side by side.  Its boundary map,
+sqrt(2) times the g1 and g2 coordinates of the two deficiency components,
+is then the closed form F = [0 | I].  The decomposition is computed at the
+graph level, where it is orthogonal; for operators it agrees with the usual
+domain-level direct sum, and for relations with multivalued parts it is the
+well-defined variant.
 """
 
 from __future__ import annotations
@@ -95,17 +98,9 @@ class BoundarySystem:
         object.__setattr__(self, "report", verify_system(self, tol))
 
     @cached_property
-    def _canonical_pieces(self):
-        return (
-            rel.negate(self.base).graph,
-            _hat_space(self.g1, +1.0),
-            _hat_space(self.g2, -1.0),
-        )
-
-    @cached_property
     def _canonical_extension(self):
-        g_neg, _, ghat2 = self._canonical_pieces
-        graph = Subspace(g_neg.ambient_dim, np.hstack([g_neg.basis, ghat2.basis]))
+        g_neg, _, ghat2 = _canonical_blocks(self)
+        graph = Subspace(g_neg.shape[0], np.hstack([g_neg, ghat2]))
         return Relation(self.base.space_dim, graph)
 
     @property
@@ -270,61 +265,53 @@ def _triplet_of(s: BoundarySystem, l0: np.ndarray) -> BoundaryTriplet:
 def canonical_pieces(s: BoundarySystem):
     """The pieces (G_neg, Ghat1, Ghat2) of the orthogonal graph-level
     decomposition of Graph(H0*), for a canonical system: G_neg = Graph(-H0),
-    Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2}, read off
-    its base and boundary spaces without any rank decision.  They are
-    built once per system and shared by every later call."""
-    return s._canonical_pieces
+    Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2}, spanned by
+    the three column blocks of its Graph(H0*) basis."""
+    return tuple(Subspace(b.shape[0], b) for b in _canonical_blocks(s))
 
 
-def _hat_space(g: Subspace, sign: float) -> Subspace:
-    b = g.basis
-    return Subspace(2 * g.ambient_dim, np.vstack([b, sign * b]) / _SQRT2)
+def _canonical_blocks(s: BoundarySystem):
+    """The bases of the ``canonical_pieces``: the column blocks of widths
+    dim Graph(H0), dim g1 and dim g2 of the Graph(H0*) basis of ``s``."""
+    b, d0 = s.adjoint_graph.basis, s.base.graph_dim
+    d1 = d0 + s.g1.dim
+    return b[:, :d0], b[:, d0:d1], b[:, d1:]
 
 
-def _pairwise_orthogonal(pieces, tol: float) -> bool:
-    for i, a in enumerate(pieces):
-        for b in pieces[i + 1 :]:
-            cross = a.basis.conj().T @ b.basis
-            if cross.size and float(np.max(np.abs(cross))) > tol:
-                return False
-    return True
+def _hat_basis(g: Subspace, sign: float) -> np.ndarray:
+    """The orthonormal basis (G; sign G)/sqrt(2) of {(x, sign x) : x in g}
+    for the orthonormal basis G of ``g``."""
+    return np.vstack([g.basis, sign * g.basis]) / _SQRT2
 
 
 def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     """The canonical boundary system of a skew-symmetric relation.
 
-    The boundary spaces come from ``relation.deficiency`` (read off the
-    graph blocks of H0, which also checks skew-symmetry), and Graph(H0*)
-    from ``relation.adjoint``, independently of them.  The boundary map
-    returns sqrt(2) times the g1 and g2 coordinates of the two deficiency
-    components of a graph element u = (x, x').  The pieces of the canonical
-    decomposition are asserted orthonormal, pairwise orthogonal and summing
-    to Graph(H0*), so the Ghat_i component of u is the orthogonal projection
-    Ghat_i Ghat_i^H u, and its scaled coordinates are the plain inner
-    products Ghat_i^H u = g_i^H (x +- x') / sqrt(2).  The resulting system
-    always verifies, regardless of whether the deficiency indices agree;
-    it is verified at ``tol``.
+    The boundary spaces come from ``relation.deficiency`` (which also checks
+    skew-symmetry).  The basis of Graph(H0*) is the canonical decomposition:
+    the orthonormal bases of Graph(-H0), Ghat1 = {(x, x) : x in g1} and
+    Ghat2 = {(x, -x) : x in g2} side by side.  On it the boundary map, sqrt(2)
+    times the g1 and g2 coordinates of the deficiency components, is
+    F = [0 | I].  The one assertion is the gap of that basis to Graph(H0*)
+    from the definition of the adjoint (``relation.adjoint_gap``): a
+    dimension count short of 2n or a gap above ``tol`` raises
+    DecompositionFailure.  The ``Subspace`` constructor then checks the
+    joined basis orthonormal, so the pieces are pairwise orthogonal.  The
+    system always verifies, whether or not the deficiency indices agree; it
+    is verified at ``tol``.
     """
     defic = rel.deficiency(h0, tol)
-    adj = rel.adjoint(h0)
-    x, xp = adj.blocks()
-    f = np.vstack(
-        [defic.g1.basis.conj().T @ (x + xp), defic.g2.basis.conj().T @ (x - xp)]
-    ) / _SQRT2
-    s = BoundarySystem(
+    x, xp = h0.blocks()
+    g_neg = np.vstack([x, -xp])
+    basis = np.hstack([g_neg, _hat_basis(defic.g1, 1.0), _hat_basis(defic.g2, -1.0)])
+    if rel.adjoint_gap(h0, basis) > tol:
+        raise DecompositionFailure("the pieces do not span Graph(H0*) at tolerance")
+    k, d = defic.g1.dim + defic.g2.dim, basis.shape[1]
+    return BoundarySystem(
         base=h0,
-        adjoint_graph=adj.graph,
+        adjoint_graph=Subspace(2 * h0.space_dim, basis),
         g1=defic.g1,
         g2=defic.g2,
-        f_matrix=f,
+        f_matrix=np.eye(k, d, d - k),  # [0 | I]
         tol=tol,
     )
-
-    pieces = canonical_pieces(s)
-    dims_ok = sum(p.dim for p in pieces) == adj.graph_dim
-    contained = all(sub.contains_subspace(adj.graph, p, tol) for p in pieces)
-    if not (dims_ok and contained and _pairwise_orthogonal(pieces, tol)):
-        raise DecompositionFailure(
-            "graph pieces fail the orthogonal-sum assertion at tolerance"
-        )
-    return s

@@ -92,7 +92,8 @@ class IllDefined(SkewextError):
 
 
 class DecompositionFailure(SkewextError):
-    """Raised when the canonical graph decomposition fails its orthogonal-sum check."""
+    """Raised when the canonical graph decomposition fails its gap check
+    against Graph(H0*)."""
 
 
 class TraceNotZero(SkewextError):

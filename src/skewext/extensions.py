@@ -23,7 +23,6 @@ at (``report.tol``); relation-level predicates take theirs as an argument.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,9 @@ from . import subspace as sub
 from .boundary import (
     BoundarySystem,
     BoundaryTriplet,
+    _canonical_blocks,
     _require_unitary,
     _triplet_of,
-    canonical_pieces,
     canonical_system,  # noqa: F401  re-export; perfbench/test_smoke.py traces it
     require_valid_system,
     require_valid_triplet,
@@ -123,9 +122,11 @@ def _readoff(data, h: Relation, singular: type, premise: str):
         )
     coords = data.adjoint_graph.basis.conj().T @ graph.basis
     a, b = a @ coords, b @ coords
-    if a.shape[0] and sub.rank(a) < a.shape[0]:
+    # one SVD: the rank decision, then A^+ = V S^-1 U^H at full row rank
+    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    if sub.numerical_rank(sv) < a.shape[0]:
         raise singular(premise)
-    return b @ np.linalg.pinv(a), a, b
+    return b @ (vh.conj().T / sv) @ u.conj().T, a, b
 
 
 def system_unitary_extension(s: BoundarySystem, l) -> Relation:
@@ -261,13 +262,13 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
     condition is checked constructively by building one extension from the
     basis-matching unitary I on the system; the triplet condition by
     converting the system with L0 = I and reading the verification report
-    the triplet carries from its construction.  I is checked to be unitary
-    once, for both constructions.  The equal-dimension
-    system condition uses neither the boundary spaces nor the deficiency
-    solver: by Sylvester's law the inertia of the form Omega on Graph(H0*)
-    is (k1, k2) plus a null part of dimension dim Graph(H0), so it compares
-    the counts of eigenvalues of ``omega_matrix`` on the adjoint-graph basis
-    above ``s.report.tol`` and below its negative.
+    the triplet carries from its construction.  The equal-dimension system
+    condition uses neither the boundary spaces nor the deficiency solver:
+    by Sylvester's law the inertia of the form Omega on Graph(H0*) is
+    (k1, k2) plus a null part of dimension dim Graph(H0), so it compares the
+    counts of eigenvalues of ``omega_matrix`` above ``s.report.tol`` and
+    below its negative, on a Graph(H0*) basis of its own from
+    ``relation.adjoint`` (the system's basis is built from g1 and g2).
     """
     indices = rel.deficiency(s.base, s.report.tol).indices
     k1, k2 = s.g1.dim, s.g2.dim
@@ -277,13 +278,11 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
     if k1 == k2:
         require_valid_system(s)
         eye = np.eye(k2, k1, dtype=complex)
-        # the one unitarity check of L = L0 = I, shared by both constructions
-        _require_unitary(eye, k2, k1, "L")
         extension = _adjoint_portion(s, eye)
         has_sksa = rel.is_skew_self_adjoint(extension, s.report.tol)
         triplet_ok = _triplet_of(s, eye).report.ok
 
-    omega = np.linalg.eigvalsh(rel.omega_matrix(s.adjoint_graph.basis))
+    omega = np.linalg.eigvalsh(rel.omega_matrix(rel.adjoint(s.base).graph.basis))
     positive = int(np.count_nonzero(omega > s.report.tol))
     negative = int(np.count_nonzero(omega < -s.report.tol))
 
@@ -303,31 +302,12 @@ def canonical_max_dissipative(s: BoundarySystem) -> Relation:
     Its graph is the orthogonal sum of Graph(-H0) and the g2 deficiency
     piece {(x, -x)}; it always exists, also when no skew-self-adjoint
     extension does.  The two pieces are orthogonal (g2 is ran(1 + H0)^perp),
-    so their orthonormal bases side by side are a basis of the sum.  It is
-    built once per system, on first use, and every later call returns the
+    so their orthonormal bases side by side, two column blocks of the
+    system's Graph(H0*) basis, are a basis of the sum.  It is built once
+    per system, on first use, and every later call returns the
     same object.
     """
     return s._canonical_extension
-
-
-def _adjoint_gap(h: Relation, graph: sub.Subspace) -> float:
-    """The gap between Graph(H*) and ``graph``, with no basis of Graph(H*).
-
-    Graph(H*) is (J Graph(H))^perp for J(x, x') = (-x', x), and J maps the
-    orthonormal graph basis B of H to an orthonormal basis J B.  So when
-    dim ``graph`` + dim Graph(H) = 2n, the bases [L, J B] of Graph(H*) and
-    its complement form a unitary, and the gap ||(I - L L^H) R||_2 of
-    ``subspace.distance`` is ||(J B)^H R||_2 for the orthonormal basis R of
-    ``graph``.  Otherwise the two cannot be equal, and the gap is inf, which
-    no tolerance accepts.
-    """
-    if graph.dim + h.graph_dim != 2 * h.space_dim:
-        return math.inf
-    n = h.space_dim
-    x, xp = h.blocks()
-    r_top, r_bottom = graph.basis[:n, :], graph.basis[n:, :]
-    # (J B)^H R with J B = (-X'; X)
-    return matrix_2norm(x.conj().T @ r_bottom - xp.conj().T @ r_top)
 
 
 def adjoint_formula_check(s: BoundarySystem) -> bool:
@@ -339,12 +319,13 @@ def adjoint_formula_check(s: BoundarySystem) -> bool:
     bases side by side, and flipping the sign of its second components
     gives an orthonormal basis of the formula graph.  That graph is held
     against Graph(H*) through the definition of the adjoint
-    (``_adjoint_gap``): the check passes when the dimensions add to 2n and
-    the formula graph is orthogonal to J Graph(H) within ``s.report.tol``.
-    Neither Graph(H*) nor any complement is computed.
+    (``relation.adjoint_gap``, the check ``canonical_system`` also makes):
+    it passes when the dimensions add to 2n and the formula graph is
+    orthogonal to J Graph(H) within ``s.report.tol``.  Neither Graph(H*)
+    nor any complement is computed.
     """
-    g_neg, ghat1, _ = canonical_pieces(s)
+    g_neg, ghat1, _ = _canonical_blocks(s)
     n = s.base.space_dim
-    pieces = np.hstack([g_neg.basis, ghat1.basis])
-    formula = sub.Subspace(2 * n, np.vstack([pieces[:n, :], -pieces[n:, :]]))
-    return _adjoint_gap(canonical_max_dissipative(s), formula) <= s.report.tol
+    summed = np.hstack([g_neg, ghat1])
+    formula = np.vstack([summed[:n, :], -summed[n:, :]])
+    return rel.adjoint_gap(canonical_max_dissipative(s), formula) <= s.report.tol

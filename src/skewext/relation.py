@@ -6,8 +6,9 @@ in C^n; the top n coordinates of the graph subspace hold ``x`` and the
 bottom n hold ``x'``.  Everything is read off the blocks (X, X') of the
 orthonormal graph basis: the domain ran(X), the kernel X ker(X'), the
 multivalued part X' ker(X), the adjoint and deficiency spaces as
-complements of block combinations, and the skew-symmetry and
-dissipativity predicates as small matrices over the basis.
+complements of block combinations, the gap of a graph to the adjoint as a
+product with the blocks, and the skew-symmetry and dissipativity
+predicates as small matrices over the basis.
 
 The inner product convention is fixed globally: conjugate-linear in the
 SECOND argument, ``<a, b> = b^H a``.
@@ -15,12 +16,14 @@ SECOND argument, ``<a, b> = b^H a``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import subspace as sub
 from .errors import AmbientMismatch, BadDimension, NotSkewSymmetric
+from .linalg import matrix_2norm
 from .sampling import random_unitary
 from .subspace import Subspace
 
@@ -121,6 +124,25 @@ def adjoint(t: Relation) -> Relation:
     """
     x, xp = t.blocks()
     return Relation(t.space_dim, sub.complement(np.vstack([-xp, x])))
+
+
+def adjoint_gap(t: Relation, basis: np.ndarray) -> float:
+    """The gap between Graph(T*) and the span of the orthonormal columns
+    ``basis`` of C^2n, with no basis of Graph(T*).
+
+    Graph(T*) is (J Graph(T))^perp (``adjoint``), and J maps the orthonormal
+    graph basis B of T to an orthonormal basis J B.  So when the columns of
+    ``basis`` and dim Graph(T) add to 2n, a basis L of Graph(T*) and J B
+    side by side form a unitary, and the gap ||(I - L L^H) R||_2 of
+    ``subspace.distance`` is ||(J B)^H R||_2 for R = ``basis``.  Otherwise
+    the two cannot be equal, and the gap is inf, which no tolerance accepts.
+    """
+    n = t.space_dim
+    if basis.shape[1] + t.graph_dim != 2 * n:
+        return math.inf
+    x, xp = t.blocks()
+    # (J B)^H R with J B = (-X'; X)
+    return matrix_2norm(x.conj().T @ basis[n:, :] - xp.conj().T @ basis[:n, :])
 
 
 def negate(t: Relation) -> Relation:

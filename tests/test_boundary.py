@@ -56,9 +56,11 @@ def test_canonical_system_of_zero_relation():
     report = bd.verify_system(s)
     assert report.surjective and report.identity_holds
     assert report.residual <= 1e-12
-    # boundary map in the canonical bases: (x, x') -> ((x+x')/sqrt2, (x-x')/sqrt2)
+    # Graph(H0*) is all of C^2, so F B^H is the boundary map on C^2 in the
+    # canonical bases, whatever the basis B: (x, x') -> ((x+x')/sqrt2, (x-x')/sqrt2)
     expected = np.array([[1, 1], [1, -1]]) / SQRT2
-    assert np.allclose(s.f_matrix, expected, atol=1e-12)
+    on_c2 = s.f_matrix @ s.adjoint_graph.basis.conj().T
+    assert np.allclose(on_c2, expected, atol=1e-12)
 
 
 def test_system_keeps_the_callers_array_writable():
@@ -153,8 +155,10 @@ def test_system_to_triplet_of_canonical_zero_relation():
     s = bd.canonical_system(rel.zero_relation(1))
     t = bd.system_to_triplet(s, np.eye(1))
     assert bd.verify_triplet(t).ok
-    assert np.allclose(t.gamma1, [[1.0, 0.0]], atol=1e-12)
-    assert np.allclose(t.gamma2, [[0.0, 1.0]], atol=1e-12)
+    # Gamma_i B^H on C^2, whatever the basis B: Gamma1 = x and Gamma2 = x'
+    adjoint_h = t.adjoint_graph.basis.conj().T
+    assert np.allclose(t.gamma1 @ adjoint_h, [[1.0, 0.0]], atol=1e-12)
+    assert np.allclose(t.gamma2 @ adjoint_h, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_system_to_triplet_roundtrip_is_identity():
@@ -315,3 +319,15 @@ def test_decomposition_failure_is_detectable():
     h0 = ref.from_operator(np.array([[0.5]]), sub.full(1))
     with pytest.raises((NotSkewSymmetric, DecompositionFailure)):
         bd.canonical_pieces(bd.canonical_system(h0))
+
+
+def test_wrong_deficiency_space_fails_the_gap_check(monkeypatch):
+    # g2 in place of g1: the right dimension, but (x, x) for x in g2 is not
+    # in Graph(H0*); the gap is taken before the joined basis is checked
+    # orthonormal, so the error is the decomposition's, not NotOrthonormal
+    h0 = rel.random_skew_symmetric(4, 2, seed=9)
+    g2 = rel.deficiency(h0).g2
+    swapped = rel.DeficiencyData(g1=g2, g2=g2, indices=(g2.dim, g2.dim))
+    monkeypatch.setattr(rel, "deficiency", lambda t, tol: swapped)
+    with pytest.raises(DecompositionFailure, match="do not span"):
+        bd.canonical_system(h0)

@@ -5,7 +5,7 @@ built; these counts catch a consumer that verifies an object again.  Calls
 are counted on ``skewext.boundary.verify_system`` and ``verify_triplet``,
 the module globals the constructors call through.  Likewise the pieces of
 the canonical decomposition are built once per system, counted on
-``skewext.boundary._hat_space``, and the contraction of an ``extend
+``skewext.boundary._hat_basis``, and the contraction of an ``extend
 --mode phi`` extension is read off once, counted on
 ``skewext.extensions.boundary_contraction_of``.
 """
@@ -68,29 +68,29 @@ def test_relation_commands_verify_each_object_once(
 
 
 @pytest.fixture
-def hat_space_calls(monkeypatch):
+def hat_basis_calls(monkeypatch):
     calls = []
-    original = bd._hat_space
+    original = bd._hat_basis
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(bd, "_hat_space", counting)
+    monkeypatch.setattr(bd, "_hat_basis", counting)
     return calls
 
 
-def test_sweep_builds_canonical_pieces_once_per_system(hat_space_calls, capsys):
+def test_sweep_builds_canonical_pieces_once_per_system(hat_basis_calls, capsys):
     assert main(["sweep", "--count", "20", "--seed", "0"]) == 0
     capsys.readouterr()
     # two hat spaces (Ghat1, Ghat2) per canonical system, one system per instance
-    assert len(hat_space_calls) == 40
+    assert len(hat_basis_calls) == 40
 
 
-def test_canonical_builds_canonical_pieces_once(hat_space_calls, relation_file, capsys):
+def test_canonical_builds_canonical_pieces_once(hat_basis_calls, relation_file, capsys):
     assert main(["canonical", "--input", relation_file]) == 0
     capsys.readouterr()
-    assert len(hat_space_calls) == 2
+    assert len(hat_basis_calls) == 2
 
 
 def test_extend_phi_reads_the_contraction_off_once(

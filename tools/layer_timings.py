@@ -15,7 +15,9 @@ n = 64 layer figures are also taken on that tree in a child interpreter
 (``layers_baseline``), and the half-line figures are also taken with that
 tree's ``halfline`` and ``formats`` modules (``halfline_baseline``), the
 two trees taking turns at each size, for a before/after comparison on the
-same machine.
+same machine.  Each positive layer figure also gets its local exponent
+between consecutive sizes (``layer_exponents``), so the growth of every
+layer in n is read off the file.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
@@ -32,6 +34,7 @@ import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
 import statistics  # noqa: E402
@@ -55,7 +58,7 @@ from skewext import relation as rel  # noqa: E402
 from skewext import subspace as sub  # noqa: E402
 from skewext.sampling import random_unitary  # noqa: E402
 
-SIZES = (4, 16, 64, 128)
+SIZES = (4, 16, 64, 128, 256)
 HALFLINE_TERMS = (10, 30, 60)
 SEED = 7
 REPEAT = 7
@@ -122,6 +125,9 @@ def layer_timings(n: int) -> dict:
     largest = max((v for v in entries if isinstance(v, np.ndarray)), key=np.size)
     b = _best
 
+    def fresh_relation():
+        return rel.Relation(n, h.graph)
+
     def fresh_system():
         return bd.canonical_system(h)
 
@@ -142,8 +148,11 @@ def layer_timings(n: int) -> dict:
         "relation.kernel_s": b(rel.kernel, h),
         "relation.mul_part_s": b(rel.mul_part, h),
         "relation.domain_s": b(rel.domain, h),
-        "relation.deficiency_s": b(rel.deficiency, h),
-        "boundary.canonical_system_s": b(bd.canonical_system, h),
+        # a relation caches its deficiency spaces, so both run on new ones
+        "relation.deficiency_s": _best_fresh(fresh_relation, rel.deficiency),
+        "boundary.canonical_system_s": _best_fresh(
+            fresh_relation, bd.canonical_system
+        ),
         "boundary.system_to_triplet_s": b(bd.system_to_triplet, s, np.eye(d)),
         "boundary.triplet_to_system_s": b(bd.triplet_to_system, t),
         "extensions.system_unitary_extension_s": b(ext.system_unitary_extension, s, l),
@@ -173,6 +182,21 @@ def layer_timings(n: int) -> dict:
         "formats.decode_matrix_from_json_s": b(fmt.matrix_from_json, gens),
         "formats.relation_from_json_s": b(fmt.relation_from_json, relation_obj),
     }
+
+
+def local_exponents(layers: dict) -> dict:
+    """The local exponent log(v2 / v1) / log(n2 / n1) of each positive
+    figure of ``layers`` between consecutive ``SIZES`` n1 < n2: the slope
+    of the log-log line through the two points, so 3 means cubic there."""
+    out = {}
+    for n1, n2 in zip(SIZES, SIZES[1:]):
+        small, large = layers[f"n={n1}"], layers[f"n={n2}"]
+        out[f"n={n1}..{n2}"] = {
+            name: float(f"{math.log(large[name] / v) / math.log(n2 / n1):.3g}")
+            for name, v in small.items()
+            if isinstance(v, (int, float)) and v > 0 and large[name] > 0
+        }
+    return out
 
 
 def baseline_layers(src: str, n: int) -> dict:
@@ -454,7 +478,12 @@ def main(argv=None) -> int:
             "fresh_systems": "canonical_max_dissipative_s and "
             "adjoint_formula_check_s each run on a canonical system built "
             "outside the timer for that run, since a system caches its "
-            "canonical extension",
+            "canonical extension; deficiency_s and canonical_system_s each "
+            "run on a new relation over the same graph, since a relation "
+            "caches its deficiency spaces",
+            "layer_exponents": "for each pair of consecutive sizes n1 < n2, "
+            "log(v2 / v1) / log(n2 / n1) of each positive layer figure: the "
+            "local slope on a log-log scale, 3 for cubic growth",
             "layers_baseline": "the n = 64 layers of the --baseline-src tree, "
             "taken in a child interpreter that imports skewext from that tree",
             "report": "the canonical payload: system_to_json plus "
@@ -489,6 +518,7 @@ def main(argv=None) -> int:
         },
         "layers": {f"n={n}": layer_timings(n) for n in SIZES},
     }
+    record["layer_exponents"] = local_exponents(record["layers"])
     trees = {"cli": str(ROOT / "src")}
     modules = {"halfline": hl}
     if args.baseline_src:
