@@ -115,12 +115,12 @@ def _readoff(data, h: Relation, singular: type, premise: str):
     """
     a, b, negated = _pair(data)
     graph = (rel.negate(h) if negated else h).graph
-    if not sub.contains_subspace(data.adjoint_graph, graph, data.report.tol):
+    coords = sub.coordinates_in(data.adjoint_graph, graph, data.report.tol)
+    if coords is None:
         raise NotRestriction(
             f"{'negated ' if negated else ''}relation is not a restriction "
             "of the adjoint"
         )
-    coords = data.adjoint_graph.basis.conj().T @ graph.basis
     a, b = a @ coords, b @ coords
     # one SVD: the rank decision, then A^+ = V S^-1 U^H at full row rank
     u, sv, vh = np.linalg.svd(a, full_matrices=False)

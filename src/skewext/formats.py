@@ -5,20 +5,21 @@ exact half-line values are "p/q" strings.  Encoders keep a complex matrix
 as a float64 array of shape (rows, cols, 2) of its pairs, and half-line
 functions stay ``ExpPoly`` objects until ``dumps`` writes them, each as
 the list of its term records {"k", "lambda", "re", "im"} by one
-%-template, the "p/q" digits written from the function's integer form
-(``_fraction_digits``), with no ``Fraction`` built.  Digits are written in
-blocks (``halfline._int_digits``, which writes the exact values in
+%-template, the "p/q" digits written by ``_fraction_digits`` from the
+function's integer form (D, ((p, q, ((k, D re c, D im c), ...)), ...)),
+with no ``Fraction`` built.  Digits are written in blocks
+(``halfline._int_digits``, which writes the exact values in
 ``halfline``'s messages too), so a value longer than CPython's int-to-str
 limit is written, and read back in halves (``_digits_int``), without
-changing that process-wide limit.  The
-decoder ``exppoly_from_json`` builds the integer form straight from the
-parsed strings.  ``dumps`` writes a report holding such values with the bytes
-of ``json.dumps(..., sort_keys=True, indent=2)``.  A finite array is
-written, layout and digits, by one indented ``orjson`` call at its nesting
-depth; ``repr`` writes only the entries whose magnitude puts ``repr`` in
-exponent form.  Both write the shortest digits that round-trip and the
-same indented layout, and differ only in how they write an exponent, so
-the bytes are ``json``'s.  ``matrix_from_json`` is the one decoder of
+changing that process-wide limit.  The decoder ``exppoly_from_json``
+builds that form from the integers ``_ratio_from_str`` reads, rates
+included.  ``dumps`` writes a report holding such values with the bytes of
+``json.dumps(..., sort_keys=True, indent=2)``.  A finite array is written,
+layout and digits, by one indented ``orjson`` call at its nesting depth;
+``repr`` writes only the entries whose magnitude puts ``repr`` in exponent
+form.  Both write the shortest digits that round-trip and the same
+indented layout, and differ only in how they write an exponent, so the
+bytes are ``json``'s.  ``matrix_from_json`` is the one decoder of
 complex data.  Decoders raise ValueError on malformed input so the CLI can
 map it to the invalid-input exit code.
 
@@ -124,7 +125,7 @@ def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
     if not groups:
         return "[]"
     values = []
-    for _, p, q, terms in groups:
+    for p, q, terms in groups:
         rate = _fraction_digits(p, q)
         for k, re, im in terms:
             values += (_fraction_digits(im, den), k, rate, _fraction_digits(re, den))
@@ -332,8 +333,7 @@ def triplet_to_json(t: BoundaryTriplet) -> dict:
 
 
 def fraction_to_str(x: Fraction) -> str:
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return _fraction_digits(x.numerator, x.denominator)
+    return _fraction_digits(*x.as_integer_ratio())
 
 
 #: a string of fewer characters is within CPython's int-to-str digit limit
@@ -384,12 +384,6 @@ def _ratio_from_str(s) -> tuple:
         raise ValueError(f"bad rational {s!r}: {exc}") from None
 
 
-def fraction_from_str(s) -> Fraction:
-    """A rational from a JSON integer or a string ``Fraction`` accepts, read
-    by ``_ratio_from_str``."""
-    return Fraction(*_ratio_from_str(s))
-
-
 def rational_complex_to_json(z: hl.RationalComplex) -> dict:
     return {"re": fraction_to_str(z.re), "im": fraction_to_str(z.im)}
 
@@ -400,8 +394,7 @@ def _raise_first_repeat(items):
     seen = set()
     for key, _ in items:
         if key in seen:
-            k, lam = key
-            num, den = map(_int_digits, lam.as_integer_ratio())
+            k, num, den = map(_int_digits, key)
             raise ValueError(f"duplicate term for ({k}, Fraction({num}, {den}))")
         seen.add(key)
 
@@ -410,15 +403,17 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
     """A function from a list of term records {"k", "lambda", "re", "im"}.
 
     Each term is checked once: its record shape, degree type and degree cap
-    and its three rationals here, then its degree sign, rate sign and rate
-    denominator cap (``halfline._check_key``), and the keys of all terms,
-    zero coefficients included, are ordered and compared for repeats by
-    their exact integer ranks (``halfline._canonical_order``).  Rates are
-    reduced ``Fraction`` keys; coefficients stay integer pairs, brought to
-    the lcm of their denominators and reduced by one gcd into the integer
-    form, which the trusted constructor takes, with no dict and no
-    ``RationalComplex``.  Errors keep their precedence: the first malformed
-    record or repeated key in input order, then the first bad key.
+    and its three rationals (``_ratio_from_str``) here, then its degree
+    sign, rate sign and rate denominator cap (``halfline._check_key``), and
+    the keys (k, p, q) of all terms, zero coefficients included, are ordered
+    and compared for repeats by their exact integer ranks
+    (``halfline._canonical_order``).  Rates are reduced by one gcd, so each
+    rate is one key however spelled and the cap applies to its reduced
+    denominator; coefficients stay integer pairs, brought to the lcm of
+    their denominators and reduced by one gcd into the integer form, with no
+    dict, ``Fraction`` or ``RationalComplex``.  Errors keep their order: the
+    first malformed record or repeated key in input order, then the first
+    bad key.
     """
     if not isinstance(obj, list):
         raise ValueError("function must be a list of term records")
@@ -432,12 +427,13 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
                 raise ValueError('"k" must be an integer')
             if k > hl.MAX_DEGREE:
                 raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
-            lam = fraction_from_str(record.get("lambda"))
+            p, q = _ratio_from_str(record.get("lambda"))
+            h = math.gcd(p, q)
             re = _ratio_from_str(record.get("re", "0"))
             im = _ratio_from_str(record.get("im", "0"))
-            items.append(((k, lam), re + im))
-        for (k, lam), _ in items:
-            hl._check_key(k, lam)
+            items.append(((k, p // h, q // h), re + im))
+        for key, _ in items:
+            hl._check_key(*key)
         ordered = hl._canonical_order(items)
     except ValueError:
         # a repeated key before the failing record, or anywhere when every

@@ -18,21 +18,21 @@ the whole family, and inner products are conjugate-linear in the second
 argument.  Irrational scalars (sqrt(2), norms) are never materialized;
 identities are arranged so only squared norms appear.
 
-A function is held in one integer form: a common denominator D and one
-group (lam, p, q, ((k, D re c, D im c), ...)) per rate lam = p/q in lowest
-terms, rates in increasing order, degrees increasing within a group, no
-zero term.  The form is canonical, gcd(D, every numerator) = 1, so equal
-functions have equal forms and equality is a tuple comparison.  Every
-kernel reads and writes this form: ``_first_order`` (a f + b f': the
-derivative, -f' and the resolvent check u + u'), ``resolvent_solve``,
-negation, scaling and sums bring their output to one denominator and
-divide it by one gcd (``_reduced``); ``eval0`` adds the degree-zero
-numerators.  The (key, ``RationalComplex``) view behind ``items()`` and
-``terms`` is built on its first request and kept; no check needs it, and
-``formats`` writes a report's digits from the integers.  Those digits, and
-every exact value in a message or ``repr`` here, are written by
-``_int_digits`` and ``_fraction_digits``, also past CPython's int-to-str
-limit.
+A function is held in one integer form, with no ``Fraction`` in it,
+(D, ((p, q, ((k, D re c, D im c), ...)), ...)): a common denominator D and
+one group per rate lam = p/q, p and q positive and coprime, rates in
+increasing order, degrees increasing within a group, no zero term.  The
+form is canonical, gcd(D, every numerator) = 1, so equal functions have
+equal forms and equality is a tuple comparison.  Every kernel reads and
+writes this form: ``_first_order`` (a f + b f': the derivative, -f' and
+the resolvent check u + u'), ``resolvent_solve``, negation, scaling and
+sums bring their output to one denominator and divide it by one gcd
+(``_reduced``); ``eval0`` adds the degree-zero numerators.  The
+((k, lam), ``RationalComplex``) view behind ``items()`` and ``terms`` is
+built on its first request and kept; no check needs it, and ``formats``
+writes a report's digits from the integers.  Those digits, and every exact
+value in a message or ``repr`` here, are written by ``_int_digits`` and
+``_fraction_digits``, also past CPython's int-to-str limit.
 
 ``inner_sum`` is the exact sum of inner products over a sequence of pairs,
 which is also the inner product on a direct sum of half-lines; ``inner``
@@ -53,13 +53,14 @@ and the CLI's ``halfline --subcheck dissipative`` (Re <Hf, f>); ``green``
 keeps ``inner_sum``, since its report compares both parts.
 
 Validation happens once, at the input edge: ``ExpPoly(...)`` and
-``formats.exppoly_from_json`` check every key (``_check_key``) and sort on
-exact integer keys (``_canonical_order``), the decoder with no dict and no
-``RationalComplex``.  Kernel outputs, and negation, scaling and sums of
-valid functions, already have valid keys in canonical order and go through
-the one trusted constructor ``ExpPoly._from_integers``, which skips the
-checks; the test suite wraps it to rebuild every such function through
-``ExpPoly(...)`` and require the same form.
+``formats.exppoly_from_json`` check every (k, p, q) key (``_check_key``)
+and sort on exact integer ranks (``_canonical_order``), the decoder with
+no dict, ``Fraction`` or ``RationalComplex``.  Kernel outputs, and
+negation, scaling and sums of valid functions, already have valid keys in
+canonical order and go through the one trusted constructor
+``ExpPoly._from_integers``, which skips the checks; the test suite wraps it
+to rebuild every such function through ``ExpPoly(...)`` and require the
+same form.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ MAX_DEGREE = 32
 MAX_RATE_DENOMINATOR = 10**6
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 #: an integer of fewer bits is below 2**1992 < 10**600, so ``str`` writes
@@ -134,13 +134,12 @@ class RationalComplex:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction = _ZERO, im: Fraction = _ZERO):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        self.__post_init__()
+        self.__post_init__(re, im)
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __post_init__(self, re, im):
+        # one coercion and store; perfbench's tracer counts calls of this name
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im", _frac(im))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -210,10 +209,10 @@ class ExpPoly:
 
     Terms are keyed by (k, lam) with k a nonnegative integer and lam a
     positive rational; every key is checked and zero coefficients are
-    dropped.  The terms are held in the canonical integer form of the
-    module docstring (``integer_form``).  Instances are immutable.  Kernel
-    outputs, whose keys are valid and already in canonical order, are built
-    by ``_from_integers`` without the checks.
+    dropped.  Each rate is read once, as p/q in lowest terms, into the
+    canonical integer form of the module docstring (``integer_form``).
+    Instances are immutable.  Kernel outputs, whose keys are valid and
+    already in canonical order, are built by ``_from_integers`` unchecked.
     """
 
     __slots__ = ("_den", "_groups", "_items")
@@ -221,13 +220,13 @@ class ExpPoly:
     def __init__(self, terms=None):
         items = []
         for (k, lam), coeff in (terms or {}).items():
-            lam = _frac(lam)
-            _check_key(k, lam)
+            p, q = _frac(lam).as_integer_ratio()
+            _check_key(k, p, q)
             coeff = _coerce(coeff)
             if not coeff.is_zero():
                 re, im = coeff.re, coeff.im
                 ratios = (re.numerator, re.denominator, im.numerator, im.denominator)
-                items.append(((k, lam), ratios))
+                items.append(((k, p, q), ratios))
         # over the lcm of fractions in lowest terms, the form is canonical
         self._den, self._groups = _integer_form(_canonical_order(items))
         self._items = None
@@ -242,9 +241,8 @@ class ExpPoly:
         return f
 
     def integer_form(self) -> tuple:
-        """``(D, groups)``: the common denominator and the groups
-        (lam, p, q, ((k, D re c, D im c), ...)) of the module docstring, in
-        canonical order; not copied."""
+        """``(D, ((p, q, ((k, D re c, D im c), ...)), ...))``, the form of
+        the module docstring, in canonical order; not copied."""
         return self._den, self._groups
 
     def items(self) -> tuple:
@@ -254,7 +252,8 @@ class ExpPoly:
             den = self._den
             self._items = tuple(
                 ((k, lam), RationalComplex(Fraction(re, den), Fraction(im, den)))
-                for lam, _, _, terms in self._groups
+                for p, q, terms in self._groups
+                for lam in (Fraction(p, q),)
                 for k, re, im in terms
             )
         return self._items
@@ -283,10 +282,10 @@ class ExpPoly:
         sums = {}
         for f in (self, other):
             factor = den // f._den
-            for lam, _, _, terms in f._groups:
+            for p, q, terms in f._groups:
                 for k, re, im in terms:
-                    old_re, old_im = sums.get((k, lam), (0, 0))
-                    sums[k, lam] = (old_re + re * factor, old_im + im * factor)
+                    old_re, old_im = sums.get((k, p, q), (0, 0))
+                    sums[k, p, q] = (old_re + re * factor, old_im + im * factor)
         items = [(key, c) for key, c in sums.items() if c[0] or c[1]]
         return _reduced(den, _grouped(_canonical_order(items)))
 
@@ -295,8 +294,8 @@ class ExpPoly:
 
     def __neg__(self):
         groups = tuple(
-            (lam, p, q, tuple((k, -re, -im) for k, re, im in terms))
-            for lam, p, q, terms in self._groups
+            (p, q, tuple((k, -re, -im) for k, re, im in terms))
+            for p, q, terms in self._groups
         )
         return ExpPoly._from_integers(self._den, groups)
 
@@ -308,9 +307,9 @@ class ExpPoly:
         cr = c.re.numerator * (e // c.re.denominator)
         ci = c.im.numerator * (e // c.im.denominator)
         groups = []
-        for lam, p, q, terms in self._groups:
+        for p, q, terms in self._groups:
             scaled = tuple((k, x * cr - y * ci, x * ci + y * cr) for k, x, y in terms)
-            groups.append((lam, p, q, scaled))
+            groups.append((p, q, scaled))
         return _reduced(self._den * e, tuple(groups))
 
     def derivative(self) -> "ExpPoly":
@@ -328,7 +327,7 @@ class ExpPoly:
         """The boundary trace f(0): the sum of all degree-zero coefficients,
         the first term of a group when it has degree zero."""
         re = im = 0
-        for _, _, _, terms in self._groups:
+        for _, _, terms in self._groups:
             k, cr, ci = terms[0]
             if k == 0:
                 re += cr
@@ -346,38 +345,35 @@ class ExpPoly:
 
 
 def _ranks(items) -> list:
-    """Exact integer sort keys of (key, coefficient) pairs in canonical
-    (lam, k) order: with L the lcm of the rate denominators, lam = p/q ranks
-    as (p (L // q), k).  Integers compare in C, and unlike ``float(lam)``
+    """Exact integer sort keys of ((k, p, q), coefficient) pairs in canonical
+    (lam, k) order: with L the lcm of the rate denominators q, lam = p/q
+    ranks as (p (L // q), k).  Integers compare in C, and unlike a float
     they do not overflow above about 1e308."""
-    scale = math.lcm(*(lam.denominator for (_, lam), _ in items))
-    return [
-        (lam.numerator * (scale // lam.denominator), k) for (k, lam), _ in items
-    ]
+    scale = math.lcm(*(q for (_, _, q), _ in items))
+    return [(p * (scale // q), k) for (k, p, q), _ in items]
 
 
-def _check_key(k, lam: Fraction):
+def _check_key(k, p: int, q: int):
     """Raise InvalidTerm unless the degree ``k`` is a nonnegative integer and
-    the rate ``lam`` is positive with a denominator within the cap."""
+    the rate p/q (lowest terms, q > 0) is positive, q within the cap."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         got = _int_digits(k) if type(k) is int else repr(k)
         raise InvalidTerm(f"degree must be a nonnegative integer, got {got}")
-    if lam <= 0:
-        got = _fraction_digits(*lam.as_integer_ratio())
-        raise InvalidTerm(f"rate must be positive, got {got}")
-    if lam.denominator > MAX_RATE_DENOMINATOR:
-        got = _int_digits(lam.denominator)
-        raise InvalidTerm(f"rate denominator {got} exceeds the cap")
+    if p <= 0:
+        raise InvalidTerm(f"rate must be positive, got {_fraction_digits(p, q)}")
+    if q > MAX_RATE_DENOMINATOR:
+        raise InvalidTerm(f"rate denominator {_int_digits(q)} exceeds the cap")
 
 
 def _canonical_order(items) -> tuple:
-    """The (key, coefficient) pairs ``items``, with checked keys, sorted into
+    """The ((k, p, q), coefficient) pairs ``items``, keys checked, sorted into
     canonical (lam, k) order by ``_ranks``; InvalidTerm if a key repeats."""
     ranks = _ranks(items)
     order = sorted(range(len(items)), key=ranks.__getitem__)
     for i, j in zip(order, order[1:]):
         if ranks[i] == ranks[j]:
-            raise InvalidTerm(f"duplicate term key {items[i][0]}")
+            k, p, q = map(_int_digits, items[i][0])
+            raise InvalidTerm(f"duplicate term key ({k}, Fraction({p}, {q}))")
     return tuple(items[i] for i in order)
 
 
@@ -392,18 +388,17 @@ def exp_decay(lam=1) -> ExpPoly:
 
 
 def _grouped(items) -> tuple:
-    """The groups (lam, p, q, ((k, re, im), ...)) of the (key, (re, im))
+    """The groups (p, q, ((k, re, im), ...)) of the ((k, p, q), (re, im))
     integer pairs ``items``, which are in canonical order."""
     groups = []
     last = None
-    for (k, lam), (re, im) in items:
-        ratio = lam.as_integer_ratio()
-        if ratio != last:
-            last = ratio
+    for (k, p, q), (re, im) in items:
+        if (p, q) != last:
+            last = (p, q)
             terms = []
-            groups.append((lam, *ratio, terms))
+            groups.append((p, q, terms))
         terms.append((k, re, im))
-    return tuple((lam, p, q, tuple(terms)) for lam, p, q, terms in groups)
+    return tuple((p, q, tuple(terms)) for p, q, terms in groups)
 
 
 def _integer_form(items) -> tuple:
@@ -422,13 +417,13 @@ def _reduced(den: int, groups: tuple) -> ExpPoly:
     """The function with the integer form ``(den, groups)``, valid in every
     respect but the gcd: den and all numerators are divided by their gcd."""
     h = math.gcd(
-        den, *[x for _, _, _, terms in groups for _, re, im in terms for x in (re, im)]
+        den, *[x for _, _, terms in groups for _, re, im in terms for x in (re, im)]
     )
     if h != 1:
         den //= h
         groups = tuple(
-            (lam, p, q, tuple((k, re // h, im // h) for k, re, im in terms))
-            for lam, p, q, terms in groups
+            (p, q, tuple((k, re // h, im // h) for k, re, im in terms))
+            for p, q, terms in groups
         )
     return ExpPoly._from_integers(den, groups)
 
@@ -447,10 +442,10 @@ def _first_order(f: ExpPoly, a: int, b: int) -> ExpPoly:
     built in canonical order.
     """
     groups = f._groups
-    big_q = math.lcm(*(q for _, _, q, _ in groups))
+    big_q = math.lcm(*(q for _, q, _ in groups))
     up = b * big_q
     out = []
-    for lam, p, q, terms in groups:
+    for p, q, terms in groups:
         here = (a * q - b * p) * (big_q // q)
         run = []
         prev = -1  # the degree of the previous input term
@@ -465,7 +460,7 @@ def _first_order(f: ExpPoly, a: int, b: int) -> ExpPoly:
                 run.append((k, out_re, out_im))
             prev = k
         if run:
-            out.append((lam, p, q, tuple(run)))
+            out.append((p, q, tuple(run)))
     return _reduced(f._den * big_q, tuple(out))
 
 
@@ -515,7 +510,7 @@ def _prepared(pairs):
         return None
     scale = math.lcm(*(pair_scale for pair_scale, _, _ in prepared))
     rate_den = math.lcm(
-        *(q for _, f_groups, g_groups in prepared for _, _, q, _ in f_groups + g_groups)
+        *(q for _, f_groups, g_groups in prepared for _, q, _ in f_groups + g_groups)
     )
     width = 1 + max(
         max(terms[-1][0] for *_, terms in f_groups)
@@ -526,11 +521,11 @@ def _prepared(pairs):
     for pair_scale, f_groups, g_groups in prepared:
         factor = scale // pair_scale
         f_rates = []
-        for _, p, q, f_terms in f_groups:
+        for p, q, f_terms in f_groups:
             if factor != 1:
                 f_terms = [(a, cr * factor, ci * factor) for a, cr, ci in f_terms]
             f_rates.append((p * (rate_den // q), f_terms))
-        g_rates = [(r * (rate_den // s), g_terms) for _, r, s, g_terms in g_groups]
+        g_rates = [(r * (rate_den // s), g_terms) for r, s, g_terms in g_groups]
         sides.append((f_rates, g_rates))
     return scale, rate_den, width, sides
 
@@ -813,15 +808,15 @@ def resolvent_solve(f: ExpPoly) -> ExpPoly:
     non-resonant group's terms are found in decreasing degree and
     reversed, and the (0, 1) term goes first at rate 1.
     """
-    runs = []  # (lam, p, q, terms, den), the numerators over D den
-    for lam, p, q, terms in f._groups:
+    runs = []  # (p, q, terms, den), the numerators over D den
+    for p, q, terms in f._groups:
         if p == q:
             width = math.lcm(*(a + 1 for a, _, _ in terms))
             run = tuple(
                 (a + 1, cr * (width // (a + 1)), ci * (width // (a + 1)))
                 for a, cr, ci in terms
             )
-            runs.append((lam, p, q, run, width))
+            runs.append((p, q, run, width))
             continue
         r = p - q
         top = terms[-1][0]
@@ -839,26 +834,25 @@ def resolvent_solve(f: ExpPoly) -> ExpPoly:
             if s_re or s_im:
                 weight = -sign * powers[j]  # over D |r^(top+1)|
                 run.append((j, s_re * weight, s_im * weight))
-        runs.append((lam, p, q, tuple(reversed(run)), sign * powers[-1]))
+        runs.append((p, q, tuple(reversed(run)), sign * powers[-1]))
     common = math.lcm(*(den for *_, den in runs))
     out = []
     trace_re = trace_im = 0
-    for lam, p, q, run, den in runs:
+    for p, q, run, den in runs:
         factor = common // den
         if factor != 1:
             run = tuple((k, re * factor, im * factor) for k, re, im in run)
         if run[0][0] == 0:
             trace_re -= run[0][1]
             trace_im -= run[0][2]
-        out.append((lam, p, q, run))
+        out.append((p, q, run))
     if trace_re or trace_im:
         trace = (0, trace_re, trace_im)
-        at = next((i for i, (_, p, q, _) in enumerate(out) if p >= q), len(out))
-        if at < len(out) and out[at][1] == out[at][2]:
-            lam, p, q, run = out[at]
-            out[at] = (lam, p, q, (trace, *run))
+        at = next((i for i, (p, q, _) in enumerate(out) if p >= q), len(out))
+        if at < len(out) and out[at][0] == out[at][1]:
+            out[at] = (1, 1, (trace, *out[at][2]))
         else:
-            out.insert(at, (_ONE, 1, 1, (trace,)))
+            out.insert(at, (1, 1, (trace,)))
     return _reduced(f._den * common, tuple(out))
 
 

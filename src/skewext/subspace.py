@@ -181,11 +181,12 @@ def complement(a: np.ndarray) -> Subspace:
     return Subspace(m, _canonical_phases(u[:, numerical_rank(s) :]))
 
 
-def _columns_in(s: Subspace, a: np.ndarray, tol: float) -> bool:
-    """Whether every column of ``a`` is within ``tol`` times its norm of its
-    orthogonal projection onto ``s``."""
-    residuals = np.linalg.norm(a - s.basis @ (s.basis.conj().T @ a), axis=0)
-    return bool(np.all(residuals <= tol * np.linalg.norm(a, axis=0)))
+def _coordinates(s: Subspace, a: np.ndarray, tol: float):
+    """``s.basis^H a``, or None unless every column of ``a`` is within ``tol``
+    times its norm of its orthogonal projection onto ``s``."""
+    coords = s.basis.conj().T @ a
+    residuals = np.linalg.norm(a - s.basis @ coords, axis=0)
+    return coords if np.all(residuals <= tol * np.linalg.norm(a, axis=0)) else None
 
 
 def contains(s: Subspace, v, tol: float = ORTH_TOL) -> bool:
@@ -199,13 +200,19 @@ def contains(s: Subspace, v, tol: float = ORTH_TOL) -> bool:
         raise AmbientMismatch(
             f"vector of length {v.shape[0]} in ambient dimension {s.ambient_dim}"
         )
-    return _columns_in(s, v[:, None], tol)
+    return _coordinates(s, v[:, None], tol) is not None
 
 
 def contains_subspace(s: Subspace, t: Subspace, tol: float = ORTH_TOL) -> bool:
     """Whether every basis vector of ``t`` lies in ``s`` (see ``contains``)."""
+    return coordinates_in(s, t, tol) is not None
+
+
+def coordinates_in(s: Subspace, t: Subspace, tol: float = ORTH_TOL):
+    """The coordinates ``s.basis^H t.basis`` of the basis of ``t`` in that
+    of ``s``, or None unless ``t`` lies in ``s`` (see ``contains``)."""
     _check_same_ambient(s, t)
-    return _columns_in(s, t.basis, tol)
+    return _coordinates(s, t.basis, tol)
 
 
 def equal(s: Subspace, t: Subspace, tol: float = ORTH_TOL) -> bool:

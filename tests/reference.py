@@ -329,18 +329,19 @@ def sorted_terms(terms: dict) -> tuple:
 
 def assert_canonical(den, groups):
     """Raise AssertionError unless ``(den, groups)`` is a canonical integer
-    form of ``halfline``: integer types, rates in lowest terms and strictly
-    increasing, degrees nonnegative and strictly increasing within a group,
-    no zero term, and gcd(den, every numerator) = 1."""
+    form of ``halfline``: groups (p, q, terms) of integers, rates p/q with
+    p, q > 0 coprime and strictly increasing, degrees nonnegative and
+    strictly increasing within a group, no zero term, and gcd(den, every
+    numerator) = 1."""
     assert type(den) is int and den >= 1
     assert type(groups) is tuple
     numerators = []
     last = None
     for group in groups:
-        assert type(group) is tuple and len(group) == 4
-        lam, p, q, terms = group
-        assert type(lam) is Fraction and type(p) is int and type(q) is int
-        assert (p, q) == lam.as_integer_ratio() and p > 0
+        assert type(group) is tuple and len(group) == 3
+        p, q, terms = group
+        assert type(p) is int and type(q) is int
+        assert p > 0 and q > 0 and math.gcd(p, q) == 1
         assert last is None or last[0] * q < p * last[1]
         last = (p, q)
         assert type(terms) is tuple and terms

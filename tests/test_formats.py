@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import exppoly_to_json, largest_primes_below
+from reference import assert_canonical, exppoly_to_json, largest_primes_below
 from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext import relation as rel
@@ -232,10 +232,10 @@ def test_fraction_from_str_agrees_with_fraction(s):
         expected = BEYOND_LIMIT[s] if s in BEYOND_LIMIT else Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(ValueError) as info:
-            fmt.fraction_from_str(s)
+            Fraction(*fmt._ratio_from_str(s))
         assert str(info.value) == f"bad rational {s!r}: {exc}"
     else:
-        got = fmt.fraction_from_str(s)
+        got = Fraction(*fmt._ratio_from_str(s))
         assert type(got) is Fraction and got == expected
 
 
@@ -262,7 +262,7 @@ def test_digits_written_past_the_str_limit_are_read_back(n):
     # the reader splits a long digit string in halves, as the writer does
     assert fmt._digits_int(fmt._int_digits(n)) == n
     assert fmt._digits_int("00" + fmt._int_digits(abs(n))) == abs(n)
-    assert fmt.fraction_from_str(fmt._fraction_digits(n, 7)) == Fraction(n, 7)
+    assert Fraction(*fmt._ratio_from_str(fmt._fraction_digits(n, 7))) == Fraction(n, 7)
 
 
 def test_exppoly_from_json_orders_rates_beyond_double_range():
@@ -311,15 +311,45 @@ def _two_pass_decode(obj):
             raise ValueError('"k" must be an integer')
         if k > hl.MAX_DEGREE:
             raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
-        lam = fmt.fraction_from_str(record.get("lambda"))
+        lam = Fraction(*fmt._ratio_from_str(record.get("lambda")))
         coeff = hl.RationalComplex(
-            fmt.fraction_from_str(record.get("re", "0")),
-            fmt.fraction_from_str(record.get("im", "0")),
+            Fraction(*fmt._ratio_from_str(record.get("re", "0"))),
+            Fraction(*fmt._ratio_from_str(record.get("im", "0"))),
         )
         if (k, lam) in terms:
             raise ValueError(f"duplicate term for {(k, lam)}")
         terms[(k, lam)] = coeff
     return hl.ExpPoly(terms)
+
+
+#: the trusted constructor itself, bound before the test suite's fixture
+#: wraps it in a check that rebuilds each function from ``Fraction`` terms
+_TRUSTED_FROM_INTEGERS = vars(hl.ExpPoly)["_from_integers"]
+
+
+def test_exppoly_from_json_builds_no_fraction_on_plain_records(monkeypatch):
+    # integers and plain "p/q" strings, rates unreduced and repeated across
+    # degrees, are read and reduced in integers
+    records = [
+        {"k": 2, "lambda": "6/4", "re": "1/3", "im": "-2"},
+        {"k": 0, "lambda": 5, "re": 7},
+        {"k": 1, "lambda": "3/2", "re": "-4/10", "im": 3},
+        {"k": 3, "lambda": "10/2", "re": "0", "im": "0"},
+    ]
+    calls = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hl.ExpPoly, "_from_integers", _TRUSTED_FROM_INTEGERS)
+        patch.setattr(Fraction, "__new__", counting)
+        f = fmt.exppoly_from_json(records)
+    assert calls == []
+    assert_canonical(*f.integer_form())
+    assert f == _two_pass_decode(records[:3])
 
 
 def _term(k, lam, re="1"):
@@ -343,6 +373,9 @@ def _term(k, lam, re="1"):
         [_term(0, "1"), _term(1, "1"), _term(-1, "1"), _term(1, "1")],
         [_term(2, "1/2", "0"), _term(2, "0")],
         [_term(0, "7/3"), _term(1, "5", "-3/4"), _term(0, "1", "0")],
+        [_term(1, "1/2"), _term(1, "2/4"), _term(1, "0.5"), _term(1, " 1/2")],
+        [_term(1, "0.5", "0"), _term(0, "1/2"), _term(1, " 1/2")],
+        [_term(0, "2000000/2000000"), _term(1, "3/2000000", "0"), _term(1, "1")],
     ],
 )
 def test_exppoly_from_json_raises_as_the_two_pass_decoder(records):

@@ -245,6 +245,23 @@ def test_zero_coefficient_term_key_is_checked(terms):
         ExpPoly(terms)
 
 
+@pytest.mark.parametrize(
+    "terms, key",
+    [
+        ({(0, "1/2"): 1, (0, Fraction(1, 2)): 1}, "(0, Fraction(1, 2))"),
+        # digits past the int-to-str limit are written in blocks
+        ({(10**5000, 1): 1, (10**5000, "2/2"): 1},
+         "(1" + "0" * 5000 + ", Fraction(1, 1))"),
+    ],
+    ids=["half", "5001-digit degree"],
+)
+def test_duplicate_key_message_names_the_rate_as_a_fraction(terms, key):
+    # two spellings of one rate are one key, named as (k, Fraction(p, q))
+    with pytest.raises(ValueError) as info:
+        ExpPoly(terms)
+    assert str(info.value) == f"duplicate term key {key}"
+
+
 def test_boolean_degree_is_rejected():
     # a boolean degree would print as t^True and encode as "k": true,
     # which the decoder rejects
