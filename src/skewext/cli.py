@@ -17,9 +17,11 @@ command read.
 Each ``cmd_*`` returns ``(echo, digest, status, payload)``; ``main`` hands
 that to ``_emit``, the one place where reports are assembled and written.
 Payload matrices stay float64 arrays, and half-line functions ``ExpPoly``
-values, until ``_emit`` writes the report with ``formats.dumps``, whose
-bytes are those of ``json.dumps(report, sort_keys=True, indent=2)`` plus a
-newline; ``generate`` writes its relation file the same way.
+values, until ``_emit`` writes the report.  It writes the pieces of
+``formats._report_parts`` one by one, to stdout or ``--out``, with no
+joined copy of the text; their join is ``formats.dumps``, whose bytes are
+those of ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.
+``generate`` writes its relation file with ``dumps``.
 
 This module holds the parser, ``_emit``, ``main`` and the half-line
 command, and imports only the standard library, ``errors``, ``halfline``,
@@ -59,12 +61,12 @@ def _emit(args, echo: dict, digest, status: str, payload: dict) -> int:
         "status": status,
         "payload": payload,
     }
-    text = fmt.dumps(report)
+    parts = fmt._report_parts(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     return _STATUS_EXIT[status]
 
 

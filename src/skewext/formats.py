@@ -10,18 +10,26 @@ function's integer form (D, ((p, q, ((k, D re c, D im c), ...)), ...)),
 with no ``Fraction`` built.  Digits are written in blocks
 (``halfline._int_digits``, which writes the exact values in
 ``halfline``'s messages too), so a value longer than CPython's int-to-str
-limit is written, and read back in halves (``_digits_int``), without
-changing that process-wide limit.  The decoder ``exppoly_from_json``
-builds that form from the integers ``_ratio_from_str`` reads, rates
-included.  ``dumps`` writes a report holding such values with the bytes of
-``json.dumps(..., sort_keys=True, indent=2)``.  A finite array is written,
-layout and digits, by one indented ``orjson`` call at its nesting depth;
-``repr`` writes only the entries whose magnitude puts ``repr`` in exponent
-form.  Both write the shortest digits that round-trip and the same
-indented layout, and differ only in how they write an exponent, so the
-bytes are ``json``'s.  ``matrix_from_json`` is the one decoder of
-complex data.  Decoders raise ValueError on malformed input so the CLI can
-map it to the invalid-input exit code.
+limit is written, and read back in halves (``halfline._digits_int``),
+without changing that process-wide limit.  The decoder
+``exppoly_from_json`` builds that form from the integers
+``halfline._ratio_from_str`` reads, rates included; ``halfline`` reads the
+strings given to its constructors the same way.
+
+``dumps`` writes a report holding such values with the bytes of
+``json.dumps(..., sort_keys=True, indent=2)``; it is the join of the str
+pieces of ``_report_parts``, which the CLI writes one by one.  The rows of
+a finite array are written, layout and digits, by one indented ``orjson``
+call at its nesting depth and decoded straight from its bytes; ``repr``
+writes only the entries whose magnitude puts ``repr`` in exponent form.
+Both write the shortest digits that round-trip and the same indented
+layout, and differ only in how they write an exponent, so the bytes are
+``json``'s.  A ``_RowStack`` writes the rows of several arrays as one, and
+an array object is formatted once per report, so a report whose objects
+share row blocks (``canonical``'s Graph(H0*) basis and extension) writes
+their digits once.  ``matrix_from_json`` is the one decoder of complex
+data.  Decoders raise ValueError on malformed input so the CLI can map it
+to the invalid-input exit code.
 
 numpy, ``orjson`` and the relation and extension modules are imported by
 the functions that use them, on their first call: the half-line codecs,
@@ -44,7 +52,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import halfline as hl
-from .halfline import _fraction_digits, _int_digits
+from .halfline import _digits_int, _fraction_digits, _int_digits, _ratio_from_str
 from .tolerances import RANK_TOL
 
 if TYPE_CHECKING:
@@ -78,10 +86,24 @@ def _list_template(items: list, level: int, brackets: str = "[]") -> str:
     )
 
 
-def _array_to_json(a: np.ndarray, level: int) -> str:
-    """A finite (rows, cols, 2) float64 array as nested lists at nesting
-    ``level``: one indented ``orjson`` call, with ``repr`` at the
-    exponent-form magnitudes (see ``dumps``)."""
+class _RowStack:
+    """The rows of the (rows, cols, 2) float64 arrays ``blocks``, in order,
+    which ``dumps`` writes as one array of rows.  A report that holds one
+    block in several stacks gets its rows formatted once."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+
+
+def _array_rows(a: np.ndarray, level: int) -> list:
+    """The rows of a finite (rows, cols, 2) float64 array sitting at nesting
+    ``level``, as the pieces of the text between its brackets: one indented
+    ``orjson`` call, decoded in segments between the exponent-form entries,
+    whose ``repr`` is put between them (see ``dumps``)."""
+    if not a.shape[0]:
+        return []
     # imported here, so that a report without arrays (sweep, halfline) does
     # not pay orjson's import (datetime, uuid, zoneinfo)
     import numpy as np
@@ -96,24 +118,22 @@ def _array_to_json(a: np.ndarray, level: int) -> str:
     # array is finite, so every null in the text is one of them
     body = np.where(exponent, np.nan, a) if special else a
     # nested in ``level`` one-element lists, the array is indented as it sits
-    # in the report; the wrappers' lines are then sliced off
+    # in the report; the rows start past the wrappers' lines and the array's
+    # own "[" line, and end before its "]" line and the wrappers'
     for _ in range(level):
         body = [body]
-    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
-    text = orjson.dumps(body, option=option).decode()
-    text = text[level * (level + 3) : len(text) - level * (level + 1)]
-    if not special:
-        return text
-    # "n" occurs in the text only as the first letter of a null, and a
-    # one-letter search runs at memchr speed, unlike a split on "null"
+    data = orjson.dumps(body, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
+    start, end = (level + 1) * (level + 4), len(data) - (level + 1) * (level + 2)
+    # each segment is decoded once, straight from orjson's bytes; "n" occurs
+    # in them only as the first letter of a null, found at memchr speed
+    view = memoryview(data)
     pieces = []
-    start = 0
     for x in special:
-        end = text.index("n", start)
-        pieces += (text[start:end], float.__repr__(x))
-        start = end + 4
-    pieces.append(text[start:])
-    return "".join(pieces)
+        stop = data.index(b"n", start)
+        pieces += (str(view[start:stop], "ascii"), float.__repr__(x))
+        start = stop + 4
+    pieces.append(str(view[start:end], "ascii"))
+    return pieces
 
 
 def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
@@ -137,29 +157,42 @@ def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
 
 def dumps(obj) -> str:
     """The report text: byte for byte ``json.dumps(obj, sort_keys=True,
-    indent=2)`` and a newline, with every array replaced by its ``tolist()``.
+    indent=2)`` and a newline, with every array replaced by its ``tolist()``
+    and every ``_RowStack`` by the list of its blocks' rows; the join of the
+    pieces of ``_report_parts``, which ``cli._emit`` writes one by one."""
+    return "".join(_report_parts(obj))
+
+
+def _report_parts(obj) -> list:
+    """The text of ``dumps(obj)`` as a list of str pieces.
 
     Arrays must be float64 of shape (rows, cols, 2), as ``matrix_to_json``
-    builds them; an ``ExpPoly`` is written as its list of term records, one
-    %-template per function; dict keys must be strings.  Any other type
-    raises TypeError.  The indented ``json.dumps`` runs the pure-Python
-    encoder and ``repr`` of every float, which cost more than the numerics
-    on large reports.  Here a finite array is written by one
-    ``orjson.dumps`` with ``OPT_INDENT_2``, nested in as many one-element
-    lists as the array's nesting depth so that its lines carry the report's
-    indentation, the wrappers' lines then sliced off.  ``orjson`` writes the
-    layout of the indented ``json.dumps``, empty shapes included, and the
-    shortest round-trip digits; it differs only at 0 < |x| < 1e-4 and
-    |x| >= 1e16, where ``repr`` uses exponent form (``1e-05``, ``1e+16``)
-    and ``orjson`` does not (``0.00001``, ``1e16``).  Those entries are
-    NaN in the copy ``orjson`` writes, so they come out as ``null``, and
-    their ``repr`` is put in place of each ``null``.  An array holding
-    NaN or an infinity goes through ``tolist()`` and the scalar path.
-    Pieces are collected in one list and joined once, so no container's
-    text is copied into its parent's.
+    builds them, and a ``_RowStack`` holds such arrays, written as one
+    array of their rows; an ``ExpPoly`` is written as its list of term
+    records, one %-template per function; dict keys must be strings.  Any
+    other type raises TypeError.  The indented ``json.dumps`` runs the
+    pure-Python encoder and ``repr`` of every float, which cost more than
+    the numerics on large reports.  Here the rows of a finite array are
+    written by one ``orjson.dumps`` with ``OPT_INDENT_2``, nested in as
+    many one-element lists as the array's nesting depth so that its lines
+    carry the report's indentation (``_array_rows``).  ``orjson`` writes
+    the layout of the indented ``json.dumps`` and the shortest round-trip
+    digits; it differs only at 0 < |x| < 1e-4 and |x| >= 1e16, where
+    ``repr`` uses exponent form (``1e-05``, ``1e+16``) and ``orjson`` does
+    not (``0.00001``, ``1e16``).  Those entries are NaN in the copy
+    ``orjson`` writes, so they come out as ``null``; the text between them
+    is decoded piece by piece from ``orjson``'s bytes, and the ``repr`` of
+    each goes in place of its ``null``.  The pieces of an array object are
+    kept for the rest of the report, so a block two row stacks share is
+    formatted once.  An array holding NaN or an infinity goes through
+    ``tolist()`` and the scalar path.  No container's text is copied into
+    its parent's, and the pieces are not joined here.
     """
     parts = []
     write = parts.append
+    # the row pieces of each array written so far, by (id, nesting level);
+    # ``obj`` keeps every array alive, so no id is reused within the call
+    rows_of = {}
 
     def container(items, level: int, brackets: str):
         # items are (prefix, value): a dict's quoted key and ": ", or ""
@@ -172,6 +205,26 @@ def dumps(obj) -> str:
             write(("," if i else "") + inner + prefix)
             encode(value, level + 1)
         write("\n" + "  " * level + brackets[1])
+
+    def stack(blocks, level: int):
+        # the rows of every block, in one array at nesting ``level``
+        rows = []
+        for b in blocks:
+            key = (id(b), level)
+            if key not in rows_of:
+                rows_of[key] = _array_rows(b, level)
+            if rows_of[key]:
+                rows.append(rows_of[key])
+        if not rows:
+            write("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        write("[" + inner)
+        for i, pieces in enumerate(rows):
+            if i:
+                write("," + inner)
+            parts.extend(pieces)
+        write("\n" + "  " * level + "]")
 
     def encode(o, level: int):
         if isinstance(o, str):
@@ -200,21 +253,22 @@ def dumps(obj) -> str:
             # writing a report without them does not load numpy
             import numpy as np
 
-            if not isinstance(o, np.ndarray):
-                name = type(o).__name__
-                raise TypeError(f"Object of type {name} is not JSON serializable")
-            if o.dtype != np.float64 or o.ndim != 3 or o.shape[2] != 2:
-                raise TypeError(
-                    f"arrays must be float64 (rows, cols, 2), got {o.dtype} {o.shape}"
-                )
-            if np.isfinite(o).all():
-                write(_array_to_json(o, level))
+            blocks = o.blocks if isinstance(o, _RowStack) else (o,)
+            for b in blocks:
+                if not isinstance(b, np.ndarray):
+                    name = type(b).__name__
+                    raise TypeError(f"Object of type {name} is not JSON serializable")
+                if b.dtype != np.float64 or b.ndim != 3 or b.shape[2] != 2:
+                    got = f"{b.dtype} {b.shape}"
+                    raise TypeError(f"arrays must be float64 (rows, cols, 2), got {got}")
+            if all(np.isfinite(b).all() for b in blocks):
+                stack(blocks, level)
             else:
-                encode(o.tolist(), level)
+                encode(np.concatenate(blocks).tolist(), level)
 
     encode(obj, 0)
     write("\n")
-    return "".join(parts)
+    return parts
 
 
 def matrix_to_json(m) -> np.ndarray:
@@ -265,11 +319,12 @@ def subspace_to_json(s: Subspace) -> np.ndarray:
     return matrix_to_json(s.basis.T)
 
 
-def relation_to_json(t: Relation) -> dict:
-    return {
-        "n": t.space_dim,
-        "graph_generators": subspace_to_json(t.graph),
-    }
+def relation_to_json(t: Relation, generators=None) -> dict:
+    """The relation file object; ``generators``, when given, is written as
+    the rows of the graph basis (a ``_RowStack`` of its column blocks)."""
+    if generators is None:
+        generators = subspace_to_json(t.graph)
+    return {"n": t.space_dim, "graph_generators": generators}
 
 
 def relation_from_json(obj, rank_tol: float = RANK_TOL) -> Relation:
@@ -312,10 +367,15 @@ def unitary_matrix_from_json(obj) -> np.ndarray:
     return matrix_from_json(obj)
 
 
-def system_to_json(s: BoundarySystem) -> dict:
+def system_to_json(s: BoundarySystem, graph_basis=None) -> dict:
+    """The report object of a system; ``graph_basis``, when given, is
+    written as the rows of the Graph(H0*) basis (a ``_RowStack`` of its
+    column blocks)."""
+    if graph_basis is None:
+        graph_basis = subspace_to_json(s.adjoint_graph)
     return {
         "n": s.base.space_dim,
-        "graph_basis": subspace_to_json(s.adjoint_graph),
+        "graph_basis": graph_basis,
         "g1_basis": subspace_to_json(s.g1),
         "g2_basis": subspace_to_json(s.g2),
         "F": matrix_to_json(s.f_matrix),
@@ -334,54 +394,6 @@ def triplet_to_json(t: BoundaryTriplet) -> dict:
 
 def fraction_to_str(x: Fraction) -> str:
     return _fraction_digits(*x.as_integer_ratio())
-
-
-#: a string of fewer characters is within CPython's int-to-str digit limit
-#: at any setting (the lowest allowed is 640 digits), so ``int`` reads it
-_SHORT_DIGITS = 600
-
-
-def _digits_int(s: str) -> int:
-    """The integer of the ASCII digits ``s``, with an optional leading "-",
-    as ``int(s)`` reads it, also beyond ``sys.get_int_max_str_digits()``:
-    the mirror of ``_int_digits``, a long string is split at half its length
-    and each part read the same way."""
-    if len(s) < _SHORT_DIGITS:
-        return int(s)
-    if s[0] == "-":
-        return -_digits_int(s[1:])
-    low = len(s) // 2
-    return _digits_int(s[:-low]) * 10**low + _digits_int(s[-low:])
-
-
-def _ratio_from_str(s) -> tuple:
-    """A rational from a JSON integer or a string ``Fraction`` accepts, as
-    ``(numerator, denominator)`` with a positive denominator, not reduced.
-
-    The plain ASCII forms ``-?digits`` and ``-?digits/digits`` with a
-    nonzero denominator are read by ``int``, and past the int-to-str limit,
-    where ``Fraction(s)`` refuses them, by ``_digits_int``, so the digits
-    ``formats`` writes are read back.  Every other string (signs, spaces,
-    underscores, decimals, exponents, non-ASCII digits, a zero denominator)
-    goes to ``Fraction(s)``, whose regex parse costs more; it keeps that
-    outcome and message.
-    """
-    if isinstance(s, int) and not isinstance(s, bool):
-        return s, 1
-    if not isinstance(s, str):
-        raise ValueError(f'expected a "p/q" string, got {s!r}')
-    try:
-        num, slash, den = s.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        if s.isascii() and digits.isdigit():
-            read = int if len(s) < _SHORT_DIGITS else _digits_int
-            if not slash:
-                return read(num), 1
-            if den.isdigit() and den.strip("0"):
-                return read(num), read(den)
-        return Fraction(s).as_integer_ratio()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {s!r}: {exc}") from None
 
 
 def rational_complex_to_json(z: hl.RationalComplex) -> dict:

@@ -32,7 +32,9 @@ sums bring their output to one denominator and divide it by one gcd
 built on its first request and kept; no check needs it, and ``formats``
 writes a report's digits from the integers.  Those digits, and every exact
 value in a message or ``repr`` here, are written by ``_int_digits`` and
-``_fraction_digits``, also past CPython's int-to-str limit.
+``_fraction_digits``, also past CPython's int-to-str limit, and read back
+by ``_ratio_from_str`` (``_digits_int``), which reads the value strings
+given to ``ExpPoly(...)``, ``term`` and ``RationalComplex`` too.
 
 ``inner_sum`` is the exact sum of inner products over a sequence of pairs,
 which is also the inner product on a direct sum of half-lines; ``inner``
@@ -114,11 +116,63 @@ def _fraction_digits(num: int, den: int) -> str:
     return _int_digits(num) + "/" + _int_digits(den)
 
 
+#: a string of fewer characters is within CPython's int-to-str digit limit
+#: at any setting (the lowest allowed is 640 digits), so ``int`` reads it
+_SHORT_DIGITS = 600
+
+
+def _digits_int(s: str) -> int:
+    """The integer of the ASCII digits ``s``, with an optional leading "-",
+    as ``int(s)`` reads it, also beyond ``sys.get_int_max_str_digits()``:
+    the mirror of ``_int_digits``, a long string is split at half its length
+    and each part read the same way."""
+    if len(s) < _SHORT_DIGITS:
+        return int(s)
+    if s[0] == "-":
+        return -_digits_int(s[1:])
+    low = len(s) // 2
+    return _digits_int(s[:-low]) * 10**low + _digits_int(s[-low:])
+
+
+def _ratio_from_str(s) -> tuple:
+    """A rational from a JSON integer or a string ``Fraction`` accepts, as
+    ``(numerator, denominator)`` with a positive denominator, not reduced.
+
+    The plain ASCII forms ``-?digits`` and ``-?digits/digits`` with a
+    nonzero denominator are read by ``int``, and past the int-to-str limit,
+    where ``Fraction(s)`` refuses them, by ``_digits_int``, so the digits
+    ``formats`` writes are read back.  Every other string (signs, spaces,
+    underscores, decimals, exponents, non-ASCII digits, a zero denominator)
+    goes to ``Fraction(s)``, whose regex parse costs more; it keeps that
+    outcome and message.
+    """
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s, 1
+    if not isinstance(s, str):
+        raise ValueError(f'expected a "p/q" string, got {s!r}')
+    try:
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if s.isascii() and digits.isdigit():
+            read = int if len(s) < _SHORT_DIGITS else _digits_int
+            if not slash:
+                return read(num), 1
+            if den.isdigit() and den.strip("0"):
+                return read(num), read(den)
+        return Fraction(s).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {s!r}: {exc}") from None
+
+
 def _frac(x) -> Fraction:
+    """An exact rational from a ``Fraction``, an integer or a string, the
+    string read by ``_ratio_from_str``, also past the int-to-str limit."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(*_ratio_from_str(x))
     raise NotExact(f"expected an exact rational, got {type(x).__name__}")
 
 

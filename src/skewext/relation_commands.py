@@ -84,11 +84,17 @@ def cmd_canonical(args):
         "extension_maximal": ext.is_maximal_dissipative(dissip, args.tol),
         "adjoint_formula_holds": ext.adjoint_formula_check(system),
     }
+    # the graph of the extension, Graph(-H0) + Ghat2, is two of the three
+    # column blocks of the Graph(H0*) basis, so the report shares their rows
+    blocks = bd._canonical_blocks(system)
+    g_neg, ghat1, ghat2 = (fmt.matrix_to_json(b.T) for b in blocks)
     payload = {
-        "system": fmt.system_to_json(system),
+        "system": fmt.system_to_json(system, fmt._RowStack((g_neg, ghat1, ghat2))),
         "system_residual": report.residual,
         "indices": [system.g1.dim, system.g2.dim],
-        "max_dissipative_extension": fmt.relation_to_json(dissip),
+        "max_dissipative_extension": fmt.relation_to_json(
+            dissip, fmt._RowStack((g_neg, ghat2))
+        ),
         "checks": checks,
     }
     return {"input": args.input}, digest, _status(checks), payload

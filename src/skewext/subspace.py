@@ -138,14 +138,20 @@ def span(vectors, m=None, tol: float = RANK_TOL) -> Subspace:
 
 
 def _canonical_phases(b: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column so its largest-magnitude entry, the pivot, is real
+    positive.
 
     Kills the phase freedom SVD leaves per basis vector, which keeps
     one-dimensional results (and CLI output) in a predictable orientation.
+    The pivot is set to its modulus, so it is exactly real: the product of
+    the pivot and its conjugate phase would leave a round-off imaginary part.
     """
-    idx = np.argmax(np.abs(b), axis=0)
-    pivots = b[idx, np.arange(b.shape[1])]
-    return b * (pivots.conj() / np.abs(pivots))
+    idx, cols = np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])
+    pivots = b[idx, cols]
+    moduli = np.abs(pivots)
+    rotated = b * (pivots.conj() / moduli)
+    rotated[idx, cols] = moduli
+    return rotated
 
 
 def span_matrix(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:

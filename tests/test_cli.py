@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from reference import resolvent_termwise
+from skewext import boundary as bd
 from skewext import extensions as ext
 from skewext import formats as fmt
 from skewext import halfline as hl
@@ -798,3 +800,64 @@ def test_one_failed_check_fails_the_report(
     code, report = run_cli(capsys, *command_argv[command])
     assert code == 1 and report["status"] == "fail"
     assert list(report["payload"]["checks"].values()).count(False) == 1
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    # the zero relation, where Graph(-H0) has no rows, then k = 0, k = n and
+    # an arbitrary k at two larger sizes
+    [(1, 0), (32, 0), (32, 32), (32, 13), (64, 0), (64, 64), (64, 41)],
+)
+def test_canonical_report_shares_rows_with_its_extension(n, k, tmp_path, capsys):
+    path = tmp_path / "relation.json"
+    argv = ["generate", "--n", str(n), "--k", str(k), "--seed", str(k)]
+    assert main([*argv, "--out-relation", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["canonical", "--input", str(path)]) == 0
+    text = capsys.readouterr().out
+    payload = json.loads(text)["payload"]
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    # the row blocks give the bytes of the unshared objects
+    system = bd.canonical_system(fmt.relation_from_json(json.loads(path.read_text())))
+    extension = ext.canonical_max_dissipative(system)
+    written = json.loads(fmt.dumps(fmt.relation_to_json(extension)))
+    assert payload["max_dissipative_extension"] == written
+    assert payload["system"] == json.loads(fmt.dumps(fmt.system_to_json(system)))
+
+
+@pytest.fixture
+def tiny_entries_file(tmp_path):
+    # the graph of a skew-Hermitian map on span(e1) with entries that repr
+    # writes in exponent form
+    path = tmp_path / "tiny.json"
+    generator = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e-6, 2e-7]]
+    path.write_text(json.dumps({"n": 2, "graph_generators": [generator]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, several",
+    # no arrays; arrays without an exponent-form entry; several such entries
+    [("halfline", False), ("canonical", False), ("canonical-tiny", True)],
+)
+def test_emit_writes_the_pieces_of_dumps(
+    command, several, zero_relation_file, tiny_entries_file, tmp_path, capsys,
+    monkeypatch,
+):
+    argv = {
+        "halfline": ["halfline", "--subcheck", "deficiency"],
+        "canonical": ["canonical", "--input", zero_relation_file],
+        "canonical-tiny": ["canonical", "--input", tiny_entries_file],
+    }[command]
+    reports = []
+    parts = fmt._report_parts
+    monkeypatch.setattr(fmt, "_report_parts", lambda o: reports.append(o) or parts(o))
+    out = tmp_path / "report.json"
+    assert main(argv) == 0
+    assert main([*argv, "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    # array entries sit alone on their lines, unlike "tol" and the residual
+    entries = re.findall(r"^ +-?[\d.]+e[-+]\d+,?$", text, flags=re.MULTILINE)
+    assert len(entries) >= 2 if several else not entries
+    assert text == fmt.dumps(reports[0])
+    assert out.read_bytes() == text.encode("utf-8")

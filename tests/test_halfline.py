@@ -252,14 +252,23 @@ def test_zero_coefficient_term_key_is_checked(terms):
         # digits past the int-to-str limit are written in blocks
         ({(10**5000, 1): 1, (10**5000, "2/2"): 1},
          "(1" + "0" * 5000 + ", Fraction(1, 1))"),
+        # a rate string past the limit is read in blocks too
+        ({(0, 10**5000): 1, (0, "2" + "0" * 5000 + "/2"): 1},
+         "(0, Fraction(1" + "0" * 5000 + ", 1))"),
     ],
-    ids=["half", "5001-digit degree"],
+    ids=["half", "5001-digit degree", "5001-digit rate string"],
 )
 def test_duplicate_key_message_names_the_rate_as_a_fraction(terms, key):
     # two spellings of one rate are one key, named as (k, Fraction(p, q))
     with pytest.raises(ValueError) as info:
         ExpPoly(terms)
     assert str(info.value) == f"duplicate term key {key}"
+
+
+def test_value_strings_past_the_str_limit_are_read():
+    sevens = 7 * (10**5000 - 1) // 9
+    value = QC("1" + "0" * 5000, "-3/" + "7" * 5000)
+    assert value == QC(10**5000, Fraction(-3, sevens))
 
 
 def test_boolean_degree_is_rejected():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewext import relation as rel
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, EmptyAmbient
 
@@ -225,3 +226,27 @@ def test_rank_counts_singular_values_above_relative_threshold():
     tiny = np.diag([1.0, 1e-11, 1e-9])
     assert sub.rank(tiny) == 2  # 1e-11 is below RANK_TOL relative to 1
     assert sub.rank(np.zeros((3, 0))) == 0
+
+
+def _assert_real_pivots(b):
+    """Every column's largest-magnitude entry is exactly real and positive."""
+    pivots = b[np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])]
+    assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0)
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (5, 1), (6, 3), (12, 12), (40, 7)])
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_phases_make_every_pivot_exactly_real(m, k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    _assert_real_pivots(sub._canonical_phases(a))
+    # on an orthonormal basis the rotated columns stay one
+    q = np.linalg.qr(a)[0]
+    rotated = sub._canonical_phases(q)
+    _assert_real_pivots(rotated)
+    sub.Subspace(m, rotated)
+    # the complement and the domain of a relation are built the same way
+    _assert_real_pivots(sub.complement(a).basis)
+    relation = rel.Relation(m, sub.span_matrix(rng.standard_normal((2 * m, k))))
+    _assert_real_pivots(relation.graph.basis)
+    _assert_real_pivots(rel.domain(relation).basis)

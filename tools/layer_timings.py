@@ -51,10 +51,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from skewext import boundary as bd  # noqa: E402
+from skewext import cli  # noqa: E402
 from skewext import extensions as ext  # noqa: E402
 from skewext import formats as fmt  # noqa: E402
 from skewext import halfline as hl  # noqa: E402
 from skewext import relation as rel  # noqa: E402
+from skewext import relation_commands  # noqa: E402
 from skewext import subspace as sub  # noqa: E402
 from skewext.sampling import random_unitary  # noqa: E402
 
@@ -106,10 +108,6 @@ def layer_timings(n: int) -> dict:
     ext_a = ext.system_unitary_extension(s, l)
     ext_phi = ext.extension_from_contraction(t, k)
     dissip = ext.canonical_max_dissipative(s)
-    payload = {
-        "system": fmt.system_to_json(s),
-        "max_dissipative_extension": fmt.relation_to_json(dissip),
-    }
     # the two graphs the adjoint formula compares
     g_neg, ghat1, _ = bd.canonical_pieces(s)
     formula_lhs = rel.adjoint(dissip).graph
@@ -119,11 +117,9 @@ def layer_timings(n: int) -> dict:
     relation_text = fmt.dumps(fmt.relation_to_json(h))
     relation_obj = json.loads(relation_text)
     gens = relation_obj["graph_generators"]
-    # the largest array of the canonical payload, at its depth in the report
-    # (report, payload, system or extension, array)
-    entries = [v for part in payload.values() for v in part.values()]
-    largest = max((v for v in entries if isinstance(v, np.ndarray)), key=np.size)
     b = _best
+    # a tree without the piece writer is timed on the whole text
+    report_parts = getattr(fmt, "_report_parts", fmt.dumps)
 
     def fresh_relation():
         return rel.Relation(n, h.graph)
@@ -136,6 +132,13 @@ def layer_timings(n: int) -> dict:
         with open(relation_path, "w", encoding="utf-8") as fh:
             fh.write(relation_text)
         relation_load_s = b(fmt._load_numeric_json, relation_path)
+        # the canonical report of that file, written to a file as the CLI
+        # writes it; the payload is built outside the timer
+        report_path = os.path.join(tmp, "report.json")
+        argv = ["canonical", "--input", relation_path, "--out", report_path]
+        args = cli.build_parser().parse_args(argv)
+        echo, digest, status, payload = relation_commands.cmd_canonical(args)
+        emit_file_s = b(cli._emit, args, echo, digest, status, payload)
     return {
         "indices": [s.g1.dim, s.g2.dim],
         "subspace.span_matrix_s": b(sub.span_matrix, a),
@@ -175,7 +178,8 @@ def layer_timings(n: int) -> dict:
         ),
         "formats.report_bytes": len(fmt.dumps(payload)),
         "formats.report_encode_dumps_s": b(fmt.dumps, payload),
-        "formats.array_write_s": b(fmt._array_to_json, largest, 3),
+        "formats.report_parts_s": b(report_parts, payload),
+        "cli.emit_file_s": emit_file_s,
         "formats.relation_file_bytes": len(relation_text),
         "formats.relation_load_s": relation_load_s,
         "formats.relation_pairs": sum(len(g) for g in gens),
@@ -486,11 +490,13 @@ def main(argv=None) -> int:
             "local slope on a log-log scale, 3 for cubic growth",
             "layers_baseline": "the n = 64 layers of the --baseline-src tree, "
             "taken in a child interpreter that imports skewext from that tree",
-            "report": "the canonical payload: system_to_json plus "
-            "relation_to_json of the canonical maximal dissipative extension; "
-            "report_encode_dumps_s is formats.dumps; array_write_s is "
-            "formats._array_to_json of the payload's largest array at its "
-            "report depth 3",
+            "report": "the payload of `canonical` on the relation file "
+            "generate writes, as relation_commands.cmd_canonical builds it; "
+            "report_bytes is the length of its formats.dumps text; "
+            "report_encode_dumps_s is formats.dumps; report_parts_s is "
+            "formats._report_parts, the pieces cli._emit writes (formats.dumps "
+            "on a tree without it); cli.emit_file_s is cli._emit writing the "
+            "whole report to a file with --out",
             "decode": "decode_matrix_from_json_s is formats.matrix_from_json "
             "on the generators of the relation file; relation_from_json_s "
             "adds the span; relation_load_s is formats._load_numeric_json "
