@@ -10,10 +10,10 @@ G1, G2, G are coordinate vectors against orthonormal bases (making
 "unitary between boundary spaces" a plain matrix predicate).  A triplet is
 the system with G1 = G2 and F = (Gamma1 +- Gamma2)/sqrt(2), so both share
 one construction check (``_freeze_maps``) and one verifier (``_verify``):
-Omega on Graph(H0*) against the pulled-back boundary form, and the row rank
-of the boundary maps.  Each is verified once, when it is built, and carries
-the report; the conversions and the extension constructors refuse one that
-failed.
+Omega on Graph(H0*), the one its graph subspace holds, against the
+pulled-back boundary form, and the row rank of the boundary maps.  Each is
+verified once, when it is built, and carries the report; the conversions
+and the extension constructors refuse one that failed.
 
 The canonical boundary system exists for every skew-symmetric relation:
 its boundary spaces are the deficiency spaces g1 = ker(1 - H0*) and
@@ -24,10 +24,12 @@ graph-level decomposition
 
 the orthonormal bases of the three pieces side by side.  Its boundary map,
 sqrt(2) times the g1 and g2 coordinates of the two deficiency components,
-is then the closed form F = [0 | I].  The decomposition is computed at the
-graph level, where it is orthogonal; for operators it agrees with the usual
-domain-level direct sum, and for relations with multivalued parts it is the
-well-defined variant.
+is then the closed form F = [0 | I].  The canonical maximal dissipative
+extension, Graph(-H0) + {(x, -x) : x in g2}, is two of the three column
+blocks, so its Gram matrix and Omega are principal submatrices of those of
+Graph(H0*).  The decomposition is computed at the graph level, where it is
+orthogonal; for operators it agrees with the usual domain-level direct sum,
+and for relations with multivalued parts it is the well-defined variant.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     NotUnitary,
 )
 from .linalg import is_unitary
-from .relation import Relation, omega_matrix
+from .relation import Relation
 from .subspace import Subspace
 
 _SQRT2 = np.sqrt(2.0)
@@ -99,9 +101,17 @@ class BoundarySystem:
 
     @cached_property
     def _canonical_extension(self):
-        g_neg, _, ghat2 = _canonical_blocks(self)
-        graph = Subspace(g_neg.shape[0], np.hstack([g_neg, ghat2]))
-        return Relation(self.base.space_dim, graph)
+        g_neg, ghat1, ghat2 = _canonical_blocks(self)
+        graph, forms = self.adjoint_graph, None
+        if graph._gram is not None:
+            # the extension's basis is two column blocks of the Graph(H0*)
+            # basis, so its forms are principal submatrices of that basis's
+            d0 = g_neg.shape[1]
+            keep = np.ones(graph.dim, dtype=bool)
+            keep[d0 : d0 + ghat1.shape[1]] = False
+            forms = graph._gram[keep][:, keep], graph._omega[keep][:, keep]
+        basis = np.hstack([g_neg, ghat2])
+        return Relation(self.base.space_dim, sub._graph(basis, forms))
 
     @property
     def f1(self) -> np.ndarray:
@@ -157,8 +167,9 @@ def _verify(data, form: np.ndarray, maps: np.ndarray, tol: float):
     """The report of a system or triplet ``data``: the largest entry of
     Omega - ``form`` over the adjoint-graph basis, held against ``tol``
     times max(1, |Omega|, |form|) entrywise, and whether the stacked
-    boundary maps ``maps`` have full row rank.  Never raises."""
-    omega = omega_matrix(data.adjoint_graph.basis)
+    boundary maps ``maps`` have full row rank.  Omega is the one the
+    adjoint graph holds (``relation._omega``).  Never raises."""
+    omega = rel._omega(data.adjoint_graph)
     holds, residual = True, 0.0
     if omega.size:
         residual = float(np.max(np.abs(omega - form)))
@@ -175,8 +186,10 @@ def _verify(data, form: np.ndarray, maps: np.ndarray, tol: float):
 
 def verify_system(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> VerificationReport:
     """Check surjectivity of F and the form-intertwining identity
-    Omega(u, v) = <F1 u, F1 v> - <F2 u, F2 v> on Graph(H0*)."""
-    return _verify(s, s.f1.conj().T @ s.f1 - s.f2.conj().T @ s.f2, s.f_matrix, tol)
+    Omega(u, v) = <F1 u, F1 v> - <F2 u, F2 v> on Graph(H0*).  The form is
+    (J F)^H F for J = diag(I, -I) on G1 + G2, one product."""
+    jf = np.vstack([s.f1, -s.f2])
+    return _verify(s, jf.conj().T @ s.f_matrix, s.f_matrix, tol)
 
 
 def verify_triplet(t: BoundaryTriplet, tol: float = sub.ORTH_TOL) -> VerificationReport:
@@ -295,10 +308,11 @@ def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     F = [0 | I].  The one assertion is the gap of that basis to Graph(H0*)
     from the definition of the adjoint (``relation.adjoint_gap``): a
     dimension count short of 2n or a gap above ``tol`` raises
-    DecompositionFailure.  The ``Subspace`` constructor then checks the
-    joined basis orthonormal, so the pieces are pairwise orthogonal.  The
-    system always verifies, whether or not the deficiency indices agree; it
-    is verified at ``tol``.
+    DecompositionFailure.  The graph constructor (``subspace._graph``) then
+    checks the joined basis orthonormal, so the pieces are pairwise
+    orthogonal, and keeps Omega on it for the verifier.  The system always
+    verifies, whether or not the deficiency indices agree; it is verified
+    at ``tol``.
     """
     defic = rel.deficiency(h0, tol)
     x, xp = h0.blocks()
@@ -309,7 +323,7 @@ def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     k, d = defic.g1.dim + defic.g2.dim, basis.shape[1]
     return BoundarySystem(
         base=h0,
-        adjoint_graph=Subspace(2 * h0.space_dim, basis),
+        adjoint_graph=sub._graph(basis),
         g1=defic.g1,
         g2=defic.g2,
         f_matrix=np.eye(k, d, d - k),  # [0 | I]

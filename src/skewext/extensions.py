@@ -102,7 +102,7 @@ def _adjoint_portion(data, k: np.ndarray) -> Relation:
     kernel = sub.complement((k @ a - b).conj().T)
     graph = data.adjoint_graph.basis @ kernel.basis
     n = data.base.space_dim
-    portion = Relation(n, sub.Subspace(2 * n, graph))
+    portion = Relation(n, sub._graph(graph))
     return rel.negate(portion) if negated else portion
 
 
@@ -194,7 +194,10 @@ def _range_of_one_minus(h: Relation) -> int:
 
 
 def is_maximal_dissipative(h: Relation, tol: float = sub.ORTH_TOL) -> bool:
-    """Dissipative with ran(1 - H) = C^n (the range condition for maximality)."""
+    """Dissipative with ran(1 - H) = C^n (the range condition for maximality).
+
+    The dissipativity half reuses the largest eigenvalue of Omega that
+    ``relation.is_dissipative`` computes once per relation."""
     return rel.is_dissipative(h, tol) and _range_of_one_minus(h) == h.space_dim
 
 
@@ -266,9 +269,9 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
     condition uses neither the boundary spaces nor the deficiency solver:
     by Sylvester's law the inertia of the form Omega on Graph(H0*) is
     (k1, k2) plus a null part of dimension dim Graph(H0), so it compares the
-    counts of eigenvalues of ``omega_matrix`` above ``s.report.tol`` and
-    below its negative, on a Graph(H0*) basis of its own from
-    ``relation.adjoint`` (the system's basis is built from g1 and g2).
+    counts of eigenvalues of Omega above ``s.report.tol`` and below its
+    negative, on a Graph(H0*) basis of its own from ``relation.adjoint``
+    (the system's basis is built from g1 and g2), which holds its Omega.
     """
     indices = rel.deficiency(s.base, s.report.tol).indices
     k1, k2 = s.g1.dim, s.g2.dim
@@ -282,7 +285,7 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
         has_sksa = rel.is_skew_self_adjoint(extension, s.report.tol)
         triplet_ok = _triplet_of(s, eye).report.ok
 
-    omega = np.linalg.eigvalsh(rel.omega_matrix(rel.adjoint(s.base).graph.basis))
+    omega = np.linalg.eigvalsh(rel._omega(rel.adjoint(s.base).graph))
     positive = int(np.count_nonzero(omega > s.report.tol))
     negative = int(np.count_nonzero(omega < -s.report.tol))
 
@@ -303,9 +306,10 @@ def canonical_max_dissipative(s: BoundarySystem) -> Relation:
     piece {(x, -x)}; it always exists, also when no skew-self-adjoint
     extension does.  The two pieces are orthogonal (g2 is ran(1 + H0)^perp),
     so their orthonormal bases side by side, two column blocks of the
-    system's Graph(H0*) basis, are a basis of the sum.  It is built once
-    per system, on first use, and every later call returns the
-    same object.
+    system's Graph(H0*) basis, are a basis of the sum; its Gram matrix,
+    checked, and Omega are the principal submatrices of those of
+    Graph(H0*) on these columns.  It is built once per system, on first
+    use, and every later call returns the same object.
     """
     return s._canonical_extension
 

@@ -24,12 +24,15 @@ call at its nesting depth and decoded straight from its bytes; ``repr``
 writes only the entries whose magnitude puts ``repr`` in exponent form.
 Both write the shortest digits that round-trip and the same indented
 layout, and differ only in how they write an exponent, so the bytes are
-``json``'s.  A ``_RowStack`` writes the rows of several arrays as one, and
-an array object is formatted once per report, so a report whose objects
-share row blocks (``canonical``'s Graph(H0*) basis and extension) writes
-their digits once.  ``matrix_from_json`` is the one decoder of complex
-data.  Decoders raise ValueError on malformed input so the CLI can map it
-to the invalid-input exit code.
+``json``'s.  An array whose [re, im] pairs are all exactly [0.0, 0.0] or
+[1.0, 0.0], such as a boundary map F = [0 | I], has no digits to write: its
+rows are the texts of the two pairs, picked by the values
+(``_zero_one_rows``).  A ``_RowStack`` writes the rows of several arrays as
+one, and an array object is formatted once per report, so a report whose
+objects share row blocks (``canonical``'s Graph(H0*) basis and extension)
+writes their digits once.  ``matrix_from_json`` is the one decoder of
+complex data.  Decoders raise ValueError on malformed input so the CLI can
+map it to the invalid-input exit code.
 
 numpy, ``orjson`` and the relation and extension modules are imported by
 the functions that use them, on their first call: the half-line codecs,
@@ -109,6 +112,9 @@ def _array_rows(a: np.ndarray, level: int) -> list:
     import numpy as np
     import orjson
 
+    zero_one = _zero_one_rows(a, level)
+    if zero_one is not None:
+        return zero_one
     # orjson writes only C-contiguous arrays
     a = np.ascontiguousarray(a)
     mag = np.abs(a)
@@ -134,6 +140,34 @@ def _array_rows(a: np.ndarray, level: int) -> list:
         start = stop + 4
     pieces.append(str(view[start:end], "ascii"))
     return pieces
+
+
+def _zero_one_rows(a: np.ndarray, level: int):
+    """The pieces of ``_array_rows`` for an array whose [re, im] pairs are
+    all exactly [0.0, 0.0] or [1.0, 0.0], such as F = [0 | I], with no
+    digits written: every row has the text of a row of [0.0, 0.0] pairs,
+    and each 1.0 is that text with one "0" made "1".  None for any other
+    array, -0.0 included, which ``json`` writes with its sign."""
+    import numpy as np
+
+    re = a[..., 0]
+    if a[..., 1].any() or np.signbit(a).any() or not ((re == 0) | (re == 1)).all():
+        return None
+    rows, cols = re.shape
+    pair = _list_template(["0.0", "0.0"], level + 2)
+    row = _list_template([pair] * cols, level + 1)
+    sep = ",\n" + "  " * (level + 1)
+    text = bytearray(sep.join([row] * rows).encode("ascii"))
+    # the real part's first digit of entry (i, j): past i rows and their
+    # separators, the row's "[" line, j pairs and their separators (one
+    # level deeper than the rows'), and the pair's "[" line
+    i, j = np.nonzero(re)
+    if i.size:
+        first = row.index(pair) + pair.index("0")
+        step = len(pair) + len(sep) + 2
+        digits = np.frombuffer(text, np.uint8)
+        digits[i * (len(row) + len(sep)) + j * step + first] = ord("1")
+    return [text.decode("ascii")]
 
 
 def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
@@ -182,7 +216,9 @@ def _report_parts(obj) -> list:
     not (``0.00001``, ``1e16``).  Those entries are NaN in the copy
     ``orjson`` writes, so they come out as ``null``; the text between them
     is decoded piece by piece from ``orjson``'s bytes, and the ``repr`` of
-    each goes in place of its ``null``.  The pieces of an array object are
+    each goes in place of its ``null``.  An array of [0.0, 0.0] and
+    [1.0, 0.0] pairs is written from the texts of those two pairs, with no
+    ``orjson`` call (``_zero_one_rows``).  The pieces of an array object are
     kept for the rest of the report, so a block two row stacks share is
     formatted once.  An array holding NaN or an infinity goes through
     ``tolist()`` and the scalar path.  No container's text is copied into

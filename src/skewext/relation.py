@@ -8,7 +8,14 @@ orthonormal graph basis: the domain ran(X), the kernel X ker(X'), the
 multivalued part X' ker(X), the adjoint and deficiency spaces as
 complements of block combinations, the gap of a graph to the adjoint as a
 product with the blocks, and the skew-symmetry and dissipativity
-predicates as small matrices over the basis.
+predicates as small matrices over the basis.  Every graph this module
+builds holds the form Omega on its basis, computed with its orthonormality
+check from the same two products (``subspace._graph``; -T takes those of
+T, negated), and the predicates read it; the largest eigenvalue of Omega
+is computed once per relation.
+The block combinations whose complements give the adjoint and the
+deficiency spaces are isometries, so each complement is read off a
+complete QR, with no rank decision.
 
 The inner product convention is fixed globally: conjugate-linear in the
 SECOND argument, ``<a, b> = b^H a``.
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +65,13 @@ class Relation:
         n = self.space_dim
         return self.graph.basis[:n, :], self.graph.basis[n:, :]
 
+    @cached_property
+    def _largest_omega_eigenvalue(self) -> float:
+        """The largest eigenvalue of Omega on the graph basis, from the one
+        Hermitian eigensolve of the relation; ``is_dissipative`` compares it
+        with its tolerance on every call.  Needs a nonzero graph."""
+        return float(np.max(np.linalg.eigvalsh(_omega(self.graph))))
+
     def __repr__(self):
         return f"Relation(space_dim={self.space_dim}, graph_dim={self.graph_dim})"
 
@@ -80,7 +95,8 @@ def zero_relation(n: int) -> Relation:
 
 def from_graph(n: int, generators, tol: float = sub.RANK_TOL) -> Relation:
     """Relation with graph spanned by the given 2n-vectors."""
-    return Relation(n, sub.span(generators, m=2 * n, tol=tol))
+    basis = sub._span_basis(sub._as_matrix(generators, 2 * n), tol)
+    return Relation(n, sub._graph(basis))
 
 
 def domain(t: Relation) -> Subspace:
@@ -120,10 +136,13 @@ def adjoint(t: Relation) -> Relation:
 
     Graph(T*) is the orthogonal complement of J Graph(T) where
     J(x, x') = (-x', x); equivalently (y, y') belongs to Graph(T*) iff
-    <x', y> = <x, y'> for every (x, x') in Graph(T).
+    <x', y> = <x, y'> for every (x, x') in Graph(T).  J maps the
+    orthonormal graph basis to an isometry, so the complement is read off
+    its complete QR, with no rank decision.
     """
     x, xp = t.blocks()
-    return Relation(t.space_dim, sub.complement(np.vstack([-xp, x])))
+    (basis,) = sub._isometry_complements(np.vstack([-xp, x]))
+    return Relation(t.space_dim, sub._graph(basis))
 
 
 def adjoint_gap(t: Relation, basis: np.ndarray) -> float:
@@ -146,20 +165,33 @@ def adjoint_gap(t: Relation, basis: np.ndarray) -> float:
 
 
 def negate(t: Relation) -> Relation:
-    """The relation -T: second components of the graph flipped in sign."""
+    """The relation -T: second components of the graph flipped in sign.
+
+    Flipping X' leaves the Gram matrix of the basis as it is and negates
+    Omega, both exactly, so a graph that holds its forms passes them on.
+    """
     x, xp = t.blocks()
-    basis = np.vstack([x, -xp])
-    return Relation(t.space_dim, Subspace(2 * t.space_dim, basis))
+    g = t.graph
+    forms = None if g._gram is None else (g._gram, -g._omega)
+    return Relation(t.space_dim, sub._graph(np.vstack([x, -xp]), forms))
 
 
 def omega_matrix(basis: np.ndarray) -> np.ndarray:
     """The Hermitian matrix X'^H X + X^H X' of the standard symmetric form on
     a graph basis (X; X') of C^2n: entry (i, j) is
     Omega(u_j, u_i) = <x_j, x'_i> + <x'_j, x_i> for columns u_i = (x_i, x'_i).
+    A graph built by ``subspace._graph`` holds it already (``_omega``).
     """
     n = basis.shape[0] // 2
     x, xp = basis[:n, :], basis[n:, :]
     return xp.conj().T @ x + x.conj().T @ xp
+
+
+def _omega(graph: Subspace) -> np.ndarray:
+    """Omega on the basis of a graph subspace: the one ``subspace._graph``
+    computed with its orthonormality check, or ``omega_matrix`` of the basis
+    for a graph built otherwise."""
+    return omega_matrix(graph.basis) if graph._omega is None else graph._omega
 
 
 def is_skew_symmetric(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
@@ -167,7 +199,7 @@ def is_skew_symmetric(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
 
     Equivalent to Graph(T) being contained in Graph(-T*).
     """
-    m = omega_matrix(t.graph.basis)
+    m = _omega(t.graph)
     return float(np.max(np.abs(m), initial=0.0)) <= tol
 
 
@@ -186,12 +218,12 @@ def is_dissipative(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
 
     The supremum over the graph is one Hermitian eigenproblem: with X, X'
     the graph basis blocks, the condition is that the largest eigenvalue
-    of X'^H X + X^H X' (``omega_matrix``) is at most 2 tol.
+    of X'^H X + X^H X' (``omega_matrix``) is at most 2 tol.  The eigenvalue
+    is computed once per relation and compared with 2 tol on every call.
     """
     if t.graph_dim == 0:
         return True
-    herm = omega_matrix(t.graph.basis)
-    return float(np.max(np.linalg.eigvalsh(herm))) <= 2.0 * tol
+    return t._largest_omega_eigenvalue <= 2.0 * tol
 
 
 def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:
@@ -201,17 +233,20 @@ def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:
     (y, +-y) lies in Graph(T*) iff <x -+ x', y> = 0 for every (x, x') in
     Graph(T), so g1 = ran(1 - T)^perp and g2 = ran(1 + T)^perp are the
     complements of the column spans of X - X' and X + X' for the graph
-    blocks (X, X').  On a skew-symmetric graph with orthonormal basis
-    ||(X -+ X')c|| = ||c||, so every singular value at the rank cut is 1.
-    Computed once per relation and tolerance; later calls reuse it.
+    blocks (X, X').  The graph basis is orthonormal and Omega vanishes on
+    it, so (X -+ X')^H (X -+ X') = X^H X + X'^H X' -+ Omega = I up to the
+    tolerance: both are isometries, and both complements are read off one
+    batched complete QR, with no rank decision.  Computed once per relation
+    and tolerance; later calls reuse it.
     """
     data = t._deficiency.get(tol)
     if data is None:
         if not is_skew_symmetric(t, tol):
             raise NotSkewSymmetric("deficiency spaces need a skew-symmetric relation")
         x, xp = t.blocks()
-        g1 = sub.complement(x - xp)
-        g2 = sub.complement(x + xp)
+        n = t.space_dim
+        b1, b2 = sub._isometry_complements(x - xp, x + xp)
+        g1, g2 = Subspace(n, b1), Subspace(n, b2)
         data = DeficiencyData(g1=g1, g2=g2, indices=(g1.dim, g2.dim))
         t._deficiency[tol] = data
     return data
@@ -246,4 +281,4 @@ def random_skew_symmetric(n: int, k: int, seed: int) -> Relation:
     x = (a_frame + b_frame) / _SQRT2
     xp = (a_frame - b_frame) / _SQRT2
     basis = np.vstack([x, xp]) / _SQRT2
-    return Relation(n, Subspace(2 * n, basis))
+    return Relation(n, sub._graph(basis))

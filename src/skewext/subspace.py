@@ -5,14 +5,18 @@ A subspace of C^m is stored as an m-by-k matrix with orthonormal columns
 on arbitrary matrices use singular values with a relative threshold, well
 conditioned at the small ambient dimensions this package works at; a block
 of rows of an orthonormal basis has its singular values in [0, 1] and is cut
-at the absolute threshold ``RANK_TOL`` instead.  Distances compare the bases
-directly, without forming projectors.  Values are immutable and every
-operation is a pure function.
+at the absolute threshold ``RANK_TOL`` instead; the complement of an
+isometry makes no rank decision and is read off a complete QR.  A graph
+subspace of C^2n (``_graph``) also holds its Gram matrix and its form Omega,
+both from the same two half-size products, so its orthonormality check and
+Omega cost one Gram matrix.  Distances compare the bases directly, without
+forming projectors.  Values are immutable and every operation is a pure
+function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +82,13 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray
+    # the Gram matrix and the form Omega of a graph basis, given by ``_graph``
+    _gram: np.ndarray | None = field(
+        default=None, kw_only=True, repr=False, compare=False
+    )
+    _omega: np.ndarray | None = field(
+        default=None, kw_only=True, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.ambient_dim < 1:
@@ -91,7 +102,7 @@ class Subspace:
             )
         object.__setattr__(self, "basis", b)
         b.setflags(write=False)
-        gram = b.conj().T @ b
+        gram = b.conj().T @ b if self._gram is None else self._gram
         # written as "not <=" so that a NaN deviation is rejected too
         if gram.size and not np.max(np.abs(gram - np.eye(b.shape[1]))) <= ORTH_TOL:
             raise NotOrthonormal("basis columns are not orthonormal")
@@ -160,15 +171,22 @@ def span_matrix(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     ``tol`` is the relative rank threshold of ``span``; a value outside
     (0, 1), NaN included, raises ``InvalidTolerance``.
     """
+    b = _span_basis(a, tol)
+    return Subspace(b.shape[0], b)
+
+
+def _span_basis(a: np.ndarray, tol: float) -> np.ndarray:
+    """The orthonormal basis of ``span_matrix``: the left singular vectors
+    up to the numerical rank, none for a matrix without columns or with only
+    zero entries."""
     # written as "not <" so that NaN is rejected too
     if not 0 < tol < 1:
         raise InvalidTolerance(f"rank threshold {tol!r} is not in (0, 1)")
     a = np.asarray(a, dtype=complex)
-    m = a.shape[0]
     if a.shape[1] == 0 or not np.any(a):
-        return zero(m)  # which rejects m == 0
+        return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return Subspace(m, _canonical_phases(u[:, : numerical_rank(s, tol)]))
+    return _canonical_phases(u[:, : numerical_rank(s, tol)])
 
 
 def complement(a: np.ndarray) -> Subspace:
@@ -177,7 +195,8 @@ def complement(a: np.ndarray) -> Subspace:
     One full SVD: the left singular vectors past the numerical rank at
     relative tolerance ``RANK_TOL``.  A matrix without columns, or with only
     zero entries, has the whole space as its complement (``full`` rejects
-    an empty ambient space).
+    an empty ambient space).  The complement of an isometry needs no rank
+    decision (``_isometry_complements``).
     """
     a = np.asarray(a, dtype=complex)
     m = a.shape[0]
@@ -185,6 +204,58 @@ def complement(a: np.ndarray) -> Subspace:
         return full(m)
     u, s, _ = np.linalg.svd(a, full_matrices=True)
     return Subspace(m, _canonical_phases(u[:, numerical_rank(s) :]))
+
+
+def _isometry_complements(*isometries: np.ndarray) -> list:
+    """Orthonormal bases of the orthogonal complements of the column spans
+    of m-by-k isometries of one shape: the last m - k columns of each
+    complete QR, all from one batched QR call.
+
+    An isometry has rank k, so no rank decision is made; the columns need
+    only be independent, as they are within a small distance of an
+    isometry.  Without columns the complement is the whole space, whose
+    basis is the identity.
+    """
+    m, k = isometries[0].shape
+    if not k:
+        return [np.eye(m, dtype=complex) for _ in isometries]
+    q = np.linalg.qr(np.stack(isometries), mode="complete")[0]
+    return [_canonical_phases(b[:, k:]) for b in q]
+
+
+def _graph(basis: np.ndarray, forms=None) -> Subspace:
+    """The graph subspace of C^2n spanned by the orthonormal columns of
+    ``basis`` = (X; X'), held with its Gram matrix and its form
+    Omega = X'^H X + X^H X' (``relation.omega_matrix``).
+
+    For A = X + X' and C = X - X' the two come from the same two half-size
+    products: A^H A + C^H C = 2 Gram and A^H A - C^H C = 2 Omega, so Omega
+    costs no more than the Gram matrix every ``Subspace`` checks, and the
+    constructor's check runs on this one.  ``forms``, when given, is the
+    pair (Gram, Omega) on these columns known before: principal submatrices
+    of the forms of a graph whose basis holds the columns, or the forms of
+    the graph whose X' has the other sign, with Omega negated.  The check
+    then runs on that Gram matrix.
+    """
+    gram, omega = _graph_forms(basis) if forms is None else forms
+    gram.setflags(write=False)
+    omega.setflags(write=False)
+    return Subspace(basis.shape[0], basis, _gram=gram, _omega=omega)
+
+
+def _graph_forms(basis: np.ndarray):
+    """The Gram matrix and Omega of ``_graph`` from the two products.  The
+    half-size blocks are freed on return, before the constructor's check,
+    and the sum and difference are formed in place."""
+    b = np.asarray(basis, dtype=complex)
+    n = b.shape[0] // 2
+    a, c = b[:n] + b[n:], b[:n] - b[n:]
+    p, q = a.conj().T @ a, c.conj().T @ c
+    gram = p + q
+    gram *= 0.5
+    p -= q
+    p *= 0.5
+    return gram, p
 
 
 def _coordinates(s: Subspace, a: np.ndarray, tol: float):

@@ -6,7 +6,8 @@ routes to the same objects (the oblique projection behind the canonical
 boundary map, -T* through the swapped orthocomplement, the kernel,
 multivalued part and domain of a relation by subspace intersection, the gap
 distance by projectors, the gap of the adjoint formula through Graph(H*) as a
-complement, the half-line inner product, derivative, a f + b f'
+complement, the adjoint and the deficiency spaces as SVD complements with a
+rank cut, the half-line inner product, derivative, a f + b f'
 and resolvent term by term, the term records of a half-line function one
 dict per term, the canonical order of a term dict and the structure of
 the canonical integer form) and as convenient constructors of test inputs.
@@ -104,6 +105,20 @@ def adjoint_gap_by_complement(h: Relation, graph: Subspace) -> float:
     ``relation.adjoint`` (one complement SVD), then ``subspace.distance``,
     which reads 1.0 when the dimensions differ."""
     return sub.distance(adjoint(h).graph, graph)
+
+
+def adjoint_by_svd(t: Relation) -> Relation:
+    """T*, with Graph(T*) = (J Graph(T))^perp for J(x, x') = (-x', x) as
+    the SVD complement of J B with its rank cut (``subspace.complement``)."""
+    x, xp = t.blocks()
+    return Relation(t.space_dim, complement(np.vstack([-xp, x])))
+
+
+def deficiency_by_svd(t: Relation):
+    """(g1, g2) = (ran(1 - T)^perp, ran(1 + T)^perp) as the SVD complements,
+    with their rank cut, of X - X' and X + X' for the graph blocks (X, X')."""
+    x, xp = t.blocks()
+    return complement(x - xp), complement(x + xp)
 
 
 def oblique_project(parts, v, tol: float = ORTH_TOL):

@@ -1,8 +1,13 @@
-"""SVD budget of the CLI pipelines and of the relation-level spaces.
+"""SVD and QR budget of the CLI pipelines and of the relation-level spaces.
 
-Every complement is one SVD and no orthonormal product is re-spanned; these
-bounds catch a reintroduced span-then-complement or re-span step.  Calls are
-counted on ``numpy.linalg.svd``, the name every module calls through.
+A complement whose rank is part of the answer is one SVD; the complement of
+an isometry (the adjoint graph, the deficiency spaces) is a complete QR,
+with no rank decision, and the two deficiency spaces share one batched QR;
+no orthonormal product is re-spanned.  These bounds, the counts of this
+code, catch a reintroduced span-then-complement or re-span step and an SVD
+where a QR suffices.  Calls are counted on
+``numpy.linalg.svd`` and ``numpy.linalg.qr``, the names every module calls
+through; the seeded unitaries of ``sweep`` take one QR each.
 """
 
 import numpy as np
@@ -13,15 +18,20 @@ from skewext.cli import main
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
-    calls = [0]
-    svd = np.linalg.svd
+def linalg_calls(monkeypatch):
+    calls = {"svd": 0, "qr": 0}
 
-    def counting_svd(*args, **kwargs):
-        calls[0] += 1
-        return svd(*args, **kwargs)
+    def counting(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
 
 
@@ -34,26 +44,30 @@ def relation_file(tmp_path, capsys):
     return str(path)
 
 
-@pytest.mark.parametrize("command, bound", [("canonical", 5), ("analyze", 7)])
-def test_relation_commands_svd_budget(command, bound, relation_file, svd_calls, capsys):
-    svd_calls[0] = 0
+@pytest.mark.parametrize("command, svds, qrs", [("canonical", 3, 1), ("analyze", 4, 2)])
+def test_relation_commands_svd_and_qr_budget(
+    command, svds, qrs, relation_file, linalg_calls, capsys
+):
+    linalg_calls.update(svd=0, qr=0)
     assert main([command, "--input", relation_file]) == 0
     capsys.readouterr()
-    assert svd_calls[0] <= bound
+    assert linalg_calls["svd"] <= svds
+    assert linalg_calls["qr"] <= qrs
 
 
-def test_sweep_svd_budget(svd_calls, capsys):
+def test_sweep_svd_budget(linalg_calls, capsys):
     assert main(["sweep", "--count", "20", "--seed", "0"]) == 0
     capsys.readouterr()
-    assert svd_calls[0] <= 300
+    assert linalg_calls["svd"] <= 194
+    assert linalg_calls["qr"] <= 100
 
 
 @pytest.mark.parametrize(
     "space, dim", [(rel.kernel, 1), (rel.mul_part, 1), (rel.domain, 2)]
 )
-def test_relation_spaces_take_one_svd_of_a_graph_block(space, dim, svd_calls):
+def test_relation_spaces_take_one_svd_of_a_graph_block(space, dim, linalg_calls):
     # graph spanned by (e1, 0), (0, e2) and (e3, i e3)
     t = rel.from_graph(3, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1j)])
-    svd_calls[0] = 0
+    linalg_calls.update(svd=0, qr=0)
     assert space(t).dim == dim
-    assert svd_calls[0] == 1
+    assert linalg_calls == {"svd": 1, "qr": 0}

@@ -127,6 +127,13 @@ def layer_timings(n: int) -> dict:
     def fresh_system():
         return bd.canonical_system(h)
 
+    def fresh_extension():
+        return rel.Relation(n, dissip.graph)
+
+    def extension_checks(t):
+        # the two checks ``canonical`` makes on its extension
+        return rel.is_dissipative(t), ext.is_maximal_dissipative(t)
+
     with tempfile.TemporaryDirectory() as tmp:
         relation_path = os.path.join(tmp, "relation.json")
         with open(relation_path, "w", encoding="utf-8") as fh:
@@ -156,6 +163,7 @@ def layer_timings(n: int) -> dict:
         "boundary.canonical_system_s": _best_fresh(
             fresh_relation, bd.canonical_system
         ),
+        "boundary.verify_system_s": b(bd.verify_system, s),
         "boundary.system_to_triplet_s": b(bd.system_to_triplet, s, np.eye(d)),
         "boundary.triplet_to_system_s": b(bd.triplet_to_system, t),
         "extensions.system_unitary_extension_s": b(ext.system_unitary_extension, s, l),
@@ -176,9 +184,12 @@ def layer_timings(n: int) -> dict:
         "extensions.adjoint_formula_check_s": _best_fresh(
             fresh_system, ext.adjoint_formula_check
         ),
+        "extensions.extension_checks_s": _best_fresh(fresh_extension, extension_checks),
         "formats.report_bytes": len(fmt.dumps(payload)),
         "formats.report_encode_dumps_s": b(fmt.dumps, payload),
         "formats.report_parts_s": b(report_parts, payload),
+        # F at its nesting depth in the report: payload, system, F
+        "formats.f_rows_s": b(fmt._array_rows, fmt.matrix_to_json(s.f_matrix), 3),
         "cli.emit_file_s": emit_file_s,
         "formats.relation_file_bytes": len(relation_text),
         "formats.relation_load_s": relation_load_s,
@@ -484,7 +495,14 @@ def main(argv=None) -> int:
             "outside the timer for that run, since a system caches its "
             "canonical extension; deficiency_s and canonical_system_s each "
             "run on a new relation over the same graph, since a relation "
-            "caches its deficiency spaces",
+            "caches its deficiency spaces; extension_checks_s (is_dissipative "
+            "and is_maximal_dissipative, the two checks canonical makes on "
+            "its extension) runs on a new relation over the graph of the "
+            "canonical extension, since a relation caches the largest "
+            "eigenvalue of its form",
+            "verify": "verify_system_s is boundary.verify_system on the "
+            "canonical system: the form check and the rank of F; f_rows_s is "
+            "formats._array_rows of F at its nesting depth in the report",
             "layer_exponents": "for each pair of consecutive sizes n1 < n2, "
             "log(v2 / v1) / log(n2 / n1) of each positive layer figure: the "
             "local slope on a log-log scale, 3 for cubic growth",
