@@ -291,10 +291,10 @@ def _canonical_blocks(s: BoundarySystem):
     return b[:, :d0], b[:, d0:d1], b[:, d1:]
 
 
-def _hat_basis(g: Subspace, sign: float) -> np.ndarray:
+def _hat_basis(basis: np.ndarray, sign: float) -> np.ndarray:
     """The orthonormal basis (G; sign G)/sqrt(2) of {(x, sign x) : x in g}
-    for the orthonormal basis G of ``g``."""
-    return np.vstack([g.basis, sign * g.basis]) / _SQRT2
+    for the orthonormal columns G = ``basis`` of a space g."""
+    return np.vstack([basis, sign * basis]) / _SQRT2
 
 
 def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
@@ -317,7 +317,8 @@ def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     defic = rel.deficiency(h0, tol)
     x, xp = h0.blocks()
     g_neg = np.vstack([x, -xp])
-    basis = np.hstack([g_neg, _hat_basis(defic.g1, 1.0), _hat_basis(defic.g2, -1.0)])
+    ghat1, ghat2 = _hat_basis(defic.g1.basis, 1.0), _hat_basis(defic.g2.basis, -1.0)
+    basis = np.hstack([g_neg, ghat1, ghat2])
     if rel.adjoint_gap(h0, basis) > tol:
         raise DecompositionFailure("the pieces do not span Graph(H0*) at tolerance")
     k, d = defic.g1.dim + defic.g2.dim, basis.shape[1]

@@ -54,6 +54,7 @@ def _emit(args, echo: dict, digest, status: str, payload: dict) -> int:
     if digest is None:
         digest = fmt._digest_bytes(json.dumps(echo, sort_keys=True).encode("utf-8"))
     report = {
+        "schema": fmt.REPORT_SCHEMA,
         "command": args.command,
         "args": echo,
         "input_digest": digest,

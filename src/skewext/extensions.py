@@ -15,7 +15,8 @@ extension.  Each constructor checks its parameter and builds the graph
 through ``_adjoint_portion``; both read-offs (``system_unitary_readoff``,
 ``boundary_contraction_of``) are the one inverse K = B[h] A[h]^+
 (``_readoff``).  ``bridge_check`` verifies the identity connecting the two
-unitary families through a reference unitary L0.
+unitary families through a reference unitary L0, on a system-side
+extension its caller has built.
 
 Checks on a boundary system or triplet run at the tolerance it was verified
 at (``report.tol``); relation-level predicates take theirs as an argument.
@@ -173,16 +174,17 @@ def triplet_unitary_extension(t: BoundaryTriplet, l) -> Relation:
     return _adjoint_portion(t, l)
 
 
-def bridge_check(s: BoundarySystem, l0, l) -> bool:
-    """Whether the system-side extension of L equals the negated
+def bridge_check(s: BoundarySystem, l0, l, lhs: Relation) -> bool:
+    """Whether the system-side extension ``lhs`` of L, as
+    ``system_unitary_extension(s, l)`` builds it, equals the negated
     triplet-side extension of L0^{-1} L.
 
-    Builds both sides of the bridge identity explicitly and compares the
-    graphs within the system's tolerance.
+    The caller has built the left side; the right side is built here,
+    through the triplet of L0, and the graphs are compared within the
+    system's tolerance.
     """
     l0 = np.asarray(l0, dtype=complex)
     l = np.asarray(l, dtype=complex)
-    lhs = system_unitary_extension(s, l)
     triplet = system_to_triplet(s, l0)
     rhs = rel.negate(triplet_unitary_extension(triplet, l0.conj().T @ l))
     return sub.distance(lhs.graph, rhs.graph) <= s.report.tol

@@ -24,15 +24,20 @@ call at its nesting depth and decoded straight from its bytes; ``repr``
 writes only the entries whose magnitude puts ``repr`` in exponent form.
 Both write the shortest digits that round-trip and the same indented
 layout, and differ only in how they write an exponent, so the bytes are
-``json``'s.  An array whose [re, im] pairs are all exactly [0.0, 0.0] or
-[1.0, 0.0], such as a boundary map F = [0 | I], has no digits to write: its
-rows are the texts of the two pairs, picked by the values
-(``_zero_one_rows``).  A ``_RowStack`` writes the rows of several arrays as
-one, and an array object is formatted once per report, so a report whose
-objects share row blocks (``canonical``'s Graph(H0*) basis and extension)
-writes their digits once.  ``matrix_from_json`` is the one decoder of
-complex data.  Decoders raise ValueError on malformed input so the CLI can
-map it to the invalid-input exit code.
+``json``'s.  ``matrix_from_json`` is the one decoder of complex data.
+Decoders raise ValueError on malformed input so the CLI can map it to the
+invalid-input exit code.
+
+Reports are schema 2: the envelope's "schema" key is ``REPORT_SCHEMA``,
+and ``canonical`` writes only what cannot be derived from the rest
+(``canonical_system_to_json``, ``canonical_extension_to_json``).  Against
+schema 1 the changed keys are ``system.graph_basis``, now the Graph(-H0)
+block ``graph_neg_base`` and ``block_widths``; ``system.F``, now
+``F_shape``; and ``max_dissipative_extension.graph_generators``, now the
+column ranges ``graph_columns`` of the Graph(H0*) basis.  The other
+commands write the schema-1 payloads.  ``tools/expand_report.py`` rebuilds
+a schema-1 report from a schema-2 one, byte for byte, by the library's own
+floating-point operations.
 
 numpy, ``orjson`` and the relation and extension modules are imported by
 the functions that use them, on their first call: the half-line codecs,
@@ -57,6 +62,11 @@ from typing import TYPE_CHECKING
 from . import halfline as hl
 from .halfline import _digits_int, _fraction_digits, _int_digits, _ratio_from_str
 from .tolerances import RANK_TOL
+
+#: the report layout, written as the envelope's "schema" key: 2 since
+#: ``canonical`` writes its system and extension by ``canonical_system_to_json``
+#: and ``canonical_extension_to_json``
+REPORT_SCHEMA = 2
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,32 +99,17 @@ def _list_template(items: list, level: int, brackets: str = "[]") -> str:
     )
 
 
-class _RowStack:
-    """The rows of the (rows, cols, 2) float64 arrays ``blocks``, in order,
-    which ``dumps`` writes as one array of rows.  A report that holds one
-    block in several stacks gets its rows formatted once."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        self.blocks = tuple(blocks)
-
-
 def _array_rows(a: np.ndarray, level: int) -> list:
-    """The rows of a finite (rows, cols, 2) float64 array sitting at nesting
-    ``level``, as the pieces of the text between its brackets: one indented
-    ``orjson`` call, decoded in segments between the exponent-form entries,
-    whose ``repr`` is put between them (see ``dumps``)."""
-    if not a.shape[0]:
-        return []
+    """The rows of a finite (rows, cols, 2) float64 array with at least one
+    row, sitting at nesting ``level``, as the pieces of the text between its
+    brackets: one indented ``orjson`` call, decoded in segments between the
+    exponent-form entries, whose ``repr`` is put between them (see
+    ``dumps``)."""
     # imported here, so that a report without arrays (sweep, halfline) does
     # not pay orjson's import (datetime, uuid, zoneinfo)
     import numpy as np
     import orjson
 
-    zero_one = _zero_one_rows(a, level)
-    if zero_one is not None:
-        return zero_one
     # orjson writes only C-contiguous arrays
     a = np.ascontiguousarray(a)
     mag = np.abs(a)
@@ -142,34 +137,6 @@ def _array_rows(a: np.ndarray, level: int) -> list:
     return pieces
 
 
-def _zero_one_rows(a: np.ndarray, level: int):
-    """The pieces of ``_array_rows`` for an array whose [re, im] pairs are
-    all exactly [0.0, 0.0] or [1.0, 0.0], such as F = [0 | I], with no
-    digits written: every row has the text of a row of [0.0, 0.0] pairs,
-    and each 1.0 is that text with one "0" made "1".  None for any other
-    array, -0.0 included, which ``json`` writes with its sign."""
-    import numpy as np
-
-    re = a[..., 0]
-    if a[..., 1].any() or np.signbit(a).any() or not ((re == 0) | (re == 1)).all():
-        return None
-    rows, cols = re.shape
-    pair = _list_template(["0.0", "0.0"], level + 2)
-    row = _list_template([pair] * cols, level + 1)
-    sep = ",\n" + "  " * (level + 1)
-    text = bytearray(sep.join([row] * rows).encode("ascii"))
-    # the real part's first digit of entry (i, j): past i rows and their
-    # separators, the row's "[" line, j pairs and their separators (one
-    # level deeper than the rows'), and the pair's "[" line
-    i, j = np.nonzero(re)
-    if i.size:
-        first = row.index(pair) + pair.index("0")
-        step = len(pair) + len(sep) + 2
-        digits = np.frombuffer(text, np.uint8)
-        digits[i * (len(row) + len(sep)) + j * step + first] = ord("1")
-    return [text.decode("ascii")]
-
-
 def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
     """A function as its list of term records at nesting ``level``: each
     record's keys in sorted order ("im", "k", "lambda", "re"), the rationals
@@ -191,9 +158,9 @@ def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
 
 def dumps(obj) -> str:
     """The report text: byte for byte ``json.dumps(obj, sort_keys=True,
-    indent=2)`` and a newline, with every array replaced by its ``tolist()``
-    and every ``_RowStack`` by the list of its blocks' rows; the join of the
-    pieces of ``_report_parts``, which ``cli._emit`` writes one by one."""
+    indent=2)`` and a newline, with every array replaced by its ``tolist()``;
+    the join of the pieces of ``_report_parts``, which ``cli._emit`` writes
+    one by one."""
     return "".join(_report_parts(obj))
 
 
@@ -201,10 +168,9 @@ def _report_parts(obj) -> list:
     """The text of ``dumps(obj)`` as a list of str pieces.
 
     Arrays must be float64 of shape (rows, cols, 2), as ``matrix_to_json``
-    builds them, and a ``_RowStack`` holds such arrays, written as one
-    array of their rows; an ``ExpPoly`` is written as its list of term
-    records, one %-template per function; dict keys must be strings.  Any
-    other type raises TypeError.  The indented ``json.dumps`` runs the
+    builds them; an ``ExpPoly`` is written as its list of term records, one
+    %-template per function; dict keys must be strings.  Any other type
+    raises TypeError.  The indented ``json.dumps`` runs the
     pure-Python encoder and ``repr`` of every float, which cost more than
     the numerics on large reports.  Here the rows of a finite array are
     written by one ``orjson.dumps`` with ``OPT_INDENT_2``, nested in as
@@ -216,19 +182,12 @@ def _report_parts(obj) -> list:
     not (``0.00001``, ``1e16``).  Those entries are NaN in the copy
     ``orjson`` writes, so they come out as ``null``; the text between them
     is decoded piece by piece from ``orjson``'s bytes, and the ``repr`` of
-    each goes in place of its ``null``.  An array of [0.0, 0.0] and
-    [1.0, 0.0] pairs is written from the texts of those two pairs, with no
-    ``orjson`` call (``_zero_one_rows``).  The pieces of an array object are
-    kept for the rest of the report, so a block two row stacks share is
-    formatted once.  An array holding NaN or an infinity goes through
-    ``tolist()`` and the scalar path.  No container's text is copied into
-    its parent's, and the pieces are not joined here.
+    each goes in place of its ``null``.  An array holding NaN or an
+    infinity goes through ``tolist()`` and the scalar path.  No container's
+    text is copied into its parent's, and the pieces are not joined here.
     """
     parts = []
     write = parts.append
-    # the row pieces of each array written so far, by (id, nesting level);
-    # ``obj`` keeps every array alive, so no id is reused within the call
-    rows_of = {}
 
     def container(items, level: int, brackets: str):
         # items are (prefix, value): a dict's quoted key and ": ", or ""
@@ -241,26 +200,6 @@ def _report_parts(obj) -> list:
             write(("," if i else "") + inner + prefix)
             encode(value, level + 1)
         write("\n" + "  " * level + brackets[1])
-
-    def stack(blocks, level: int):
-        # the rows of every block, in one array at nesting ``level``
-        rows = []
-        for b in blocks:
-            key = (id(b), level)
-            if key not in rows_of:
-                rows_of[key] = _array_rows(b, level)
-            if rows_of[key]:
-                rows.append(rows_of[key])
-        if not rows:
-            write("[]")
-            return
-        inner = "\n" + "  " * (level + 1)
-        write("[" + inner)
-        for i, pieces in enumerate(rows):
-            if i:
-                write("," + inner)
-            parts.extend(pieces)
-        write("\n" + "  " * level + "]")
 
     def encode(o, level: int):
         if isinstance(o, str):
@@ -289,18 +228,20 @@ def _report_parts(obj) -> list:
             # writing a report without them does not load numpy
             import numpy as np
 
-            blocks = o.blocks if isinstance(o, _RowStack) else (o,)
-            for b in blocks:
-                if not isinstance(b, np.ndarray):
-                    name = type(b).__name__
-                    raise TypeError(f"Object of type {name} is not JSON serializable")
-                if b.dtype != np.float64 or b.ndim != 3 or b.shape[2] != 2:
-                    got = f"{b.dtype} {b.shape}"
-                    raise TypeError(f"arrays must be float64 (rows, cols, 2), got {got}")
-            if all(np.isfinite(b).all() for b in blocks):
-                stack(blocks, level)
+            if not isinstance(o, np.ndarray):
+                name = type(o).__name__
+                raise TypeError(f"Object of type {name} is not JSON serializable")
+            if o.dtype != np.float64 or o.ndim != 3 or o.shape[2] != 2:
+                got = f"{o.dtype} {o.shape}"
+                raise TypeError(f"arrays must be float64 (rows, cols, 2), got {got}")
+            if not np.isfinite(o).all():
+                encode(o.tolist(), level)
+            elif not o.shape[0]:
+                write("[]")
             else:
-                encode(np.concatenate(blocks).tolist(), level)
+                write("[\n" + "  " * (level + 1))
+                parts.extend(_array_rows(o, level))
+                write("\n" + "  " * level + "]")
 
     encode(obj, 0)
     write("\n")
@@ -355,12 +296,8 @@ def subspace_to_json(s: Subspace) -> np.ndarray:
     return matrix_to_json(s.basis.T)
 
 
-def relation_to_json(t: Relation, generators=None) -> dict:
-    """The relation file object; ``generators``, when given, is written as
-    the rows of the graph basis (a ``_RowStack`` of its column blocks)."""
-    if generators is None:
-        generators = subspace_to_json(t.graph)
-    return {"n": t.space_dim, "graph_generators": generators}
+def relation_to_json(t: Relation) -> dict:
+    return {"n": t.space_dim, "graph_generators": subspace_to_json(t.graph)}
 
 
 def relation_from_json(obj, rank_tol: float = RANK_TOL) -> Relation:
@@ -403,19 +340,43 @@ def unitary_matrix_from_json(obj) -> np.ndarray:
     return matrix_from_json(obj)
 
 
-def system_to_json(s: BoundarySystem, graph_basis=None) -> dict:
-    """The report object of a system; ``graph_basis``, when given, is
-    written as the rows of the Graph(H0*) basis (a ``_RowStack`` of its
-    column blocks)."""
-    if graph_basis is None:
-        graph_basis = subspace_to_json(s.adjoint_graph)
+def system_to_json(s: BoundarySystem) -> dict:
     return {
         "n": s.base.space_dim,
-        "graph_basis": graph_basis,
+        "graph_basis": subspace_to_json(s.adjoint_graph),
         "g1_basis": subspace_to_json(s.g1),
         "g2_basis": subspace_to_json(s.g2),
         "F": matrix_to_json(s.f_matrix),
     }
+
+
+def canonical_system_to_json(s: BoundarySystem) -> dict:
+    """The schema-2 report object of a canonical system
+    (``boundary.canonical_system``): what cannot be derived from the rest.
+    Its Graph(H0*) basis is Graph(-H0), Ghat1 and Ghat2 side by side, and
+    Ghat1 and Ghat2 are (G; +-G)/sqrt(2) of the g1 and g2 bases
+    (``boundary._hat_basis``), so the basis is written as its Graph(-H0)
+    block ("graph_neg_base") and the three block widths; F = [0 | I] is
+    ``np.eye(k, d, d - k)``, written by its shape [k, d]."""
+    d0 = s.base.graph_dim
+    return {
+        "n": s.base.space_dim,
+        "graph_neg_base": matrix_to_json(s.adjoint_graph.basis[:, :d0].T),
+        "block_widths": [d0, s.g1.dim, s.g2.dim],
+        "g1_basis": subspace_to_json(s.g1),
+        "g2_basis": subspace_to_json(s.g2),
+        "F_shape": list(s.f_matrix.shape),
+    }
+
+
+def canonical_extension_to_json(s: BoundarySystem) -> dict:
+    """The schema-2 report object of the canonical maximal dissipative
+    extension of a canonical system (``extensions.canonical_max_dissipative``):
+    its graph basis is the Graph(-H0) and Ghat2 column blocks of the
+    Graph(H0*) basis, written as their half-open column ranges."""
+    d0, d1 = s.base.graph_dim, s.g1.dim
+    columns = [[0, d0], [d0 + d1, s.adjoint_graph.dim]]
+    return {"n": s.base.space_dim, "graph_columns": columns}
 
 
 def triplet_to_json(t: BoundaryTriplet) -> dict:

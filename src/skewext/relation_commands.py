@@ -84,17 +84,11 @@ def cmd_canonical(args):
         "extension_maximal": ext.is_maximal_dissipative(dissip, args.tol),
         "adjoint_formula_holds": ext.adjoint_formula_check(system),
     }
-    # the graph of the extension, Graph(-H0) + Ghat2, is two of the three
-    # column blocks of the Graph(H0*) basis, so the report shares their rows
-    blocks = bd._canonical_blocks(system)
-    g_neg, ghat1, ghat2 = (fmt.matrix_to_json(b.T) for b in blocks)
     payload = {
-        "system": fmt.system_to_json(system, fmt._RowStack((g_neg, ghat1, ghat2))),
+        "system": fmt.canonical_system_to_json(system),
         "system_residual": report.residual,
         "indices": [system.g1.dim, system.g2.dim],
-        "max_dissipative_extension": fmt.relation_to_json(
-            dissip, fmt._RowStack((g_neg, ghat2))
-        ),
+        "max_dissipative_extension": fmt.canonical_extension_to_json(system),
         "checks": checks,
     }
     return {"input": args.input}, digest, _status(checks), payload
@@ -256,7 +250,7 @@ def _sweep_instance(seed: int, tol: float) -> dict:
             "existence_agree": report.agree,
             "system_extension_sksa": rel.is_skew_self_adjoint(extension, tol),
             "system_unitary_readoff_ok": readoff_err <= ROUNDTRIP_TOL,
-            "bridge_holds": ext.bridge_check(system, l0, l),
+            "bridge_holds": ext.bridge_check(system, l0, l, extension),
             "extension_dissipative": rel.is_dissipative(dissip, tol),
             "extension_maximal": ext.is_maximal_dissipative(dissip, tol),
             "adjoint_formula_holds": ext.adjoint_formula_check(system),

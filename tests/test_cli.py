@@ -17,6 +17,9 @@ from skewext import halfline as hl
 from skewext import relation as rel
 from skewext.cli import build_parser, main
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from expand_report import expand_report  # noqa: E402
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -645,7 +648,13 @@ def test_analyze_rejects_infinite_generator(tmp_path, capsys):
 def test_report_bytes_pinned(argv, sha256, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # the digests pin the bytes of the report without its "schema" key,
+    # which these payloads share with schema 1
+    assert report.pop("schema") == 2
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
 @pytest.fixture
@@ -704,7 +713,9 @@ def test_every_report_is_canonical_json(
     report = json.loads(out)
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert report["command"] == command
-    assert set(report) == {"command", "args", "input_digest", "tol", "status", "payload"}
+    envelope = {"schema", "command", "args", "input_digest", "tol", "status", "payload"}
+    assert set(report) == envelope
+    assert report["schema"] == fmt.REPORT_SCHEMA == 2
 
 
 @pytest.mark.parametrize(
@@ -815,14 +826,16 @@ def test_canonical_report_shares_rows_with_its_extension(n, k, tmp_path, capsys)
     capsys.readouterr()
     assert main(["canonical", "--input", str(path)]) == 0
     text = capsys.readouterr().out
-    payload = json.loads(text)["payload"]
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
-    # the row blocks give the bytes of the unshared objects
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # the extension is written as column ranges of the system's Graph(H0*)
+    # basis; expanded, the report gives the bytes of the full objects
+    payload = expand_report(report)["payload"]
     system = bd.canonical_system(fmt.relation_from_json(json.loads(path.read_text())))
     extension = ext.canonical_max_dissipative(system)
-    written = json.loads(fmt.dumps(fmt.relation_to_json(extension)))
-    assert payload["max_dissipative_extension"] == written
-    assert payload["system"] == json.loads(fmt.dumps(fmt.system_to_json(system)))
+    written = fmt.dumps(fmt.relation_to_json(extension))
+    assert fmt.dumps(payload["max_dissipative_extension"]) == written
+    assert fmt.dumps(payload["system"]) == fmt.dumps(fmt.system_to_json(system))
 
 
 @pytest.fixture

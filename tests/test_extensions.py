@@ -139,8 +139,12 @@ def test_triplet_extension_minus_one_gives_multivalued():
 
 def test_bridge_on_zero_relation_examples():
     s = zero_system()
-    assert ext.bridge_check(s, np.eye(1), np.array([[1j]]))
-    assert ext.bridge_check(s, np.array([[1j]]), np.array([[1j]]))
+    l = np.array([[1j]])
+    lhs = ext.system_unitary_extension(s, l)
+    assert ext.bridge_check(s, np.eye(1), l, lhs)
+    assert ext.bridge_check(s, np.array([[1j]]), l, lhs)
+    # a left side that is not the extension of L fails the check
+    assert not ext.bridge_check(s, np.eye(1), l, ext.system_unitary_extension(s, -l))
 
 
 def test_boundary_contraction_of_mult_minus_one_is_zero():
@@ -352,7 +356,7 @@ def test_bridge_identity_random(params, seeds):
     rng0, rng1 = (np.random.default_rng(x) for x in seeds)
     l0 = random_unitary(s.g1.dim, rng0)
     l = random_unitary(s.g1.dim, rng1)
-    assert ext.bridge_check(s, l0, l)
+    assert ext.bridge_check(s, l0, l, ext.system_unitary_extension(s, l))
 
 
 @settings(deadline=None, max_examples=30)

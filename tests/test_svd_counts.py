@@ -58,7 +58,7 @@ def test_relation_commands_svd_and_qr_budget(
 def test_sweep_svd_budget(linalg_calls, capsys):
     assert main(["sweep", "--count", "20", "--seed", "0"]) == 0
     capsys.readouterr()
-    assert linalg_calls["svd"] <= 194
+    assert linalg_calls["svd"] <= 166
     assert linalg_calls["qr"] <= 100
 
 

@@ -12,7 +12,10 @@ every k, and n = 8, 32 and 64 at k = 0, n // 2 and n.  Each relation goes throug
 modes A, B and phi (unitary and contraction parameters drawn from a seeded
 generator); ``sweep --count 200 --seed 0`` and every ``halfline`` subcheck
 run too.  Each case is run twice on this tree, to check that its report is
-the same run to run.
+the same run to run.  Reports are compared in their schema-1 form
+(``tools/expand_report.py``): a schema-2 report drops its ``schema`` key and
+has its ``canonical`` payload expanded, so a schema-2 tree and a schema-1
+baseline differ only where their numbers do.
 
 For every report that differs, each JSON number that differs is listed by
 its key path, with list indices dropped: how many differ, the largest
@@ -39,9 +42,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from expand_report import expand_report  # noqa: E402
+from skewext import formats as fmt  # noqa: E402
 from skewext.sampling import random_unitary  # noqa: E402
 
 SEED = 3
+#: the (n, k) of the relation files; ``generate`` writes each with seed n + k
+SIZES = [(n, k) for n in range(1, 6) for k in range(n + 1)]
+SIZES += [(n, k) for n in (8, 32, 64) for k in (0, n // 2, n)]
 HALFLINE_FUNCTION = [
     {"k": 0, "lambda": "1", "re": "2", "im": "0"},
     {"k": 1, "lambda": "1/2", "re": "-3", "im": "1/7"},
@@ -58,13 +66,22 @@ def _run(src: str, argv: list, cwd: str) -> str:
     return f"exit {done.returncode}\n{done.stderr}{done.stdout}"
 
 
+def _expanded(text: str) -> str:
+    """The text of a run with its report in schema-1 form; a run that
+    wrote no report comes back as it is."""
+    head, _, body = text.partition("\n")
+    try:
+        report = json.loads(body)
+    except ValueError:
+        return text
+    return f"{head}\n{fmt.dumps(expand_report(report))}"
+
+
 def _cases(tmp: str) -> list:
     """(name, argv) of every case, with the input files written into ``tmp``."""
     rng = np.random.default_rng(SEED)
-    sizes = [(n, k) for n in range(1, 6) for k in range(n + 1)]
-    sizes += [(n, k) for n in (8, 32, 64) for k in (0, n // 2, n)]
     cases = []
-    for n, k in sizes:
+    for n, k in SIZES:
         rel = f"rel_{n}_{k}.json"
         generate = ["generate", "--n", str(n), "--k", str(k), "--seed", str(n + k)]
         cases.append((f"generate n={n} k={k}", [*generate, "--out-relation", "gen.json"]))
@@ -155,7 +172,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, case in _cases(tmp):
             new = _run(here, case, tmp)
-            summary = _summary(new, _run(base, case, tmp))
+            summary = _summary(_expanded(new), _expanded(_run(base, case, tmp)))
             summary["repeatable"] = new == _run(here, case, tmp)
             result[name] = summary
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"

@@ -11,13 +11,14 @@ CLI figures are the median wall time of ``REPEAT`` fresh interpreters
 running ``python3 -m skewext.cli``, so they include the import.  With
 ``--baseline-src`` the CLI figures are also taken with that source tree
 on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, the
-n = 64 layer figures are also taken on that tree in a child interpreter
-(``layers_baseline``), and the half-line figures are also taken with that
-tree's ``halfline`` and ``formats`` modules (``halfline_baseline``), the
-two trees taking turns at each size, for a before/after comparison on the
-same machine.  Each positive layer figure also gets its local exponent
-between consecutive sizes (``layer_exponents``), so the growth of every
-layer in n is read off the file.
+n = 64, 128 and 256 layer figures are also taken on that tree in a child
+interpreter (``layers_baseline``), and the half-line figures are also
+taken with that tree's ``halfline`` and ``formats`` modules
+(``halfline_baseline``), the two trees taking turns at each size, for a
+before/after comparison on the same machine.  Each positive layer figure
+also gets its local exponent between consecutive sizes
+(``layer_exponents``), so the growth of every layer in n is read off the
+file.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
@@ -64,8 +65,8 @@ SIZES = (4, 16, 64, 128, 256)
 HALFLINE_TERMS = (10, 30, 60)
 SEED = 7
 REPEAT = 7
-#: the size whose layers are also taken on a ``--baseline-src`` tree
-BASELINE_LAYER_SIZE = 64
+#: the sizes whose layers are also taken on a ``--baseline-src`` tree
+BASELINE_LAYER_SIZES = (64, 128, 256)
 
 
 def _best(fn, *args):
@@ -188,8 +189,6 @@ def layer_timings(n: int) -> dict:
         "formats.report_bytes": len(fmt.dumps(payload)),
         "formats.report_encode_dumps_s": b(fmt.dumps, payload),
         "formats.report_parts_s": b(report_parts, payload),
-        # F at its nesting depth in the report: payload, system, F
-        "formats.f_rows_s": b(fmt._array_rows, fmt.matrix_to_json(s.f_matrix), 3),
         "cli.emit_file_s": emit_file_s,
         "formats.relation_file_bytes": len(relation_text),
         "formats.relation_load_s": relation_load_s,
@@ -501,13 +500,13 @@ def main(argv=None) -> int:
             "canonical extension, since a relation caches the largest "
             "eigenvalue of its form",
             "verify": "verify_system_s is boundary.verify_system on the "
-            "canonical system: the form check and the rank of F; f_rows_s is "
-            "formats._array_rows of F at its nesting depth in the report",
+            "canonical system: the form check and the rank of F",
             "layer_exponents": "for each pair of consecutive sizes n1 < n2, "
             "log(v2 / v1) / log(n2 / n1) of each positive layer figure: the "
             "local slope on a log-log scale, 3 for cubic growth",
-            "layers_baseline": "the n = 64 layers of the --baseline-src tree, "
-            "taken in a child interpreter that imports skewext from that tree",
+            "layers_baseline": "the n = 64, 128 and 256 layers of the "
+            "--baseline-src tree, taken in a child interpreter that imports "
+            "skewext from that tree",
             "report": "the payload of `canonical` on the relation file "
             "generate writes, as relation_commands.cmd_canonical builds it; "
             "report_bytes is the length of its formats.dumps text; "
@@ -547,9 +546,9 @@ def main(argv=None) -> int:
     modules = {"halfline": hl}
     if args.baseline_src:
         trees["cli_baseline"] = str(Path(args.baseline_src).resolve())
-        n = BASELINE_LAYER_SIZE
         record["layers_baseline"] = {
             f"n={n}": baseline_layers(trees["cli_baseline"], n)
+            for n in BASELINE_LAYER_SIZES
         }
         modules["halfline_baseline"] = baseline_halfline(trees["cli_baseline"])
     # the two trees take turns at each size, so that a slow spell of the
