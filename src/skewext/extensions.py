@@ -12,11 +12,13 @@ Gorbachuk condition (L - 1) Gamma1 + (L + 1) Gamma2 = 0) and contractions
 the maximal dissipative ones (``extension_from_contraction``), with
 unitarity of the contraction equivalent to skew-self-adjointness of the
 extension.  Each constructor checks its parameter and builds the graph
-through ``_adjoint_portion``; both read-offs (``system_unitary_readoff``,
-``boundary_contraction_of``) are the one inverse K = B[h] A[h]^+
-(``_readoff``).  ``bridge_check`` verifies the identity connecting the two
-unitary families through a reference unitary L0, on a system-side
-extension its caller has built.
+through ``_adjoint_portion``: the Graph(H0*) basis times the QR complement
+of (K A - B)^H, with no rank decision, since surjective boundary maps give
+K A - B full row rank for every admissible K.  Both read-offs
+(``system_unitary_readoff``, ``boundary_contraction_of``) are the one
+inverse K = B[h] A[h]^+ (``_readoff``).  ``bridge_check`` verifies the
+identity connecting the two unitary families through a reference unitary
+L0, on a system-side extension its caller has built.
 
 Checks on a boundary system or triplet run at the tolerance it was verified
 at (``report.tol``); relation-level predicates take theirs as an argument.
@@ -95,15 +97,21 @@ def _adjoint_portion(data, k: np.ndarray) -> Relation:
     part of Graph(H0*) on which K A = B (``_pair``), negated for a triplet.
     Every extension constructor builds its graph here.
 
-    ker(K A - B) is ran((K A - B)^H)^perp, and the adjoint-graph basis
+    ker(K A - B) is ran((K A - B)^H)^perp, the tail of the complete QR of
+    (K A - B)^H (``subspace.complement``), and the adjoint-graph basis
     times that orthonormal kernel basis is already an orthonormal graph
-    basis.
+    basis.  No rank decision is needed: the boundary maps are surjective,
+    so K A - B has full row rank for every admissible K.  For a system,
+    K F1 - F2 = [K, -I] F with [K, -I][K, -I]^H = K K^H + I >= I, so
+    sigma_min(K F1 - F2) >= sigma_min(F).  For a triplet,
+    K A - B = (K - 1) Gamma1 + (K + 1) Gamma2 = [K, -I] [A; B], and
+    [A; B] is sqrt(2) times a unitary applied to [Gamma1; Gamma2], so
+    sigma_min(K A - B) >= sqrt(2) sigma_min([Gamma1; Gamma2]).
     """
     a, b, negated = _pair(data)
-    kernel = sub.complement((k @ a - b).conj().T)
-    graph = data.adjoint_graph.basis @ kernel.basis
+    (kernel,) = sub.complement((k @ a - b).conj().T)
     n = data.base.space_dim
-    portion = Relation(n, sub._graph(graph))
+    portion = Relation(n, sub._graph(data.adjoint_graph.basis @ kernel))
     return rel.negate(portion) if negated else portion
 
 

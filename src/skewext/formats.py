@@ -278,7 +278,7 @@ def matrix_from_json(obj) -> np.ndarray:
     pairs = [p for row in obj for p in row]
     if not set(map(type, pairs)) <= {list, tuple} or not set(map(len, pairs)) <= {2}:
         raise ValueError("matrix entries must be [re, im] pairs")
-    if not {type(x) for p in pairs for x in p} <= {int, float}:
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
         raise ValueError("pair entries must be JSON numbers")
     try:
         values = np.fromiter(

@@ -14,8 +14,8 @@ check from the same two products (``subspace._graph``; -T takes those of
 T, negated), and the predicates read it; the largest eigenvalue of Omega
 is computed once per relation.
 The block combinations whose complements give the adjoint and the
-deficiency spaces are isometries, so each complement is read off a
-complete QR, with no rank decision.
+deficiency spaces are isometries, so each complement is the tail of a
+complete QR (``subspace.complement``), with no rank decision.
 
 The inner product convention is fixed globally: conjugate-linear in the
 SECOND argument, ``<a, b> = b^H a``.
@@ -137,11 +137,11 @@ def adjoint(t: Relation) -> Relation:
     Graph(T*) is the orthogonal complement of J Graph(T) where
     J(x, x') = (-x', x); equivalently (y, y') belongs to Graph(T*) iff
     <x', y> = <x, y'> for every (x, x') in Graph(T).  J maps the
-    orthonormal graph basis to an isometry, so the complement is read off
-    its complete QR, with no rank decision.
+    orthonormal graph basis to an isometry, so the complement is the tail
+    of its complete QR (``subspace.complement``), with no rank decision.
     """
     x, xp = t.blocks()
-    (basis,) = sub._isometry_complements(np.vstack([-xp, x]))
+    (basis,) = sub.complement(np.vstack([-xp, x]))
     return Relation(t.space_dim, sub._graph(basis))
 
 
@@ -235,9 +235,10 @@ def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:
     complements of the column spans of X - X' and X + X' for the graph
     blocks (X, X').  The graph basis is orthonormal and Omega vanishes on
     it, so (X -+ X')^H (X -+ X') = X^H X + X'^H X' -+ Omega = I up to the
-    tolerance: both are isometries, and both complements are read off one
-    batched complete QR, with no rank decision.  Computed once per relation
-    and tolerance; later calls reuse it.
+    tolerance: both are isometries, and both complements are the tails of
+    one batched complete QR (``subspace.complement``), with no rank
+    decision.  Computed once per relation and tolerance; later calls reuse
+    it.
     """
     data = t._deficiency.get(tol)
     if data is None:
@@ -245,7 +246,7 @@ def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:
             raise NotSkewSymmetric("deficiency spaces need a skew-symmetric relation")
         x, xp = t.blocks()
         n = t.space_dim
-        b1, b2 = sub._isometry_complements(x - xp, x + xp)
+        b1, b2 = sub.complement(x - xp, x + xp)
         g1, g2 = Subspace(n, b1), Subspace(n, b2)
         data = DeficiencyData(g1=g1, g2=g2, indices=(g1.dim, g2.dim))
         t._deficiency[tol] = data

@@ -5,12 +5,14 @@ A subspace of C^m is stored as an m-by-k matrix with orthonormal columns
 on arbitrary matrices use singular values with a relative threshold, well
 conditioned at the small ambient dimensions this package works at; a block
 of rows of an orthonormal basis has its singular values in [0, 1] and is cut
-at the absolute threshold ``RANK_TOL`` instead; the complement of an
-isometry makes no rank decision and is read off a complete QR.  A graph
-subspace of C^2n (``_graph``) also holds its Gram matrix and its form Omega,
-both from the same two half-size products, so its orthonormality check and
-Omega cost one Gram matrix.  Distances compare the bases directly, without
-forming projectors.  Values are immutable and every operation is a pure
+at the absolute threshold ``RANK_TOL`` instead.  An SVD is taken only
+where a rank is part of the answer: every orthogonal complement is of a
+matrix of full column rank and is the tail of one complete QR
+(``complement``), with no rank decision.  A graph subspace of C^2n
+(``_graph``) also holds its Gram matrix and its form Omega, both from the
+same two half-size products, so its orthonormality check and Omega cost one
+Gram matrix.  Distances compare the bases directly, without forming
+projectors.  Values are immutable and every operation is a pure
 function.
 """
 
@@ -122,13 +124,6 @@ def zero(m: int) -> Subspace:
     return Subspace(m, np.zeros((m, 0), dtype=complex))
 
 
-def full(m: int) -> Subspace:
-    """All of C^m."""
-    if m < 1:
-        raise EmptyAmbient("ambient dimension must be positive")
-    return Subspace(m, np.eye(m, dtype=complex))
-
-
 def span(vectors, m=None, tol: float = RANK_TOL) -> Subspace:
     """Closed span of a sequence of complex m-vectors.
 
@@ -189,37 +184,26 @@ def _span_basis(a: np.ndarray, tol: float) -> np.ndarray:
     return _canonical_phases(u[:, : numerical_rank(s, tol)])
 
 
-def complement(a: np.ndarray) -> Subspace:
-    """Orthogonal complement of the column span of a complex matrix.
-
-    One full SVD: the left singular vectors past the numerical rank at
-    relative tolerance ``RANK_TOL``.  A matrix without columns, or with only
-    zero entries, has the whole space as its complement (``full`` rejects
-    an empty ambient space).  The complement of an isometry needs no rank
-    decision (``_isometry_complements``).
-    """
-    a = np.asarray(a, dtype=complex)
-    m = a.shape[0]
-    if a.shape[1] == 0 or not np.any(a):
-        return full(m)
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    return Subspace(m, _canonical_phases(u[:, numerical_rank(s) :]))
-
-
-def _isometry_complements(*isometries: np.ndarray) -> list:
+def complement(*matrices: np.ndarray) -> list:
     """Orthonormal bases of the orthogonal complements of the column spans
-    of m-by-k isometries of one shape: the last m - k columns of each
-    complete QR, all from one batched QR call.
+    of m-by-k matrices of one shape and full column rank: the last m - k
+    columns of each complete QR, all from one batched QR call, with
+    ``_canonical_phases`` applied.  Every complement the library takes is
+    this one.
 
-    An isometry has rank k, so no rank decision is made; the columns need
-    only be independent, as they are within a small distance of an
-    isometry.  Without columns the complement is the whole space, whose
-    basis is the identity.
+    No rank decision is made; full column rank is the premise, and the
+    callers' matrices have it by construction: an orthonormal graph basis
+    rotated by J (``relation.adjoint``), X -+ X' on a skew-symmetric graph
+    (``relation.deficiency``), both isometries, and (K A - B)^H, whose
+    smallest singular value is bounded below by that of the surjective
+    boundary maps (``extensions._adjoint_portion``).  For a matrix of lower
+    rank the result is not its complement.  Without columns the complement
+    is the whole space, whose basis is the identity.
     """
-    m, k = isometries[0].shape
+    m, k = matrices[0].shape
     if not k:
-        return [np.eye(m, dtype=complex) for _ in isometries]
-    q = np.linalg.qr(np.stack(isometries), mode="complete")[0]
+        return [np.eye(m, dtype=complex) for _ in matrices]
+    q = np.linalg.qr(np.stack(matrices), mode="complete")[0]
     return [_canonical_phases(b[:, k:]) for b in q]
 
 

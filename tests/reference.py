@@ -6,8 +6,10 @@ routes to the same objects (the oblique projection behind the canonical
 boundary map, -T* through the swapped orthocomplement, the kernel,
 multivalued part and domain of a relation by subspace intersection, the gap
 distance by projectors, the gap of the adjoint formula through Graph(H*) as a
-complement, the adjoint and the deficiency spaces as SVD complements with a
-rank cut, the half-line inner product, derivative, a f + b f'
+complement, the orthogonal complement of any matrix as one full SVD with a
+rank cut (the library's one complement, a complete QR, takes only matrices
+of full column rank), the adjoint and the deficiency spaces as such SVD
+complements, the half-line inner product, derivative, a f + b f'
 and resolvent term by term, the term records of a half-line function one
 dict per term, the canonical order of a term dict and the structure of
 the canonical integer form) and as convenient constructors of test inputs.
@@ -30,8 +32,9 @@ from skewext.subspace import (
     ORTH_TOL,
     RANK_TOL,
     Subspace,
+    _canonical_phases,
     _check_same_ambient,
-    complement,
+    numerical_rank,
     span_matrix,
 )
 
@@ -44,6 +47,26 @@ class NotDirect(SkewextError):
 
 class NotInSum(SkewextError):
     """Raised when a vector to be decomposed does not lie in the sum of the parts."""
+
+
+def full(m: int) -> Subspace:
+    """All of C^m."""
+    return Subspace(m, np.eye(m, dtype=complex))
+
+
+def complement(a: np.ndarray) -> Subspace:
+    """Orthogonal complement of the column span of any complex matrix.
+
+    One full SVD: the left singular vectors past the numerical rank at
+    relative tolerance ``RANK_TOL``.  A matrix without columns, or with only
+    zero entries, has the whole space as its complement.
+    """
+    a = np.asarray(a, dtype=complex)
+    m = a.shape[0]
+    if a.shape[1] == 0 or not np.any(a):
+        return full(m)
+    u, s, _ = np.linalg.svd(a, full_matrices=True)
+    return Subspace(m, _canonical_phases(u[:, numerical_rank(s) :]))
 
 
 def sum_of(s: Subspace, t: Subspace, tol: float = RANK_TOL) -> Subspace:
@@ -102,14 +125,14 @@ def formula_graph(first: Subspace, second: Subspace, negated: bool = True) -> Su
 
 def adjoint_gap_by_complement(h: Relation, graph: Subspace) -> float:
     """The gap between Graph(H*) and ``graph``: Graph(H*) from
-    ``relation.adjoint`` (one complement SVD), then ``subspace.distance``,
+    ``relation.adjoint`` (one complement QR), then ``subspace.distance``,
     which reads 1.0 when the dimensions differ."""
     return sub.distance(adjoint(h).graph, graph)
 
 
 def adjoint_by_svd(t: Relation) -> Relation:
     """T*, with Graph(T*) = (J Graph(T))^perp for J(x, x') = (-x', x) as
-    the SVD complement of J B with its rank cut (``subspace.complement``)."""
+    the SVD complement of J B with its rank cut (``complement``)."""
     x, xp = t.blocks()
     return Relation(t.space_dim, complement(np.vstack([-xp, x])))
 
@@ -175,7 +198,7 @@ def oblique_project(parts, v, tol: float = ORTH_TOL):
 
 def full_relation(n: int) -> Relation:
     """The relation whose graph is all of C^2n."""
-    return Relation(n, sub.full(2 * n))
+    return Relation(n, full(2 * n))
 
 
 def from_operator(a, domain: Subspace) -> Relation:

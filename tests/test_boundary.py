@@ -36,7 +36,7 @@ def zero_relation_triplet():
     return bd.BoundaryTriplet(
         base=h0,
         adjoint_graph=rel.adjoint(h0).graph,
-        g=sub.full(1),
+        g=ref.full(1),
         gamma1=np.array([[1.0, 0.0]], dtype=complex),
         gamma2=np.array([[0.0, 1.0]], dtype=complex),
     )
@@ -222,7 +222,7 @@ def test_canonical_decomposition_zero_relation():
 
 
 def test_canonical_decomposition_mult_i():
-    h0 = ref.from_operator(np.array([[1j]]), sub.full(1))
+    h0 = ref.from_operator(np.array([[1j]]), ref.full(1))
     g_neg, ghat1, ghat2 = bd.canonical_pieces(bd.canonical_system(h0))
     # no deficiency: the negated-graph piece is everything
     assert sub.equal(g_neg, rel.negate(h0).graph)
@@ -239,12 +239,12 @@ def test_canonical_decomposition_dimension_count():
 def test_canonical_decomposition_requires_skew():
     with pytest.raises(NotSkewSymmetric):
         bd.canonical_pieces(
-            bd.canonical_system(ref.from_operator(np.eye(1), sub.full(1)))
+            bd.canonical_system(ref.from_operator(np.eye(1), ref.full(1)))
         )
 
 
 def test_canonical_system_mult_i_degenerate():
-    h0 = ref.from_operator(np.array([[1j]]), sub.full(1))
+    h0 = ref.from_operator(np.array([[1j]]), ref.full(1))
     s = bd.canonical_system(h0)
     assert s.g1.dim == 0 and s.g2.dim == 0
     assert s.f_matrix.shape == (0, 1)
@@ -316,7 +316,7 @@ def test_conversion_roundtrip_on_canonical_systems(params):
 def test_decomposition_failure_is_detectable():
     # tampering with the graph so the pieces cannot sum: a non-skew base
     # sneaks past only at an absurd tolerance, so the guard trips instead
-    h0 = ref.from_operator(np.array([[0.5]]), sub.full(1))
+    h0 = ref.from_operator(np.array([[0.5]]), ref.full(1))
     with pytest.raises((NotSkewSymmetric, DecompositionFailure)):
         bd.canonical_pieces(bd.canonical_system(h0))
 

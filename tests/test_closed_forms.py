@@ -95,7 +95,7 @@ def test_operator_graph_with_prescribed_kernel():
     assert sub.equal(rel.kernel(t), sub.span([(1, 0, 0)]))
     assert sub.equal(rel.domain(t), sub.span([(1, 0, 0), (0, 1, 0)]))
     assert rel.mul_part(t).dim == 0
-    assert sub.equal(rel.mul_part(ref.full_relation(3)), sub.full(3))
+    assert sub.equal(rel.mul_part(ref.full_relation(3)), ref.full(3))
 
 
 def test_scaled_block_is_cut_at_the_absolute_threshold():

@@ -43,7 +43,7 @@ def zero_triplet():
 
 def mult_by(a):
     m = np.atleast_2d(np.asarray(a, dtype=complex))
-    return ref.from_operator(m, sub.full(m.shape[0]))
+    return ref.from_operator(m, ref.full(m.shape[0]))
 
 
 def test_param_validation():
@@ -300,12 +300,50 @@ def test_adjoint_formula_check_builds_no_adjoint_and_no_complement(monkeypatch):
     monkeypatch.setattr(rel, "adjoint", refuse)
     monkeypatch.setattr(sub, "complement", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
     assert ext.adjoint_formula_check(s)
 
 
 def test_canonical_max_dissipative_is_built_once_per_system():
     s = bd.canonical_system(rel.random_skew_symmetric(5, 2, 11))
     assert ext.canonical_max_dissipative(s) is ext.canonical_max_dissipative(s)
+
+
+def _sigma_min(m):
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
+
+
+@settings(deadline=None, max_examples=40)
+@given(params=relation_params, kseed=st.integers(0, 10**6))
+def test_boundary_condition_has_full_row_rank(params, kseed):
+    # the premise of the QR complement in _adjoint_portion: surjective
+    # boundary maps bound sigma_min(K A - B) below for every admissible K
+    n, k, seed = params
+    s = bd.canonical_system(rel.random_skew_symmetric(n, k, seed))
+    rng = np.random.default_rng(kseed)
+    d = s.g1.dim
+    t = bd.system_to_triplet(s, random_unitary(d, rng))
+    gammas = np.vstack([t.gamma1, t.gamma2])
+    cases = [
+        (s, random_unitary(d, rng), ext.system_unitary_extension),
+        (t, random_unitary(d, rng), ext.triplet_unitary_extension),
+        (t, random_contraction(d, rng), ext.extension_from_contraction),
+    ]
+    for data, kmat, build in cases:
+        a, b, negated = ext._pair(data)
+        condition = kmat @ a - b
+        if d:
+            if negated:
+                bound = np.sqrt(2.0) * _sigma_min(gammas)
+            else:
+                bound = _sigma_min(np.vstack([s.f1, s.f2]))
+            assert _sigma_min(condition) >= bound - 1e-12 * max(1.0, bound)
+        # the graph is the Graph(H0*) basis times the SVD complement too
+        kernel = ref.complement(condition.conj().T)
+        expected = sub.Subspace(2 * n, data.adjoint_graph.basis @ kernel.basis)
+        h = build(data, kmat)
+        graph = rel.negate(h).graph if negated else h.graph
+        assert sub.distance(graph, expected) <= 1e-12
 
 
 @settings(deadline=None, max_examples=40)

@@ -50,6 +50,7 @@ def test_relation_from_json_normalizes_generators():
         {"n": True, "graph_generators": [[[1.0, 0.0], [0.0, 1.0]]]},
         # ragged generators with 24 = 3 * 2n pairs in all
         {"n": 4, "graph_generators": [[[1.0, 0.0]] * size for size in (1, 15, 8)]},
+        {"n": 1, "graph_generators": [[[None, 0.0], [0.0, 1.0]]]},
     ],
 )
 def test_relation_from_json_rejects_malformed(obj):

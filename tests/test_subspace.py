@@ -25,7 +25,7 @@ def test_span_empty_in_c3():
 
 def test_span_independent_pair_is_full():
     s = sub.span([(1, 1), (1, -1)])
-    assert sub.equal(s, sub.full(2))
+    assert sub.equal(s, ref.full(2))
 
 
 def test_span_requires_ambient():
@@ -46,18 +46,28 @@ def test_containment_threshold_scales_with_column_norm():
     assert sub.contains_subspace(t, line)
 
 
+def _complement(a):
+    """The library complement of one matrix, as a subspace."""
+    (basis,) = sub.complement(a)
+    return sub.Subspace(a.shape[0], basis)
+
+
 def test_orthocomplement_of_line():
-    s = sub.complement(sub.span([(1, 0)]).basis)
+    s = _complement(sub.span([(1, 0)]).basis)
     assert sub.equal(s, sub.span([(0, 1)]))
 
 
 def test_orthocomplement_of_zero_is_full():
-    assert sub.equal(sub.complement(sub.zero(2).basis), sub.full(2))
+    # the QR complement of no columns is the identity, exactly
+    (basis,) = sub.complement(sub.zero(2).basis)
+    assert np.array_equal(basis, np.eye(2))
+    assert sub.equal(ref.complement(sub.zero(2).basis), ref.full(2))
+    assert sub.equal(ref.complement(np.zeros((2, 3))), ref.full(2))
 
 
 def test_orthocomplement_complex_line():
     # solve <(a, b), (1, i)> = 0 by hand: a - ib = 0, so the line is (i, 1)
-    s = sub.complement(sub.span([(1, 1j)]).basis)
+    s = _complement(sub.span([(1, 1j)]).basis)
     assert s.dim == 1
     assert sub.contains(s, np.array([1j, 1]))
 
@@ -80,7 +90,7 @@ def test_intersect_transversal_lines():
 
 def test_sum_and_contains_and_equal():
     e1, e2 = np.eye(2)
-    assert sub.equal(ref.sum_of(sub.span([e1]), sub.span([e2])), sub.full(2))
+    assert sub.equal(ref.sum_of(sub.span([e1]), sub.span([e2])), ref.full(2))
     assert sub.contains(sub.span([(1, 1j)]), np.array([2, 2j]))
     assert sub.equal(sub.span([e1, e2]), sub.span([(1, 1), (1, -1)]))
 
@@ -96,9 +106,9 @@ def test_subspace_keeps_the_callers_array_writable():
 
 def test_ambient_mismatch_raises():
     with pytest.raises(AmbientMismatch):
-        ref.sum_of(sub.full(2), sub.full(3))
+        ref.sum_of(ref.full(2), ref.full(3))
     with pytest.raises(AmbientMismatch):
-        ref.intersect(sub.full(2), sub.full(3))
+        ref.intersect(ref.full(2), ref.full(3))
 
 
 def test_oblique_project_orthogonal_parts():
@@ -146,7 +156,7 @@ def _random_subspace(m, k, seed):
 def test_double_complement_is_identity(m, frac, seed):
     k = round(float(frac) * m)
     s = _random_subspace(m, k, seed)
-    assert sub.equal(sub.complement(sub.complement(s.basis).basis), s, tol=1e-9)
+    assert sub.equal(_complement(_complement(s.basis).basis), s, tol=1e-9)
 
 
 @settings(deadline=None, max_examples=60)
@@ -169,7 +179,7 @@ def test_oblique_components_resum(m, seed):
     rng = np.random.default_rng(seed)
     k1 = int(rng.integers(1, m))
     s = _random_subspace(m, k1, seed)
-    t = sub.complement(s.basis)
+    t = _complement(s.basis)
     # a vector in the direct sum of complementary parts, possibly skewed
     v = s.basis @ rng.standard_normal(s.dim) + (
         t.basis @ rng.standard_normal(t.dim) if t.dim else 0
@@ -197,18 +207,45 @@ def test_complement_matches_span_then_complement(m, cols, kind, seed):
         left = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         right = rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))
         a = left @ right
-    c = sub.complement(a)
+    c = ref.complement(a)
     spanned = sub.span_matrix(a) if a.shape[1] else sub.zero(m)
-    assert sub.equal(c, sub.complement(spanned.basis))
+    # the SVD complement with its rank cut of any matrix is the library's QR
+    # complement of an orthonormal basis of its span
+    assert sub.equal(c, _complement(spanned.basis))
     assert c.dim + spanned.dim == m
     assert np.linalg.norm(c.basis.conj().T @ a) <= 1e-9 * max(1.0, np.linalg.norm(a))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.integers(1, 8),
+    frac=st.fractions(0, 1),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+)
+def test_complement_of_full_column_rank_matrices(m, frac, count, seed):
+    # full column rank, not orthonormal: the premise is rank, not isometry
+    k = round(float(frac) * m)
+    rng = np.random.default_rng(seed)
+    mats = [
+        rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        for _ in range(count)
+    ]
+    bases = sub.complement(*mats)
+    assert len(bases) == count
+    for a, basis in zip(mats, bases):
+        c = sub.Subspace(m, basis)
+        assert c.dim == m - k
+        assert np.linalg.norm(basis.conj().T @ a) <= 1e-12 * np.linalg.norm(a)
+        assert sub.distance(c, ref.complement(a)) <= 1e-12
+        assert np.array_equal(basis, sub.complement(a)[0])
 
 
 def test_zero_subspace_is_first_class():
     z = sub.zero(3)
     assert z.dim == 0
-    assert sub.equal(ref.sum_of(z, sub.full(3)), sub.full(3))
-    assert ref.intersect(z, sub.full(3)).dim == 0
+    assert sub.equal(ref.sum_of(z, ref.full(3)), ref.full(3))
+    assert ref.intersect(z, ref.full(3)).dim == 0
     assert sub.contains(z, np.zeros(3))
 
 
@@ -246,7 +283,7 @@ def test_canonical_phases_make_every_pivot_exactly_real(m, k, seed):
     _assert_real_pivots(rotated)
     sub.Subspace(m, rotated)
     # the complement and the domain of a relation are built the same way
-    _assert_real_pivots(sub.complement(a).basis)
+    _assert_real_pivots(sub.complement(a)[0])
     relation = rel.Relation(m, sub.span_matrix(rng.standard_normal((2 * m, k))))
     _assert_real_pivots(relation.graph.basis)
     _assert_real_pivots(rel.domain(relation).basis)

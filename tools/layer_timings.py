@@ -22,6 +22,10 @@ file.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
+``subspace.complement_s`` times the complement of a random 2n×n complex
+matrix, which has full column rank: the complete-QR complement, the one
+complement routine.  On a tree whose ``complement`` was a full SVD with a
+rank cut, the same call times that SVD.
 """
 
 from __future__ import annotations
