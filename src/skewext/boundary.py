@@ -49,11 +49,14 @@ from .errors import (
     InvalidTriplet,
     NotUnitary,
 )
-from .linalg import is_unitary
+from .linalg import as_inexact, is_unitary
 from .relation import Relation
 from .subspace import Subspace
 
 _SQRT2 = np.sqrt(2.0)
+# the maps are scaled by 1/sqrt(2) as a product, which is how numpy divides
+# a complex array by a real scalar, so a real map rounds as its complex copy
+_INV_SQRT2 = 1.0 / _SQRT2
 
 
 @dataclass(frozen=True)
@@ -148,14 +151,18 @@ def _freeze_maps(data, spaces, rows: dict):
     """The construction check of a system or triplet ``data``: Graph(H0*)
     in C^2n, each boundary space of ``spaces`` in C^n, and each map named in
     ``rows`` of shape (its row count, dim Graph(H0*)).  Each map is then
-    held as a read-only complex copy, so the caller's array stays writable."""
+    held as a read-only copy, so the caller's array stays writable: float64
+    when its entries are real, complex otherwise (``linalg.as_inexact``).
+    A real map, such as the canonical F = [0 | I] and the triplets of real
+    reference unitaries built from it, keeps its verifier's products and
+    its row-rank SVD in real arithmetic."""
     n = data.base.space_dim
     if data.adjoint_graph.ambient_dim != 2 * n:
         raise AmbientMismatch("adjoint graph must live in C^(2n)")
     if any(g.ambient_dim != n for g in spaces):
         raise AmbientMismatch("boundary spaces must live in C^n")
     for name, count in rows.items():
-        m = np.array(getattr(data, name), dtype=complex)
+        m = np.array(as_inexact(getattr(data, name)))
         expected = (count, data.adjoint_graph.dim)
         if m.shape != expected:
             raise AmbientMismatch(f"{name} must have shape {expected}, got {m.shape}")
@@ -234,7 +241,7 @@ def triplet_to_system(t: BoundaryTriplet) -> BoundarySystem:
     verified at the triplet's tolerance.
     """
     require_valid_triplet(t)
-    f = np.vstack([(t.gamma1 + t.gamma2) / _SQRT2, (t.gamma1 - t.gamma2) / _SQRT2])
+    f = np.vstack([t.gamma1 + t.gamma2, t.gamma1 - t.gamma2]) * _INV_SQRT2
     return BoundarySystem(
         base=t.base,
         adjoint_graph=t.adjoint_graph,
@@ -255,7 +262,7 @@ def system_to_triplet(s: BoundarySystem, l0) -> BoundaryTriplet:
     """
     if s.g1.dim != s.g2.dim:
         raise DimensionMismatch(s.g1.dim, s.g2.dim)
-    l0 = np.asarray(l0, dtype=complex)
+    l0 = as_inexact(l0)
     _require_unitary(l0, s.g2.dim, s.g1.dim, "L0")
     require_valid_system(s)
     return _triplet_of(s, l0)
@@ -269,8 +276,8 @@ def _triplet_of(s: BoundarySystem, l0: np.ndarray) -> BoundaryTriplet:
         base=s.base,
         adjoint_graph=s.adjoint_graph,
         g=s.g1,
-        gamma1=(s.f1 + l0_inv_f2) / _SQRT2,
-        gamma2=(s.f1 - l0_inv_f2) / _SQRT2,
+        gamma1=(s.f1 + l0_inv_f2) * _INV_SQRT2,
+        gamma2=(s.f1 - l0_inv_f2) * _INV_SQRT2,
         tol=s.report.tol,
     )
 

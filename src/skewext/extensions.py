@@ -198,17 +198,41 @@ def bridge_check(s: BoundarySystem, l0, l, lhs: Relation) -> bool:
     return sub.distance(lhs.graph, rhs.graph) <= s.report.tol
 
 
-def _range_of_one_minus(h: Relation) -> int:
-    x, xp = h.blocks()
-    return sub.rank(x - xp)
+def _one_minus_is_onto(h: Relation) -> bool:
+    """The range condition ran(1 - H) = C^n, from the spectrum of Omega.
+
+    ran(1 - H) is the column span of X - X' for the graph blocks (X, X').
+    C = (X - X') / sqrt(2) is a block of rows of the orthonormal basis
+    ((X + X'), (X - X')) / sqrt(2), and C^H C = (Gram - Omega) / 2 with
+    Gram = I: its eigenvalues, the squared singular values of C, lie in
+    [0, 1] and are (1 - lambda_i) / 2 over the eigenvalues lambda_i of
+    Omega, which the relation holds from its one eigensolve.  C has
+    min(n, d) singular values, from the n smallest lambda_i, and they all
+    count when (1 - lambda_i) / 2 exceeds ``RANK_TOL``: the absolute cut
+    of a block of rows of an orthonormal basis, here on the squared values
+    this route computes.  They carry the round-off of the eigensolve, about
+    eps, so a cut on sqrt(1 - lambda_i) near RANK_TOL would count a
+    singular value of pure round-off (about 1e-8 after the root) as rank.
+
+    A dissipative H at a tolerance below 1/2 - RANK_TOL has
+    lambda_i <= 2 tol < 1 - 2 RANK_TOL, so the condition is d = n.  Only a
+    tolerance of 1/2 or more lets a dissipative H have a singular value of
+    X - X' at or below sqrt(2 RANK_TOL) ~ 1.4e-5, the one band where this
+    verdict may differ from a relative rank cut on an SVD of X - X'.
+    """
+    n = h.space_dim
+    if h.graph_dim < n:
+        return False
+    return float(h._omega_eigenvalues[n - 1]) < 1.0 - 2.0 * sub.RANK_TOL
 
 
 def is_maximal_dissipative(h: Relation, tol: float = sub.ORTH_TOL) -> bool:
     """Dissipative with ran(1 - H) = C^n (the range condition for maximality).
 
-    The dissipativity half reuses the largest eigenvalue of Omega that
-    ``relation.is_dissipative`` computes once per relation."""
-    return rel.is_dissipative(h, tol) and _range_of_one_minus(h) == h.space_dim
+    Both halves read the spectrum of Omega that the relation computes once
+    (``relation.is_dissipative`` and ``_one_minus_is_onto``): no SVD of
+    X - X' is taken."""
+    return rel.is_dissipative(h, tol) and _one_minus_is_onto(h)
 
 
 def boundary_contraction_of(t: BoundaryTriplet, h: Relation) -> np.ndarray:
@@ -222,7 +246,7 @@ def boundary_contraction_of(t: BoundaryTriplet, h: Relation) -> np.ndarray:
     tol = t.report.tol
     if not rel.is_dissipative(h, tol):
         raise NotDissipative("relation is not dissipative")
-    if _range_of_one_minus(h) != h.space_dim:
+    if not _one_minus_is_onto(h):
         raise NotMaximal("range condition fails: ran(1 - H) is a proper subspace")
     premise = "boundary sums do not span G; maximality premise violated"
     kmat, plus, minus = _readoff(t, h, IllDefined, premise)
@@ -281,7 +305,8 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
     (k1, k2) plus a null part of dimension dim Graph(H0), so it compares the
     counts of eigenvalues of Omega above ``s.report.tol`` and below its
     negative, on a Graph(H0*) basis of its own from ``relation.adjoint``
-    (the system's basis is built from g1 and g2), which holds its Omega.
+    (the system's basis is built from g1 and g2), whose spectrum is that
+    relation's one eigensolve.
     """
     indices = rel.deficiency(s.base, s.report.tol).indices
     k1, k2 = s.g1.dim, s.g2.dim
@@ -290,12 +315,12 @@ def existence_report(s: BoundarySystem) -> ExistenceReport:
     triplet_ok = False
     if k1 == k2:
         require_valid_system(s)
-        eye = np.eye(k2, k1, dtype=complex)
+        eye = np.eye(k2, k1)
         extension = _adjoint_portion(s, eye)
         has_sksa = rel.is_skew_self_adjoint(extension, s.report.tol)
         triplet_ok = _triplet_of(s, eye).report.ok
 
-    omega = np.linalg.eigvalsh(rel._omega(rel.adjoint(s.base).graph))
+    omega = rel.adjoint(s.base)._omega_eigenvalues
     positive = int(np.count_nonzero(omega > s.report.tol))
     negative = int(np.count_nonzero(omega < -s.report.tol))
 

@@ -11,8 +11,8 @@ product with the blocks, and the skew-symmetry and dissipativity
 predicates as small matrices over the basis.  Every graph this module
 builds holds the form Omega on its basis, computed with its orthonormality
 check from the same two products (``subspace._graph``; -T takes those of
-T, negated), and the predicates read it; the largest eigenvalue of Omega
-is computed once per relation.
+T, negated), and the predicates read it; the spectrum of Omega is
+computed once per relation.
 The block combinations whose complements give the adjoint and the
 deficiency spaces are isometries, so each complement is the tail of a
 complete QR (``subspace.complement``), with no rank decision.
@@ -66,11 +66,15 @@ class Relation:
         return self.graph.basis[:n, :], self.graph.basis[n:, :]
 
     @cached_property
-    def _largest_omega_eigenvalue(self) -> float:
-        """The largest eigenvalue of Omega on the graph basis, from the one
-        Hermitian eigensolve of the relation; ``is_dissipative`` compares it
-        with its tolerance on every call.  Needs a nonzero graph."""
-        return float(np.max(np.linalg.eigvalsh(_omega(self.graph))))
+    def _omega_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of Omega on the graph basis, in ascending order,
+        from the one Hermitian eigensolve of the relation.  Dissipativity
+        reads the largest (``is_dissipative``), and the range condition of
+        maximality the n-th smallest (``extensions.is_maximal_dissipative``).
+        Needs a nonzero graph."""
+        eigenvalues = np.linalg.eigvalsh(_omega(self.graph))
+        eigenvalues.setflags(write=False)
+        return eigenvalues
 
     def __repr__(self):
         return f"Relation(space_dim={self.space_dim}, graph_dim={self.graph_dim})"
@@ -218,12 +222,12 @@ def is_dissipative(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
 
     The supremum over the graph is one Hermitian eigenproblem: with X, X'
     the graph basis blocks, the condition is that the largest eigenvalue
-    of X'^H X + X^H X' (``omega_matrix``) is at most 2 tol.  The eigenvalue
+    of X'^H X + X^H X' (``omega_matrix``) is at most 2 tol.  The spectrum
     is computed once per relation and compared with 2 tol on every call.
     """
     if t.graph_dim == 0:
         return True
-    return t._largest_omega_eigenvalue <= 2.0 * tol
+    return float(t._omega_eigenvalues[-1]) <= 2.0 * tol
 
 
 def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:

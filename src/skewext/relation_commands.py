@@ -42,9 +42,10 @@ def _load_relation(args):
 
 def _load_l0(path, dim: int):
     """The reference unitary for triplet constructions and the digest of its
-    file; the identity and ``None`` when no file is given."""
+    file; the identity and ``None`` when no file is given.  The identity is
+    real, so the triplet built from the real canonical F stays real."""
     if path is None:
-        return np.eye(dim, dtype=complex), None
+        return np.eye(dim), None
     obj, digest = _load_numeric_json(path)
     return fmt.unitary_matrix_from_json(obj), digest
 

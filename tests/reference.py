@@ -9,7 +9,9 @@ distance by projectors, the gap of the adjoint formula through Graph(H*) as a
 complement, the orthogonal complement of any matrix as one full SVD with a
 rank cut (the library's one complement, a complete QR, takes only matrices
 of full column rank), the adjoint and the deficiency spaces as such SVD
-complements, the half-line inner product, derivative, a f + b f'
+complements, the spectral norm and the range condition of maximality by SVD
+(the library reads them off Gram matrices and the spectrum of Omega), the
+half-line inner product, derivative, a f + b f'
 and resolvent term by term, the term records of a half-line function one
 dict per term, the canonical order of a term dict and the structure of
 the canonical integer form) and as convenient constructors of test inputs.
@@ -26,7 +28,7 @@ import numpy as np
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, SkewextError
 from skewext.halfline import QC, ExpPoly, RationalComplex
-from skewext.relation import Relation, adjoint, negate
+from skewext.relation import Relation, adjoint, is_dissipative, negate
 from skewext.sampling import complex_gaussian
 from skewext.subspace import (
     ORTH_TOL,
@@ -142,6 +144,27 @@ def deficiency_by_svd(t: Relation):
     with their rank cut, of X - X' and X + X' for the graph blocks (X, X')."""
     x, xp = t.blocks()
     return complement(x - xp), complement(x + xp)
+
+
+def matrix_2norm_by_svd(m) -> float:
+    """The spectral norm as the largest singular value of one SVD of the
+    complex matrix, 0 for the empty matrix."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def one_minus_singular_values(h: Relation) -> np.ndarray:
+    """The singular values of X - X' for the graph blocks (X, X'), in
+    descending order, from one SVD: ran(1 - H) is its column span."""
+    x, xp = h.blocks()
+    return np.linalg.svd(x - xp, compute_uv=False)
+
+
+def is_maximal_dissipative_by_svd(h: Relation, tol: float = ORTH_TOL) -> bool:
+    """Dissipative with ran(1 - H) = C^n, the range condition as the
+    numerical rank of X - X' by SVD, at the package's relative rank cut."""
+    rank = numerical_rank(one_minus_singular_values(h))
+    return is_dissipative(h, tol) and rank == h.space_dim
 
 
 def oblique_project(parts, v, tol: float = ORTH_TOL):

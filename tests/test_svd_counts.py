@@ -1,15 +1,20 @@
-"""SVD and QR budget of the CLI pipelines and of the relation-level spaces.
+"""LAPACK call budget of the CLI pipelines and of the relation-level spaces.
 
 Every orthogonal complement is one complete QR (``subspace.complement``),
 of a matrix of full column rank, with no rank decision: the adjoint graph,
 the deficiency spaces, which share one batched QR, and every extension
 graph.  An SVD is taken only where a rank is part of the answer, and no
-orthonormal product is re-spanned.  These bounds, the counts of this code,
-catch a reintroduced span-then-complement or re-span step and an SVD where
-a QR suffices; the sums catch a complement moved between the two that
-adds a call.  Calls are counted on ``numpy.linalg.svd`` and
-``numpy.linalg.qr``, the names every module calls through; the seeded
-unitaries of ``sweep`` take one QR each.
+orthonormal product is re-spanned.  Each relation takes one Hermitian
+eigensolve of Omega, read by dissipativity and by the range condition of
+maximality, and each spectral norm is one eigensolve of the smaller Gram
+matrix (``linalg.matrix_2norm``).  These bounds, the counts of this code,
+catch a reintroduced span-then-complement or re-span step, an SVD where a
+QR or an eigensolve suffices, and a second eigensolve of one relation; the
+sums catch a factorization moved from one kind to another that adds a
+call.  Calls are counted on ``numpy.linalg.svd``, ``qr`` and ``eigvalsh``,
+the names every module calls through, and on the same names in numpy's
+implementation module, so the SVD inside ``numpy.linalg.norm(m, 2)`` is
+counted too; the seeded unitaries of ``sweep`` take one QR each.
 """
 
 import numpy as np
@@ -18,10 +23,17 @@ import pytest
 from skewext import relation as rel
 from skewext.cli import main
 
+try:
+    from numpy.linalg import _linalg as linalg_impl
+except ImportError:  # numpy < 2
+    from numpy.linalg import linalg as linalg_impl
+
+NAMES = ("svd", "qr", "eigvalsh")
+
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    calls = {"svd": 0, "qr": 0}
+    calls = dict.fromkeys(NAMES, 0)
 
     def counting(name):
         original = getattr(np.linalg, name)
@@ -32,8 +44,10 @@ def linalg_calls(monkeypatch):
 
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    for name in NAMES:
+        counted = counting(name)
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(linalg_impl, name, counted)
     return calls
 
 
@@ -46,28 +60,37 @@ def relation_file(tmp_path, capsys):
     return str(path)
 
 
-#: the most SVDs and QRs together per pipeline
-CALLS_SUM = {"canonical": 4, "analyze": 6, "sweep": 266}
+def test_the_counter_sees_the_svd_of_a_spectral_norm(linalg_calls):
+    np.linalg.norm(np.eye(3), 2)
+    assert linalg_calls == {"svd": 1, "qr": 0, "eigvalsh": 0}
 
 
-@pytest.mark.parametrize("command, svds, qrs", [("canonical", 3, 1), ("analyze", 3, 3)])
+#: the most Hermitian eigensolves per pipeline
+EIGVALSH = {"canonical": 3, "analyze": 2, "sweep": 96}
+#: the most SVDs, QRs and eigensolves together per pipeline
+CALLS_SUM = {"canonical": 6, "analyze": 8, "sweep": 342}
+
+
+@pytest.mark.parametrize("command, svds, qrs", [("canonical", 2, 1), ("analyze", 3, 3)])
 def test_relation_commands_svd_and_qr_budget(
     command, svds, qrs, relation_file, linalg_calls, capsys
 ):
-    linalg_calls.update(svd=0, qr=0)
+    linalg_calls.update(dict.fromkeys(NAMES, 0))
     assert main([command, "--input", relation_file]) == 0
     capsys.readouterr()
     assert linalg_calls["svd"] <= svds
     assert linalg_calls["qr"] <= qrs
-    assert linalg_calls["svd"] + linalg_calls["qr"] <= CALLS_SUM[command]
+    assert linalg_calls["eigvalsh"] <= EIGVALSH[command]
+    assert sum(linalg_calls.values()) <= CALLS_SUM[command]
 
 
 def test_sweep_svd_budget(linalg_calls, capsys):
     assert main(["sweep", "--count", "20", "--seed", "0"]) == 0
     capsys.readouterr()
-    assert linalg_calls["svd"] <= 124
+    assert linalg_calls["svd"] <= 104
     assert linalg_calls["qr"] <= 142
-    assert linalg_calls["svd"] + linalg_calls["qr"] <= CALLS_SUM["sweep"]
+    assert linalg_calls["eigvalsh"] <= EIGVALSH["sweep"]
+    assert sum(linalg_calls.values()) <= CALLS_SUM["sweep"]
 
 
 @pytest.mark.parametrize(
@@ -76,6 +99,6 @@ def test_sweep_svd_budget(linalg_calls, capsys):
 def test_relation_spaces_take_one_svd_of_a_graph_block(space, dim, linalg_calls):
     # graph spanned by (e1, 0), (0, e2) and (e3, i e3)
     t = rel.from_graph(3, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1j)])
-    linalg_calls.update(svd=0, qr=0)
+    linalg_calls.update(dict.fromkeys(NAMES, 0))
     assert space(t).dim == dim
-    assert linalg_calls == {"svd": 1, "qr": 0}
+    assert linalg_calls == {"svd": 1, "qr": 0, "eigvalsh": 0}

@@ -60,6 +60,7 @@ from skewext import cli  # noqa: E402
 from skewext import extensions as ext  # noqa: E402
 from skewext import formats as fmt  # noqa: E402
 from skewext import halfline as hl  # noqa: E402
+from skewext import linalg  # noqa: E402
 from skewext import relation as rel  # noqa: E402
 from skewext import relation_commands  # noqa: E402
 from skewext import subspace as sub  # noqa: E402
@@ -119,6 +120,10 @@ def layer_timings(n: int) -> dict:
     formula_rhs = rel.negate(
         rel.Relation(n, sub.Subspace(2 * n, np.hstack([g_neg.basis, ghat1.basis])))
     ).graph
+    # the matrix whose spectral norm is the gap canonical_system checks
+    x, xp = h.blocks()
+    top, bottom = s.adjoint_graph.basis[:n], s.adjoint_graph.basis[n:]
+    gap = x.conj().T @ bottom - xp.conj().T @ top
     relation_text = fmt.dumps(fmt.relation_to_json(h))
     relation_obj = json.loads(relation_text)
     gens = relation_obj["graph_generators"]
@@ -169,6 +174,9 @@ def layer_timings(n: int) -> dict:
             fresh_relation, bd.canonical_system
         ),
         "boundary.verify_system_s": b(bd.verify_system, s),
+        "boundary.verify_triplet_s": b(bd.verify_triplet, t),
+        "linalg.matrix_2norm_s": b(linalg.matrix_2norm, gap),
+        "relation.adjoint_gap_s": b(rel.adjoint_gap, h, s.adjoint_graph.basis),
         "boundary.system_to_triplet_s": b(bd.system_to_triplet, s, np.eye(d)),
         "boundary.triplet_to_system_s": b(bd.triplet_to_system, t),
         "extensions.system_unitary_extension_s": b(ext.system_unitary_extension, s, l),
@@ -190,6 +198,9 @@ def layer_timings(n: int) -> dict:
             fresh_system, ext.adjoint_formula_check
         ),
         "extensions.extension_checks_s": _best_fresh(fresh_extension, extension_checks),
+        "extensions.is_maximal_dissipative_s": _best_fresh(
+            fresh_extension, ext.is_maximal_dissipative
+        ),
         "formats.report_bytes": len(fmt.dumps(payload)),
         "formats.report_encode_dumps_s": b(fmt.dumps, payload),
         "formats.report_parts_s": b(report_parts, payload),
@@ -504,7 +515,16 @@ def main(argv=None) -> int:
             "canonical extension, since a relation caches the largest "
             "eigenvalue of its form",
             "verify": "verify_system_s is boundary.verify_system on the "
-            "canonical system: the form check and the rank of F",
+            "canonical system: the form check and the rank of F; "
+            "verify_triplet_s is boundary.verify_triplet on its triplet with "
+            "L0 = I (both real where the tree keeps real maps real)",
+            "norm": "matrix_2norm_s is linalg.matrix_2norm of the "
+            "dim Graph(H0) x (2n - dim Graph(H0)) matrix (J B)^H R whose norm "
+            "is the gap canonical_system checks; adjoint_gap_s is "
+            "relation.adjoint_gap, that product and its norm; "
+            "is_maximal_dissipative_s runs on a new relation over the graph of "
+            "the canonical extension, so it includes the relation's one "
+            "eigensolve of Omega",
             "layer_exponents": "for each pair of consecutive sizes n1 < n2, "
             "log(v2 / v1) / log(n2 / n1) of each positive layer figure: the "
             "local slope on a log-log scale, 3 for cubic growth",
