@@ -49,7 +49,7 @@ from .errors import (
     InvalidTriplet,
     NotUnitary,
 )
-from .linalg import as_inexact, is_unitary
+from .linalg import as_inexact, full_row_rank_certified, is_unitary
 from .relation import Relation
 from .subspace import Subspace
 
@@ -155,7 +155,7 @@ def _freeze_maps(data, spaces, rows: dict):
     when its entries are real, complex otherwise (``linalg.as_inexact``).
     A real map, such as the canonical F = [0 | I] and the triplets of real
     reference unitaries built from it, keeps its verifier's products and
-    its row-rank SVD in real arithmetic."""
+    its row-rank bound in real arithmetic."""
     n = data.base.space_dim
     if data.adjoint_graph.ambient_dim != 2 * n:
         raise AmbientMismatch("adjoint graph must live in C^(2n)")
@@ -174,8 +174,11 @@ def _verify(data, form: np.ndarray, maps: np.ndarray, tol: float):
     """The report of a system or triplet ``data``: the largest entry of
     Omega - ``form`` over the adjoint-graph basis, held against ``tol``
     times max(1, |Omega|, |form|) entrywise, and whether the stacked
-    boundary maps ``maps`` have full row rank.  Omega is the one the
-    adjoint graph holds (``relation._omega``).  Never raises."""
+    boundary maps ``maps`` have full row rank: certified with no SVD when
+    they are near a co-isometry (``linalg.full_row_rank_certified``), as the
+    canonical F = [0 | I] and the triplets built from it with a unitary L0
+    are, else by their numerical rank.  Omega is the one the adjoint graph
+    holds (``relation._omega``).  Never raises."""
     omega = rel._omega(data.adjoint_graph)
     holds, residual = True, 0.0
     if omega.size:
@@ -184,7 +187,9 @@ def _verify(data, form: np.ndarray, maps: np.ndarray, tol: float):
         holds = residual <= tol * scale
     rows = maps.shape[0]
     return VerificationReport(
-        surjective=rows == 0 or sub.rank(maps) == rows,
+        surjective=rows == 0
+        or full_row_rank_certified(maps)
+        or sub.rank(maps) == rows,
         identity_holds=holds,
         residual=residual,
         tol=tol,
@@ -313,7 +318,7 @@ def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     Ghat2 = {(x, -x) : x in g2} side by side.  On it the boundary map, sqrt(2)
     times the g1 and g2 coordinates of the deficiency components, is
     F = [0 | I].  The one assertion is the gap of that basis to Graph(H0*)
-    from the definition of the adjoint (``relation.adjoint_gap``): a
+    from the definition of the adjoint (``relation.adjoint_gap_within``): a
     dimension count short of 2n or a gap above ``tol`` raises
     DecompositionFailure.  The graph constructor (``subspace._graph``) then
     checks the joined basis orthonormal, so the pieces are pairwise
@@ -326,7 +331,7 @@ def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     g_neg = np.vstack([x, -xp])
     ghat1, ghat2 = _hat_basis(defic.g1.basis, 1.0), _hat_basis(defic.g2.basis, -1.0)
     basis = np.hstack([g_neg, ghat1, ghat2])
-    if rel.adjoint_gap(h0, basis) > tol:
+    if not rel.adjoint_gap_within(h0, basis, tol):
         raise DecompositionFailure("the pieces do not span Graph(H0*) at tolerance")
     k, d = defic.g1.dim + defic.g2.dim, basis.shape[1]
     return BoundarySystem(

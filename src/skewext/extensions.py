@@ -22,6 +22,13 @@ L0, on a system-side extension its caller has built.
 
 Checks on a boundary system or triplet run at the tolerance it was verified
 at (``report.tol``); relation-level predicates take theirs as an argument.
+Each threshold check is decided by its bound in ``linalg`` where it can, with
+no factorization, and otherwise by its one exact route: the gaps of the
+adjoint formula and of the bridge, and the read-off residual, by a Frobenius
+norm before a spectral norm; dissipativity and, for a graph of dimension n,
+the range condition of maximality by the Gershgorin bound of Omega's largest
+eigenvalue before the relation's spectrum of Omega; unitarity of a parameter
+by ||M M^H - I||_F before an SVD.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .errors import (
     NotSkewSelfAdjoint,
     ReadoffSingular,
 )
-from .linalg import is_contraction, is_unitary, matrix_2norm
+from .linalg import frobenius_bound, is_contraction, is_unitary, matrix_2norm
 from .relation import Relation
 
 
@@ -195,11 +202,11 @@ def bridge_check(s: BoundarySystem, l0, l, lhs: Relation) -> bool:
     l = np.asarray(l, dtype=complex)
     triplet = system_to_triplet(s, l0)
     rhs = rel.negate(triplet_unitary_extension(triplet, l0.conj().T @ l))
-    return sub.distance(lhs.graph, rhs.graph) <= s.report.tol
+    return sub.distance_at_most(lhs.graph, rhs.graph, s.report.tol)
 
 
 def _one_minus_is_onto(h: Relation) -> bool:
-    """The range condition ran(1 - H) = C^n, from the spectrum of Omega.
+    """The range condition ran(1 - H) = C^n, from the eigenvalues of Omega.
 
     ran(1 - H) is the column span of X - X' for the graph blocks (X, X').
     C = (X - X') / sqrt(2) is a block of rows of the orthonormal basis
@@ -219,19 +226,27 @@ def _one_minus_is_onto(h: Relation) -> bool:
     tolerance of 1/2 or more lets a dissipative H have a singular value of
     X - X' at or below sqrt(2 RANK_TOL) ~ 1.4e-5, the one band where this
     verdict may differ from a relative rank cut on an SVD of X - X'.
+
+    When d = n, lambda_n is the largest eigenvalue, and the relation's
+    Gershgorin bound of it (``relation.Relation._omega_top_bound``) decides
+    when it is below the cut; otherwise the spectrum decides.
     """
-    n = h.space_dim
-    if h.graph_dim < n:
+    n, d = h.space_dim, h.graph_dim
+    if d < n:
         return False
-    return float(h._omega_eigenvalues[n - 1]) < 1.0 - 2.0 * sub.RANK_TOL
+    cut = 1.0 - 2.0 * sub.RANK_TOL
+    if d == n and h._omega_top_bound < cut:
+        return True
+    return float(h._omega_eigenvalues[n - 1]) < cut
 
 
 def is_maximal_dissipative(h: Relation, tol: float = sub.ORTH_TOL) -> bool:
     """Dissipative with ran(1 - H) = C^n (the range condition for maximality).
 
-    Both halves read the spectrum of Omega that the relation computes once
-    (``relation.is_dissipative`` and ``_one_minus_is_onto``): no SVD of
-    X - X' is taken."""
+    Both halves read the Gershgorin bound of Omega's largest eigenvalue
+    that the relation computes once, and the spectrum, also computed once,
+    only when that bound cannot decide (``relation.is_dissipative`` and
+    ``_one_minus_is_onto``): no SVD of X - X' is taken."""
     return rel.is_dissipative(h, tol) and _one_minus_is_onto(h)
 
 
@@ -250,7 +265,12 @@ def boundary_contraction_of(t: BoundaryTriplet, h: Relation) -> np.ndarray:
         raise NotMaximal("range condition fails: ran(1 - H) is a proper subspace")
     premise = "boundary sums do not span G; maximality premise violated"
     kmat, plus, minus = _readoff(t, h, IllDefined, premise)
-    if matrix_2norm(kmat @ plus - minus) > tol * max(1.0, matrix_2norm(minus)):
+    residual = kmat @ plus - minus
+    # the threshold is at least tol, so a Frobenius bound within tol decides
+    if not (
+        frobenius_bound(residual) <= tol
+        or matrix_2norm(residual) <= tol * max(1.0, matrix_2norm(minus))
+    ):
         raise IllDefined("boundary map is not single-valued on G")
     return kmat
 
@@ -358,7 +378,8 @@ def adjoint_formula_check(s: BoundarySystem) -> bool:
     bases side by side, and flipping the sign of its second components
     gives an orthonormal basis of the formula graph.  That graph is held
     against Graph(H*) through the definition of the adjoint
-    (``relation.adjoint_gap``, the check ``canonical_system`` also makes):
+    (``relation.adjoint_gap_within``, the check ``canonical_system`` also
+    makes):
     it passes when the dimensions add to 2n and the formula graph is
     orthogonal to J Graph(H) within ``s.report.tol``.  Neither Graph(H*)
     nor any complement is computed.
@@ -367,4 +388,4 @@ def adjoint_formula_check(s: BoundarySystem) -> bool:
     n = s.base.space_dim
     summed = np.hstack([g_neg, ghat1])
     formula = np.vstack([summed[:n, :], -summed[n:, :]])
-    return rel.adjoint_gap(canonical_max_dissipative(s), formula) <= s.report.tol
+    return rel.adjoint_gap_within(canonical_max_dissipative(s), formula, s.report.tol)

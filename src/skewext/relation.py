@@ -7,12 +7,15 @@ bottom n hold ``x'``.  Everything is read off the blocks (X, X') of the
 orthonormal graph basis: the domain ran(X), the kernel X ker(X'), the
 multivalued part X' ker(X), the adjoint and deficiency spaces as
 complements of block combinations, the gap of a graph to the adjoint as a
-product with the blocks, and the skew-symmetry and dissipativity
+product with the blocks, held against a tolerance by its Frobenius norm
+before its spectral norm, and the skew-symmetry and dissipativity
 predicates as small matrices over the basis.  Every graph this module
 builds holds the form Omega on its basis, computed with its orthonormality
 check from the same two products (``subspace._graph``; -T takes those of
 T, negated), and the predicates read it; the spectrum of Omega is
-computed once per relation.
+computed once per relation, and so is its Gershgorin bound, which decides
+the threshold checks on its largest eigenvalue without the spectrum
+whenever it can.
 The block combinations whose complements give the adjoint and the
 deficiency spaces are isometries, so each complement is the tail of a
 complete QR (``subspace.complement``), with no rank decision.
@@ -23,7 +26,6 @@ SECOND argument, ``<a, b> = b^H a``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import subspace as sub
 from .errors import AmbientMismatch, BadDimension, NotSkewSymmetric
-from .linalg import matrix_2norm
+from .linalg import gershgorin_bound, norm_at_most
 from .sampling import random_unitary
 from .subspace import Subspace
 
@@ -68,13 +70,22 @@ class Relation:
     @cached_property
     def _omega_eigenvalues(self) -> np.ndarray:
         """The eigenvalues of Omega on the graph basis, in ascending order,
-        from the one Hermitian eigensolve of the relation.  Dissipativity
-        reads the largest (``is_dissipative``), and the range condition of
-        maximality the n-th smallest (``extensions.is_maximal_dissipative``).
-        Needs a nonzero graph."""
+        from the one Hermitian eigensolve of the relation, taken only where
+        ``_omega_top_bound`` cannot decide.  Dissipativity reads the largest
+        (``is_dissipative``), the range condition of maximality the n-th
+        smallest (``extensions.is_maximal_dissipative``), and the existence
+        report the inertia.  Needs a nonzero graph."""
         eigenvalues = np.linalg.eigvalsh(_omega(self.graph))
         eigenvalues.setflags(write=False)
         return eigenvalues
+
+    @cached_property
+    def _omega_top_bound(self) -> float:
+        """The Gershgorin bound of the largest eigenvalue of Omega on the
+        graph basis (``linalg.gershgorin_bound``), computed once per
+        relation: a threshold it is within needs no ``_omega_eigenvalues``.
+        Needs a nonzero graph."""
+        return gershgorin_bound(_omega(self.graph))
 
     def __repr__(self):
         return f"Relation(space_dim={self.space_dim}, graph_dim={self.graph_dim})"
@@ -149,23 +160,34 @@ def adjoint(t: Relation) -> Relation:
     return Relation(t.space_dim, sub._graph(basis))
 
 
-def adjoint_gap(t: Relation, basis: np.ndarray) -> float:
-    """The gap between Graph(T*) and the span of the orthonormal columns
-    ``basis`` of C^2n, with no basis of Graph(T*).
+def _adjoint_gap_matrix(t: Relation, basis: np.ndarray):
+    """The matrix whose spectral norm is the gap between Graph(T*) and the
+    span of the orthonormal columns ``basis`` of C^2n, with no basis of
+    Graph(T*); None when the dimensions do not add to 2n.
 
     Graph(T*) is (J Graph(T))^perp (``adjoint``), and J maps the orthonormal
     graph basis B of T to an orthonormal basis J B.  So when the columns of
     ``basis`` and dim Graph(T) add to 2n, a basis L of Graph(T*) and J B
     side by side form a unitary, and the gap ||(I - L L^H) R||_2 of
     ``subspace.distance`` is ||(J B)^H R||_2 for R = ``basis``.  Otherwise
-    the two cannot be equal, and the gap is inf, which no tolerance accepts.
+    the two cannot be equal, and no tolerance accepts the span.
     """
     n = t.space_dim
     if basis.shape[1] + t.graph_dim != 2 * n:
-        return math.inf
+        return None
     x, xp = t.blocks()
     # (J B)^H R with J B = (-X'; X)
-    return matrix_2norm(x.conj().T @ basis[n:, :] - xp.conj().T @ basis[:n, :])
+    return x.conj().T @ basis[n:, :] - xp.conj().T @ basis[:n, :]
+
+
+def adjoint_gap_within(t: Relation, basis: np.ndarray, tol: float) -> bool:
+    """Whether the span of the orthonormal columns ``basis`` of C^2n is
+    Graph(T*) within ``tol``: the dimensions add to 2n and the norm of the
+    gap matrix (``_adjoint_gap_matrix``) is at most ``tol``, by its
+    Frobenius bound or else by its spectral norm (``linalg.norm_at_most``).
+    """
+    gap = _adjoint_gap_matrix(t, basis)
+    return gap is not None and norm_at_most(gap, tol)
 
 
 def negate(t: Relation) -> Relation:
@@ -222,12 +244,15 @@ def is_dissipative(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
 
     The supremum over the graph is one Hermitian eigenproblem: with X, X'
     the graph basis blocks, the condition is that the largest eigenvalue
-    of X'^H X + X^H X' (``omega_matrix``) is at most 2 tol.  The spectrum
-    is computed once per relation and compared with 2 tol on every call.
+    of X'^H X + X^H X' (``omega_matrix``) is at most 2 tol.  Its
+    Gershgorin bound decides when it is within 2 tol; otherwise the
+    spectrum decides.  Each is computed once per relation and compared with
+    2 tol on every call.
     """
     if t.graph_dim == 0:
         return True
-    return float(t._omega_eigenvalues[-1]) <= 2.0 * tol
+    bound = 2.0 * tol
+    return t._omega_top_bound <= bound or float(t._omega_eigenvalues[-1]) <= bound
 
 
 def deficiency(t: Relation, tol: float = sub.ORTH_TOL) -> DeficiencyData:

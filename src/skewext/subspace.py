@@ -12,7 +12,9 @@ matrix of full column rank and is the tail of one complete QR
 (``_graph``) also holds its Gram matrix and its form Omega, both from the
 same two half-size products, so its orthonormality check and Omega cost one
 Gram matrix.  Distances compare the bases directly, without forming
-projectors.  Values are immutable and every operation is a pure
+projectors, and a distance held against a tolerance is decided by the
+Frobenius norm of the residual where it can (``distance_at_most``).
+Values are immutable and every operation is a pure
 function.
 """
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbientMismatch, EmptyAmbient, InvalidTolerance, NotOrthonormal
-from .linalg import matrix_2norm
+from .linalg import matrix_2norm, norm_at_most
 from .tolerances import ORTH_TOL, RANK_TOL
 
 
@@ -288,11 +290,27 @@ def distance(s: Subspace, t: Subspace) -> float:
     """Gap metric between subspaces: the 2-norm of the difference of the
     orthogonal projectors.  It is 1.0 when the dimensions differ, and
     otherwise the sine of the largest principal angle, the 2-norm of the
-    part of the basis of ``t`` orthogonal to ``s``."""
+    part of the basis of ``t`` orthogonal to ``s`` (``_gap_residual``)."""
+    residual = _gap_residual(s, t)
+    return 1.0 if residual is None else matrix_2norm(residual)
+
+
+def distance_at_most(s: Subspace, t: Subspace, bound: float) -> bool:
+    """Whether ``distance(s, t) <= bound``: 1.0 when the dimensions differ,
+    else the part of the basis of ``t`` orthogonal to ``s`` held against
+    ``bound`` by its Frobenius norm or else by its spectral norm
+    (``linalg.norm_at_most``)."""
+    residual = _gap_residual(s, t)
+    return 1.0 <= bound if residual is None else norm_at_most(residual, bound)
+
+
+def _gap_residual(s: Subspace, t: Subspace):
+    """The part B - A (A^H B) of the basis B of ``t`` orthogonal to the
+    basis A of ``s``, or None when the dimensions differ."""
     _check_same_ambient(s, t)
     if s.dim != t.dim:
-        return 1.0
-    return matrix_2norm(t.basis - s.basis @ (s.basis.conj().T @ t.basis))
+        return None
+    return t.basis - s.basis @ (s.basis.conj().T @ t.basis)
 
 
 def _check_same_ambient(s: Subspace, t: Subspace):

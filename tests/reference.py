@@ -5,13 +5,15 @@ orthogonal pieces instead.  They are kept here, unchanged, as independent
 routes to the same objects (the oblique projection behind the canonical
 boundary map, -T* through the swapped orthocomplement, the kernel,
 multivalued part and domain of a relation by subspace intersection, the gap
-distance by projectors, the gap of the adjoint formula through Graph(H*) as a
-complement, the orthogonal complement of any matrix as one full SVD with a
-rank cut (the library's one complement, a complete QR, takes only matrices
-of full column rank), the adjoint and the deficiency spaces as such SVD
-complements, the spectral norm and the range condition of maximality by SVD
-(the library reads them off Gram matrices and the spectrum of Omega), the
-half-line inner product, derivative, a f + b f'
+distance by projectors, the gap of the adjoint formula through Graph(H*) as
+a complement and as the spectral norm of the library's gap matrix, the
+orthogonal complement of any matrix as one full SVD with a rank cut (the
+library's one complement, a complete QR, takes only matrices of full column
+rank), the adjoint and the deficiency spaces as such SVD complements, the
+spectral norm, unitarity, full row rank and the range condition of
+maximality by SVD and dissipativity by one eigensolve (the library decides
+them by bounds where it can, and otherwise reads them off Gram matrices and
+the spectrum of Omega), the half-line inner product, derivative, a f + b f'
 and resolvent term by term, the term records of a half-line function one
 dict per term, the canonical order of a term dict and the structure of
 the canonical integer form) and as convenient constructors of test inputs.
@@ -28,7 +30,8 @@ import numpy as np
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, SkewextError
 from skewext.halfline import QC, ExpPoly, RationalComplex
-from skewext.relation import Relation, adjoint, is_dissipative, negate
+from skewext.linalg import as_inexact, matrix_2norm
+from skewext.relation import Relation, _adjoint_gap_matrix, _omega, adjoint, negate
 from skewext.sampling import complex_gaussian
 from skewext.subspace import (
     ORTH_TOL,
@@ -39,6 +42,7 @@ from skewext.subspace import (
     numerical_rank,
     span_matrix,
 )
+from skewext.tolerances import UNITARY_TOL
 
 _ONE = Fraction(1)
 
@@ -146,11 +150,50 @@ def deficiency_by_svd(t: Relation):
     return complement(x - xp), complement(x + xp)
 
 
+def adjoint_gap(t: Relation, basis: np.ndarray) -> float:
+    """The gap between Graph(T*) and the span of the orthonormal columns
+    ``basis`` of C^2n: the spectral norm of the library's gap matrix
+    (``relation._adjoint_gap_matrix``), inf when the dimensions do not add
+    to 2n.  The library holds that matrix against a tolerance by its
+    Frobenius norm first (``relation.adjoint_gap_within``)."""
+    gap = _adjoint_gap_matrix(t, basis)
+    return math.inf if gap is None else matrix_2norm(gap)
+
+
 def matrix_2norm_by_svd(m) -> float:
     """The spectral norm as the largest singular value of one SVD of the
     complex matrix, 0 for the empty matrix."""
     m = np.asarray(m, dtype=complex)
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def is_unitary_by_svd(m) -> bool:
+    """Whether a square matrix has all singular values within
+    ``UNITARY_TOL`` of 1, from one SVD of its complex copy."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    if m.size == 0:
+        return True
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(np.max(np.abs(s - 1.0))) <= UNITARY_TOL
+
+
+def has_full_row_rank_by_svd(m) -> bool:
+    """Whether the numerical rank of ``m`` (one SVD, the package's relative
+    cut) equals its row count."""
+    m = as_inexact(m)
+    return m.shape[0] == 0 or numerical_rank(
+        np.linalg.svd(m, compute_uv=False)
+    ) == m.shape[0]
+
+
+def is_dissipative_by_eigensolve(h: Relation, tol: float = ORTH_TOL) -> bool:
+    """Whether the largest eigenvalue of Omega on the graph basis, from one
+    Hermitian eigensolve of the matrix the graph holds, is at most 2 tol."""
+    if h.graph_dim == 0:
+        return True
+    return float(np.linalg.eigvalsh(_omega(h.graph))[-1]) <= 2.0 * tol
 
 
 def one_minus_singular_values(h: Relation) -> np.ndarray:
@@ -161,10 +204,11 @@ def one_minus_singular_values(h: Relation) -> np.ndarray:
 
 
 def is_maximal_dissipative_by_svd(h: Relation, tol: float = ORTH_TOL) -> bool:
-    """Dissipative with ran(1 - H) = C^n, the range condition as the
-    numerical rank of X - X' by SVD, at the package's relative rank cut."""
+    """Dissipative by the eigensolve (``is_dissipative_by_eigensolve``) with
+    ran(1 - H) = C^n, the range condition as the numerical rank of X - X'
+    by SVD, at the package's relative rank cut."""
     rank = numerical_rank(one_minus_singular_values(h))
-    return is_dissipative(h, tol) and rank == h.space_dim
+    return is_dissipative_by_eigensolve(h, tol) and rank == h.space_dim
 
 
 def oblique_project(parts, v, tol: float = ORTH_TOL):

@@ -1,7 +1,8 @@
 """The canonical checks without their SVDs, against the SVD routes.
 
 Maximality reads the range condition ran(1 - H) = C^n off the spectrum of
-Omega the relation holds for dissipativity; the spectral norm is the root of
+Omega the relation holds for dissipativity, where the Gershgorin bound of
+its largest eigenvalue cannot decide; the spectral norm is the root of
 the largest eigenvalue of the smaller Gram matrix; real boundary maps stay
 real.  Each is held against its SVD route in ``reference``: the norm to
 relative round-off at every magnitude, maximality wherever the two can
@@ -19,7 +20,7 @@ from skewext import relation as rel
 from skewext import subspace as sub
 from skewext.cli import main
 from skewext.errors import NotMaximal
-from skewext.linalg import is_contraction, matrix_2norm
+from skewext.linalg import is_contraction, is_unitary, matrix_2norm
 from skewext.sampling import complex_gaussian, random_unitary
 from skewext.tolerances import ORTH_TOL, RANK_TOL
 
@@ -198,25 +199,47 @@ def random_relations():
 
 @pytest.mark.parametrize("tol", [ORTH_TOL, 1e-3, 0.25])
 def test_maximality_matches_the_svd_route_on_random_relations(tol):
-    verdicts = set()
+    # dissipativity against one eigensolve, and unitarity of X -+ X' (unitary
+    # exactly for a neutral graph of dimension n) against one SVD, too
+    verdicts = {"maximal": set(), "dissipative": set(), "unitary": set()}
     for h in random_relations():
         fast = ext.is_maximal_dissipative(h, tol)
         assert fast == ref.is_maximal_dissipative_by_svd(h, tol)
-        verdicts.add(fast)
-    assert verdicts == {False, True}
+        verdicts["maximal"].add(fast)
+        fast = rel.is_dissipative(h, tol)
+        assert fast == ref.is_dissipative_by_eigensolve(h, tol)
+        verdicts["dissipative"].add(fast)
+        x, xp = h.blocks()
+        for m in (x - xp, x + xp):
+            fast = is_unitary(m)
+            assert fast == ref.is_unitary_by_svd(m)
+            verdicts["unitary"].add(fast)
+    assert all(v == {False, True} for v in verdicts.values())
 
 
-def test_maximality_takes_no_svd_and_one_eigensolve(monkeypatch, svd_calls):
+@pytest.fixture
+def eigensolves(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or original(m))
+    return calls
+
+
+def test_maximality_takes_no_svd_and_at_most_one_eigensolve(svd_calls, eigensolves):
+    # certified: the Gershgorin bound of the canonical extension's Omega is
+    # round-off, within 2 tol and below the cut of the range condition
     h = ext.canonical_max_dissipative(
         bd.canonical_system(rel.random_skew_symmetric(6, 2, seed=4))
     )
     svd_calls.clear()
-    eigensolves = []
-    original = np.linalg.eigvalsh
-    monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda m: eigensolves.append(m) or original(m)
-    )
+    eigensolves.clear()
     assert rel.is_dissipative(h) and ext.is_maximal_dissipative(h)
+    assert ext.is_maximal_dissipative(h, 0.6)
+    assert svd_calls == [] and eigensolves == []
+    # undecided: the graph of H = diag(1 - 1e-4, i, -1) has Omega's top
+    # eigenvalue near 1, above 2 tol, so the spectrum decides, once
+    h = near_identity(3, 1e-4)
+    assert not rel.is_dissipative(h) and not ext.is_maximal_dissipative(h)
     assert ext.is_maximal_dissipative(h, 0.6)
     assert svd_calls == [] and len(eigensolves) == 1
 

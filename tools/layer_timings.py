@@ -120,6 +120,11 @@ def layer_timings(n: int) -> dict:
     formula_rhs = rel.negate(
         rel.Relation(n, sub.Subspace(2 * n, np.hstack([g_neg.basis, ghat1.basis])))
     ).graph
+    # the check both gap callers make: adjoint_gap_within, or on a tree
+    # without it, adjoint_gap held against the tolerance
+    gap_within = getattr(rel, "adjoint_gap_within", None) or (
+        lambda t, basis, tol: rel.adjoint_gap(t, basis) <= tol
+    )
     # the matrix whose spectral norm is the gap canonical_system checks
     x, xp = h.blocks()
     top, bottom = s.adjoint_graph.basis[:n], s.adjoint_graph.basis[n:]
@@ -176,7 +181,10 @@ def layer_timings(n: int) -> dict:
         "boundary.verify_system_s": b(bd.verify_system, s),
         "boundary.verify_triplet_s": b(bd.verify_triplet, t),
         "linalg.matrix_2norm_s": b(linalg.matrix_2norm, gap),
-        "relation.adjoint_gap_s": b(rel.adjoint_gap, h, s.adjoint_graph.basis),
+        "relation.adjoint_gap_s": b(
+            gap_within, h, s.adjoint_graph.basis, s.report.tol
+        ),
+        "linalg.is_unitary_s": b(linalg.is_unitary, l),
         "boundary.system_to_triplet_s": b(bd.system_to_triplet, s, np.eye(d)),
         "boundary.triplet_to_system_s": b(bd.triplet_to_system, t),
         "extensions.system_unitary_extension_s": b(ext.system_unitary_extension, s, l),
@@ -198,6 +206,7 @@ def layer_timings(n: int) -> dict:
             fresh_system, ext.adjoint_formula_check
         ),
         "extensions.extension_checks_s": _best_fresh(fresh_extension, extension_checks),
+        "relation.is_dissipative_s": _best_fresh(fresh_extension, rel.is_dissipative),
         "extensions.is_maximal_dissipative_s": _best_fresh(
             fresh_extension, ext.is_maximal_dissipative
         ),
@@ -512,19 +521,25 @@ def main(argv=None) -> int:
             "caches its deficiency spaces; extension_checks_s (is_dissipative "
             "and is_maximal_dissipative, the two checks canonical makes on "
             "its extension) runs on a new relation over the graph of the "
-            "canonical extension, since a relation caches the largest "
-            "eigenvalue of its form",
+            "canonical extension, since a relation caches the bound and the "
+            "spectrum of its form",
             "verify": "verify_system_s is boundary.verify_system on the "
             "canonical system: the form check and the rank of F; "
             "verify_triplet_s is boundary.verify_triplet on its triplet with "
             "L0 = I (both real where the tree keeps real maps real)",
             "norm": "matrix_2norm_s is linalg.matrix_2norm of the "
             "dim Graph(H0) x (2n - dim Graph(H0)) matrix (J B)^H R whose norm "
-            "is the gap canonical_system checks; adjoint_gap_s is "
-            "relation.adjoint_gap, that product and its norm; "
-            "is_maximal_dissipative_s runs on a new relation over the graph of "
-            "the canonical extension, so it includes the relation's one "
-            "eigensolve of Omega",
+            "is the gap canonical_system checks; adjoint_gap_s is the check "
+            "canonical_system and adjoint_formula_check make on it, "
+            "relation.adjoint_gap_within at the system's tolerance (that "
+            "product held against tol by its Frobenius norm, then its spectral "
+            "norm if undecided), or relation.adjoint_gap <= tol on a tree "
+            "without it; is_unitary_s is linalg.is_unitary of a random "
+            "complex unitary of size n // 2; is_dissipative_s and "
+            "is_maximal_dissipative_s each run on a new relation over the "
+            "graph of the canonical extension, so they include what the "
+            "relation computes once: its Gershgorin bound of Omega's largest "
+            "eigenvalue, or on a tree without it, its eigensolve of Omega",
             "layer_exponents": "for each pair of consecutive sizes n1 < n2, "
             "log(v2 / v1) / log(n2 / n1) of each positive layer figure: the "
             "local slope on a log-log scale, 3 for cubic growth",
