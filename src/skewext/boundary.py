@@ -113,7 +113,7 @@ class BoundarySystem:
             keep = np.ones(graph.dim, dtype=bool)
             keep[d0 : d0 + ghat1.shape[1]] = False
             forms = graph._gram[keep][:, keep], graph._omega[keep][:, keep]
-        basis = np.hstack([g_neg, ghat2])
+        basis = np.concatenate([g_neg, ghat2], axis=1)
         return Relation(self.base.space_dim, sub._graph(basis, forms))
 
     @property
@@ -182,8 +182,8 @@ def _verify(data, form: np.ndarray, maps: np.ndarray, tol: float):
     omega = rel._omega(data.adjoint_graph)
     holds, residual = True, 0.0
     if omega.size:
-        residual = float(np.max(np.abs(omega - form)))
-        scale = max(1.0, float(np.max(np.abs(omega))), float(np.max(np.abs(form))))
+        residual = float(np.abs(omega - form).max())
+        scale = max(1.0, float(np.abs(omega).max()), float(np.abs(form).max()))
         holds = residual <= tol * scale
     rows = maps.shape[0]
     return VerificationReport(
@@ -200,7 +200,7 @@ def verify_system(s: BoundarySystem, tol: float = sub.ORTH_TOL) -> VerificationR
     """Check surjectivity of F and the form-intertwining identity
     Omega(u, v) = <F1 u, F1 v> - <F2 u, F2 v> on Graph(H0*).  The form is
     (J F)^H F for J = diag(I, -I) on G1 + G2, one product."""
-    jf = np.vstack([s.f1, -s.f2])
+    jf = np.concatenate([s.f1, -s.f2])
     return _verify(s, jf.conj().T @ s.f_matrix, s.f_matrix, tol)
 
 
@@ -208,7 +208,7 @@ def verify_triplet(t: BoundaryTriplet, tol: float = sub.ORTH_TOL) -> Verificatio
     """Check stacked surjectivity of (Gamma1, Gamma2) and the Green identity
     Omega(u, v) = <Gamma1 u, Gamma2 v> + <Gamma2 u, Gamma1 v>."""
     green = t.gamma2.conj().T @ t.gamma1 + t.gamma1.conj().T @ t.gamma2
-    return _verify(t, green, np.vstack([t.gamma1, t.gamma2]), tol)
+    return _verify(t, green, np.concatenate([t.gamma1, t.gamma2]), tol)
 
 
 def require_valid_system(s: BoundarySystem):
@@ -246,7 +246,7 @@ def triplet_to_system(t: BoundaryTriplet) -> BoundarySystem:
     verified at the triplet's tolerance.
     """
     require_valid_triplet(t)
-    f = np.vstack([t.gamma1 + t.gamma2, t.gamma1 - t.gamma2]) * _INV_SQRT2
+    f = np.concatenate([t.gamma1 + t.gamma2, t.gamma1 - t.gamma2]) * _INV_SQRT2
     return BoundarySystem(
         base=t.base,
         adjoint_graph=t.adjoint_graph,
@@ -287,17 +287,12 @@ def _triplet_of(s: BoundarySystem, l0: np.ndarray) -> BoundaryTriplet:
     )
 
 
-def canonical_pieces(s: BoundarySystem):
-    """The pieces (G_neg, Ghat1, Ghat2) of the orthogonal graph-level
-    decomposition of Graph(H0*), for a canonical system: G_neg = Graph(-H0),
-    Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2}, spanned by
-    the three column blocks of its Graph(H0*) basis."""
-    return tuple(Subspace(b.shape[0], b) for b in _canonical_blocks(s))
-
-
 def _canonical_blocks(s: BoundarySystem):
-    """The bases of the ``canonical_pieces``: the column blocks of widths
-    dim Graph(H0), dim g1 and dim g2 of the Graph(H0*) basis of ``s``."""
+    """The orthonormal bases of the pieces G_neg = Graph(-H0),
+    Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2} of the
+    canonical decomposition of Graph(H0*), for a canonical system ``s``: the
+    column blocks of widths dim Graph(H0), dim g1 and dim g2 of its
+    Graph(H0*) basis."""
     b, d0 = s.adjoint_graph.basis, s.base.graph_dim
     d1 = d0 + s.g1.dim
     return b[:, :d0], b[:, d0:d1], b[:, d1:]
@@ -306,7 +301,7 @@ def _canonical_blocks(s: BoundarySystem):
 def _hat_basis(basis: np.ndarray, sign: float) -> np.ndarray:
     """The orthonormal basis (G; sign G)/sqrt(2) of {(x, sign x) : x in g}
     for the orthonormal columns G = ``basis`` of a space g."""
-    return np.vstack([basis, sign * basis]) / _SQRT2
+    return np.concatenate([basis, sign * basis]) / _SQRT2
 
 
 def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
@@ -328,9 +323,9 @@ def canonical_system(h0: Relation, tol: float = sub.ORTH_TOL) -> BoundarySystem:
     """
     defic = rel.deficiency(h0, tol)
     x, xp = h0.blocks()
-    g_neg = np.vstack([x, -xp])
+    g_neg = np.concatenate([x, -xp])
     ghat1, ghat2 = _hat_basis(defic.g1.basis, 1.0), _hat_basis(defic.g2.basis, -1.0)
-    basis = np.hstack([g_neg, ghat1, ghat2])
+    basis = np.concatenate([g_neg, ghat1, ghat2], axis=1)
     if not rel.adjoint_gap_within(h0, basis, tol):
         raise DecompositionFailure("the pieces do not span Graph(H0*) at tolerance")
     k, d = defic.g1.dim + defic.g2.dim, basis.shape[1]

@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("generate", help="write a random skew-symmetric relation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_in_range(int, -1, math.inf), required=True)
     p.add_argument(
         "--out-relation", required=True, help="path for the generated relation file"
     )
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="random-instance verification battery")
     p.add_argument("--count", type=_in_range(int, -1, math.inf), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_in_range(int, -1, math.inf), default=0)
     _add_common(p)
 
     return parser

@@ -303,8 +303,8 @@ def unitarity_equivalence_check(t: BoundaryTriplet, h: Relation, kmat) -> bool:
     g1c = t.gamma1 @ coords
     g2c = t.gamma2 @ coords
     pairing = g2c.conj().T @ g1c + g1c.conj().T @ g2c
-    vanishes = pairing.size == 0 or float(np.max(np.abs(pairing))) <= tol * max(
-        1.0, float(np.max(np.abs(g1c))) if g1c.size else 1.0
+    vanishes = pairing.size == 0 or float(np.abs(pairing).max()) <= tol * max(
+        1.0, float(np.abs(g1c).max()) if g1c.size else 1.0
     )
     return (sksa == unitary) and (sksa == vanishes)
 
@@ -386,6 +386,6 @@ def adjoint_formula_check(s: BoundarySystem) -> bool:
     """
     g_neg, ghat1, _ = _canonical_blocks(s)
     n = s.base.space_dim
-    summed = np.hstack([g_neg, ghat1])
-    formula = np.vstack([summed[:n, :], -summed[n:, :]])
+    summed = np.concatenate([g_neg, ghat1], axis=1)
+    formula = np.concatenate([summed[:n, :], -summed[n:, :]])
     return rel.adjoint_gap_within(canonical_max_dissipative(s), formula, s.report.tol)

@@ -107,6 +107,13 @@ def norm_at_most(m, bound: float) -> bool:
     return frobenius_bound(m) <= bound or matrix_2norm(m) <= bound
 
 
+def subtract_identity(gram: np.ndarray) -> np.ndarray:
+    """The square matrix ``gram`` less the identity, in place: its diagonal,
+    every (rows + 1)-th entry of the flat view, lowered by 1."""
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return gram
+
+
 def coisometry_defect(m) -> float:
     """||M M^H - I||_F, padded.  It bounds |sigma^2 - 1| for every singular
     value sigma of M when M has no more rows than columns, and so
@@ -114,8 +121,7 @@ def coisometry_defect(m) -> float:
     with no factorization.  A matrix with more rows than columns has a
     defect of at least 1, since M M^H then has a zero eigenvalue."""
     m = as_inexact(m)
-    gram = m @ m.conj().T
-    gram[np.diag_indices_from(gram)] -= 1.0
+    gram = subtract_identity(m @ m.conj().T)
     value = math.sqrt(np.vdot(gram, gram).real)
     return _padded(value, m.size, 1.0 + value)
 

@@ -156,7 +156,7 @@ def adjoint(t: Relation) -> Relation:
     of its complete QR (``subspace.complement``), with no rank decision.
     """
     x, xp = t.blocks()
-    (basis,) = sub.complement(np.vstack([-xp, x]))
+    (basis,) = sub.complement(np.concatenate([-xp, x]))
     return Relation(t.space_dim, sub._graph(basis))
 
 
@@ -199,7 +199,7 @@ def negate(t: Relation) -> Relation:
     x, xp = t.blocks()
     g = t.graph
     forms = None if g._gram is None else (g._gram, -g._omega)
-    return Relation(t.space_dim, sub._graph(np.vstack([x, -xp]), forms))
+    return Relation(t.space_dim, sub._graph(np.concatenate([x, -xp]), forms))
 
 
 def omega_matrix(basis: np.ndarray) -> np.ndarray:
@@ -226,7 +226,7 @@ def is_skew_symmetric(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
     Equivalent to Graph(T) being contained in Graph(-T*).
     """
     m = _omega(t.graph)
-    return float(np.max(np.abs(m), initial=0.0)) <= tol
+    return float(np.abs(m).max(initial=0.0)) <= tol
 
 
 def is_skew_self_adjoint(t: Relation, tol: float = sub.ORTH_TOL) -> bool:
@@ -310,5 +310,5 @@ def random_skew_symmetric(n: int, k: int, seed: int) -> Relation:
     # columns (a_i, b_i)/sqrt(2) are orthonormal and neutral for the form
     x = (a_frame + b_frame) / _SQRT2
     xp = (a_frame - b_frame) / _SQRT2
-    basis = np.vstack([x, xp]) / _SQRT2
+    basis = np.concatenate([x, xp]) / _SQRT2
     return Relation(n, sub._graph(basis))

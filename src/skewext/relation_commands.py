@@ -99,7 +99,7 @@ def _extend_payload_A(system, l) -> dict:
     tol = system.report.tol
     extension = ext.system_unitary_extension(system, l)
     readoff = ext.system_unitary_readoff(system, extension)
-    err = float(np.max(np.abs(readoff - l), initial=0.0))
+    err = float(np.abs(readoff - l).max(initial=0.0))
     return {
         "extension": fmt.relation_to_json(extension),
         "readoff_error": err,
@@ -129,7 +129,7 @@ def _extend_payload_phi(triplet, k) -> dict:
     tol = triplet.report.tol
     extension = ext.extension_from_contraction(triplet, k)
     kmat = ext.boundary_contraction_of(triplet, extension)
-    err = float(np.max(np.abs(kmat - k), initial=0.0))
+    err = float(np.abs(kmat - k).max(initial=0.0))
     return {
         "extension": fmt.relation_to_json(extension),
         "contraction_roundtrip_error": err,
@@ -191,8 +191,10 @@ def cmd_convert(args):
         rebuilt = bd.triplet_to_system(triplet)
         sreport = rebuilt.report
         back = bd.system_to_triplet(rebuilt, np.eye(triplet.g.dim))
-        diff = np.hstack([back.gamma1 - triplet.gamma1, back.gamma2 - triplet.gamma2])
-        roundtrip_err = float(np.max(np.abs(diff), initial=0.0))
+        diff = np.concatenate(
+            [back.gamma1 - triplet.gamma1, back.gamma2 - triplet.gamma2], axis=1
+        )
+        roundtrip_err = float(np.abs(diff).max(initial=0.0))
         payload = {
             "system": fmt.system_to_json(rebuilt),
             "system_residual": sreport.residual,
@@ -240,7 +242,7 @@ def _sweep_instance(seed: int, tol: float) -> dict:
     l = random_unitary(g_dim, rng)
     extension = ext.system_unitary_extension(system, l)
     readback = ext.system_unitary_readoff(system, extension)
-    readoff_err = float(np.max(np.abs(readback - l), initial=0.0))
+    readoff_err = float(np.abs(readback - l).max(initial=0.0))
 
     return {
         "seed": seed,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbientMismatch, EmptyAmbient, InvalidTolerance, NotOrthonormal
-from .linalg import matrix_2norm, norm_at_most
+from .linalg import matrix_2norm, norm_at_most, subtract_identity
 from .tolerances import ORTH_TOL, RANK_TOL
 
 
@@ -35,7 +35,7 @@ def numerical_rank(singular_values, tol: float = RANK_TOL) -> int:
     s = np.asarray(singular_values)
     if s.size == 0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int((s > tol * s[0]).sum())
 
 
 def _block_range_and_null(block: np.ndarray):
@@ -45,7 +45,7 @@ def _block_range_and_null(block: np.ndarray):
     count.  A cut relative to the largest would count a block of pure
     round-off as full rank."""
     u, s, vh = np.linalg.svd(block, full_matrices=True)
-    r = int(np.sum(s > RANK_TOL))
+    r = int((s > RANK_TOL).sum())
     return u[:, :r], vh[r:, :].conj().T
 
 
@@ -70,6 +70,13 @@ def _as_matrix(vectors, m=None):
     if m is None:
         raise EmptyAmbient("empty span needs an explicit ambient dimension")
     return np.zeros((m, 0), dtype=complex)
+
+
+def _identity_deviation(gram: np.ndarray) -> float:
+    """The largest modulus of the entries of G - I for a nonempty square
+    G = ``gram``, which is lowered by the identity in place
+    (``linalg.subtract_identity``).  NaN when an entry is NaN."""
+    return np.abs(subtract_identity(gram)).max()
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,10 @@ class Subspace:
             )
         object.__setattr__(self, "basis", b)
         b.setflags(write=False)
-        gram = b.conj().T @ b if self._gram is None else self._gram
+        # a given Gram matrix is copied, since the check lowers its diagonal
+        gram = b.conj().T @ b if self._gram is None else self._gram.copy()
         # written as "not <=" so that a NaN deviation is rejected too
-        if gram.size and not np.max(np.abs(gram - np.eye(b.shape[1]))) <= ORTH_TOL:
+        if gram.size and not _identity_deviation(gram) <= ORTH_TOL:
             raise NotOrthonormal("basis columns are not orthonormal")
 
     @property
@@ -154,7 +162,7 @@ def _canonical_phases(b: np.ndarray) -> np.ndarray:
     The pivot is set to its modulus, so it is exactly real: the product of
     the pivot and its conjugate phase would leave a round-off imaginary part.
     """
-    idx, cols = np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])
+    idx, cols = np.abs(b).argmax(axis=0), np.arange(b.shape[1])
     pivots = b[idx, cols]
     moduli = np.abs(pivots)
     rotated = b * (pivots.conj() / moduli)
@@ -180,7 +188,7 @@ def _span_basis(a: np.ndarray, tol: float) -> np.ndarray:
     if not 0 < tol < 1:
         raise InvalidTolerance(f"rank threshold {tol!r} is not in (0, 1)")
     a = np.asarray(a, dtype=complex)
-    if a.shape[1] == 0 or not np.any(a):
+    if a.shape[1] == 0 or not a.any():
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return _canonical_phases(u[:, : numerical_rank(s, tol)])
@@ -205,7 +213,9 @@ def complement(*matrices: np.ndarray) -> list:
     m, k = matrices[0].shape
     if not k:
         return [np.eye(m, dtype=complex) for _ in matrices]
-    q = np.linalg.qr(np.stack(matrices), mode="complete")[0]
+    # one matrix is viewed as a batch of one; only several are copied
+    stacked = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
+    q = np.linalg.qr(stacked, mode="complete")[0]
     return [_canonical_phases(b[:, k:]) for b in q]
 
 
@@ -249,7 +259,7 @@ def _coordinates(s: Subspace, a: np.ndarray, tol: float):
     times its norm of its orthogonal projection onto ``s``."""
     coords = s.basis.conj().T @ a
     residuals = np.linalg.norm(a - s.basis @ coords, axis=0)
-    return coords if np.all(residuals <= tol * np.linalg.norm(a, axis=0)) else None
+    return coords if (residuals <= tol * np.linalg.norm(a, axis=0)).all() else None
 
 
 def contains(s: Subspace, v, tol: float = ORTH_TOL) -> bool:

@@ -13,7 +13,11 @@ rank), the adjoint and the deficiency spaces as such SVD complements, the
 spectral norm, unitarity, full row rank and the range condition of
 maximality by SVD and dissipativity by one eigensolve (the library decides
 them by bounds where it can, and otherwise reads them off Gram matrices and
-the spectrum of Omega), the half-line inner product, derivative, a f + b f'
+the spectrum of Omega), the co-isometry defect and the orthonormality
+check of a basis with the identity subtracted as first written (through
+``np.diag_indices_from`` and ``np.eye``; the library lowers the diagonal
+at a flat stride), the pieces of the canonical decomposition as
+subspaces, the half-line inner product, derivative, a f + b f'
 and resolvent term by term, the term records of a half-line function one
 dict per term, the canonical order of a term dict and the structure of
 the canonical integer form) and as convenient constructors of test inputs.
@@ -30,7 +34,8 @@ import numpy as np
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, SkewextError
 from skewext.halfline import QC, ExpPoly, RationalComplex
-from skewext.linalg import as_inexact, matrix_2norm
+from skewext.boundary import BoundarySystem, _canonical_blocks
+from skewext.linalg import _padded, as_inexact, matrix_2norm
 from skewext.relation import Relation, _adjoint_gap_matrix, _omega, adjoint, negate
 from skewext.sampling import complex_gaussian
 from skewext.subspace import (
@@ -179,6 +184,24 @@ def is_unitary_by_svd(m) -> bool:
     return float(np.max(np.abs(s - 1.0))) <= UNITARY_TOL
 
 
+def coisometry_defect_by_diag_indices(m) -> float:
+    """``linalg.coisometry_defect`` as first written: the diagonal of
+    M M^H lowered through ``np.diag_indices_from``, the library's padding
+    (``linalg._padded``) applied to ||M M^H - I||_F."""
+    m = as_inexact(m)
+    gram = m @ m.conj().T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    value = math.sqrt(np.vdot(gram, gram).real)
+    return _padded(value, m.size, 1.0 + value)
+
+
+def identity_deviation_by_eye(gram: np.ndarray) -> float:
+    """The deviation of a nonempty square Gram matrix from the identity that
+    ``Subspace`` holds against ``ORTH_TOL``, as first written: the largest
+    modulus of ``gram - np.eye(k)``."""
+    return np.max(np.abs(gram - np.eye(gram.shape[1])))
+
+
 def has_full_row_rank_by_svd(m) -> bool:
     """Whether the numerical rank of ``m`` (one SVD, the package's relative
     cut) equals its row count."""
@@ -261,6 +284,15 @@ def oblique_project(parts, v, tol: float = ORTH_TOL):
         out.append(p.basis @ coeffs[offset : offset + k])
         offset += k
     return out
+
+
+def canonical_pieces(s: BoundarySystem):
+    """The pieces (G_neg, Ghat1, Ghat2) of the orthogonal graph-level
+    decomposition of Graph(H0*), for a canonical system: G_neg = Graph(-H0),
+    Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2}, spanned by
+    the three column blocks of its Graph(H0*) basis
+    (``boundary._canonical_blocks``), each checked orthonormal."""
+    return tuple(Subspace(b.shape[0], b) for b in _canonical_blocks(s))
 
 
 def full_relation(n: int) -> Relation:

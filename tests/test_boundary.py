@@ -215,7 +215,7 @@ def test_construction_check_refuses_wrong_ambients_and_shapes(kind, name):
 
 def test_canonical_decomposition_zero_relation():
     s = bd.canonical_system(rel.zero_relation(1))
-    g_neg, ghat1, ghat2 = bd.canonical_pieces(s)
+    g_neg, ghat1, ghat2 = ref.canonical_pieces(s)
     assert g_neg.dim == 0
     assert sub.equal(ghat1, sub.span([(1, 1)]))
     assert sub.equal(ghat2, sub.span([(1, -1)]))
@@ -223,7 +223,7 @@ def test_canonical_decomposition_zero_relation():
 
 def test_canonical_decomposition_mult_i():
     h0 = ref.from_operator(np.array([[1j]]), ref.full(1))
-    g_neg, ghat1, ghat2 = bd.canonical_pieces(bd.canonical_system(h0))
+    g_neg, ghat1, ghat2 = ref.canonical_pieces(bd.canonical_system(h0))
     # no deficiency: the negated-graph piece is everything
     assert sub.equal(g_neg, rel.negate(h0).graph)
     assert ghat1.dim == 0 and ghat2.dim == 0
@@ -231,14 +231,14 @@ def test_canonical_decomposition_mult_i():
 
 def test_canonical_decomposition_dimension_count():
     h0 = rel.random_skew_symmetric(4, 2, seed=9)
-    pieces = bd.canonical_pieces(bd.canonical_system(h0))
+    pieces = ref.canonical_pieces(bd.canonical_system(h0))
     total = sum(p.dim for p in pieces)
     assert total == 2 * 4 - h0.graph_dim
 
 
 def test_canonical_decomposition_requires_skew():
     with pytest.raises(NotSkewSymmetric):
-        bd.canonical_pieces(
+        ref.canonical_pieces(
             bd.canonical_system(ref.from_operator(np.eye(1), ref.full(1)))
         )
 
@@ -261,7 +261,7 @@ def test_canonical_system_verifies(params):
     assert report.ok
     assert report.residual <= 1e-9
     # closed-form F against the oblique-projection reference, column by column
-    pieces = bd.canonical_pieces(s)
+    pieces = ref.canonical_pieces(s)
     for j in range(s.adjoint_graph.dim):
         _, comp1, comp2 = ref.oblique_project(pieces, s.adjoint_graph.basis[:, j])
         column = SQRT2 * np.concatenate(
@@ -275,7 +275,7 @@ def test_canonical_system_verifies(params):
 def test_decomposition_pieces_orthogonal_and_dims_sum(params):
     n, k, seed = params
     h0 = rel.random_skew_symmetric(n, k, seed)
-    g_neg, ghat1, ghat2 = bd.canonical_pieces(bd.canonical_system(h0))
+    g_neg, ghat1, ghat2 = ref.canonical_pieces(bd.canonical_system(h0))
     pieces = (g_neg, ghat1, ghat2)
     for i, a in enumerate(pieces):
         for b in pieces[i + 1 :]:
@@ -318,7 +318,7 @@ def test_decomposition_failure_is_detectable():
     # sneaks past only at an absurd tolerance, so the guard trips instead
     h0 = ref.from_operator(np.array([[0.5]]), ref.full(1))
     with pytest.raises((NotSkewSymmetric, DecompositionFailure)):
-        bd.canonical_pieces(bd.canonical_system(h0))
+        ref.canonical_pieces(bd.canonical_system(h0))
 
 
 def test_wrong_deficiency_space_fails_the_gap_check(monkeypatch):

@@ -782,6 +782,34 @@ def test_one_parser_serves_every_call_without_carrying_values(capsys):
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--count", "1", "--seed", "-5"],
+        ["generate", "--n", "2", "--k", "1", "--seed", "-1", "--out-relation", "r"],
+    ],
+)
+def test_a_negative_seed_is_a_usage_error_that_names_the_seed(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed:" in captured.err and "invalid input" not in captured.err
+    assert captured.out == "" and not (tmp_path / "r").exists()
+
+
+def test_seeds_from_zero_up_are_accepted(tmp_path, capsys):
+    code, report = run_cli(capsys, "sweep", "--count", "1", "--seed", str(2**70))
+    assert code == 0 and report["args"] == {"count": 1, "seed": 2**70}
+    path = str(tmp_path / "r.json")
+    argv = ["--n", "2", "--k", "1", "--seed", "0", "--out-relation", path]
+    code, report = run_cli(capsys, "generate", *argv)
+    assert code == 0 and report["args"]["seed"] == 0
+
+
 def test_rank_tol_only_on_relation_commands(zero_relation_file, capsys):
     assert main(["canonical", "--input", zero_relation_file, "--rank-tol", "1e-8"]) == 0
     capsys.readouterr()

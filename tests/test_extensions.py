@@ -255,7 +255,7 @@ def test_adjoint_gap_equals_the_complement_gap():
     for n, k, seed in _formula_instances():
         s = bd.canonical_system(rel.random_skew_symmetric(n, k, seed))
         h = ext.canonical_max_dissipative(s)
-        g_neg, ghat1, ghat2 = bd.canonical_pieces(s)
+        g_neg, ghat1, ghat2 = ref.canonical_pieces(s)
         # the formula graph, then the two wrong ones of equal dimension: g2
         # in place of g1, and the sum not negated
         for first, second, negated in (
@@ -276,7 +276,7 @@ def test_adjoint_gap_equals_the_complement_gap():
 def test_wrong_formula_graphs_fail_by_both_routes(n, k):
     s = bd.canonical_system(rel.random_skew_symmetric(n, k, 3))
     h = ext.canonical_max_dissipative(s)
-    g_neg, ghat1, ghat2 = bd.canonical_pieces(s)
+    g_neg, ghat1, ghat2 = ref.canonical_pieces(s)
     tol = s.report.tol
     wrong = {
         "g2 in place of g1": ref.formula_graph(g_neg, ghat2),

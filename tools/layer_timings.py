@@ -8,17 +8,20 @@ BLAS is pinned to one thread before numpy loads.  Every in-process figure
 is the best of ``REPEAT`` wall-clock runs (``time.perf_counter``) after
 one untimed warm-up call; inputs are built outside the timed region.  The
 CLI figures are the median wall time of ``REPEAT`` fresh interpreters
-running ``python3 -m skewext.cli``, so they include the import.  With
-``--baseline-src`` the CLI figures are also taken with that source tree
-on ``PYTHONPATH`` (``cli_baseline``), the two trees taking turns, the
-n = 64, 128 and 256 layer figures are also taken on that tree in a child
-interpreter (``layers_baseline``), and the half-line figures are also
-taken with that tree's ``halfline`` and ``formats`` modules
-(``halfline_baseline``), the two trees taking turns at each size, for a
-before/after comparison on the same machine.  Each positive layer figure
-also gets its local exponent between consecutive sizes
-(``layer_exponents``), so the growth of every layer in n is read off the
-file.
+running ``python3 -m skewext.cli``, so they include the import.  The layer
+figures of each size are taken in ``LAYER_ROUNDS`` child interpreters that
+import ``skewext`` from the tree they time, and each time figure is the
+best of them.  With ``--baseline-src`` every figure is also taken on that
+source tree, for a before/after comparison on the same machine: the CLI
+figures with that tree on ``PYTHONPATH`` (``cli_baseline``), the layer
+figures at every size (``layers_baseline``) and the half-line figures with
+that tree's ``halfline`` and ``formats`` modules (``halfline_baseline``).
+The two trees take turns, in alternating order: at each CLI probe and
+repeat, at each round of each size of the layers, and at each half-line
+figure of each size, so that a slow spell of the machine falls on both
+alike and does not read as a change.  Each positive layer figure also gets
+its local exponent between consecutive sizes (``layer_exponents``), so the
+growth of every layer in n is read off the file.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
@@ -70,8 +73,8 @@ SIZES = (4, 16, 64, 128, 256)
 HALFLINE_TERMS = (10, 30, 60)
 SEED = 7
 REPEAT = 7
-#: the sizes whose layers are also taken on a ``--baseline-src`` tree
-BASELINE_LAYER_SIZES = (64, 128, 256)
+#: child interpreters per tree and size; each time figure is the best of them
+LAYER_ROUNDS = 3
 
 
 def _best(fn, *args):
@@ -115,10 +118,10 @@ def layer_timings(n: int) -> dict:
     ext_phi = ext.extension_from_contraction(t, k)
     dissip = ext.canonical_max_dissipative(s)
     # the two graphs the adjoint formula compares
-    g_neg, ghat1, _ = bd.canonical_pieces(s)
+    g_neg, ghat1, _ = bd._canonical_blocks(s)
     formula_lhs = rel.adjoint(dissip).graph
     formula_rhs = rel.negate(
-        rel.Relation(n, sub.Subspace(2 * n, np.hstack([g_neg.basis, ghat1.basis])))
+        rel.Relation(n, sub.Subspace(2 * n, np.concatenate([g_neg, ghat1], axis=1)))
     ).graph
     # the check both gap callers make: adjoint_gap_within, or on a tree
     # without it, adjoint_gap held against the tolerance
@@ -237,7 +240,17 @@ def local_exponents(layers: dict) -> dict:
     return out
 
 
-def baseline_layers(src: str, n: int) -> dict:
+def _best_of_rounds(runs: list) -> dict:
+    """One ``layer_timings`` record from several of one tree and size: the
+    least of each time figure (a name ending in ``_s``), and the first
+    record's value of each other figure, which all records share."""
+    return {
+        name: min(run[name] for run in runs) if name.endswith("_s") else value
+        for name, value in runs[0].items()
+    }
+
+
+def tree_layers(src: str, n: int) -> dict:
     """``layer_timings(n)`` on the source tree ``src``, in a child
     interpreter that imports ``skewext`` from ``src`` before it runs this
     file, so that every module the timings use comes from that tree."""
@@ -310,7 +323,9 @@ def _trace_zero(f, module=hl):
     return f - module.exp_decay(1).scale(f.eval0())
 
 
-def halfline_timings(terms: int, module=hl) -> dict:
+def halfline_ops(terms: int, module=hl) -> dict:
+    """The half-line figures at ``terms`` terms in the tree of ``module``:
+    each name with the call it times and that call's arguments."""
     rnd = random.Random(SEED + terms)
     f = _random_function(rnd, terms, module)
     g = _random_function(rnd, terms, module)
@@ -325,15 +340,36 @@ def halfline_timings(terms: int, module=hl) -> dict:
     if report(u) != fmt.dumps(json.loads(report(u))):
         raise RuntimeError("the resolvent report is not json's bytes")
     return {
-        "halfline.inner_s": _best(module.inner, f, g),
-        "halfline.derivative_s": _best(module.ExpPoly.derivative, f),
-        "halfline.green_identity_s": _best(module.green_identity, f, g),
-        "halfline.dissipative_s": _best(_dissipative_kernel(module), image, f0),
-        "halfline.resolvent_solve_s": _best(module.resolvent_solve, f),
-        "halfline.resolvent_check_s": _best(_resolvent_check, u, f),
-        "halfline.parse_s": _best(formats.exppoly_from_json, records),
-        "halfline.report_s": _best(report, u),
+        "halfline.inner_s": (module.inner, f, g),
+        "halfline.derivative_s": (module.ExpPoly.derivative, f),
+        "halfline.green_identity_s": (module.green_identity, f, g),
+        "halfline.dissipative_s": (_dissipative_kernel(module), image, f0),
+        "halfline.resolvent_solve_s": (module.resolvent_solve, f),
+        "halfline.resolvent_check_s": (_resolvent_check, u, f),
+        "halfline.parse_s": (formats.exppoly_from_json, records),
+        "halfline.report_s": (report, u),
     }
+
+
+def _take_turns(calls: dict, timer) -> dict:
+    """``timer(fn, *args)`` of each figure of each tree in ``calls``, a dict
+    label -> figure name -> (fn, *args); the trees take turns at each
+    figure, in alternating order, so that a slow spell of the machine falls
+    on both alike."""
+    out = {label: {} for label in calls}
+    for i, name in enumerate(next(iter(calls.values()))):
+        order = list(calls) if i % 2 == 0 else list(reversed(calls))
+        for label in order:
+            fn, *args = calls[label][name]
+            out[label][name] = timer(fn, *args)
+    return out
+
+
+def halfline_timings(terms: int, modules: dict) -> dict:
+    """The ``halfline_ops`` figures at ``terms`` terms for each labelled
+    ``halfline`` module of ``modules``, the trees taking turns."""
+    calls = {label: halfline_ops(terms, module) for label, module in modules.items()}
+    return _take_turns(calls, _best)
 
 
 def _coprime_rates(count: int) -> list:
@@ -377,24 +413,33 @@ def _timed_once(fn, *args):
     return result, float(f"{time.perf_counter() - start:.4g}")
 
 
-def coprime_timing(module=hl) -> dict:
+def coprime_timings(modules: dict) -> dict:
     """``green_identity(f, f)`` on ``_coprime_function``, and the
-    ``dissipative`` kernel on ``_coprime_trace_zero_function``: one timed
-    call each, since a tree that adds unreduced rate-sum fractions takes
-    seconds on the first."""
-    f = _coprime_function(module)
-    (lhs, rhs), green_s = _timed_once(module.green_identity, f, f)
-    if lhs != rhs:
-        raise RuntimeError("the Green identity fails on the coprime-rate input")
-    f0 = _coprime_trace_zero_function(module)
-    image = module.canonical_extension_apply(f0)
-    value, dissipative_s = _timed_once(_dissipative_kernel(module), image, f0)
-    if value != 0:
-        raise RuntimeError("Re <Hf, f> is not 0 on the coprime-rate input")
-    return {
-        "halfline.green_coprime_s": green_s,
-        "halfline.dissipative_coprime_s": dissipative_s,
-    }
+    ``dissipative`` kernel on ``_coprime_trace_zero_function``, for each
+    labelled ``halfline`` module of ``modules``: one timed call each, since a
+    tree that adds unreduced rate-sum fractions takes seconds on the first."""
+    calls = {}
+    for label, module in modules.items():
+        f = _coprime_function(module)
+        f0 = _coprime_trace_zero_function(module)
+        image = module.canonical_extension_apply(f0)
+        calls[label] = {
+            "halfline.green_coprime_s": (module.green_identity, f, f),
+            "halfline.dissipative_coprime_s": (_dissipative_kernel(module), image, f0),
+        }
+    out = {}
+    for label, figures in _take_turns(calls, _timed_once).items():
+        (lhs, rhs), green_s = figures["halfline.green_coprime_s"]
+        if lhs != rhs:
+            raise RuntimeError("the Green identity fails on the coprime-rate input")
+        value, dissipative_s = figures["halfline.dissipative_coprime_s"]
+        if value != 0:
+            raise RuntimeError("Re <Hf, f> is not 0 on the coprime-rate input")
+        out[label] = {
+            "halfline.green_coprime_s": green_s,
+            "halfline.dissipative_coprime_s": dissipative_s,
+        }
+    return out
 
 
 def baseline_halfline(src: str):
@@ -543,9 +588,15 @@ def main(argv=None) -> int:
             "layer_exponents": "for each pair of consecutive sizes n1 < n2, "
             "log(v2 / v1) / log(n2 / n1) of each positive layer figure: the "
             "local slope on a log-log scale, 3 for cubic growth",
-            "layers_baseline": "the n = 64, 128 and 256 layers of the "
-            "--baseline-src tree, taken in a child interpreter that imports "
-            "skewext from that tree",
+            "layers": f"each size's layers taken in {LAYER_ROUNDS} child "
+            "interpreters that import skewext from the tree they time; each "
+            "time figure is the best of them",
+            "layers_baseline": "the layers of the --baseline-src tree at every "
+            "size, taken as those of this tree are; the two trees take turns "
+            "at each round of each size, in alternating order",
+            "halfline_baseline": "the half-line figures with the "
+            "--baseline-src tree's halfline and formats modules; at each size "
+            "the two trees take turns at each figure, in alternating order",
             "report": "the payload of `canonical` on the relation file "
             "generate writes, as relation_commands.cmd_canonical builds it; "
             "report_bytes is the length of its formats.dumps text; "
@@ -578,25 +629,30 @@ def main(argv=None) -> int:
             "terms (1 + (i + 1) i) t^(1 + i % 8) exp(-lam t) at the first 30 "
             "of those rates",
         },
-        "layers": {f"n={n}": layer_timings(n) for n in SIZES},
     }
-    record["layer_exponents"] = local_exponents(record["layers"])
     trees = {"cli": str(ROOT / "src")}
     modules = {"halfline": hl}
     if args.baseline_src:
         trees["cli_baseline"] = str(Path(args.baseline_src).resolve())
-        record["layers_baseline"] = {
-            f"n={n}": baseline_layers(trees["cli_baseline"], n)
-            for n in BASELINE_LAYER_SIZES
-        }
         modules["halfline_baseline"] = baseline_halfline(trees["cli_baseline"])
-    # the two trees take turns at each size, so that a slow spell of the
-    # machine falls on both alike
+    # the trees take turns at each size and each half-line figure, so that a
+    # slow spell of the machine falls on both alike
+    layer_keys = {"cli": "layers", "cli_baseline": "layers_baseline"}
+    for i, n in enumerate(SIZES):
+        rounds = {label: [] for label in trees}
+        for r in range(LAYER_ROUNDS):
+            order = list(trees) if (i + r) % 2 == 0 else list(reversed(trees))
+            for label in order:
+                rounds[label].append(tree_layers(trees[label], n))
+        for label, runs in rounds.items():
+            layers = record.setdefault(layer_keys[label], {})
+            layers[f"n={n}"] = _best_of_rounds(runs)
+    record["layer_exponents"] = local_exponents(record["layers"])
     for t in HALFLINE_TERMS:
-        for label, module in modules.items():
-            record.setdefault(label, {})[f"terms={t}"] = halfline_timings(t, module)
-    for label, module in modules.items():
-        record[label]["coprime"] = coprime_timing(module)
+        for label, figures in halfline_timings(t, modules).items():
+            record.setdefault(label, {})[f"terms={t}"] = figures
+    for label, figures in coprime_timings(modules).items():
+        record[label]["coprime"] = figures
     record.update(cli_timings(trees))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(fmt.dumps(record))
