@@ -78,7 +78,7 @@ class VerificationReport:
         return self.surjective and self.identity_holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundarySystem:
     """Boundary system data (g1, g2, F) over a skew-symmetric base relation.
 
@@ -87,7 +87,8 @@ class BoundarySystem:
     (g1, g2) coordinates; the first ``g1.dim`` rows are the F1 block.
     The system is verified once, at tolerance ``tol``, when it is built;
     ``report`` holds the outcome; the boundary map is made read-only, so
-    the report stays valid for the life of the object.
+    the report stays valid for the life of the object.  ``==`` is identity,
+    as for every library object that holds arrays.
     """
 
     base: Relation
@@ -96,7 +97,7 @@ class BoundarySystem:
     g2: Subspace
     f_matrix: np.ndarray
     tol: InitVar[float] = sub.ORTH_TOL
-    report: VerificationReport = field(init=False, compare=False)
+    report: VerificationReport = field(init=False)
 
     def __post_init__(self, tol):
         _freeze_maps(self, (self.g1, self.g2), {"f_matrix": self.g1.dim + self.g2.dim})
@@ -125,13 +126,14 @@ class BoundarySystem:
         return self.f_matrix[self.g1.dim :, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryTriplet:
     """Boundary triplet data (g, Gamma1, Gamma2) over a skew-symmetric base.
 
     Both boundary maps act on coordinates against the orthonormal basis in
     ``adjoint_graph``.  Like a system, the triplet is verified once at
-    ``tol`` when it is built, and ``report`` holds the outcome.
+    ``tol`` when it is built, and ``report`` holds the outcome; ``==`` is
+    identity.
     """
 
     base: Relation
@@ -140,7 +142,7 @@ class BoundaryTriplet:
     gamma1: np.ndarray
     gamma2: np.ndarray
     tol: InitVar[float] = sub.ORTH_TOL
-    report: VerificationReport = field(init=False, compare=False)
+    report: VerificationReport = field(init=False)
 
     def __post_init__(self, tol):
         _freeze_maps(self, (self.g,), {"gamma1": self.g.dim, "gamma2": self.g.dim})

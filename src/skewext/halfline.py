@@ -37,9 +37,8 @@ by ``_ratio_from_str`` (``_digits_int``), which reads the value strings
 given to ``ExpPoly(...)``, ``term`` and ``RationalComplex`` too.
 
 ``inner_sum`` is the exact sum of inner products over a sequence of pairs,
-which is also the inner product on a direct sum of half-lines; ``inner``
-is its one-pair case, and the left side of ``green_identity`` is one call
-on two pairs.  It brings all pairs to one integer scale and all rates to
+which is also the inner product on a direct sum of half-lines; the left
+side of ``green_identity`` is one call on two pairs.  It brings all pairs to one integer scale and all rates to
 one denominator, and evaluates the closed form integral of
 t^m exp(-s t) = m! / s^(m+1) with term pairs summed in integers per rate
 sum s = N/M and total degree m, in buckets the pairs share.  Each rate sum
@@ -253,9 +252,6 @@ def _coerce(x) -> RationalComplex:
     if isinstance(x, (int, Fraction)):
         return RationalComplex(_frac(x), _ZERO)
     raise NotExact(f"cannot coerce {type(x).__name__} to RationalComplex")
-
-
-QC = RationalComplex  # short constructor alias used heavily in tests
 
 
 class ExpPoly:
@@ -694,12 +690,6 @@ def inner_sum_re(pairs) -> Fraction:
                         sum_re[a + b] += cr * dr + ci * di
     num, _, den = _bucket_sum(buckets, rate_den, width)
     return Fraction(num, den * scale)
-
-
-def inner(f: ExpPoly, g: ExpPoly) -> RationalComplex:
-    """Exact L2(0, infinity) inner product, conjugate-linear in ``g``: the
-    one-pair case of ``inner_sum``."""
-    return inner_sum(((f, g),))
 
 
 def norm_sq(f: ExpPoly) -> Fraction:

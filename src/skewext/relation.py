@@ -40,14 +40,15 @@ from .subspace import Subspace
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation:
-    """A linear relation on C^n, held as its graph subspace of C^2n."""
+    """A linear relation on C^n, held as its graph subspace of C^2n; ``==``
+    is identity."""
 
     space_dim: int
     graph: Subspace
     # DeficiencyData by tolerance, filled by ``deficiency``
-    _deficiency: dict = field(default_factory=dict, init=False, compare=False)
+    _deficiency: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.space_dim < 1:
@@ -91,9 +92,10 @@ class Relation:
         return f"Relation(space_dim={self.space_dim}, graph_dim={self.graph_dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeficiencyData:
-    """The kernels g1 = ker(1 - T*) and g2 = ker(1 + T*) with their dimensions."""
+    """The kernels g1 = ker(1 - T*) and g2 = ker(1 + T*) with their
+    dimensions; ``==`` is identity."""
 
     g1: Subspace
     g2: Subspace
@@ -104,8 +106,11 @@ class DeficiencyData:
 
 
 def zero_relation(n: int) -> Relation:
-    """The zero relation on C^n: graph {0} (empty domain, not the zero map)."""
-    return Relation(n, sub.zero(2 * n))
+    """The zero relation on C^n: graph {0} (empty domain, not the zero map),
+    held with its forms, both 0-by-0, like every graph built here."""
+    if n < 1:
+        raise BadDimension("space dimension must be positive")
+    return Relation(n, sub._graph(np.zeros((2 * n, 0), dtype=complex)))
 
 
 def from_graph(n: int, generators, tol: float = sub.RANK_TOL) -> Relation:
@@ -168,9 +173,9 @@ def _adjoint_gap_matrix(t: Relation, basis: np.ndarray):
     Graph(T*) is (J Graph(T))^perp (``adjoint``), and J maps the orthonormal
     graph basis B of T to an orthonormal basis J B.  So when the columns of
     ``basis`` and dim Graph(T) add to 2n, a basis L of Graph(T*) and J B
-    side by side form a unitary, and the gap ||(I - L L^H) R||_2 of
-    ``subspace.distance`` is ||(J B)^H R||_2 for R = ``basis``.  Otherwise
-    the two cannot be equal, and no tolerance accepts the span.
+    side by side form a unitary, and the gap ||(I - L L^H) R||_2 is
+    ||(J B)^H R||_2 for R = ``basis``.  Otherwise the two cannot be equal,
+    and no tolerance accepts the span.
     """
     n = t.space_dim
     if basis.shape[1] + t.graph_dim != 2 * n:
@@ -215,8 +220,9 @@ def omega_matrix(basis: np.ndarray) -> np.ndarray:
 
 def _omega(graph: Subspace) -> np.ndarray:
     """Omega on the basis of a graph subspace: the one ``subspace._graph``
-    computed with its orthonormality check, or ``omega_matrix`` of the basis
-    for a graph built otherwise."""
+    computed with its orthonormality check.  Every relation this package
+    builds has its graph from ``_graph``; ``omega_matrix`` of the basis
+    serves only a relation that a caller builds on a plain ``Subspace``."""
     return omega_matrix(graph.basis) if graph._omega is None else graph._omega
 
 

@@ -11,11 +11,11 @@ matrix of full column rank and is the tail of one complete QR
 (``complement``), with no rank decision.  A graph subspace of C^2n
 (``_graph``) also holds its Gram matrix and its form Omega, both from the
 same two half-size products, so its orthonormality check and Omega cost one
-Gram matrix.  Distances compare the bases directly, without forming
-projectors, and a distance held against a tolerance is decided by the
-Frobenius norm of the residual where it can (``distance_at_most``).
-Values are immutable and every operation is a pure
-function.
+Gram matrix.  Subspaces are compared in one way: the gap metric held
+against a tolerance (``distance_at_most``), on the bases directly, without
+forming projectors, and by the Frobenius norm of the residual where it can;
+containment is ``contains_subspace`` and ``coordinates_in``.  Values are
+immutable, compare by identity, and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbientMismatch, EmptyAmbient, InvalidTolerance, NotOrthonormal
-from .linalg import matrix_2norm, norm_at_most, subtract_identity
+from .linalg import norm_at_most, subtract_identity
 from .tolerances import ORTH_TOL, RANK_TOL
 
 
@@ -54,21 +54,19 @@ def rank(m: np.ndarray) -> int:
     return numerical_rank(np.linalg.svd(m, compute_uv=False))
 
 
-def _as_matrix(vectors, m=None):
-    """Stack a sequence of vectors into an m-by-N complex matrix."""
+def _as_matrix(vectors, m: int):
+    """Stack a sequence of vectors of length ``m`` into an m-by-N complex
+    matrix."""
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if cols:
         lengths = {c.shape[0] for c in cols}
         if len(lengths) > 1:
             raise AmbientMismatch(f"vectors of unequal lengths {sorted(lengths)}")
-        m = cols[0].shape[0] if m is None else m
         if cols[0].shape[0] != m:
             raise AmbientMismatch(
                 f"vectors of length {cols[0].shape[0]} in ambient dimension {m}"
             )
         return np.column_stack(cols)
-    if m is None:
-        raise EmptyAmbient("empty span needs an explicit ambient dimension")
     return np.zeros((m, 0), dtype=complex)
 
 
@@ -79,7 +77,7 @@ def _identity_deviation(gram: np.ndarray) -> float:
     return np.abs(subtract_identity(gram)).max()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^m, held as an orthonormal column basis.
 
@@ -89,17 +87,16 @@ class Subspace:
         The ambient dimension m (positive).
     basis : ndarray
         Complex m-by-k matrix with orthonormal columns; k is the dimension.
+
+    ``==`` is identity and a subspace hashes by its id: two subspaces are
+    compared by ``distance_at_most``.
     """
 
     ambient_dim: int
     basis: np.ndarray
     # the Gram matrix and the form Omega of a graph basis, given by ``_graph``
-    _gram: np.ndarray | None = field(
-        default=None, kw_only=True, repr=False, compare=False
-    )
-    _omega: np.ndarray | None = field(
-        default=None, kw_only=True, repr=False, compare=False
-    )
+    _gram: np.ndarray | None = field(default=None, kw_only=True, repr=False)
+    _omega: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         if self.ambient_dim < 1:
@@ -134,25 +131,6 @@ def zero(m: int) -> Subspace:
     return Subspace(m, np.zeros((m, 0), dtype=complex))
 
 
-def span(vectors, m=None, tol: float = RANK_TOL) -> Subspace:
-    """Closed span of a sequence of complex m-vectors.
-
-    The dimension of the result is the numerical rank at relative
-    tolerance ``tol``: singular values at or below ``tol`` times the
-    largest singular value are discarded.
-
-    Parameters
-    ----------
-    vectors : sequence of array_like
-        Spanning vectors, all of equal length m >= 1.
-    m : int, optional
-        Ambient dimension; mandatory when ``vectors`` is empty.
-    tol : float
-        Relative rank threshold, in (0, 1).
-    """
-    return span_matrix(_as_matrix(vectors, m), tol)
-
-
 def _canonical_phases(b: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry, the pivot, is real
     positive.
@@ -173,8 +151,10 @@ def _canonical_phases(b: np.ndarray) -> np.ndarray:
 def span_matrix(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     """Column span of a complex matrix (columns are the spanning vectors).
 
-    ``tol`` is the relative rank threshold of ``span``; a value outside
-    (0, 1), NaN included, raises ``InvalidTolerance``.
+    The dimension of the result is the numerical rank at relative tolerance
+    ``tol``: singular values at or below ``tol`` times the largest are
+    discarded.  A value of ``tol`` outside (0, 1), NaN included, raises
+    ``InvalidTolerance``.
     """
     b = _span_basis(a, tol)
     return Subspace(b.shape[0], b)
@@ -262,54 +242,26 @@ def _coordinates(s: Subspace, a: np.ndarray, tol: float):
     return coords if (residuals <= tol * np.linalg.norm(a, axis=0)).all() else None
 
 
-def contains(s: Subspace, v, tol: float = ORTH_TOL) -> bool:
-    """Whether a vector lies in the subspace.
-
-    True iff the distance from ``v`` to its orthogonal projection onto
-    ``s`` is at most ``tol * norm(v)``.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape[0] != s.ambient_dim:
-        raise AmbientMismatch(
-            f"vector of length {v.shape[0]} in ambient dimension {s.ambient_dim}"
-        )
-    return _coordinates(s, v[:, None], tol) is not None
-
-
 def contains_subspace(s: Subspace, t: Subspace, tol: float = ORTH_TOL) -> bool:
-    """Whether every basis vector of ``t`` lies in ``s`` (see ``contains``)."""
+    """Whether every basis vector of ``t`` lies in ``s``: each is within
+    ``tol`` times its norm of its orthogonal projection onto ``s``."""
     return coordinates_in(s, t, tol) is not None
 
 
 def coordinates_in(s: Subspace, t: Subspace, tol: float = ORTH_TOL):
     """The coordinates ``s.basis^H t.basis`` of the basis of ``t`` in that
-    of ``s``, or None unless ``t`` lies in ``s`` (see ``contains``)."""
+    of ``s``, or None unless ``t`` lies in ``s`` (``contains_subspace``)."""
     _check_same_ambient(s, t)
     return _coordinates(s, t.basis, tol)
 
 
-def equal(s: Subspace, t: Subspace, tol: float = ORTH_TOL) -> bool:
-    """Subspace equality by mutual containment of bases."""
-    _check_same_ambient(s, t)
-    if s.dim != t.dim:
-        return False
-    return contains_subspace(s, t, tol) and contains_subspace(t, s, tol)
-
-
-def distance(s: Subspace, t: Subspace) -> float:
-    """Gap metric between subspaces: the 2-norm of the difference of the
-    orthogonal projectors.  It is 1.0 when the dimensions differ, and
-    otherwise the sine of the largest principal angle, the 2-norm of the
-    part of the basis of ``t`` orthogonal to ``s`` (``_gap_residual``)."""
-    residual = _gap_residual(s, t)
-    return 1.0 if residual is None else matrix_2norm(residual)
-
-
 def distance_at_most(s: Subspace, t: Subspace, bound: float) -> bool:
-    """Whether ``distance(s, t) <= bound``: 1.0 when the dimensions differ,
-    else the part of the basis of ``t`` orthogonal to ``s`` held against
-    ``bound`` by its Frobenius norm or else by its spectral norm
-    (``linalg.norm_at_most``)."""
+    """Whether the gap metric between ``s`` and ``t``, the 2-norm of the
+    difference of their orthogonal projectors, is at most ``bound``.  The
+    gap is 1.0 when the dimensions differ, and otherwise the sine of the
+    largest principal angle: the 2-norm of the part of the basis of ``t``
+    orthogonal to ``s``, held against ``bound`` by its Frobenius norm or
+    else by its spectral norm (``linalg.norm_at_most``)."""
     residual = _gap_residual(s, t)
     return 1.0 <= bound if residual is None else norm_at_most(residual, bound)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from skewext import subspace as sub
 from skewext.errors import AmbientMismatch, SkewextError
-from skewext.halfline import QC, ExpPoly, RationalComplex
+from skewext.halfline import ExpPoly, RationalComplex
 from skewext.boundary import BoundarySystem, _canonical_blocks
 from skewext.linalg import _padded, as_inexact, matrix_2norm
 from skewext.relation import Relation, _adjoint_gap_matrix, _omega, adjoint, negate
@@ -136,9 +136,10 @@ def formula_graph(first: Subspace, second: Subspace, negated: bool = True) -> Su
 
 def adjoint_gap_by_complement(h: Relation, graph: Subspace) -> float:
     """The gap between Graph(H*) and ``graph``: Graph(H*) from
-    ``relation.adjoint`` (one complement QR), then ``subspace.distance``,
-    which reads 1.0 when the dimensions differ."""
-    return sub.distance(adjoint(h).graph, graph)
+    ``relation.adjoint`` (one complement QR), then
+    ``distance_by_projectors``, which reads 1 up to round-off when the
+    dimensions differ."""
+    return distance_by_projectors(adjoint(h).graph, graph)
 
 
 def adjoint_by_svd(t: Relation) -> Relation:
@@ -351,7 +352,7 @@ def random_exppoly(rnd: random.Random, count: int) -> ExpPoly:
     terms = {}
     while len(terms) < count:
         key = (rnd.randint(0, 8), Fraction(rnd.randint(1, 12), rnd.randint(1, 4)))
-        terms[key] = QC(
+        terms[key] = RationalComplex(
             Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)),
             Fraction(rnd.randint(1, 9), rnd.randint(1, 6)),
         )

@@ -85,17 +85,25 @@ def test_closed_forms_equal_the_intersection_routes(kind, n, seed):
     for closed, reference in SPACES:
         fast, slow = closed(t), reference(t)
         assert fast.dim == slow.dim
-        assert sub.equal(fast, slow, tol=1e-9)
+        assert sub.distance_at_most(fast, slow, 1e-9)
     assert rel.domain(t).dim + rel.mul_part(t).dim == t.graph_dim
 
 
 def test_operator_graph_with_prescribed_kernel():
     # (e1, 0) and (e2, i e3) on C^3: kernel e1, domain {e1, e2}, no mul part
     t = rel.from_graph(3, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1j)])
-    assert sub.equal(rel.kernel(t), sub.span([(1, 0, 0)]))
-    assert sub.equal(rel.domain(t), sub.span([(1, 0, 0), (0, 1, 0)]))
+    assert sub.distance_at_most(
+        rel.kernel(t), sub.span_matrix(np.column_stack([(1, 0, 0)])), sub.ORTH_TOL
+    )
+    assert sub.distance_at_most(
+        rel.domain(t),
+        sub.span_matrix(np.column_stack([(1, 0, 0), (0, 1, 0)])),
+        sub.ORTH_TOL,
+    )
     assert rel.mul_part(t).dim == 0
-    assert sub.equal(rel.mul_part(ref.full_relation(3)), ref.full(3))
+    assert sub.distance_at_most(
+        rel.mul_part(ref.full_relation(3)), ref.full(3), sub.ORTH_TOL
+    )
 
 
 def test_scaled_block_is_cut_at_the_absolute_threshold():
@@ -107,7 +115,7 @@ def test_scaled_block_is_cut_at_the_absolute_threshold():
     assert rel.mul_part(t).dim == 1
     assert rel.kernel(t).dim == 0
     for closed, reference in SPACES:
-        assert sub.equal(closed(t), reference(t), tol=1e-9)
+        assert sub.distance_at_most(closed(t), reference(t), 1e-9)
 
 
 def _random_subspace(m, k, rng):
@@ -132,5 +140,8 @@ def test_distance_equals_the_projector_form(m, kind, seed):
         t = sub.zero(m)
     else:
         t = s
+    # the gap ``distance_at_most`` decides is the projector form within 1e-14
     for a, b in ((s, t), (t, s)):
-        assert abs(sub.distance(a, b) - ref.distance_by_projectors(a, b)) <= 1e-14
+        gap = ref.distance_by_projectors(a, b)
+        assert sub.distance_at_most(a, b, gap + 1e-14)
+        assert not sub.distance_at_most(a, b, gap - 1e-14)

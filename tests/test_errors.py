@@ -25,7 +25,7 @@ from skewext.errors import (
 )
 
 
-one = hl.QC(1)
+one = hl.RationalComplex(1)
 
 
 def _relation_at(rank_tol):

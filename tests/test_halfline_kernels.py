@@ -38,7 +38,8 @@ from reference import (
 )
 from skewext import formats as fmt
 from skewext import halfline as hl
-from skewext.halfline import QC, ExpPoly, exp_decay, term
+from skewext.halfline import ExpPoly, exp_decay, term
+from skewext.halfline import RationalComplex as QC
 
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 coefficients = st.one_of(

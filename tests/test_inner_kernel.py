@@ -1,8 +1,8 @@
 """The grouped half-line inner product against the term-wise reference.
 
 ``halfline.inner_sum`` sums integer numerators grouped by rate sum and
-degree over all its pairs at once, and ``halfline.inner`` is its one-pair
-case; ``reference.inner_termwise`` adds one exact term per term pair.  Both
+degree over all its pairs at once, one pair being the inner product;
+``reference.inner_termwise`` adds one exact term per term pair.  Both
 must agree exactly (``Fraction``s are canonical), including on colliding
 rate sums, the resonant rate 1, degree-33 resolvent outputs, zero
 polynomials, purely imaginary coefficients, rate denominators up to the
@@ -34,7 +34,8 @@ from reference import (
 )
 from skewext import halfline as hl
 from skewext.cli import main
-from skewext.halfline import QC, ExpPoly, exp_decay, term
+from skewext.halfline import ExpPoly, exp_decay, term
+from skewext.halfline import RationalComplex as QC
 
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 coefficients = st.one_of(
@@ -74,7 +75,7 @@ def kernel_inputs(draw):
 @settings(deadline=None, max_examples=100)
 @given(f=kernel_inputs(), g=kernel_inputs())
 def test_inner_equals_termwise_reference(f, g):
-    assert hl.inner(f, g) == inner_termwise(f, g)
+    assert hl.inner_sum(((f, g),)) == inner_termwise(f, g)
 
 
 def test_inner_equals_termwise_on_degree_33_resolvent():
@@ -82,13 +83,13 @@ def test_inner_equals_termwise_on_degree_33_resolvent():
     assert max(k for k, _ in u.terms) == hl.MAX_DEGREE + 1
     g = term(3, Fraction(1, 2), 2, -1) + term(0, 1, 0, 5) + exp_decay(Fraction(7, 3))
     for x, y in ((u, u), (u, g), (g, u), (u.derivative(), u)):
-        assert hl.inner(x, y) == inner_termwise(x, y)
+        assert hl.inner_sum(((x, y),)) == inner_termwise(x, y)
 
 
 def test_inner_with_a_zero_polynomial():
     f = term(2, Fraction(3, 2), 1, 1) + term(0, 1, 0, -4)
-    assert hl.inner(f, ExpPoly()) == hl.inner(ExpPoly(), f) == QC()
-    assert hl.inner(ExpPoly(), ExpPoly()) == QC()
+    assert hl.inner_sum(((f, ExpPoly()),)) == hl.inner_sum(((ExpPoly(), f),)) == QC()
+    assert hl.inner_sum(((ExpPoly(), ExpPoly()),)) == QC()
 
 
 def test_inner_sums_colliding_rate_pairs():
@@ -97,13 +98,13 @@ def test_inner_sums_colliding_rate_pairs():
     f = exp_decay(Fraction(1, 2)) + exp_decay(1)
     g = exp_decay(Fraction(3, 2)) + exp_decay(1)
     expected = QC(2 * Fraction(1, 2) + Fraction(2, 3) + Fraction(2, 5))
-    assert hl.inner(f, g) == inner_termwise(f, g) == expected
+    assert hl.inner_sum(((f, g),)) == inner_termwise(f, g) == expected
 
 
 @settings(deadline=None, max_examples=60)
 @given(f=kernel_inputs(), g=kernel_inputs())
 def test_inner_hermitian_symmetry_on_kernel_inputs(f, g):
-    assert hl.inner(f, g) == hl.inner(g, f).conj()
+    assert hl.inner_sum(((f, g),)) == hl.inner_sum(((g, f),)).conj()
 
 
 @settings(deadline=None, max_examples=60)
@@ -113,8 +114,10 @@ def test_inner_hermitian_symmetry_on_kernel_inputs(f, g):
 )
 def test_inner_sesquilinear(f1, f2, g, a, b):
     combo = f1.scale(a) + f2.scale(b)
-    assert hl.inner(combo, g) == a * hl.inner(f1, g) + b * hl.inner(f2, g)
-    assert hl.inner(g, combo) == a.conj() * hl.inner(g, f1) + b.conj() * hl.inner(g, f2)
+    left = a * hl.inner_sum(((f1, g),)) + b * hl.inner_sum(((f2, g),))
+    right = a.conj() * hl.inner_sum(((g, f1),)) + b.conj() * hl.inner_sum(((g, f2),))
+    assert hl.inner_sum(((combo, g),)) == left
+    assert hl.inner_sum(((g, combo),)) == right
 
 
 def _termwise_sum(pairs):
@@ -148,7 +151,7 @@ def test_inner_sum_equals_the_sum_of_termwise_inner_products(pairs):
 def test_inner_sum_of_one_pair_and_of_no_pair():
     f = term(2, Fraction(3, 2), 1, 1) + term(0, 1, 0, -4)
     g = term(1, Fraction(1, 6), Fraction(-5, 3), 2) + exp_decay(3)
-    assert hl.inner_sum([(f, g)]) == hl.inner(f, g) == inner_termwise(f, g)
+    assert hl.inner_sum([(f, g)]) == inner_termwise(f, g)
     assert hl.inner_sum([]) == hl.inner_sum([(f, ExpPoly()), (ExpPoly(), g)]) == QC()
 
 
@@ -158,7 +161,7 @@ def test_inner_sum_adds_pairs_on_different_scales_and_rates():
     h = term(4, Fraction(999_999, 1_000_000), Fraction(1, 3**40), -(10**30))
     pairs = [(f, g), (h, f.scale(QC(0, Fraction(1, 11)))), (g, h), (h, h)]
     assert hl.inner_sum(pairs) == _termwise_sum(pairs)
-    assert hl.inner_sum(pairs) == sum((hl.inner(x, y) for x, y in pairs), QC())
+    assert hl.inner_sum(pairs) == sum((hl.inner_sum(((x, y),)) for x, y in pairs), QC())
 
 
 @pytest.fixture
@@ -181,7 +184,7 @@ def test_inner_builds_no_rational_complex_per_term_pair(
     rnd = random.Random(count)
     f, g = random_exppoly(rnd, count), random_exppoly(rnd, count)
     rational_complex_count.clear()
-    hl.inner(f, g)
+    hl.inner_sum(((f, g),))
     # the result is the only one; term-wise summation built more than
     # count**2 (3600 at 60 terms)
     assert len(rational_complex_count) <= 2
@@ -320,7 +323,7 @@ def test_dissipative_on_coprime_rates_with_complex_coefficients(tmp_path, capsys
     ]
     f = ExpPoly({(1 + i % 8, lam): QC(1, i + 1) for i, lam in enumerate(rates)})
     image = hl.canonical_extension_apply(f)
-    full = hl.inner(image, f)
+    full = hl.inner_sum(((image, f),))
     assert full.re == 0 and full.im.denominator.bit_length() > 10**4
     path = tmp_path / "coprime.json"
     path.write_text(json.dumps(exppoly_to_json(f)))

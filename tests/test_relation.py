@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from skewext import relation as rel
 from skewext import subspace as sub
-from skewext.errors import BadDimension, NotSkewSymmetric
+from skewext.errors import AmbientMismatch, BadDimension, NotSkewSymmetric
 
 import reference as ref
 
@@ -29,7 +29,9 @@ relation_params = st.tuples(
 
 def test_from_operator_mult_i():
     t = mult_by(1j)
-    assert sub.equal(t.graph, sub.span([(1, 1j)]))
+    assert sub.distance_at_most(
+        t.graph, sub.span_matrix(np.column_stack([(1, 1j)])), sub.ORTH_TOL
+    )
 
 
 def test_from_operator_zero_domain():
@@ -38,8 +40,10 @@ def test_from_operator_zero_domain():
 
 
 def test_from_operator_partial_domain():
-    t = ref.from_operator(np.eye(2), sub.span([(1, 0)]))
-    assert sub.equal(t.graph, sub.span([(1, 0, 1, 0)]))
+    t = ref.from_operator(np.eye(2), sub.span_matrix(np.column_stack([(1, 0)])))
+    assert sub.distance_at_most(
+        t.graph, sub.span_matrix(np.column_stack([(1, 0, 1, 0)])), sub.ORTH_TOL
+    )
 
 
 def test_anatomy_zero_relation():
@@ -48,48 +52,70 @@ def test_anatomy_zero_relation():
     assert rel.mul_part(t).dim == 0
 
 
+def test_zero_relation_holds_its_forms():
+    # built like every other graph, so Omega is read, not recomputed
+    g = rel.zero_relation(3).graph
+    assert g._gram.shape == (0, 0) and g._omega.shape == (0, 0)
+    assert rel._omega(g) is g._omega
+    with pytest.raises(BadDimension):
+        rel.zero_relation(0)
+
+
+def test_from_graph_rejects_vectors_of_unequal_or_wrong_length():
+    with pytest.raises(AmbientMismatch):
+        rel.from_graph(1, [(1, 0), (1, 0, 0)])
+    with pytest.raises(AmbientMismatch):
+        rel.from_graph(1, [(1, 0, 0)])
+
+
 def test_anatomy_purely_multivalued():
     t = graph_of((0, 1))
     assert rel.domain(t).dim == 0
-    assert sub.equal(rel.mul_part(t), ref.full(1))
+    assert sub.distance_at_most(rel.mul_part(t), ref.full(1), sub.ORTH_TOL)
     # a top graph block of pure round-off must not count as a domain
     rng = np.random.default_rng(0)
     v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     t = rel.from_graph(3, [np.concatenate([np.zeros(3), v[:, j]]) for j in range(3)])
     assert rel.domain(t).dim == 0
-    assert sub.equal(rel.mul_part(t), ref.full(3))
+    assert sub.distance_at_most(rel.mul_part(t), ref.full(3), sub.ORTH_TOL)
 
 
 def test_anatomy_mult_i():
     t = graph_of((1, 1j))
-    assert sub.equal(rel.domain(t), ref.full(1))
+    assert sub.distance_at_most(rel.domain(t), ref.full(1), sub.ORTH_TOL)
     assert rel.kernel(t).dim == 0
 
 
 def test_adjoint_of_zero_relation_is_everything():
     t_star = rel.adjoint(rel.zero_relation(1))
-    assert sub.equal(t_star.graph, ref.full(2))
+    assert sub.distance_at_most(t_star.graph, ref.full(2), sub.ORTH_TOL)
 
 
 def test_adjoint_of_mult_i():
     t_star = rel.adjoint(mult_by(1j))
-    assert sub.equal(t_star.graph, sub.span([(1, -1j)]))
+    assert sub.distance_at_most(
+        t_star.graph, sub.span_matrix(np.column_stack([(1, -1j)])), sub.ORTH_TOL
+    )
 
 
 def test_adjoint_of_complex_line():
     # solve <i x, y> = <x, y'> for all x: y' = -i y
     t_star = rel.adjoint(graph_of((1, 1j)))
-    assert sub.equal(t_star.graph, sub.span([(1, -1j)]))
+    assert sub.distance_at_most(
+        t_star.graph, sub.span_matrix(np.column_stack([(1, -1j)])), sub.ORTH_TOL
+    )
 
 
 def test_neg_adjoint_mult_i_is_itself():
     # span{(1,i)}^perp = span{(i,1)}, swapped back to span{(1,i)}
     t = mult_by(1j)
-    assert sub.equal(ref.neg_adjoint(t).graph, t.graph)
+    assert sub.distance_at_most(ref.neg_adjoint(t).graph, t.graph, sub.ORTH_TOL)
 
 
 def test_neg_adjoint_of_zero_and_full():
-    assert sub.equal(ref.neg_adjoint(rel.zero_relation(1)).graph, ref.full(2))
+    assert sub.distance_at_most(
+        ref.neg_adjoint(rel.zero_relation(1)).graph, ref.full(2), sub.ORTH_TOL
+    )
     assert ref.neg_adjoint(ref.full_relation(1)).graph_dim == 0
 
 
@@ -102,7 +128,8 @@ def test_is_skew_symmetric_examples():
 def test_deficiency_zero_relation():
     d = rel.deficiency(rel.zero_relation(1))
     assert d.indices == (1, 1)
-    assert sub.equal(d.g1, ref.full(1)) and sub.equal(d.g2, ref.full(1))
+    assert sub.distance_at_most(d.g1, ref.full(1), sub.ORTH_TOL)
+    assert sub.distance_at_most(d.g2, ref.full(1), sub.ORTH_TOL)
 
 
 def test_deficiency_mult_i():
@@ -122,12 +149,9 @@ def test_deficiency_membership_invariant():
     t = rel.random_skew_symmetric(4, 2, seed=5)
     t_star = rel.adjoint(t)
     d = rel.deficiency(t)
-    for j in range(d.g1.dim):
-        x = d.g1.basis[:, j]
-        assert sub.contains(t_star.graph, np.concatenate([x, x]))
-    for j in range(d.g2.dim):
-        x = d.g2.basis[:, j]
-        assert sub.contains(t_star.graph, np.concatenate([x, -x]))
+    g1, g2 = d.g1.basis, d.g2.basis
+    for pairs in (np.concatenate([g1, g1]), np.concatenate([g2, -g2])):
+        assert sub.contains_subspace(t_star.graph, sub.span_matrix(pairs))
 
 
 def test_is_dissipative_examples():
@@ -144,9 +168,13 @@ def test_is_skew_self_adjoint_examples():
 
 def test_extends_negate_restrict():
     assert rel.extends(ref.full_relation(1), rel.zero_relation(1))
-    assert sub.equal(rel.negate(mult_by(1j)).graph, sub.span([(1, -1j)]))
+    assert sub.distance_at_most(
+        rel.negate(mult_by(1j)).graph,
+        sub.span_matrix(np.column_stack([(1, -1j)])),
+        sub.ORTH_TOL,
+    )
     t = mult_by(1j, n=1)
-    assert sub.equal(rel.negate(rel.negate(t)).graph, t.graph)
+    assert sub.distance_at_most(rel.negate(rel.negate(t)).graph, t.graph, sub.ORTH_TOL)
 
 
 def test_generator_zero_dim():
@@ -179,7 +207,7 @@ def test_generator_index_sum():
 def test_adjoint_is_involution(params):
     n, k, seed = params
     t = rel.random_skew_symmetric(n, k, seed)
-    assert sub.equal(rel.adjoint(rel.adjoint(t)).graph, t.graph, tol=1e-9)
+    assert sub.distance_at_most(rel.adjoint(rel.adjoint(t)).graph, t.graph, 1e-9)
 
 
 @settings(deadline=None, max_examples=60)
@@ -187,8 +215,8 @@ def test_adjoint_is_involution(params):
 def test_neg_adjoint_agrees_with_negated_adjoint(params):
     n, k, seed = params
     t = rel.random_skew_symmetric(n, k, seed)
-    assert sub.equal(
-        ref.neg_adjoint(t).graph, rel.negate(rel.adjoint(t)).graph, tol=1e-9
+    assert sub.distance_at_most(
+        ref.neg_adjoint(t).graph, rel.negate(rel.adjoint(t)).graph, 1e-9
     )
 
 
@@ -209,7 +237,7 @@ def test_generator_is_skew_symmetric_with_equal_indices(params):
         diag = sub.Subspace(2 * n, np.vstack([eye, sign * eye]) / np.sqrt(2.0))
         cut = ref.intersect(rel.adjoint(t).graph, diag)
         first = sub.span_matrix(cut.basis[:n, :]) if cut.dim else sub.zero(n)
-        assert sub.equal(g, first)
+        assert sub.distance_at_most(g, first, sub.ORTH_TOL)
     # the rank cuts for g1, g2 are well conditioned: X -+ X' is an isometry
     x, xp = t.blocks()
     for m in (x - xp, x + xp):
@@ -238,7 +266,7 @@ def test_skew_self_adjoint_by_dimension_count(n, kind, delta, seed):
         noise = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
         t, expected = rel.Relation(n, sub.span_matrix(basis + delta * noise)), None
     # reference: mutual containment of Graph(T) and Graph(-T*)
-    reference = sub.equal(t.graph, ref.neg_adjoint(t).graph)
+    reference = sub.distance_at_most(t.graph, ref.neg_adjoint(t).graph, sub.ORTH_TOL)
     assert rel.is_skew_self_adjoint(t) == reference
     if expected is not None:
         assert reference == expected

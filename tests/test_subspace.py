@@ -5,41 +5,37 @@ from hypothesis import strategies as st
 
 from skewext import relation as rel
 from skewext import subspace as sub
-from skewext.errors import AmbientMismatch, EmptyAmbient
+from skewext.errors import AmbientMismatch
+from skewext.tolerances import ORTH_TOL
 
 import reference as ref
 from reference import NotDirect, NotInSum
 
 
 def test_span_collinear_vectors():
-    s = sub.span([(1, 0), (2, 0)])
+    s = sub.span_matrix(np.column_stack([(1, 0), (2, 0)]))
     assert s.dim == 1
-    assert sub.contains(s, np.array([1, 0]))
-    assert not sub.contains(s, np.array([0, 1]))
+    assert sub.contains_subspace(s, sub.span_matrix(np.column_stack([(1, 0)])))
+    assert not sub.contains_subspace(s, sub.span_matrix(np.column_stack([(0, 1)])))
 
 
 def test_span_empty_in_c3():
-    s = sub.span([], m=3)
+    s = sub.span_matrix(np.zeros((3, 0)))
     assert s.ambient_dim == 3 and s.dim == 0
 
 
 def test_span_independent_pair_is_full():
-    s = sub.span([(1, 1), (1, -1)])
-    assert sub.equal(s, ref.full(2))
-
-
-def test_span_requires_ambient():
-    with pytest.raises(EmptyAmbient):
-        sub.span([])
-    with pytest.raises(AmbientMismatch):
-        sub.span([(1, 0), (1, 0, 0)])
+    s = sub.span_matrix(np.column_stack([(1, 1), (1, -1)]))
+    assert sub.distance_at_most(s, ref.full(2), ORTH_TOL)
 
 
 def test_containment_threshold_scales_with_column_norm():
-    line = sub.span([(1, 0, 0)])
+    line = sub.span_matrix(np.column_stack([(1, 0, 0)]))
     # residual 1e-4 on a vector of norm 1e6 is 1e-10 relative
-    assert sub.contains(line, np.array([1e6, 1e-4, 0]))
-    assert not sub.contains(line, np.array([1.0, 1e-8, 0]))
+    big = sub.span_matrix(np.column_stack([(1e6, 1e-4, 0)]))
+    off = sub.span_matrix(np.column_stack([(1.0, 1e-8, 0)]))
+    assert sub.contains_subspace(line, big)
+    assert not sub.contains_subspace(line, off)
     # every column counts, not only the first
     t = sub.Subspace(3, np.array([[1, 0], [0, 1], [0, 0]], dtype=complex))
     assert not sub.contains_subspace(line, t)
@@ -53,46 +49,58 @@ def _complement(a):
 
 
 def test_orthocomplement_of_line():
-    s = _complement(sub.span([(1, 0)]).basis)
-    assert sub.equal(s, sub.span([(0, 1)]))
+    s = _complement(sub.span_matrix(np.column_stack([(1, 0)])).basis)
+    assert sub.distance_at_most(s, sub.span_matrix(np.column_stack([(0, 1)])), ORTH_TOL)
 
 
 def test_orthocomplement_of_zero_is_full():
     # the QR complement of no columns is the identity, exactly
     (basis,) = sub.complement(sub.zero(2).basis)
     assert np.array_equal(basis, np.eye(2))
-    assert sub.equal(ref.complement(sub.zero(2).basis), ref.full(2))
-    assert sub.equal(ref.complement(np.zeros((2, 3))), ref.full(2))
+    for a in (sub.zero(2).basis, np.zeros((2, 3))):
+        assert sub.distance_at_most(ref.complement(a), ref.full(2), ORTH_TOL)
 
 
 def test_orthocomplement_complex_line():
     # solve <(a, b), (1, i)> = 0 by hand: a - ib = 0, so the line is (i, 1)
-    s = _complement(sub.span([(1, 1j)]).basis)
+    s = _complement(sub.span_matrix(np.column_stack([(1, 1j)])).basis)
     assert s.dim == 1
-    assert sub.contains(s, np.array([1j, 1]))
+    assert sub.contains_subspace(s, sub.span_matrix(np.column_stack([(1j, 1)])))
 
 
 def test_intersect_coordinate_planes():
     e1, e2, e3 = np.eye(3)
-    s = ref.intersect(sub.span([e1, e2]), sub.span([e2, e3]))
-    assert sub.equal(s, sub.span([e2]))
+    s = ref.intersect(
+        sub.span_matrix(np.column_stack([e1, e2])),
+        sub.span_matrix(np.column_stack([e2, e3])),
+    )
+    assert sub.distance_at_most(s, sub.span_matrix(np.column_stack([e2])), ORTH_TOL)
 
 
 def test_intersect_idempotent():
-    s = sub.span([(1, 2, 3), (0, 1, 1j)])
-    assert sub.equal(ref.intersect(s, s), s)
+    s = sub.span_matrix(np.column_stack([(1, 2, 3), (0, 1, 1j)]))
+    assert sub.distance_at_most(ref.intersect(s, s), s, ORTH_TOL)
 
 
 def test_intersect_transversal_lines():
-    s = ref.intersect(sub.span([(1, 1)]), sub.span([(1, -1)]))
+    s = ref.intersect(
+        sub.span_matrix(np.column_stack([(1, 1)])),
+        sub.span_matrix(np.column_stack([(1, -1)])),
+    )
     assert s.dim == 0
 
 
 def test_sum_and_contains_and_equal():
     e1, e2 = np.eye(2)
-    assert sub.equal(ref.sum_of(sub.span([e1]), sub.span([e2])), ref.full(2))
-    assert sub.contains(sub.span([(1, 1j)]), np.array([2, 2j]))
-    assert sub.equal(sub.span([e1, e2]), sub.span([(1, 1), (1, -1)]))
+    summed = ref.sum_of(sub.span_matrix(e1[:, None]), sub.span_matrix(e2[:, None]))
+    assert sub.distance_at_most(summed, ref.full(2), ORTH_TOL)
+    line = sub.span_matrix(np.column_stack([(1, 1j)]))
+    assert sub.contains_subspace(line, sub.span_matrix(np.column_stack([(2, 2j)])))
+    assert sub.distance_at_most(
+        sub.span_matrix(np.column_stack([e1, e2])),
+        sub.span_matrix(np.column_stack([(1, 1), (1, -1)])),
+        ORTH_TOL,
+    )
 
 
 def test_subspace_keeps_the_callers_array_writable():
@@ -113,32 +121,33 @@ def test_ambient_mismatch_raises():
 
 def test_oblique_project_orthogonal_parts():
     e1, e2 = np.eye(2)
-    parts = (sub.span([e1]), sub.span([e2]))
+    parts = (sub.span_matrix(e1[:, None]), sub.span_matrix(e2[:, None]))
     c0, c1 = ref.oblique_project(parts, np.array([3, 4]))
     assert np.allclose(c0, [3, 0]) and np.allclose(c1, [0, 4])
 
 
 def test_oblique_project_skew_parts():
     # 2x2 solve by hand: (0,1) = a(1,0) + b(1,1) gives a = -1, b = 1
-    parts = (sub.span([(1, 0)]), sub.span([(1, 1)]))
+    parts = tuple(sub.span_matrix(np.column_stack([v])) for v in ((1, 0), (1, 1)))
     c0, c1 = ref.oblique_project(parts, np.array([0, 1]))
     assert np.allclose(c0, [-1, 0]) and np.allclose(c1, [1, 1])
 
 
 def test_oblique_project_zero_vector():
-    parts = (sub.span([(1, 0)]), sub.span([(1, 1)]))
+    parts = tuple(sub.span_matrix(np.column_stack([v])) for v in ((1, 0), (1, 1)))
     comps = ref.oblique_project(parts, np.zeros(2))
     assert all(np.allclose(c, 0) for c in comps)
 
 
 def test_oblique_project_overlapping_parts():
+    parts = tuple(sub.span_matrix(np.column_stack([v])) for v in ((1, 0), (2, 0)))
     with pytest.raises(NotDirect):
-        ref.oblique_project((sub.span([(1, 0)]), sub.span([(2, 0)])), np.array([1, 0]))
+        ref.oblique_project(parts, np.array([1, 0]))
 
 
 def test_oblique_project_vector_outside_sum():
     with pytest.raises(NotInSum):
-        ref.oblique_project((sub.span([(1, 0, 0)]),), np.array([0, 0, 1]))
+        ref.oblique_project((sub.span_matrix(np.eye(3)[:, :1]),), np.array([0, 0, 1]))
 
 
 def _random_subspace(m, k, seed):
@@ -156,7 +165,7 @@ def _random_subspace(m, k, seed):
 def test_double_complement_is_identity(m, frac, seed):
     k = round(float(frac) * m)
     s = _random_subspace(m, k, seed)
-    assert sub.equal(_complement(_complement(s.basis).basis), s, tol=1e-9)
+    assert sub.distance_at_most(_complement(_complement(s.basis).basis), s, 1e-9)
 
 
 @settings(deadline=None, max_examples=60)
@@ -211,7 +220,7 @@ def test_complement_matches_span_then_complement(m, cols, kind, seed):
     spanned = sub.span_matrix(a) if a.shape[1] else sub.zero(m)
     # the SVD complement with its rank cut of any matrix is the library's QR
     # complement of an orthonormal basis of its span
-    assert sub.equal(c, _complement(spanned.basis))
+    assert sub.distance_at_most(c, _complement(spanned.basis), ORTH_TOL)
     assert c.dim + spanned.dim == m
     assert np.linalg.norm(c.basis.conj().T @ a) <= 1e-9 * max(1.0, np.linalg.norm(a))
 
@@ -237,23 +246,24 @@ def test_complement_of_full_column_rank_matrices(m, frac, count, seed):
         c = sub.Subspace(m, basis)
         assert c.dim == m - k
         assert np.linalg.norm(basis.conj().T @ a) <= 1e-12 * np.linalg.norm(a)
-        assert sub.distance(c, ref.complement(a)) <= 1e-12
+        assert sub.distance_at_most(c, ref.complement(a), 1e-12)
         assert np.array_equal(basis, sub.complement(a)[0])
 
 
 def test_zero_subspace_is_first_class():
     z = sub.zero(3)
     assert z.dim == 0
-    assert sub.equal(ref.sum_of(z, ref.full(3)), ref.full(3))
+    assert sub.distance_at_most(ref.sum_of(z, ref.full(3)), ref.full(3), ORTH_TOL)
     assert ref.intersect(z, ref.full(3)).dim == 0
-    assert sub.contains(z, np.zeros(3))
+    assert sub.contains_subspace(z, sub.span_matrix(np.column_stack([np.zeros(3)])))
 
 
 def test_distance_metric():
-    s = sub.span([(1, 0)])
-    t = sub.span([(0, 1)])
-    assert sub.distance(s, s) <= 1e-12
-    assert abs(sub.distance(s, t) - 1.0) <= 1e-12
+    s, t = sub.span_matrix(np.eye(2)[:, :1]), sub.span_matrix(np.eye(2)[:, 1:])
+    assert sub.distance_at_most(s, s, 1e-12)
+    # orthogonal lines are at gap 1
+    assert sub.distance_at_most(s, t, 1.0 + 1e-12)
+    assert not sub.distance_at_most(s, t, 1.0 - 1e-12)
 
 
 def test_rank_counts_singular_values_above_relative_threshold():

@@ -7,8 +7,10 @@ Run from the root of a checkout (the package need not be installed):
 BLAS is pinned to one thread before numpy loads.  Every in-process figure
 is the best of ``REPEAT`` wall-clock runs (``time.perf_counter``) after
 one untimed warm-up call; inputs are built outside the timed region.  The
-CLI figures are the median wall time of ``REPEAT`` fresh interpreters
-running ``python3 -m skewext.cli``, so they include the import.  The layer
+CLI figures are the best wall time of ``REPEAT`` fresh interpreters
+running ``python3 -m skewext.cli``, so they include the import; the best
+of several, like the in-process figures, since the median of fresh
+interpreters moved by up to 30 % between trees with the same imports.  The layer
 figures of each size are taken in ``LAYER_ROUNDS`` child interpreters that
 import ``skewext`` from the tree they time, and each time figure is the
 best of them.  With ``--baseline-src`` every figure is also taken on that
@@ -45,7 +47,6 @@ import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
-import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -99,10 +100,6 @@ def _best_fresh(make, fn):
         fn(arg)
         times.append(time.perf_counter() - start)
     return float(f"{min(times):.4g}")
-
-
-def _median(times):
-    return float(f"{statistics.median(times):.4g}")
 
 
 def layer_timings(n: int) -> dict:
@@ -168,7 +165,9 @@ def layer_timings(n: int) -> dict:
         "indices": [s.g1.dim, s.g2.dim],
         "subspace.span_matrix_s": b(sub.span_matrix, a),
         "subspace.complement_s": b(sub.complement, a),
-        "subspace.distance_s": b(sub.distance, formula_lhs, formula_rhs),
+        "subspace.distance_at_most_s": b(
+            sub.distance_at_most, formula_lhs, formula_rhs, s.report.tol
+        ),
         "subspace.contains_subspace_s": b(
             sub.contains_subspace, s.adjoint_graph, h.graph
         ),
@@ -310,10 +309,10 @@ def _resolvent_report(formats):
 def _dissipative_kernel(module):
     """Re <H f, f> from (H f, f) as ``halfline --subcheck dissipative``
     computes it in the tree of ``module``: by ``inner_sum_re``, or, in a tree
-    without it, as the real part of ``inner``."""
+    without it, as the real part of ``inner_sum`` on the one pair."""
     kernel = getattr(module, "inner_sum_re", None)
     if kernel is None:
-        return lambda image, f: module.inner(image, f).re
+        return lambda image, f: module.inner_sum(((image, f),)).re
     return lambda image, f: kernel(((image, f),))
 
 
@@ -340,7 +339,7 @@ def halfline_ops(terms: int, module=hl) -> dict:
     if report(u) != fmt.dumps(json.loads(report(u))):
         raise RuntimeError("the resolvent report is not json's bytes")
     return {
-        "halfline.inner_s": (module.inner, f, g),
+        "halfline.inner_s": (module.inner_sum, ((f, g),)),
         "halfline.derivative_s": (module.ExpPoly.derivative, f),
         "halfline.green_identity_s": (module.green_identity, f, g),
         "halfline.dissipative_s": (_dissipative_kernel(module), image, f0),
@@ -477,7 +476,7 @@ NUMERIC_IMPORT = "import skewext.cli; import skewext.relation_commands"
 
 
 def cli_timings(trees: dict) -> dict:
-    """Median wall time of each CLI probe per source tree; the trees take
+    """Best wall time of each CLI probe per source tree; the trees take
     turns, in alternating order, so that load on the machine falls on both
     alike."""
     cli = ["-m", "skewext.cli"]
@@ -517,7 +516,7 @@ def cli_timings(trees: dict) -> dict:
             argv = [*cli, "halfline", "--subcheck", subcheck, "--input", path]
             wall(f"halfline_{subcheck}_terms{terms}_s", argv, tmp)
     return {
-        label: {name: _median(ts) for name, ts in probes.items()}
+        label: {name: float(f"{min(ts):.4g}") for name, ts in probes.items()}
         for label, probes in times.items()
     }
 
@@ -551,7 +550,7 @@ def main(argv=None) -> int:
             "repeat": REPEAT,
             "in_process": "best of repeat perf_counter wall times after one "
             "warm-up call, BLAS on one thread, inputs built outside the timer",
-            "cli": "median of repeat fresh `python3 -m skewext.cli` processes, "
+            "cli": "best of repeat fresh `python3 -m skewext.cli` processes, "
             "import included, BLAS on one thread; with a baseline tree the two "
             "trees take turns in alternating order; import_s imports "
             "skewext.cli, import_numeric_s that and the relation-command "
@@ -572,7 +571,10 @@ def main(argv=None) -> int:
             "canonical system: the form check and the rank of F; "
             "verify_triplet_s is boundary.verify_triplet on its triplet with "
             "L0 = I (both real where the tree keeps real maps real)",
-            "norm": "matrix_2norm_s is linalg.matrix_2norm of the "
+            "norm": "distance_at_most_s is subspace.distance_at_most of "
+            "Graph(H*) for the canonical extension H and the graph of the "
+            "adjoint formula, at the system's tolerance; "
+            "matrix_2norm_s is linalg.matrix_2norm of the "
             "dim Graph(H0) x (2n - dim Graph(H0)) matrix (J B)^H R whose norm "
             "is the gap canonical_system checks; adjoint_gap_s is the check "
             "canonical_system and adjoint_formula_check make on it, "
@@ -614,13 +616,14 @@ def main(argv=None) -> int:
             "the CLI halfline probes read such a pair (green), its first "
             "function (resolvent) and that function made trace-zero "
             "(dissipative)",
-            "halfline_ops": "parse_s is formats.exppoly_from_json of the first "
+            "halfline_ops": "inner_s is inner_sum on the one pair (f, g) of "
+            "functions; parse_s is formats.exppoly_from_json of the first "
             "function's term list; resolvent_check_s is the identity check of "
             "the resolvent subcheck on that function and its resolvent_solve "
             "solution; report_s is formats.dumps of that subcheck's payload "
             "for the solution; dissipative_s is Re <H f0, f0> as the "
             "dissipative subcheck computes it in each tree (inner_sum_re, or "
-            "the real part of inner where a tree lacks it), f0 the first "
+            "the real part of inner_sum where a tree lacks it), f0 the first "
             "function made trace-zero; green_coprime_s is one timed "
             "green_identity(f, f) call, with no warm-up, on 60 terms t^32 and "
             "t^31 (alternating) times exp(-lam t), lam = (p + 1 + i)/p for the "
