@@ -105,16 +105,16 @@ class BoundarySystem:
 
     @cached_property
     def _canonical_extension(self):
-        g_neg, ghat1, ghat2 = _canonical_blocks(self)
         graph, forms = self.adjoint_graph, None
+        neg, hat1, hat2 = _canonical_columns(self)
         if graph._gram is not None:
             # the extension's basis is two column blocks of the Graph(H0*)
             # basis, so its forms are principal submatrices of that basis's
-            d0 = g_neg.shape[1]
             keep = np.ones(graph.dim, dtype=bool)
-            keep[d0 : d0 + ghat1.shape[1]] = False
+            keep[slice(*hat1)] = False
             forms = graph._gram[keep][:, keep], graph._omega[keep][:, keep]
-        basis = np.concatenate([g_neg, ghat2], axis=1)
+        b = graph.basis
+        basis = np.concatenate([b[:, slice(*neg)], b[:, slice(*hat2)]], axis=1)
         return Relation(self.base.space_dim, sub._graph(basis, forms))
 
     @property
@@ -289,15 +289,23 @@ def _triplet_of(s: BoundarySystem, l0: np.ndarray) -> BoundaryTriplet:
     )
 
 
-def _canonical_blocks(s: BoundarySystem):
-    """The orthonormal bases of the pieces G_neg = Graph(-H0),
-    Ghat1 = {(x, x) : x in g1} and Ghat2 = {(x, -x) : x in g2} of the
-    canonical decomposition of Graph(H0*), for a canonical system ``s``: the
-    column blocks of widths dim Graph(H0), dim g1 and dim g2 of its
-    Graph(H0*) basis."""
-    b, d0 = s.adjoint_graph.basis, s.base.graph_dim
+def _canonical_columns(s: BoundarySystem):
+    """The half-open column ranges (start, stop) of the pieces
+    G_neg = Graph(-H0), Ghat1 = {(x, x) : x in g1} and
+    Ghat2 = {(x, -x) : x in g2} of the canonical decomposition of
+    Graph(H0*) in the Graph(H0*) basis of a canonical system ``s``: side by
+    side, of widths dim Graph(H0), dim g1 and dim g2."""
+    d0 = s.base.graph_dim
     d1 = d0 + s.g1.dim
-    return b[:, :d0], b[:, d0:d1], b[:, d1:]
+    return (0, d0), (d0, d1), (d1, s.adjoint_graph.dim)
+
+
+def _canonical_blocks(s: BoundarySystem):
+    """The orthonormal bases of G_neg, Ghat1 and Ghat2 for a canonical
+    system ``s``: the column blocks of ``_canonical_columns`` of its
+    Graph(H0*) basis."""
+    b = s.adjoint_graph.basis
+    return tuple(b[:, start:stop] for start, stop in _canonical_columns(s))
 
 
 def _hat_basis(basis: np.ndarray, sign: float) -> np.ndarray:

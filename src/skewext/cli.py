@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("generate", help="write a random skew-symmetric relation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_in_range(int, 0, math.inf), required=True)
+    p.add_argument("--k", type=_in_range(int, -1, math.inf), required=True)
     p.add_argument("--seed", type=_in_range(int, -1, math.inf), required=True)
     p.add_argument(
         "--out-relation", required=True, help="path for the generated relation file"

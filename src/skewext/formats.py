@@ -358,11 +358,14 @@ def canonical_system_to_json(s: BoundarySystem) -> dict:
     (``boundary._hat_basis``), so the basis is written as its Graph(-H0)
     block ("graph_neg_base") and the three block widths; F = [0 | I] is
     ``np.eye(k, d, d - k)``, written by its shape [k, d]."""
-    d0 = s.base.graph_dim
+    from .boundary import _canonical_columns
+
+    columns = _canonical_columns(s)
+    neg_base = s.adjoint_graph.basis[:, slice(*columns[0])]
     return {
         "n": s.base.space_dim,
-        "graph_neg_base": matrix_to_json(s.adjoint_graph.basis[:, :d0].T),
-        "block_widths": [d0, s.g1.dim, s.g2.dim],
+        "graph_neg_base": matrix_to_json(neg_base.T),
+        "block_widths": [stop - start for start, stop in columns],
         "g1_basis": subspace_to_json(s.g1),
         "g2_basis": subspace_to_json(s.g2),
         "F_shape": list(s.f_matrix.shape),
@@ -373,10 +376,12 @@ def canonical_extension_to_json(s: BoundarySystem) -> dict:
     """The schema-2 report object of the canonical maximal dissipative
     extension of a canonical system (``extensions.canonical_max_dissipative``):
     its graph basis is the Graph(-H0) and Ghat2 column blocks of the
-    Graph(H0*) basis, written as their half-open column ranges."""
-    d0, d1 = s.base.graph_dim, s.g1.dim
-    columns = [[0, d0], [d0 + d1, s.adjoint_graph.dim]]
-    return {"n": s.base.space_dim, "graph_columns": columns}
+    Graph(H0*) basis, written as their half-open column ranges
+    (``boundary._canonical_columns``)."""
+    from .boundary import _canonical_columns
+
+    neg, _, hat2 = _canonical_columns(s)
+    return {"n": s.base.space_dim, "graph_columns": [list(neg), list(hat2)]}
 
 
 def triplet_to_json(t: BoundaryTriplet) -> dict:

@@ -782,22 +782,27 @@ def test_one_parser_serves_every_call_without_carrying_values(capsys):
     assert build_parser() is build_parser()
 
 
+GENERATE_TO_R = ["generate", "--out-relation", "r"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["sweep", "--count", "1", "--seed", "-5"],
-        ["generate", "--n", "2", "--k", "1", "--seed", "-1", "--out-relation", "r"],
+        (["sweep", "--count", "1", "--seed", "-5"], "--seed"),
+        ([*GENERATE_TO_R, "--n", "2", "--k", "1", "--seed", "-1"], "--seed"),
+        ([*GENERATE_TO_R, "--n", "0", "--k", "0", "--seed", "1"], "--n"),
+        ([*GENERATE_TO_R, "--n", "2", "--k", "-1", "--seed", "1"], "--k"),
     ],
 )
 def test_a_negative_seed_is_a_usage_error_that_names_the_seed(
-    argv, tmp_path, monkeypatch, capsys
+    argv, flag, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "argument --seed:" in captured.err and "invalid input" not in captured.err
+    assert f"argument {flag}:" in captured.err and "invalid input" not in captured.err
     assert captured.out == "" and not (tmp_path / "r").exists()
 
 

@@ -4,33 +4,30 @@ Run from the root of a checkout (the package need not be installed):
 
     python3 tools/layer_timings.py --out BENCH.json [--baseline-src OTHER/src]
 
-BLAS is pinned to one thread before numpy loads.  Every in-process figure
+BLAS is pinned to one thread before numpy loads.  Every in-process figure,
+the layers of each size (``layer_timings``) and the half-line figures
+(``halfline_figures``), is taken in ``LAYER_ROUNDS`` child interpreters
+per tree that import ``skewext`` from the tree they time (``tree_layers``),
+and each time figure is the best of its rounds.  Within a child, a figure
 is the best of ``REPEAT`` wall-clock runs (``time.perf_counter``) after
-one untimed warm-up call; inputs are built outside the timed region.  The
-CLI figures are the best wall time of ``REPEAT`` fresh interpreters
+one untimed warm-up call, with its inputs built outside the timed region.
+The CLI figures are the best wall time of ``REPEAT`` fresh interpreters
 running ``python3 -m skewext.cli``, so they include the import; the best
 of several, like the in-process figures, since the median of fresh
-interpreters moved by up to 30 % between trees with the same imports.  The layer
-figures of each size are taken in ``LAYER_ROUNDS`` child interpreters that
-import ``skewext`` from the tree they time, and each time figure is the
-best of them.  With ``--baseline-src`` every figure is also taken on that
-source tree, for a before/after comparison on the same machine: the CLI
-figures with that tree on ``PYTHONPATH`` (``cli_baseline``), the layer
-figures at every size (``layers_baseline``) and the half-line figures with
-that tree's ``halfline`` and ``formats`` modules (``halfline_baseline``).
-The two trees take turns, in alternating order: at each CLI probe and
-repeat, at each round of each size of the layers, and at each half-line
-figure of each size, so that a slow spell of the machine falls on both
-alike and does not read as a change.  Each positive layer figure also gets
-its local exponent between consecutive sizes (``layer_exponents``), so the
-growth of every layer in n is read off the file.
+interpreters moved by up to 30 % between trees with the same imports.
+With ``--baseline-src`` every figure is also taken on that source tree,
+for a before/after comparison on the same machine (``layers_baseline``,
+``halfline_baseline``, ``cli_baseline``).  The two trees take turns, in
+alternating order, at each round of each set of in-process figures and at
+each CLI probe and repeat, so that a slow spell of the machine falls on
+both alike and does not read as a change.  Each positive layer figure also
+gets its local exponent between consecutive sizes (``layer_exponents``),
+so the growth of every layer in n is read off the file.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
 ``subspace.complement_s`` times the complement of a random 2n×n complex
-matrix, which has full column rank: the complete-QR complement, the one
-complement routine.  On a tree whose ``complement`` was a full SVD with a
-rank cut, the same call times that SVD.
+matrix, which has full column rank.
 """
 
 from __future__ import annotations
@@ -41,8 +38,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib  # noqa: E402
-import importlib.util  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
@@ -120,11 +115,6 @@ def layer_timings(n: int) -> dict:
     formula_rhs = rel.negate(
         rel.Relation(n, sub.Subspace(2 * n, np.concatenate([g_neg, ghat1], axis=1)))
     ).graph
-    # the check both gap callers make: adjoint_gap_within, or on a tree
-    # without it, adjoint_gap held against the tolerance
-    gap_within = getattr(rel, "adjoint_gap_within", None) or (
-        lambda t, basis, tol: rel.adjoint_gap(t, basis) <= tol
-    )
     # the matrix whose spectral norm is the gap canonical_system checks
     x, xp = h.blocks()
     top, bottom = s.adjoint_graph.basis[:n], s.adjoint_graph.basis[n:]
@@ -133,8 +123,6 @@ def layer_timings(n: int) -> dict:
     relation_obj = json.loads(relation_text)
     gens = relation_obj["graph_generators"]
     b = _best
-    # a tree without the piece writer is timed on the whole text
-    report_parts = getattr(fmt, "_report_parts", fmt.dumps)
 
     def fresh_relation():
         return rel.Relation(n, h.graph)
@@ -184,7 +172,7 @@ def layer_timings(n: int) -> dict:
         "boundary.verify_triplet_s": b(bd.verify_triplet, t),
         "linalg.matrix_2norm_s": b(linalg.matrix_2norm, gap),
         "relation.adjoint_gap_s": b(
-            gap_within, h, s.adjoint_graph.basis, s.report.tol
+            rel.adjoint_gap_within, h, s.adjoint_graph.basis, s.report.tol
         ),
         "linalg.is_unitary_s": b(linalg.is_unitary, l),
         "boundary.system_to_triplet_s": b(bd.system_to_triplet, s, np.eye(d)),
@@ -214,7 +202,7 @@ def layer_timings(n: int) -> dict:
         ),
         "formats.report_bytes": len(fmt.dumps(payload)),
         "formats.report_encode_dumps_s": b(fmt.dumps, payload),
-        "formats.report_parts_s": b(report_parts, payload),
+        "formats.report_parts_s": b(fmt._report_parts, payload),
         "cli.emit_file_s": emit_file_s,
         "formats.relation_file_bytes": len(relation_text),
         "formats.relation_load_s": relation_load_s,
@@ -240,44 +228,64 @@ def local_exponents(layers: dict) -> dict:
 
 
 def _best_of_rounds(runs: list) -> dict:
-    """One ``layer_timings`` record from several of one tree and size: the
-    least of each time figure (a name ending in ``_s``), and the first
-    record's value of each other figure, which all records share."""
-    return {
-        name: min(run[name] for run in runs) if name.endswith("_s") else value
-        for name, value in runs[0].items()
-    }
+    """One record from several child runs of one tree: the least of each
+    time figure (a name ending in ``_s``), at any depth of nested sections,
+    and the first record's value of each other figure, which all records
+    share."""
+    out = {}
+    for name, value in runs[0].items():
+        if isinstance(value, dict):
+            out[name] = _best_of_rounds([run[name] for run in runs])
+        elif name.endswith("_s"):
+            out[name] = min(run[name] for run in runs)
+        else:
+            out[name] = value
+    return out
 
 
-def tree_layers(src: str, n: int) -> dict:
-    """``layer_timings(n)`` on the source tree ``src``, in a child
-    interpreter that imports ``skewext`` from ``src`` before it runs this
-    file, so that every module the timings use comes from that tree."""
+def tree_layers(src: str, name: str, *args) -> dict:
+    """The record ``name(*args)`` of this file returns, taken on the source
+    tree ``src`` in a child interpreter that imports ``skewext`` from
+    ``src`` before it runs this file, so that every module the figures use
+    comes from that tree.  A failing child raises ``RuntimeError`` with its
+    stderr."""
     code = (
         "import json, runpy, sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import skewext\n"
         f"tool = runpy.run_path({str(Path(__file__).resolve())!r})\n"
-        f"print(json.dumps(tool['layer_timings']({n})))\n"
+        f"print(json.dumps(tool[{name!r}](*{list(args)!r})))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], check=True, capture_output=True, text=True
-    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"{name}{args} failed on {src}:\n{done.stderr}")
     return json.loads(done.stdout)
 
 
-def _random_function(rnd: random.Random, count: int, module=hl):
+def tree_rounds(trees: dict, turn: int, name: str, *args) -> dict:
+    """``tree_layers(src, name, *args)`` on each labelled tree of ``trees``
+    in ``LAYER_ROUNDS`` rounds, each figure the best of its rounds; the trees
+    take turns at each round, in an order that alternates from round to
+    round and, by ``turn``, from one set of figures to the next."""
+    rounds = {label: [] for label in trees}
+    for r in range(LAYER_ROUNDS):
+        order = list(trees) if (turn + r) % 2 == 0 else list(reversed(trees))
+        for label in order:
+            rounds[label].append(tree_layers(trees[label], name, *args))
+    return {label: _best_of_rounds(runs) for label, runs in rounds.items()}
+
+
+def _random_function(rnd: random.Random, count: int):
     """``count`` terms c t^k e^(-lam t) with distinct (k, lam), k in 0..8,
-    lam = p/q with p in 1..12 and q in 1..4, and Re c > 0, as an ``ExpPoly``
-    of ``module``."""
+    lam = p/q with p in 1..12 and q in 1..4, and Re c > 0."""
     terms = {}
     while len(terms) < count:
         key = (rnd.randint(0, 8), Fraction(rnd.randint(1, 12), rnd.randint(1, 4)))
-        terms[key] = module.RationalComplex(
+        terms[key] = hl.RationalComplex(
             Fraction(rnd.randint(1, 9), rnd.randint(1, 6)),
             Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)),
         )
-    return module.ExpPoly(terms)
+    return hl.ExpPoly(terms)
 
 
 def _resolvent_check(u, f):
@@ -295,80 +303,49 @@ def _records(f) -> list:
     ]
 
 
-def _resolvent_report(formats):
-    """The report text of ``halfline --subcheck resolvent`` for a solution u
-    in the tree of ``formats``: its payload written by ``formats.dumps``."""
-
-    def report(u):
-        payload = {"solution": u, "resolvent_identity_exact": True, "trace_zero": True}
-        return formats.dumps(payload)
-
-    return report
+def _resolvent_report(u) -> str:
+    """The report text of ``halfline --subcheck resolvent`` for a solution
+    u: its payload written by ``formats.dumps``."""
+    payload = {"solution": u, "resolvent_identity_exact": True, "trace_zero": True}
+    return fmt.dumps(payload)
 
 
-def _dissipative_kernel(module):
-    """Re <H f, f> from (H f, f) as ``halfline --subcheck dissipative``
-    computes it in the tree of ``module``: by ``inner_sum_re``, or, in a tree
-    without it, as the real part of ``inner_sum`` on the one pair."""
-    kernel = getattr(module, "inner_sum_re", None)
-    if kernel is None:
-        return lambda image, f: module.inner_sum(((image, f),)).re
-    return lambda image, f: kernel(((image, f),))
+def _re_form(image, f):
+    """Re <H f, f> from (H f, f), as ``halfline --subcheck dissipative``
+    computes it."""
+    return hl.inner_sum_re(((image, f),))
 
 
-def _trace_zero(f, module=hl):
+def _trace_zero(f):
     """f minus f(0) exp(-t): the function made trace-zero as the
     ``dissipative`` probes make it."""
-    return f - module.exp_decay(1).scale(f.eval0())
+    return f - hl.exp_decay(1).scale(f.eval0())
 
 
-def halfline_ops(terms: int, module=hl) -> dict:
-    """The half-line figures at ``terms`` terms in the tree of ``module``:
-    each name with the call it times and that call's arguments."""
+def halfline_ops(terms: int) -> dict:
+    """The half-line figures at ``terms`` terms: each name with the call it
+    times and that call's arguments."""
     rnd = random.Random(SEED + terms)
-    f = _random_function(rnd, terms, module)
-    g = _random_function(rnd, terms, module)
-    f0 = _trace_zero(f, module)
-    image = module.canonical_extension_apply(f0)
-    formats = importlib.import_module(module.__package__ + ".formats")
-    records = _records(f)
-    u = module.resolvent_solve(f)
+    f = _random_function(rnd, terms)
+    g = _random_function(rnd, terms)
+    f0 = _trace_zero(f)
+    image = hl.canonical_extension_apply(f0)
+    u = hl.resolvent_solve(f)
     if not _resolvent_check(u, f):
         raise RuntimeError("the resolvent solution fails its own check")
-    report = _resolvent_report(formats)
-    if report(u) != fmt.dumps(json.loads(report(u))):
+    text = _resolvent_report(u)
+    if text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n":
         raise RuntimeError("the resolvent report is not json's bytes")
     return {
-        "halfline.inner_s": (module.inner_sum, ((f, g),)),
-        "halfline.derivative_s": (module.ExpPoly.derivative, f),
-        "halfline.green_identity_s": (module.green_identity, f, g),
-        "halfline.dissipative_s": (_dissipative_kernel(module), image, f0),
-        "halfline.resolvent_solve_s": (module.resolvent_solve, f),
+        "halfline.inner_s": (hl.inner_sum, ((f, g),)),
+        "halfline.derivative_s": (hl.ExpPoly.derivative, f),
+        "halfline.green_identity_s": (hl.green_identity, f, g),
+        "halfline.dissipative_s": (_re_form, image, f0),
+        "halfline.resolvent_solve_s": (hl.resolvent_solve, f),
         "halfline.resolvent_check_s": (_resolvent_check, u, f),
-        "halfline.parse_s": (formats.exppoly_from_json, records),
-        "halfline.report_s": (report, u),
+        "halfline.parse_s": (fmt.exppoly_from_json, _records(f)),
+        "halfline.report_s": (_resolvent_report, u),
     }
-
-
-def _take_turns(calls: dict, timer) -> dict:
-    """``timer(fn, *args)`` of each figure of each tree in ``calls``, a dict
-    label -> figure name -> (fn, *args); the trees take turns at each
-    figure, in alternating order, so that a slow spell of the machine falls
-    on both alike."""
-    out = {label: {} for label in calls}
-    for i, name in enumerate(next(iter(calls.values()))):
-        order = list(calls) if i % 2 == 0 else list(reversed(calls))
-        for label in order:
-            fn, *args = calls[label][name]
-            out[label][name] = timer(fn, *args)
-    return out
-
-
-def halfline_timings(terms: int, modules: dict) -> dict:
-    """The ``halfline_ops`` figures at ``terms`` terms for each labelled
-    ``halfline`` module of ``modules``, the trees taking turns."""
-    calls = {label: halfline_ops(terms, module) for label, module in modules.items()}
-    return _take_turns(calls, _best)
 
 
 def _coprime_rates(count: int) -> list:
@@ -383,24 +360,24 @@ def _coprime_rates(count: int) -> list:
     return [Fraction(p + 1 + i, p) for i, p in enumerate(primes)]
 
 
-def _coprime_function(module=hl):
+def _coprime_function():
     """t^32 and t^31 (alternating) times exp(-lam t) at the 60
-    ``_coprime_rates``, as an ``ExpPoly`` of ``module``."""
-    return module.ExpPoly(
+    ``_coprime_rates``."""
+    return hl.ExpPoly(
         {
-            (32 - i % 2, lam): module.RationalComplex(1)
+            (32 - i % 2, lam): hl.RationalComplex(1)
             for i, lam in enumerate(_coprime_rates(60))
         }
     )
 
 
-def _coprime_trace_zero_function(module=hl):
+def _coprime_trace_zero_function():
     """(1 + (i + 1) i) t^(1 + i % 8) exp(-lam t) at the 30 ``_coprime_rates``:
     trace-zero, with complex coefficients, so that Im <H f, f> has a long
     denominator while Re <H f, f> = 0."""
-    return module.ExpPoly(
+    return hl.ExpPoly(
         {
-            (1 + i % 8, lam): module.RationalComplex(1, i + 1)
+            (1 + i % 8, lam): hl.RationalComplex(1, i + 1)
             for i, lam in enumerate(_coprime_rates(30))
         }
     )
@@ -412,47 +389,36 @@ def _timed_once(fn, *args):
     return result, float(f"{time.perf_counter() - start:.4g}")
 
 
-def coprime_timings(modules: dict) -> dict:
+def coprime_timings() -> dict:
     """``green_identity(f, f)`` on ``_coprime_function``, and the
-    ``dissipative`` kernel on ``_coprime_trace_zero_function``, for each
-    labelled ``halfline`` module of ``modules``: one timed call each, since a
-    tree that adds unreduced rate-sum fractions takes seconds on the first."""
-    calls = {}
-    for label, module in modules.items():
-        f = _coprime_function(module)
-        f0 = _coprime_trace_zero_function(module)
-        image = module.canonical_extension_apply(f0)
-        calls[label] = {
-            "halfline.green_coprime_s": (module.green_identity, f, f),
-            "halfline.dissipative_coprime_s": (_dissipative_kernel(module), image, f0),
-        }
-    out = {}
-    for label, figures in _take_turns(calls, _timed_once).items():
-        (lhs, rhs), green_s = figures["halfline.green_coprime_s"]
-        if lhs != rhs:
-            raise RuntimeError("the Green identity fails on the coprime-rate input")
-        value, dissipative_s = figures["halfline.dissipative_coprime_s"]
-        if value != 0:
-            raise RuntimeError("Re <Hf, f> is not 0 on the coprime-rate input")
-        out[label] = {
-            "halfline.green_coprime_s": green_s,
-            "halfline.dissipative_coprime_s": dissipative_s,
-        }
+    ``dissipative`` kernel on ``_coprime_trace_zero_function``: one timed
+    call each, since a tree that adds unreduced rate-sum fractions takes
+    seconds on the first."""
+    f = _coprime_function()
+    f0 = _coprime_trace_zero_function()
+    image = hl.canonical_extension_apply(f0)
+    (lhs, rhs), green_s = _timed_once(hl.green_identity, f, f)
+    if lhs != rhs:
+        raise RuntimeError("the Green identity fails on the coprime-rate input")
+    value, dissipative_s = _timed_once(_re_form, image, f0)
+    if value != 0:
+        raise RuntimeError("Re <Hf, f> is not 0 on the coprime-rate input")
+    return {
+        "halfline.green_coprime_s": green_s,
+        "halfline.dissipative_coprime_s": dissipative_s,
+    }
+
+
+def halfline_figures() -> dict:
+    """The half-line section of the file: the ``halfline_ops`` figures at
+    each of ``HALFLINE_TERMS`` terms, each the best of ``REPEAT`` runs, and
+    the ``coprime_timings``."""
+    out = {
+        f"terms={t}": {name: _best(*call) for name, call in halfline_ops(t).items()}
+        for t in HALFLINE_TERMS
+    }
+    out["coprime"] = coprime_timings()
     return out
-
-
-def baseline_halfline(src: str):
-    """The ``halfline`` module of the source tree ``src``, imported under the
-    package name ``skewext_baseline`` so that it sits beside this tree's."""
-    package = Path(src) / "skewext"
-    spec = importlib.util.spec_from_file_location(
-        "skewext_baseline", package / "__init__.py",
-        submodule_search_locations=[str(package)],
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["skewext_baseline"] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module("skewext_baseline.halfline")
 
 
 def _halfline_files(directory: str, terms: int) -> dict:
@@ -542,14 +508,16 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
-    parser.add_argument("--baseline-src", help="source tree for baseline CLI timings")
+    parser.add_argument("--baseline-src", help="source tree to take every figure on as a baseline")
     args = parser.parse_args(argv)
     record = {
         "machine": machine(),
         "method": {
             "repeat": REPEAT,
-            "in_process": "best of repeat perf_counter wall times after one "
-            "warm-up call, BLAS on one thread, inputs built outside the timer",
+            "in_process": f"in each of {LAYER_ROUNDS} child interpreters per "
+            "tree, the best of repeat perf_counter wall times after one warm-up "
+            "call, BLAS on one thread, inputs built outside the timer; each "
+            "time figure is the best of its rounds",
             "cli": "best of repeat fresh `python3 -m skewext.cli` processes, "
             "import included, BLAS on one thread; with a baseline tree the two "
             "trees take turns in alternating order; import_s imports "
@@ -570,7 +538,7 @@ def main(argv=None) -> int:
             "verify": "verify_system_s is boundary.verify_system on the "
             "canonical system: the form check and the rank of F; "
             "verify_triplet_s is boundary.verify_triplet on its triplet with "
-            "L0 = I (both real where the tree keeps real maps real)",
+            "L0 = I (both real: F = [0 | I] and the triplet's maps)",
             "norm": "distance_at_most_s is subspace.distance_at_most of "
             "Graph(H*) for the canonical extension H and the graph of the "
             "adjoint formula, at the system's tolerance; "
@@ -580,13 +548,13 @@ def main(argv=None) -> int:
             "canonical_system and adjoint_formula_check make on it, "
             "relation.adjoint_gap_within at the system's tolerance (that "
             "product held against tol by its Frobenius norm, then its spectral "
-            "norm if undecided), or relation.adjoint_gap <= tol on a tree "
-            "without it; is_unitary_s is linalg.is_unitary of a random "
+            "norm if undecided); is_unitary_s is linalg.is_unitary of a random "
             "complex unitary of size n // 2; is_dissipative_s and "
             "is_maximal_dissipative_s each run on a new relation over the "
             "graph of the canonical extension, so they include what the "
             "relation computes once: its Gershgorin bound of Omega's largest "
-            "eigenvalue, or on a tree without it, its eigensolve of Omega",
+            "eigenvalue, and its eigensolve of Omega where the bound does "
+            "not decide",
             "layer_exponents": "for each pair of consecutive sizes n1 < n2, "
             "log(v2 / v1) / log(n2 / n1) of each positive layer figure: the "
             "local slope on a log-log scale, 3 for cubic growth",
@@ -596,15 +564,15 @@ def main(argv=None) -> int:
             "layers_baseline": "the layers of the --baseline-src tree at every "
             "size, taken as those of this tree are; the two trees take turns "
             "at each round of each size, in alternating order",
-            "halfline_baseline": "the half-line figures with the "
-            "--baseline-src tree's halfline and formats modules; at each size "
-            "the two trees take turns at each figure, in alternating order",
+            "halfline_baseline": "the half-line figures of the --baseline-src "
+            f"tree, taken as those of this tree are, in {LAYER_ROUNDS} child "
+            "interpreters per tree; the two trees take turns at each round, in "
+            "alternating order",
             "report": "the payload of `canonical` on the relation file "
             "generate writes, as relation_commands.cmd_canonical builds it; "
             "report_bytes is the length of its formats.dumps text; "
             "report_encode_dumps_s is formats.dumps; report_parts_s is "
-            "formats._report_parts, the pieces cli._emit writes (formats.dumps "
-            "on a tree without it); cli.emit_file_s is cli._emit writing the "
+            "formats._report_parts, the pieces cli._emit writes; cli.emit_file_s is cli._emit writing the "
             "whole report to a file with --out",
             "decode": "decode_matrix_from_json_s is formats.matrix_from_json "
             "on the generators of the relation file; relation_from_json_s "
@@ -622,8 +590,7 @@ def main(argv=None) -> int:
             "the resolvent subcheck on that function and its resolvent_solve "
             "solution; report_s is formats.dumps of that subcheck's payload "
             "for the solution; dissipative_s is Re <H f0, f0> as the "
-            "dissipative subcheck computes it in each tree (inner_sum_re, or "
-            "the real part of inner_sum where a tree lacks it), f0 the first "
+            "dissipative subcheck computes it (inner_sum_re), f0 the first "
             "function made trace-zero; green_coprime_s is one timed "
             "green_identity(f, f) call, with no warm-up, on 60 terms t^32 and "
             "t^31 (alternating) times exp(-lam t), lam = (p + 1 + i)/p for the "
@@ -633,30 +600,18 @@ def main(argv=None) -> int:
             "of those rates",
         },
     }
-    trees = {"cli": str(ROOT / "src")}
-    modules = {"halfline": hl}
+    # labels are the suffixes of the record's keys: "layers", "layers_baseline"
+    trees = {"": str(ROOT / "src")}
     if args.baseline_src:
-        trees["cli_baseline"] = str(Path(args.baseline_src).resolve())
-        modules["halfline_baseline"] = baseline_halfline(trees["cli_baseline"])
-    # the trees take turns at each size and each half-line figure, so that a
-    # slow spell of the machine falls on both alike
-    layer_keys = {"cli": "layers", "cli_baseline": "layers_baseline"}
+        trees["_baseline"] = str(Path(args.baseline_src).resolve())
     for i, n in enumerate(SIZES):
-        rounds = {label: [] for label in trees}
-        for r in range(LAYER_ROUNDS):
-            order = list(trees) if (i + r) % 2 == 0 else list(reversed(trees))
-            for label in order:
-                rounds[label].append(tree_layers(trees[label], n))
-        for label, runs in rounds.items():
-            layers = record.setdefault(layer_keys[label], {})
-            layers[f"n={n}"] = _best_of_rounds(runs)
+        for label, layers in tree_rounds(trees, i, "layer_timings", n).items():
+            record.setdefault("layers" + label, {})[f"n={n}"] = layers
     record["layer_exponents"] = local_exponents(record["layers"])
-    for t in HALFLINE_TERMS:
-        for label, figures in halfline_timings(t, modules).items():
-            record.setdefault(label, {})[f"terms={t}"] = figures
-    for label, figures in coprime_timings(modules).items():
-        record[label]["coprime"] = figures
-    record.update(cli_timings(trees))
+    for label, figures in tree_rounds(trees, len(SIZES), "halfline_figures").items():
+        record["halfline" + label] = figures
+    for label, figures in cli_timings(trees).items():
+        record["cli" + label] = figures
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(fmt.dumps(record))
     return 0
