@@ -24,11 +24,12 @@ those of ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.
 ``generate`` writes its relation file with ``dumps``.
 
 This module holds the parser, ``_emit``, ``main`` and the half-line
-command, and imports only the standard library, ``errors``, ``halfline``,
-``formats`` and ``tolerances``.  The relation commands live in
-``relation_commands``, which ``main`` imports when it dispatches one, so
-numpy and the numeric substrate load on first use, as ``orjson`` does in
-``formats``: a ``halfline`` run loads neither.
+command, and imports only the standard library, ``errors``, ``formats``
+and ``tolerances``.  Each substrate loads on first use, as ``orjson`` does
+in ``formats``: ``cmd_halfline`` imports ``halfline`` (and ``fractions``),
+so a relation command loads neither, and the relation commands live in
+``relation_commands``, which ``main`` imports when it dispatches one, so a
+``halfline`` run loads neither numpy nor the numeric substrate.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import math
 import sys
 
 from . import formats as fmt
-from . import halfline as hl
 from .errors import DimensionMismatch, NotOrthonormal, SkewextError
 from .tolerances import ORTH_TOL, RANK_TOL
 
@@ -85,6 +85,8 @@ def _load_halfline_pair(path):
 
 
 def cmd_halfline(args):
+    from . import halfline as hl
+
     echo = {"subcheck": args.subcheck, "input": args.input}
     digest = None
     if args.subcheck == "green":

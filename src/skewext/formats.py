@@ -39,9 +39,13 @@ commands write the schema-1 payloads.  ``tools/expand_report.py`` rebuilds
 a schema-1 report from a schema-2 one, byte for byte, by the library's own
 floating-point operations.
 
-numpy, ``orjson`` and the relation and extension modules are imported by
-the functions that use them, on their first call: the half-line codecs,
-and ``dumps`` of a report without arrays, load none of them.  The input
+numpy, ``orjson``, ``halfline`` and the relation and extension modules are
+imported by the functions that use them, on their first call: the
+half-line codecs load ``halfline`` (and with it ``fractions``) but none of
+the others, and ``dumps`` of a report without arrays loads no numpy.
+``_report_parts`` writes an object as an ``ExpPoly`` only when ``halfline``
+is already loaded, since no ``ExpPoly`` exists before it is, so a relation
+command's report loads neither ``halfline`` nor ``fractions``.  The input
 file readers and ``_digest_bytes`` live here too, so the CLI and the
 relation commands share them without importing one another:
 ``_load_numeric_json`` reads the relation commands' files with ``orjson``,
@@ -54,13 +58,11 @@ import hashlib
 import json
 import math
 import re
-from fractions import Fraction
+import sys
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from . import halfline as hl
-from .halfline import _digits_int, _fraction_digits, _int_digits, _ratio_from_str
 from .tolerances import RANK_TOL
 
 #: the report layout, written as the envelope's "schema" key: 2 since
@@ -69,8 +71,11 @@ from .tolerances import RANK_TOL
 REPORT_SCHEMA = 2
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
+    from . import halfline as hl
     from .boundary import BoundarySystem, BoundaryTriplet
     from .relation import Relation
     from .subspace import Subspace
@@ -142,6 +147,8 @@ def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
     record's keys in sorted order ("im", "k", "lambda", "re"), the rationals
     as "p/q" strings written from its integer form (``_fraction_digits``),
     filled into one indented %-template."""
+    from .halfline import _fraction_digits
+
     den, groups = f.integer_form()
     if not groups:
         return "[]"
@@ -186,6 +193,11 @@ def _report_parts(obj) -> list:
     infinity goes through ``tolist()`` and the scalar path.  No container's
     text is copied into its parent's, and the pieces are not joined here.
     """
+    # no ``ExpPoly`` exists before ``halfline`` is imported, so a report
+    # without one (every relation command's) does not load it; isinstance
+    # of the empty tuple is False
+    halfline = sys.modules.get(__package__ + ".halfline")
+    exppoly = halfline.ExpPoly if halfline else ()
     parts = []
     write = parts.append
 
@@ -221,7 +233,7 @@ def _report_parts(obj) -> list:
                 raise TypeError("report keys must be strings")
             keyed = [(encode_basestring_ascii(k) + ": ", o[k]) for k in sorted(o)]
             container(keyed, level, "{}")
-        elif isinstance(o, hl.ExpPoly):
+        elif isinstance(o, exppoly):
             write(_exppoly_to_json(o, level))
         else:
             # arrays come after every builtin type and ``ExpPoly``, so that
@@ -395,6 +407,8 @@ def triplet_to_json(t: BoundaryTriplet) -> dict:
 
 
 def fraction_to_str(x: Fraction) -> str:
+    from .halfline import _fraction_digits
+
     return _fraction_digits(*x.as_integer_ratio())
 
 
@@ -405,6 +419,8 @@ def rational_complex_to_json(z: hl.RationalComplex) -> dict:
 def _raise_first_repeat(items):
     """Raise ValueError naming the first key of ``items`` that repeats an
     earlier one, in input order; return if none does."""
+    from .halfline import _int_digits
+
     seen = set()
     for key, _ in items:
         if key in seen:
@@ -429,6 +445,15 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
     first malformed record or repeated key in input order, then the first
     bad key.
     """
+    from .halfline import (
+        MAX_DEGREE,
+        _canonical_order,
+        _check_key,
+        _integer_form,
+        _ratio_from_str,
+        _reduced,
+    )
+
     if not isinstance(obj, list):
         raise ValueError("function must be a list of term records")
     items = []
@@ -439,23 +464,23 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
             k = record.get("k")
             if isinstance(k, bool) or not isinstance(k, int):
                 raise ValueError('"k" must be an integer')
-            if k > hl.MAX_DEGREE:
-                raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
+            if k > MAX_DEGREE:
+                raise ValueError(f"degree {k} exceeds the cap {MAX_DEGREE}")
             p, q = _ratio_from_str(record.get("lambda"))
             h = math.gcd(p, q)
             re = _ratio_from_str(record.get("re", "0"))
             im = _ratio_from_str(record.get("im", "0"))
             items.append(((k, p // h, q // h), re + im))
         for key, _ in items:
-            hl._check_key(*key)
-        ordered = hl._canonical_order(items)
+            _check_key(*key)
+        ordered = _canonical_order(items)
     except ValueError:
         # a repeated key before the failing record, or anywhere when every
         # record is well formed, is what is reported
         _raise_first_repeat(items)
         raise
     nonzero = [item for item in ordered if item[1][0] or item[1][2]]
-    return hl._reduced(*hl._integer_form(nonzero))
+    return _reduced(*_integer_form(nonzero))
 
 
 def _digest_bytes(data: bytes) -> str:

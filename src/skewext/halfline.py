@@ -180,9 +180,10 @@ class RationalComplex:
 
     An immutable value, equal and hashed by (re, im).  It is written out
     rather than declared a frozen dataclass, and the records below are
-    ``NamedTuple``s, so that ``import skewext.cli`` does not load
-    ``dataclasses`` and the ``inspect`` it imports, over a third of the
-    import's time."""
+    ``NamedTuple``s, so that importing this module, which a ``halfline``
+    subcheck and the half-line codecs of ``formats`` do on first use, does
+    not load ``dataclasses`` and the ``inspect`` it imports, over a third of
+    that start-up's time."""
 
     __slots__ = ("re", "im")
 

@@ -274,10 +274,10 @@ def test_fraction_from_str_agrees_with_fraction(s):
         expected = BEYOND_LIMIT[s] if s in BEYOND_LIMIT else Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(ValueError) as info:
-            Fraction(*fmt._ratio_from_str(s))
+            Fraction(*hl._ratio_from_str(s))
         assert str(info.value) == f"bad rational {s!r}: {exc}"
     else:
-        got = Fraction(*fmt._ratio_from_str(s))
+        got = Fraction(*hl._ratio_from_str(s))
         assert type(got) is Fraction and got == expected
 
 
@@ -289,9 +289,9 @@ def test_fraction_from_str_agrees_with_fraction(s):
 def test_fraction_digits_are_those_of_str(n):
     # written in blocks once n has 600 digits; every case here is within
     # the default int-to-str limit, so str() is the reference
-    assert fmt._int_digits(n) == str(n)
+    assert hl._int_digits(n) == str(n)
     for den in (1, 3, 10**601 + 1):
-        assert fmt._fraction_digits(n * 2, den * 2) == str(Fraction(n, den))
+        assert hl._fraction_digits(n * 2, den * 2) == str(Fraction(n, den))
         assert fmt.fraction_to_str(Fraction(n, den)) == str(Fraction(n, den))
 
 
@@ -302,9 +302,9 @@ def test_fraction_digits_are_those_of_str(n):
 )
 def test_digits_written_past_the_str_limit_are_read_back(n):
     # the reader splits a long digit string in halves, as the writer does
-    assert fmt._digits_int(fmt._int_digits(n)) == n
-    assert fmt._digits_int("00" + fmt._int_digits(abs(n))) == abs(n)
-    assert Fraction(*fmt._ratio_from_str(fmt._fraction_digits(n, 7))) == Fraction(n, 7)
+    assert hl._digits_int(hl._int_digits(n)) == n
+    assert hl._digits_int("00" + hl._int_digits(abs(n))) == abs(n)
+    assert Fraction(*hl._ratio_from_str(hl._fraction_digits(n, 7))) == Fraction(n, 7)
 
 
 def test_exppoly_from_json_orders_rates_beyond_double_range():
@@ -353,10 +353,10 @@ def _two_pass_decode(obj):
             raise ValueError('"k" must be an integer')
         if k > hl.MAX_DEGREE:
             raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
-        lam = Fraction(*fmt._ratio_from_str(record.get("lambda")))
+        lam = Fraction(*hl._ratio_from_str(record.get("lambda")))
         coeff = hl.RationalComplex(
-            Fraction(*fmt._ratio_from_str(record.get("re", "0"))),
-            Fraction(*fmt._ratio_from_str(record.get("im", "0"))),
+            Fraction(*hl._ratio_from_str(record.get("re", "0"))),
+            Fraction(*hl._ratio_from_str(record.get("im", "0"))),
         )
         if (k, lam) in terms:
             raise ValueError(f"duplicate term for {(k, lam)}")

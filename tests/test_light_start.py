@@ -1,14 +1,18 @@
-"""Start-up guard: the CLI and the half-line model run without the numeric
-substrate.
+"""Start-up guard: each command loads only the substrate it uses.
 
-Each case runs in a fresh interpreter.  ``import skewext.cli`` and every
-``halfline`` subcheck load only the standard library and ``skewext.cli``,
-``errors``, ``halfline``, ``formats`` and ``tolerances``: no numpy, no
-orjson and none of the numeric modules.  Those load when ``main``
-dispatches a relation command, and ``skewext.<module>`` still resolves
-after a bare ``import skewext``.  The import loads no ``dataclasses``
-either.  Under ``python -m skewext.cli`` no command imports
-``skewext.cli`` a second time beside ``__main__``.
+Each case runs in a fresh interpreter.  ``import skewext.cli`` loads only
+the standard library and ``skewext.cli``, ``errors``, ``formats`` and
+``tolerances``: neither substrate, so no numpy, no orjson, none of the
+numeric modules, no ``skewext.halfline`` and none of ``fractions``,
+``decimal`` and ``numbers``, which of the light modules only the
+half-line model imports.  A
+``halfline`` subcheck adds ``halfline`` and those three, and still no
+numeric module; the numeric modules load when ``main`` dispatches a
+relation command, which loads no ``halfline``, ``fractions`` or
+``decimal``, run through ``main`` or as ``python -m skewext.cli``.
+``skewext.<module>`` still resolves after a bare ``import skewext``.  The
+import loads no ``dataclasses`` either.  Under ``python -m skewext.cli`` no
+command imports ``skewext.cli`` a second time beside ``__main__``.
 """
 
 import json
@@ -43,6 +47,8 @@ LIGHT = {
     "skewext.formats",
     "skewext.tolerances",
 }
+# the half-line model and the standard modules only it imports
+HALF_LINE = {"skewext.halfline", "fractions", "decimal"}
 
 # prints the modules the interpreter held before and after the statements
 PROBE = """
@@ -95,10 +101,27 @@ def _light_only(loaded: set):
     assert others <= set(sys.stdlib_module_names)
 
 
+def _relation_argv(command: str, tmp_path) -> list:
+    """The arguments of a small ``canonical`` or ``sweep`` run writing its
+    report to ``report.json`` in ``tmp_path``."""
+    if command == "canonical":
+        path = tmp_path / "rel.json"
+        relation = rel.random_skew_symmetric(3, 1, 1)
+        path.write_text(fmt.dumps(fmt.relation_to_json(relation)))
+        argv = ["canonical", "--input", str(path)]
+    else:
+        argv = ["sweep", "--count", "2"]
+    return argv + ["--out", str(tmp_path / "report.json")]
+
+
 def test_import_of_the_cli_loads_no_numeric_module():
     result = _probe("import skewext.cli\ncode = None")
-    assert {"skewext.cli", "skewext.formats", "skewext.halfline"} <= _loaded(result)
+    assert {"skewext.cli", "skewext.formats"} <= _loaded(result)
     _light_only(_loaded(result))
+    # nor the half-line model, which only cmd_halfline and the half-line
+    # codecs load, nor the ``numbers`` that ``fractions`` imports (numpy
+    # imports it too, so a relation command is not held to it)
+    assert (HALF_LINE | {"numbers"}).isdisjoint(result["after"])
     # nor dataclasses and the inspect it imports, a third of the start-up
     assert {"dataclasses", "inspect"}.isdisjoint(_loaded(result))
 
@@ -126,13 +149,13 @@ def test_submodules_resolve_on_first_use():
     assert "numpy" in _loaded(result)
 
 
-def test_a_relation_command_loads_the_numeric_substrate(tmp_path):
-    path = tmp_path / "rel.json"
-    path.write_text(fmt.dumps(fmt.relation_to_json(rel.random_skew_symmetric(3, 1, 1))))
-    argv = ["canonical", "--input", str(path), "--out", str(tmp_path / "report.json")]
-    result = _probe(CLI_RUN.format(argv=argv))
+@pytest.mark.parametrize("command", ["canonical", "sweep"])
+def test_a_relation_command_loads_the_numeric_substrate(command, tmp_path):
+    result = _probe(CLI_RUN.format(argv=_relation_argv(command, tmp_path)))
     assert result["code"] == 0
+    assert json.loads((tmp_path / "report.json").read_text())["status"] == "pass"
     assert {"numpy", "skewext.boundary", "skewext.relation_commands"} <= _loaded(result)
+    assert HALF_LINE.isdisjoint(result["after"])
 
 
 # runs the CLI as ``python -m skewext.cli`` does, then reports whether the
@@ -145,17 +168,16 @@ except SystemExit as exc:
     code = [exc.code, "skewext.cli" in sys.modules]"""
 
 
-@pytest.mark.parametrize("command", ["canonical", "halfline"])
+@pytest.mark.parametrize("command", ["canonical", "sweep", "halfline"])
 def test_run_as_a_module_imports_the_cli_once(command, halfline_files, tmp_path):
-    if command == "canonical":
-        path = tmp_path / "rel.json"
-        relation = rel.random_skew_symmetric(3, 1, 1)
-        path.write_text(fmt.dumps(fmt.relation_to_json(relation)))
-        argv = ["canonical", "--input", str(path)]
-    else:
+    if command == "halfline":
         argv = ["halfline", "--subcheck", "resolvent"]
         argv += ["--input", str(halfline_files["resolvent"])]
-    argv += ["--out", str(tmp_path / "report.json")]
+        argv += ["--out", str(tmp_path / "report.json")]
+    else:
+        argv = _relation_argv(command, tmp_path)
     result = _probe(MODULE_RUN.format(argv=argv))
     assert result["code"] == [0, False]
     assert json.loads((tmp_path / "report.json").read_text())["status"] == "pass"
+    if command != "halfline":
+        assert HALF_LINE.isdisjoint(result["after"])

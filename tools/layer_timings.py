@@ -15,6 +15,9 @@ The CLI figures are the best wall time of ``REPEAT`` fresh interpreters
 running ``python3 -m skewext.cli``, so they include the import; the best
 of several, like the in-process figures, since the median of fresh
 interpreters moved by up to 30 % between trees with the same imports.
+They run from a copy of each tree's package without ``__pycache__`` and
+write no bytecode, so each compiles the package, and a cache left in one
+tree does not make that tree read faster.
 With ``--baseline-src`` every figure is also taken on that source tree,
 for a before/after comparison on the same machine (``layers_baseline``,
 ``halfline_baseline``, ``cli_baseline``).  The two trees take turns, in
@@ -42,6 +45,7 @@ import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
+import shutil  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -444,15 +448,18 @@ NUMERIC_IMPORT = "import skewext.cli; import skewext.relation_commands"
 def cli_timings(trees: dict) -> dict:
     """Best wall time of each CLI probe per source tree; the trees take
     turns, in alternating order, so that load on the machine falls on both
-    alike."""
+    alike.  Each tree's probes run from a copy of its ``skewext`` package
+    without ``__pycache__``, with bytecode writing off, so that every probe
+    compiles the package, whatever cache the tree holds."""
     cli = ["-m", "skewext.cli"]
     times = {label: {} for label in trees}
+    envs = {}
 
     def wall(name, argv, cwd):
         for r in range(REPEAT):
             order = list(trees) if r % 2 == 0 else list(reversed(trees))
             for label in order:
-                env = dict(os.environ, PYTHONPATH=trees[label])
+                env = envs[label]
                 start = time.perf_counter()
                 subprocess.run(
                     [sys.executable, *argv], cwd=cwd, env=env, check=True,
@@ -461,6 +468,15 @@ def cli_timings(trees: dict) -> dict:
                 times[label].setdefault(name, []).append(time.perf_counter() - start)
 
     with tempfile.TemporaryDirectory() as tmp:
+        for label, src in trees.items():
+            copy = os.path.join(tmp, f"tree{label}")
+            shutil.copytree(
+                os.path.join(src, "skewext"), os.path.join(copy, "skewext"),
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+            envs[label] = dict(
+                os.environ, PYTHONPATH=copy, PYTHONDONTWRITEBYTECODE="1"
+            )
         wall("import_s", ["-c", "import skewext.cli"], tmp)
         wall("import_numeric_s", ["-c", NUMERIC_IMPORT], tmp)
         wall("halfline_deficiency_s", [*cli, "halfline", "--subcheck", "deficiency"], tmp)
@@ -519,8 +535,11 @@ def main(argv=None) -> int:
             "call, BLAS on one thread, inputs built outside the timer; each "
             "time figure is the best of its rounds",
             "cli": "best of repeat fresh `python3 -m skewext.cli` processes, "
-            "import included, BLAS on one thread; with a baseline tree the two "
-            "trees take turns in alternating order; import_s imports "
+            "import included, BLAS on one thread; each tree's processes run "
+            "from a copy of its skewext package without __pycache__ and with "
+            "PYTHONDONTWRITEBYTECODE=1, so every process compiles the package; "
+            "with a baseline tree the two trees take turns in alternating "
+            "order; import_s imports "
             "skewext.cli, import_numeric_s that and the relation-command "
             "module (numpy and the numeric substrate), and "
             "halfline_deficiency_s reads no input, so it is start-up alone",
