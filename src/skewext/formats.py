@@ -12,9 +12,10 @@ with no ``Fraction`` built.  Digits are written in blocks
 ``halfline``'s messages too), so a value longer than CPython's int-to-str
 limit is written, and read back in halves (``halfline._digits_int``),
 without changing that process-wide limit.  The decoder
-``exppoly_from_json`` builds that form from the integers
-``halfline._ratio_from_str`` reads, rates included; ``halfline`` reads the
-strings given to its constructors the same way.
+``exppoly_from_json`` checks each record's shape and reads its rationals
+as integers (``halfline._ratio_from_str``), and builds the form by
+``halfline._term_form``, the one builder ``ExpPoly(...)`` uses too, so both
+edges refuse and check terms by one rule set.
 
 ``dumps`` writes a report holding such values with the bytes of
 ``json.dumps(..., sort_keys=True, indent=2)``; it is the join of the str
@@ -416,48 +417,27 @@ def rational_complex_to_json(z: hl.RationalComplex) -> dict:
     return {"re": fraction_to_str(z.re), "im": fraction_to_str(z.im)}
 
 
-def _raise_first_repeat(items):
-    """Raise ValueError naming the first key of ``items`` that repeats an
-    earlier one, in input order; return if none does."""
-    from .halfline import _int_digits
-
-    seen = set()
-    for key, _ in items:
-        if key in seen:
-            k, num, den = map(_int_digits, key)
-            raise ValueError(f"duplicate term for ({k}, Fraction({num}, {den}))")
-        seen.add(key)
-
-
 def exppoly_from_json(obj) -> hl.ExpPoly:
     """A function from a list of term records {"k", "lambda", "re", "im"}.
 
-    Each term is checked once: its record shape, degree type and degree cap
-    and its three rationals (``_ratio_from_str``) here, then its degree
-    sign, rate sign and rate denominator cap (``halfline._check_key``), and
-    the keys (k, p, q) of all terms, zero coefficients included, are ordered
-    and compared for repeats by their exact integer ranks
-    (``halfline._canonical_order``).  Rates are reduced by one gcd, so each
-    rate is one key however spelled and the cap applies to its reduced
-    denominator; coefficients stay integer pairs, brought to the lcm of
-    their denominators and reduced by one gcd into the integer form, with no
-    dict, ``Fraction`` or ``RationalComplex``.  Errors keep their order: the
-    first malformed record or repeated key in input order, then the first
-    bad key.
+    Each record's shape is checked here as ``halfline._term_form`` reaches
+    it: an object, an integer degree within ``MAX_DEGREE`` and three
+    rationals (``_ratio_from_str``), the rate reduced by one gcd, so each
+    rate is one key however spelled.  ``_term_form``, the builder
+    ``ExpPoly(...)`` uses too, refuses a repeated key on sight, zero
+    coefficients included, then checks every key (``halfline._check_key``:
+    degree sign, rate sign and the cap on the reduced rate denominator) and
+    builds the integer form, with no ``Fraction`` or ``RationalComplex``.
+    So errors keep their order: the first malformed record or repeated key
+    in input order, then the first bad key.
     """
-    from .halfline import (
-        MAX_DEGREE,
-        _canonical_order,
-        _check_key,
-        _integer_form,
-        _ratio_from_str,
-        _reduced,
-    )
+    from .errors import InvalidTerm
+    from .halfline import MAX_DEGREE, ExpPoly, _ratio_from_str, _term_form
 
     if not isinstance(obj, list):
         raise ValueError("function must be a list of term records")
-    items = []
-    try:
+
+    def items():
         for record in obj:
             if not isinstance(record, dict):
                 raise ValueError(f"term record must be an object, got {record!r}")
@@ -465,22 +445,14 @@ def exppoly_from_json(obj) -> hl.ExpPoly:
             if isinstance(k, bool) or not isinstance(k, int):
                 raise ValueError('"k" must be an integer')
             if k > MAX_DEGREE:
-                raise ValueError(f"degree {k} exceeds the cap {MAX_DEGREE}")
+                raise InvalidTerm(f"degree {k} exceeds the cap {MAX_DEGREE}")
             p, q = _ratio_from_str(record.get("lambda"))
             h = math.gcd(p, q)
             re = _ratio_from_str(record.get("re", "0"))
             im = _ratio_from_str(record.get("im", "0"))
-            items.append(((k, p // h, q // h), re + im))
-        for key, _ in items:
-            _check_key(*key)
-        ordered = _canonical_order(items)
-    except ValueError:
-        # a repeated key before the failing record, or anywhere when every
-        # record is well formed, is what is reported
-        _raise_first_repeat(items)
-        raise
-    nonzero = [item for item in ordered if item[1][0] or item[1][2]]
-    return _reduced(*_integer_form(nonzero))
+            yield (k, p // h, q // h), re + im
+
+    return ExpPoly._from_integers(*_term_form(items()))
 
 
 def _digest_bytes(data: bytes) -> str:

@@ -53,10 +53,12 @@ that report a real part use it: ``norm_sq``, ``adjoint_injectivity_check``
 and the CLI's ``halfline --subcheck dissipative`` (Re <Hf, f>); ``green``
 keeps ``inner_sum``, since its report compares both parts.
 
-Validation happens once, at the input edge: ``ExpPoly(...)`` and
-``formats.exppoly_from_json`` check every (k, p, q) key (``_check_key``)
-and sort on exact integer ranks (``_canonical_order``), the decoder with
-no dict, ``Fraction`` or ``RationalComplex``.  Kernel outputs, and
+Validation happens once, at the input edge, by one builder: ``ExpPoly(...)``
+and ``formats.exppoly_from_json`` feed their terms, (k, p, q) keys with
+integer coefficient ratios, to ``_term_form``, which refuses a repeated key
+on sight, checks every key (``_check_key``), drops zero coefficients and
+sorts on exact integer ranks (``_canonical_order``); the decoder builds no
+``Fraction`` or ``RationalComplex`` on the way.  Kernel outputs, and
 negation, scaling and sums of valid functions, already have valid keys in
 canonical order and go through the one trusted constructor
 ``ExpPoly._from_integers``, which skips the checks; the test suite wraps it
@@ -72,8 +74,10 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, InvalidTerm, NotExact, TraceNotZero
 
-#: Caps keeping exact term growth bounded; the degree cap limits input
-#: functions only (``formats.exppoly_from_json``), not derived ones.
+#: Caps keeping exact term growth bounded.  The degree cap applies to
+#: function files (``formats.exppoly_from_json``), not to derived functions:
+#: the resolvent raises a resonant term's degree by one, so a report's
+#: function can exceed the cap and is then refused as input.
 MAX_DEGREE = 32
 MAX_RATE_DENOMINATOR = 10**6
 
@@ -259,9 +263,10 @@ class ExpPoly:
     """A finite sum of terms c * t^k * exp(-lam t) with exact coefficients.
 
     Terms are keyed by (k, lam) with k a nonnegative integer and lam a
-    positive rational; every key is checked and zero coefficients are
-    dropped.  Each rate is read once, as p/q in lowest terms, into the
-    canonical integer form of the module docstring (``integer_form``).
+    positive rational.  Each rate is read once, as p/q in lowest terms, and
+    ``_term_form`` refuses a repeated key, checks every key, drops zero
+    coefficients and builds the canonical integer form of the module
+    docstring (``integer_form``).
     Instances are immutable.  Kernel outputs, whose keys are valid and
     already in canonical order, are built by ``_from_integers`` unchecked.
     """
@@ -269,17 +274,14 @@ class ExpPoly:
     __slots__ = ("_den", "_groups", "_items")
 
     def __init__(self, terms=None):
-        items = []
-        for (k, lam), coeff in (terms or {}).items():
-            p, q = _frac(lam).as_integer_ratio()
-            _check_key(k, p, q)
-            coeff = _coerce(coeff)
-            if not coeff.is_zero():
-                re, im = coeff.re, coeff.im
-                ratios = (re.numerator, re.denominator, im.numerator, im.denominator)
-                items.append(((k, p, q), ratios))
-        # over the lcm of fractions in lowest terms, the form is canonical
-        self._den, self._groups = _integer_form(_canonical_order(items))
+        # each term is coerced when ``_term_form`` reaches it, so a bad value
+        # and a repeated key are reported in input order
+        self._den, self._groups = _term_form(
+            ((k, p, q), (*c.re.as_integer_ratio(), *c.im.as_integer_ratio()))
+            for (k, lam), coeff in (terms or {}).items()
+            for p, q in (_frac(lam).as_integer_ratio(),)
+            for c in (_coerce(coeff),)
+        )
         self._items = None
 
     @classmethod
@@ -338,7 +340,7 @@ class ExpPoly:
                     old_re, old_im = sums.get((k, p, q), (0, 0))
                     sums[k, p, q] = (old_re + re * factor, old_im + im * factor)
         items = [(key, c) for key, c in sums.items() if c[0] or c[1]]
-        return _reduced(den, _grouped(_canonical_order(items)))
+        return ExpPoly._from_integers(*_reduced(den, _grouped(_canonical_order(items))))
 
     def __sub__(self, other):
         return self + (-other)
@@ -361,7 +363,7 @@ class ExpPoly:
         for p, q, terms in self._groups:
             scaled = tuple((k, x * cr - y * ci, x * ci + y * cr) for k, x, y in terms)
             groups.append((p, q, scaled))
-        return _reduced(self._den * e, tuple(groups))
+        return ExpPoly._from_integers(*_reduced(self._den * e, tuple(groups)))
 
     def derivative(self) -> "ExpPoly":
         """Exact derivative, from
@@ -417,15 +419,38 @@ def _check_key(k, p: int, q: int):
 
 
 def _canonical_order(items) -> tuple:
-    """The ((k, p, q), coefficient) pairs ``items``, keys checked, sorted into
-    canonical (lam, k) order by ``_ranks``; InvalidTerm if a key repeats."""
+    """The ((k, p, q), coefficient) pairs ``items``, whose keys are distinct,
+    sorted into canonical (lam, k) order by ``_ranks``."""
     ranks = _ranks(items)
-    order = sorted(range(len(items)), key=ranks.__getitem__)
-    for i, j in zip(order, order[1:]):
-        if ranks[i] == ranks[j]:
-            k, p, q = map(_int_digits, items[i][0])
+    return tuple(items[i] for i in sorted(range(len(items)), key=ranks.__getitem__))
+
+
+def _term_form(items) -> tuple:
+    """The reduced integer form ``(D, groups)`` of the ((k, p, q), (re_num,
+    re_den, im_num, im_den)) pairs ``items``, each rate p/q in lowest terms
+    with q > 0: the one builder of input functions, for ``ExpPoly(...)``
+    and ``formats.exppoly_from_json``.
+
+    ``items`` is consumed in input order, and a key that repeats an earlier
+    one raises InvalidTerm when it is seen, zero coefficients included.
+    Then every key is checked (``_check_key``), zero coefficients drop, and
+    the rest are sorted into canonical order, brought to the lcm of their
+    denominators and reduced by one gcd.
+    """
+    terms = {}
+    for key, ratios in items:
+        if key in terms:
+            k, p, q = (_int_digits(x) if type(x) is int else repr(x) for x in key)
             raise InvalidTerm(f"duplicate term key ({k}, Fraction({p}, {q}))")
-    return tuple(items[i] for i in order)
+        terms[key] = ratios
+    for key in terms:
+        _check_key(*key)
+    nonzero = [(key, c) for key, c in terms.items() if c[0] or c[2]]
+    den = math.lcm(*(d for _, (_, rd, _, id_) in nonzero for d in (rd, id_)))
+    return _reduced(den, _grouped(
+        (key, (rn * (den // rd), in_ * (den // id_)))
+        for key, (rn, rd, in_, id_) in _canonical_order(nonzero)
+    ))
 
 
 def term(k: int, lam, re=0, im=0) -> ExpPoly:
@@ -452,21 +477,9 @@ def _grouped(items) -> tuple:
     return tuple((p, q, tuple(terms)) for p, q, terms in groups)
 
 
-def _integer_form(items) -> tuple:
-    """``(D, groups)`` of the (key, (re_num, re_den, im_num, im_den)) pairs
-    ``items``, in canonical order with nonzero coefficients: D is the lcm of
-    all denominators.  It is canonical when every fraction is in lowest
-    terms; ``_reduced`` makes it so otherwise."""
-    den = math.lcm(*(d for _, (_, rd, _, id_) in items for d in (rd, id_)))
-    return den, _grouped(
-        (key, (rn * (den // rd), in_ * (den // id_)))
-        for key, (rn, rd, in_, id_) in items
-    )
-
-
-def _reduced(den: int, groups: tuple) -> ExpPoly:
-    """The function with the integer form ``(den, groups)``, valid in every
-    respect but the gcd: den and all numerators are divided by their gcd."""
+def _reduced(den: int, groups: tuple) -> tuple:
+    """The integer form ``(den, groups)``, valid in every respect but the
+    gcd, with den and all numerators divided by their gcd."""
     h = math.gcd(
         den, *[x for _, _, terms in groups for _, re, im in terms for x in (re, im)]
     )
@@ -476,7 +489,7 @@ def _reduced(den: int, groups: tuple) -> ExpPoly:
             (p, q, tuple((k, re // h, im // h) for k, re, im in terms))
             for p, q, terms in groups
         )
-    return ExpPoly._from_integers(den, groups)
+    return den, groups
 
 
 def _first_order(f: ExpPoly, a: int, b: int) -> ExpPoly:
@@ -512,7 +525,7 @@ def _first_order(f: ExpPoly, a: int, b: int) -> ExpPoly:
             prev = k
         if run:
             out.append((p, q, tuple(run)))
-    return _reduced(f._den * big_q, tuple(out))
+    return ExpPoly._from_integers(*_reduced(f._den * big_q, tuple(out)))
 
 
 def _pairwise_sum(parts):
@@ -898,7 +911,7 @@ def resolvent_solve(f: ExpPoly) -> ExpPoly:
             out[at] = (1, 1, (trace, *out[at][2]))
         else:
             out.insert(at, (1, 1, (trace,)))
-    return _reduced(f._den * common, tuple(out))
+    return ExpPoly._from_integers(*_reduced(f._den * common, tuple(out)))
 
 
 class InjectivityReport(NamedTuple):

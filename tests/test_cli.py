@@ -427,7 +427,9 @@ def test_halfline_resolvent_check_fails_on_a_changed_solution(
 
 
 def test_halfline_resolvent_above_input_degree_cap(tmp_path, capsys):
-    # t^32 e^(-t) is a valid input; its resolvent solution has degree 33
+    # t^32 e^(-t) is a valid input; the resolvent raises a resonant term's
+    # degree by one, so its solution has degree 33, and since the cap
+    # applies to function files, that solution is refused as input
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps([{"k": 32, "lambda": "1", "re": "1", "im": "0"}]))
     code, report = run_cli(
@@ -437,6 +439,11 @@ def test_halfline_resolvent_above_input_degree_cap(tmp_path, capsys):
     assert report["payload"]["resolvent_identity_exact"] is True
     assert report["payload"]["trace_zero"] is True
     assert max(t["k"] for t in report["payload"]["solution"]) == 33
+    fn.write_text(json.dumps(report["payload"]["solution"]))
+    code = main(["halfline", "--subcheck", "resolvent", "--input", str(fn)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: invalid input: degree 33 exceeds the cap 32\n"
 
 
 def test_halfline_input_degree_cap(tmp_path, capsys):
@@ -512,7 +519,7 @@ _BIG = "1" + "0" * 4400  # 10^4400, past the int-to-str limit
                 {"k": 0, "lambda": "1e4400", "re": "1", "im": "0"},
                 {"k": 0, "lambda": "1e4400", "re": "2", "im": "0"},
             ],
-            f"invalid input: duplicate term for (0, Fraction({_BIG}, 1))",
+            f"invalid input: duplicate term key (0, Fraction({_BIG}, 1))",
         ),
     ],
     ids=["trace", "rate-sign", "duplicate"],

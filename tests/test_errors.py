@@ -50,6 +50,7 @@ def _relation_at(rank_tol):
         (lambda: hl.ExpPoly({(0, -1): one}), InvalidTerm, ValueError),
         (lambda: hl.ExpPoly({(0, Fraction(1, 10**7)): one}), InvalidTerm, ValueError),
         (lambda: hl.ExpPoly({(0, 1): one, (0, "1"): one}), InvalidTerm, ValueError),
+        (lambda: hl.ExpPoly({(0, 1): 0, (0, "1"): 5}), InvalidTerm, ValueError),
         *(
             pytest.param(
                 lambda t=t: _relation_at(t), InvalidTolerance, ValueError,

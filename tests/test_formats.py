@@ -13,6 +13,7 @@ from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext import relation as rel
 from skewext import subspace as sub
+from skewext.errors import InvalidTerm
 
 
 def test_relation_roundtrip():
@@ -329,14 +330,19 @@ def test_unitary_matrix_from_json_accepts_both_shapes():
 
 
 def test_exppoly_from_json_rejects_a_repeated_key_with_zero_coefficient():
-    # the repeat is found among all records, before zero coefficients drop
+    # the repeat is found among all records, before zero coefficients drop,
+    # and ``ExpPoly`` on the same terms raises the same error
+    message = "duplicate term key (0, Fraction(1, 1))"
     for first, second in (("0", "2"), ("2", "0"), ("0", "0")):
         records = [
             {"k": 0, "lambda": "1", "re": first, "im": "0"},
             {"k": 0, "lambda": "2/2", "re": second, "im": "0"},
         ]
-        with pytest.raises(ValueError, match="duplicate term"):
+        with pytest.raises(InvalidTerm) as decoded:
             fmt.exppoly_from_json(records)
+        with pytest.raises(InvalidTerm) as built:
+            hl.ExpPoly({(0, 1): int(first), (0, "2/2"): int(second)})
+        assert str(decoded.value) == str(built.value) == message
 
 
 def _two_pass_decode(obj):
@@ -352,14 +358,14 @@ def _two_pass_decode(obj):
         if isinstance(k, bool) or not isinstance(k, int):
             raise ValueError('"k" must be an integer')
         if k > hl.MAX_DEGREE:
-            raise ValueError(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
+            raise InvalidTerm(f"degree {k} exceeds the cap {hl.MAX_DEGREE}")
         lam = Fraction(*hl._ratio_from_str(record.get("lambda")))
         coeff = hl.RationalComplex(
             Fraction(*hl._ratio_from_str(record.get("re", "0"))),
             Fraction(*hl._ratio_from_str(record.get("im", "0"))),
         )
         if (k, lam) in terms:
-            raise ValueError(f"duplicate term for {(k, lam)}")
+            raise InvalidTerm(f"duplicate term key {(k, lam)}")
         terms[(k, lam)] = coeff
     return hl.ExpPoly(terms)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from skewext import formats as fmt
 from skewext import halfline as hl
-from skewext.errors import DimensionMismatch, TraceNotZero
+from skewext.errors import DimensionMismatch, InvalidTerm, TraceNotZero
 from skewext.halfline import ExpPoly, exp_decay, term
 from skewext.halfline import RationalComplex as QC
 
@@ -48,7 +48,7 @@ def test_eval0_picks_constant_terms():
 
 def test_term_caps():
     # the degree cap limits input functions, so the decoder enforces it
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTerm, match="^degree 33 exceeds the cap 32$"):
         fmt.exppoly_from_json([{"k": 33, "lambda": "1", "re": "1", "im": "0"}])
     with pytest.raises(ValueError):
         term(0, -1, 1)
@@ -257,8 +257,10 @@ def test_zero_coefficient_term_key_is_checked(terms):
         # a rate string past the limit is read in blocks too
         ({(0, 10**5000): 1, (0, "2" + "0" * 5000 + "/2"): 1},
          "(0, Fraction(1" + "0" * 5000 + ", 1))"),
+        # a repeat is reported before a bad key that comes earlier
+        ({(0, -1): 1, (0, 1): 1, (0, "1"): 1}, "(0, Fraction(1, 1))"),
     ],
-    ids=["half", "5001-digit degree", "5001-digit rate string"],
+    ids=["half", "5001-digit degree", "5001-digit rate string", "bad key first"],
 )
 def test_duplicate_key_message_names_the_rate_as_a_fraction(terms, key):
     # two spellings of one rate are one key, named as (k, Fraction(p, q))

@@ -5,23 +5,24 @@ Run from the root of a checkout (the package need not be installed):
     python3 tools/compare_reports.py --baseline-src OTHER/src [--out FILE]
 
 Every case runs ``python3 -m skewext.cli`` once per tree, on the same input
-files, and compares the two stdout texts.  The relation files are written
+files, and compares the two texts of exit code, stderr and stdout as they
+are written.  The relation files are written
 by this tree's ``generate`` (whose output is compared too): n = 1..5 at
 every k, and n = 8, 32 and 64 at k = 0, n // 2 and n.  Each relation goes through
 ``analyze``, ``canonical``, both ``convert`` directions and ``extend`` in
 modes A, B and phi (unitary and contraction parameters drawn from a seeded
 generator); ``sweep --count 200 --seed 0`` and every ``halfline`` subcheck
-run too.  Each case is run twice on this tree, to check that its report is
-the same run to run.  Reports are compared in their schema-1 form
-(``tools/expand_report.py``): a schema-2 report drops its ``schema`` key and
-has its ``canonical`` payload expanded, so a schema-2 tree and a schema-1
-baseline differ only where their numbers do.
+run too, and so do cases that exit 2 (``ERROR_CASES``), so error messages
+are compared as well.  Each case is run twice on this tree, to check that
+its report is the same run to run.  The tool exits 1 when any case is not
+identical or not repeatable.
 
 For every report that differs, each JSON number that differs is listed by
 its key path, with list indices dropped: how many differ, the largest
 absolute difference, and how many of the differing [re, im] entries are
 pivots.  A pivot is an [re, im] entry of a basis row with imaginary part 0
-and the largest modulus of its row in this tree's report.  The summary is
+and the largest modulus of its row in this tree's report.  A run that
+differs and wrote no report is listed with both texts.  The summary is
 printed as JSON, and also written to ``--out`` when given.
 """
 
@@ -42,8 +43,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from expand_report import expand_report  # noqa: E402
-from skewext import formats as fmt  # noqa: E402
 from skewext.sampling import random_unitary  # noqa: E402
 
 SEED = 3
@@ -55,6 +54,35 @@ HALFLINE_FUNCTION = [
     {"k": 1, "lambda": "1/2", "re": "-3", "im": "1/7"},
     {"k": 2, "lambda": "3", "re": "1/5", "im": "-2"},
 ]
+#: (name, file name, file content, argv) of the cases that exit 2; the
+#: relation and parameter files of n = 1, k = 0 are those ``_cases`` writes
+ERROR_CASES = [
+    (
+        "halfline repeated key", "repeat.json",
+        [{"k": 0, "lambda": "1", "re": "1"}, {"k": 0, "lambda": "2/2", "re": "2"}],
+        ["halfline", "--subcheck", "resolvent", "--input", "repeat.json"],
+    ),
+    (
+        "halfline degree past the cap", "degree.json",
+        [{"k": 33, "lambda": "1", "re": "1"}],
+        ["halfline", "--subcheck", "resolvent", "--input", "degree.json"],
+    ),
+    (
+        "halfline negative rate", "rate.json",
+        [{"k": 0, "lambda": "-1", "re": "1"}],
+        ["halfline", "--subcheck", "resolvent", "--input", "rate.json"],
+    ),
+    (
+        "canonical not skew-symmetric", "symmetric.json",
+        {"n": 1, "graph_generators": [[[1.0, 0.0], [1.0, 0.0]]]},
+        ["canonical", "--input", "symmetric.json"],
+    ),
+    (
+        "extend A with a contraction", None, None,
+        ["extend", "--input", "rel_1_0.json", "--mode", "A",
+         "--param", "contraction_1.json"],
+    ),
+]
 
 
 def _run(src: str, argv: list, cwd: str) -> str:
@@ -64,17 +92,6 @@ def _run(src: str, argv: list, cwd: str) -> str:
         capture_output=True, text=True,
     )
     return f"exit {done.returncode}\n{done.stderr}{done.stdout}"
-
-
-def _expanded(text: str) -> str:
-    """The text of a run with its report in schema-1 form; a run that
-    wrote no report comes back as it is."""
-    head, _, body = text.partition("\n")
-    try:
-        report = json.loads(body)
-    except ValueError:
-        return text
-    return f"{head}\n{fmt.dumps(expand_report(report))}"
 
 
 def _cases(tmp: str) -> list:
@@ -112,6 +129,11 @@ def _cases(tmp: str) -> list:
     for subcheck in ("deficiency", "triplet", "green", "resolvent", "dissipative"):
         argv = ["halfline", "--subcheck", subcheck, "--input", "f.json"]
         cases.append((f"halfline {subcheck}", argv))
+    for name, file, content, argv in ERROR_CASES:
+        if file:
+            with open(os.path.join(tmp, file), "w") as fh:
+                json.dump(content, fh)
+        cases.append((name, argv))
     return cases
 
 
@@ -153,7 +175,9 @@ def _summary(new: str, old: str) -> dict:
     try:
         a, b = json.loads(body_new), json.loads(body_old)
     except ValueError:
-        return {"identical": False, "exit": [head_new, head_old]}
+        # no report on one side: an error run, whose stderr is the text
+        return {"identical": False, "exit": [head_new, head_old],
+                "text": [body_new, body_old]}
     stats = defaultdict(
         lambda: {"numbers": 0, "max_abs": 0.0, "entries": 0, "pivot_entries": 0}
     )
@@ -172,7 +196,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, case in _cases(tmp):
             new = _run(here, case, tmp)
-            summary = _summary(_expanded(new), _expanded(_run(base, case, tmp)))
+            summary = _summary(new, _run(base, case, tmp))
             summary["repeatable"] = new == _run(here, case, tmp)
             result[name] = summary
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
@@ -180,7 +204,8 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    return 0
+    same = all(s["identical"] and s["repeatable"] for s in result.values())
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
