@@ -16,12 +16,13 @@ command read.
 
 Each ``cmd_*`` returns ``(echo, digest, status, payload)``; ``main`` hands
 that to ``_emit``, the one place where reports are assembled and written.
-Payload matrices stay float64 arrays, and half-line functions ``ExpPoly``
-values, until ``_emit`` writes the report.  It writes the pieces of
-``formats._report_parts`` one by one, to stdout or ``--out``, with no
-joined copy of the text; their join is ``formats.dumps``, whose bytes are
-those of ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.
-``generate`` writes its relation file with ``dumps``.
+Payload matrices stay complex128 arrays, and half-line functions
+``ExpPoly`` values, until ``_emit`` writes the report.  It writes the
+pieces of ``formats._report_parts`` one by one, to stdout or ``--out``,
+with no joined copy of the text; their join is ``formats.dumps``, whose
+bytes are those of ``json.dumps(report, sort_keys=True, indent=2)`` plus a
+newline, each array written as its base64 array object.  ``generate``
+writes its relation file with ``dumps``.
 
 This module holds the parser, ``_emit``, ``main`` and the half-line
 command, and imports only the standard library, ``errors``, ``formats``

@@ -1,56 +1,49 @@
 """JSON wire formats shared by the CLI and file-based workflows.
 
-Complex numbers in the numeric substrate are [re, im] pairs of doubles;
-exact half-line values are "p/q" strings.  Encoders keep a complex matrix
-as a float64 array of shape (rows, cols, 2) of its pairs, and half-line
-functions stay ``ExpPoly`` objects until ``dumps`` writes them, each as
-the list of its term records {"k", "lambda", "re", "im"} by one
-%-template, the "p/q" digits written by ``_fraction_digits`` from the
-function's integer form (D, ((p, q, ((k, D re c, D im c), ...)), ...)),
-with no ``Fraction`` built.  Digits are written in blocks
-(``halfline._int_digits``, which writes the exact values in
-``halfline``'s messages too), so a value longer than CPython's int-to-str
-limit is written, and read back in halves (``halfline._digits_int``),
-without changing that process-wide limit.  The decoder
-``exppoly_from_json`` checks each record's shape and reads its rationals
-as integers (``halfline._ratio_from_str``), and builds the form by
-``halfline._term_form``, the one builder ``ExpPoly(...)`` uses too, so both
-edges refuse and check terms by one rule set.
+A complex matrix in a report is an array object {"b64": ..., "dtype":
+"<c16", "shape": [rows, cols]}, the base64 of its little-endian complex128
+bytes row by row, so every bit of every entry (-0.0, subnormals, NaN and
+the infinities too) is written and read back exactly, with no float text.
+Encoders keep a matrix as a complex128 array until ``dumps`` writes it.
+Input files may hold an array object or a list of rows of [re, im] pairs
+of doubles; ``matrix_from_json`` is the one decoder of both.  Exact
+half-line values are "p/q" strings.  Half-line functions stay ``ExpPoly``
+objects until ``dumps`` writes them, each as the list of its term records
+{"k", "lambda", "re", "im"} by one %-template, the "p/q" digits written by
+``_fraction_digits`` from the function's integer form (D, ((p, q, ((k,
+D re c, D im c), ...)), ...)), with no ``Fraction`` built.  Digits are
+written in blocks (``halfline._int_digits``, which writes the exact values
+in ``halfline``'s messages too), so a value longer than CPython's
+int-to-str limit is written, and read back in halves
+(``halfline._digits_int``), without changing that process-wide limit.  The
+decoder ``exppoly_from_json`` checks each record's shape and reads its
+rationals as integers (``halfline._ratio_from_str``), and builds the form
+by ``halfline._term_form``, the one builder ``ExpPoly(...)`` uses too, so
+both edges refuse and check terms by one rule set.
 
-``dumps`` writes a report holding such values with the bytes of
-``json.dumps(..., sort_keys=True, indent=2)``; it is the join of the str
-pieces of ``_report_parts``, which the CLI writes one by one.  The rows of
-a finite array are written, layout and digits, by one indented ``orjson``
-call at its nesting depth and decoded straight from its bytes; ``repr``
-writes only the entries whose magnitude puts ``repr`` in exponent form.
-Both write the shortest digits that round-trip and the same indented
-layout, and differ only in how they write an exponent, so the bytes are
-``json``'s.  ``matrix_from_json`` is the one decoder of complex data.
-Decoders raise ValueError on malformed input so the CLI can map it to the
-invalid-input exit code.
+``dumps`` writes a report with the bytes of ``json.dumps(...,
+sort_keys=True, indent=2)`` of it with each array replaced by its array
+object; it is the join of the str pieces of ``_report_parts``, which the
+CLI writes one by one.  Decoders raise ValueError on malformed input so
+the CLI can map it to the invalid-input exit code.
 
-Reports are schema 2: the envelope's "schema" key is ``REPORT_SCHEMA``,
-and ``canonical`` writes only what cannot be derived from the rest
-(``canonical_system_to_json``, ``canonical_extension_to_json``).  Against
-schema 1 the changed keys are ``system.graph_basis``, now the Graph(-H0)
-block ``graph_neg_base`` and ``block_widths``; ``system.F``, now
-``F_shape``; and ``max_dissipative_extension.graph_generators``, now the
-column ranges ``graph_columns`` of the Graph(H0*) basis.  The other
-commands write the schema-1 payloads.  ``tools/expand_report.py`` rebuilds
-a schema-1 report from a schema-2 one, byte for byte, by the library's own
-floating-point operations.
+Reports are schema 3 (``REPORT_SCHEMA``): against schema 2 every report
+array, a list of rows of [re, im] pairs there, is its array object.
+Since schema 2 ``canonical`` writes only what cannot be derived from the
+rest (``canonical_system_to_json``, ``canonical_extension_to_json``).
 
-numpy, ``orjson``, ``halfline`` and the relation and extension modules are
-imported by the functions that use them, on their first call: the
-half-line codecs load ``halfline`` (and with it ``fractions``) but none of
-the others, and ``dumps`` of a report without arrays loads no numpy.
-``_report_parts`` writes an object as an ``ExpPoly`` only when ``halfline``
-is already loaded, since no ``ExpPoly`` exists before it is, so a relation
-command's report loads neither ``halfline`` nor ``fractions``.  The input
-file readers and ``_digest_bytes`` live here too, so the CLI and the
-relation commands share them without importing one another:
-``_load_numeric_json`` reads the relation commands' files with ``orjson``,
-``_load_json`` the half-line command's with ``json``.
+numpy, ``binascii`` (which numpy loads), ``orjson``, ``halfline`` and the
+relation and extension modules are imported by the functions that use
+them, on their first call: the half-line codecs load ``halfline`` (and
+with it ``fractions``) but none of the others, and ``dumps`` of a report
+without arrays loads no numpy.  ``_report_parts`` writes an object as an
+``ExpPoly`` only when ``halfline`` is already loaded, since no ``ExpPoly``
+exists before it is, so a relation command's report loads neither
+``halfline`` nor ``fractions``.  The input file readers and
+``_digest_bytes`` live here too, so the CLI and the relation commands
+share them without importing one another: ``_load_numeric_json`` reads the
+relation commands' files with ``orjson``, ``_load_json`` the half-line
+command's with ``json``.
 """
 
 from __future__ import annotations
@@ -66,10 +59,11 @@ from typing import TYPE_CHECKING
 
 from .tolerances import RANK_TOL
 
-#: the report layout, written as the envelope's "schema" key: 2 since
-#: ``canonical`` writes its system and extension by ``canonical_system_to_json``
-#: and ``canonical_extension_to_json``
-REPORT_SCHEMA = 2
+#: the report layout, written as the envelope's "schema" key: 3 since every
+#: report array is written as its array object (``_array_to_json``)
+REPORT_SCHEMA = 3
+#: the one dtype of an array object: little-endian complex128
+ARRAY_DTYPE = "<c16"
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -105,44 +99,6 @@ def _list_template(items: list, level: int, brackets: str = "[]") -> str:
     )
 
 
-def _array_rows(a: np.ndarray, level: int) -> list:
-    """The rows of a finite (rows, cols, 2) float64 array with at least one
-    row, sitting at nesting ``level``, as the pieces of the text between its
-    brackets: one indented ``orjson`` call, decoded in segments between the
-    exponent-form entries, whose ``repr`` is put between them (see
-    ``dumps``)."""
-    # imported here, so that a report without arrays (sweep, halfline) does
-    # not pay orjson's import (datetime, uuid, zoneinfo)
-    import numpy as np
-    import orjson
-
-    # orjson writes only C-contiguous arrays
-    a = np.ascontiguousarray(a)
-    mag = np.abs(a)
-    exponent = ((mag > 0) & (mag < 1e-4)) | (mag >= 1e16)
-    special = a[exponent].tolist()
-    # each exponent-form entry becomes NaN, which orjson writes as null; the
-    # array is finite, so every null in the text is one of them
-    body = np.where(exponent, np.nan, a) if special else a
-    # nested in ``level`` one-element lists, the array is indented as it sits
-    # in the report; the rows start past the wrappers' lines and the array's
-    # own "[" line, and end before its "]" line and the wrappers'
-    for _ in range(level):
-        body = [body]
-    data = orjson.dumps(body, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
-    start, end = (level + 1) * (level + 4), len(data) - (level + 1) * (level + 2)
-    # each segment is decoded once, straight from orjson's bytes; "n" occurs
-    # in them only as the first letter of a null, found at memchr speed
-    view = memoryview(data)
-    pieces = []
-    for x in special:
-        stop = data.index(b"n", start)
-        pieces += (str(view[start:stop], "ascii"), float.__repr__(x))
-        start = stop + 4
-    pieces.append(str(view[start:end], "ascii"))
-    return pieces
-
-
 def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
     """A function as its list of term records at nesting ``level``: each
     record's keys in sorted order ("im", "k", "lambda", "re"), the rationals
@@ -166,33 +122,20 @@ def _exppoly_to_json(f: hl.ExpPoly, level: int) -> str:
 
 def dumps(obj) -> str:
     """The report text: byte for byte ``json.dumps(obj, sort_keys=True,
-    indent=2)`` and a newline, with every array replaced by its ``tolist()``;
-    the join of the pieces of ``_report_parts``, which ``cli._emit`` writes
-    one by one."""
+    indent=2)`` and a newline, with every array replaced by its array
+    object (``_array_to_json``); the join of the pieces of
+    ``_report_parts``, which ``cli._emit`` writes one by one."""
     return "".join(_report_parts(obj))
 
 
 def _report_parts(obj) -> list:
     """The text of ``dumps(obj)`` as a list of str pieces.
 
-    Arrays must be float64 of shape (rows, cols, 2), as ``matrix_to_json``
-    builds them; an ``ExpPoly`` is written as its list of term records, one
-    %-template per function; dict keys must be strings.  Any other type
-    raises TypeError.  The indented ``json.dumps`` runs the
-    pure-Python encoder and ``repr`` of every float, which cost more than
-    the numerics on large reports.  Here the rows of a finite array are
-    written by one ``orjson.dumps`` with ``OPT_INDENT_2``, nested in as
-    many one-element lists as the array's nesting depth so that its lines
-    carry the report's indentation (``_array_rows``).  ``orjson`` writes
-    the layout of the indented ``json.dumps`` and the shortest round-trip
-    digits; it differs only at 0 < |x| < 1e-4 and |x| >= 1e16, where
-    ``repr`` uses exponent form (``1e-05``, ``1e+16``) and ``orjson`` does
-    not (``0.00001``, ``1e16``).  Those entries are NaN in the copy
-    ``orjson`` writes, so they come out as ``null``; the text between them
-    is decoded piece by piece from ``orjson``'s bytes, and the ``repr`` of
-    each goes in place of its ``null``.  An array holding NaN or an
-    infinity goes through ``tolist()`` and the scalar path.  No container's
-    text is copied into its parent's, and the pieces are not joined here.
+    Arrays must be complex128 matrices, as ``matrix_to_json`` keeps them,
+    and are written as their array objects; an ``ExpPoly`` is written as
+    its list of term records, one %-template per function; dict keys must
+    be strings.  Any other type raises TypeError.  No container's text is
+    copied into its parent's, and the pieces are not joined here.
     """
     # no ``ExpPoly`` exists before ``halfline`` is imported, so a report
     # without one (every relation command's) does not load it; isinstance
@@ -215,7 +158,10 @@ def _report_parts(obj) -> list:
         write("\n" + "  " * level + brackets[1])
 
     def encode(o, level: int):
-        if isinstance(o, str):
+        if type(o) is _Base64:
+            # the base64 alphabet needs no escape
+            parts.extend(('"', o, '"'))
+        elif isinstance(o, str):
             write(encode_basestring_ascii(o))
         elif o is None:
             write("null")
@@ -239,51 +185,101 @@ def _report_parts(obj) -> list:
         else:
             # arrays come after every builtin type and ``ExpPoly``, so that
             # writing a report without them does not load numpy
-            import numpy as np
-
-            if not isinstance(o, np.ndarray):
-                name = type(o).__name__
-                raise TypeError(f"Object of type {name} is not JSON serializable")
-            if o.dtype != np.float64 or o.ndim != 3 or o.shape[2] != 2:
-                got = f"{o.dtype} {o.shape}"
-                raise TypeError(f"arrays must be float64 (rows, cols, 2), got {got}")
-            if not np.isfinite(o).all():
-                encode(o.tolist(), level)
-            elif not o.shape[0]:
-                write("[]")
-            else:
-                write("[\n" + "  " * (level + 1))
-                parts.extend(_array_rows(o, level))
-                write("\n" + "  " * level + "]")
+            encode(_array_to_json(o), level)
 
     encode(obj, 0)
     write("\n")
     return parts
 
 
-def matrix_to_json(m) -> np.ndarray:
-    """A complex matrix as a float64 array of shape (rows, cols, 2) holding
-    its [re, im] pairs; ``dumps`` writes it as nested lists."""
+class _Base64(str):
+    """Base64 text, which ``_report_parts`` writes in quotes unescaped."""
+
+
+def _array_to_json(a) -> dict:
+    """The array object of a complex128 matrix: the base64 of its
+    little-endian bytes, row by row, its dtype and its shape.  Any other
+    value raises TypeError."""
+    import binascii
+
     import numpy as np
 
-    m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1)
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
+    if a.dtype != np.complex128 or a.ndim != 2:
+        got = f"{a.dtype} {a.shape}"
+        raise TypeError(f"arrays must be complex128 (rows, cols), got {got}")
+    data = np.ascontiguousarray(a, ARRAY_DTYPE).data
+    b64 = _Base64(binascii.b2a_base64(data, newline=False), "ascii")
+    return {"b64": b64, "dtype": ARRAY_DTYPE, "shape": list(a.shape)}
+
+
+def _array_from_json(obj: dict) -> np.ndarray:
+    """The complex128 matrix of an array object, every bit as written.
+
+    The object holds exactly the keys "b64", "dtype" and "shape"; the dtype
+    is "<c16", the shape two non-negative integers [rows, cols] (booleans
+    are refused), and "b64" the canonical base64 of 16 * rows * cols bytes:
+    only the base64 alphabet, with its padding, and no bits past the last
+    byte, so that one matrix has one text.  Entries are not checked.
+    """
+    import binascii
+
+    import numpy as np
+
+    if set(obj) != {"b64", "dtype", "shape"}:
+        raise ValueError('array object must hold exactly "b64", "dtype" and "shape"')
+    if obj["dtype"] != ARRAY_DTYPE:
+        raise ValueError(f'array "dtype" must be "<c16", got {obj["dtype"]!r}')
+    shape = obj["shape"]
+    types = [type(x) for x in shape] if isinstance(shape, list) else None
+    if types != [int, int] or min(shape) < 0:
+        raise ValueError('array "shape" must be two non-negative integers')
+    text = obj["b64"]
+    try:
+        raw = binascii.a2b_base64(text)
+        # the lenient decoder skips characters outside the alphabet; the
+        # text is canonical only if encoding the bytes gives it back
+        canonical = binascii.b2a_base64(raw, newline=False).decode("ascii") == text
+    except (TypeError, ValueError):
+        canonical = False
+    if not canonical:
+        raise ValueError('array "b64" is not canonical base64')
+    rows, cols = shape
+    if len(raw) != 16 * rows * cols:
+        raise ValueError(f'array "b64" has {len(raw)} bytes, not 16 * {rows} * {cols}')
+    return np.frombuffer(raw, ARRAY_DTYPE).astype(complex).reshape(rows, cols)
+
+
+def matrix_to_json(m) -> np.ndarray:
+    """A complex matrix as a complex128 array; ``dumps`` writes it as its
+    array object."""
+    import numpy as np
+
+    return np.asarray(m, dtype=complex)
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """A complex matrix from a list of rows of [re, im] pairs.
+    """A complex matrix from an array object or a list of rows of [re, im]
+    pairs.
 
     The one decoder of complex data (relation generators, parameter and
-    reference matrices).  Rows must have equal lengths, every pair exactly
-    two entries, and every entry be a JSON integer or float (booleans are
-    refused) that is finite and fits in a double.  Types are checked in one
-    pass over the entries and the values converted by one ``np.fromiter``
-    over them.
+    reference matrices).  An array object is read by ``_array_from_json``.
+    In the list form, rows must have equal lengths, every pair exactly two
+    entries, and every entry be a JSON integer or float (booleans are
+    refused) that fits in a double; types are checked in one pass over the
+    entries and the values converted by one ``np.fromiter`` over them.
+    Every entry of either form must be finite.
     """
     import numpy as np
 
+    if isinstance(obj, dict):
+        values = _array_from_json(obj)
+        if not np.isfinite(values).all():
+            raise ValueError("array entries must be finite")
+        return values
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-        raise ValueError("matrix must be a list of rows of [re, im] pairs")
+        raise ValueError("matrix must be an array object or a list of rows")
     widths = {len(row) for row in obj}
     if len(widths) > 1:
         raise ValueError("matrix rows have unequal lengths")
@@ -314,11 +310,12 @@ def relation_to_json(t: Relation) -> dict:
 
 
 def relation_from_json(obj, rank_tol: float = RANK_TOL) -> Relation:
-    """Relation from {"n": int, "graph_generators": [2n-vectors]}.
+    """Relation from {"n": int, "graph_generators": 2n-vectors}, the
+    generators as the rows of a matrix (``matrix_from_json``).
 
     Generators need not be orthonormal or independent; the span
     normalizes, discarding singular values below ``rank_tol`` relative;
-    ``rank_tol`` must lie in (0, 1).
+    ``rank_tol`` must lie in (0, 1).  An empty list is no generators.
     """
     from . import relation as rel
 
@@ -328,10 +325,10 @@ def relation_from_json(obj, rank_tol: float = RANK_TOL) -> Relation:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError('"n" must be a positive integer')
     gens = obj.get("graph_generators")
-    if not isinstance(gens, list):
-        raise ValueError('"graph_generators" must be a list of 2n-vectors')
+    if not isinstance(gens, (list, dict)):
+        raise ValueError('"graph_generators" must be a matrix of 2n-vectors')
     vectors = matrix_from_json(gens)
-    if gens and vectors.shape[1] != 2 * n:
+    if gens != [] and vectors.shape[1] != 2 * n:
         raise ValueError(
             f"generators have length {vectors.shape[1]}, expected {2 * n}"
         )
@@ -364,7 +361,7 @@ def system_to_json(s: BoundarySystem) -> dict:
 
 
 def canonical_system_to_json(s: BoundarySystem) -> dict:
-    """The schema-2 report object of a canonical system
+    """The report object of a canonical system
     (``boundary.canonical_system``): what cannot be derived from the rest.
     Its Graph(H0*) basis is Graph(-H0), Ghat1 and Ghat2 side by side, and
     Ghat1 and Ghat2 are (G; +-G)/sqrt(2) of the g1 and g2 bases
@@ -386,7 +383,7 @@ def canonical_system_to_json(s: BoundarySystem) -> dict:
 
 
 def canonical_extension_to_json(s: BoundarySystem) -> dict:
-    """The schema-2 report object of the canonical maximal dissipative
+    """The report object of the canonical maximal dissipative
     extension of a canonical system (``extensions.canonical_max_dissipative``):
     its graph basis is the Graph(-H0) and Ghat2 column blocks of the
     Graph(H0*) basis, written as their half-open column ranges

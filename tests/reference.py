@@ -20,13 +20,17 @@ at a flat stride), the pieces of the canonical decomposition as
 subspaces, the half-line inner product, derivative, a f + b f'
 and resolvent term by term, the term records of a half-line function one
 dict per term, the canonical order of a term dict and the structure of
-the canonical integer form) and as convenient constructors of test inputs.
+the canonical integer form, the array object of a matrix entry by entry)
+and as convenient constructors of test inputs (the list form of a
+matrix).
 """
 
 from __future__ import annotations
 
+import base64
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -369,6 +373,24 @@ def largest_primes_below(n: int, count: int) -> list:
             primes.append(m)
         m -= 1
     return primes
+
+
+def array_object(m) -> dict:
+    """The array object of a complex matrix, entry by entry: the real and
+    imaginary parts of each entry packed as little-endian doubles, row by
+    row, then base64."""
+    m = np.asarray(m, dtype=complex)
+    raw = b"".join(struct.pack("<dd", z.real, z.imag) for row in m for z in row)
+    return {
+        "b64": base64.b64encode(raw).decode("ascii"),
+        "dtype": "<c16",
+        "shape": list(m.shape),
+    }
+
+
+def pairs(m) -> list:
+    """The list form of a complex matrix: its rows of [re, im] pairs."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def exppoly_to_json(f: ExpPoly) -> list:

@@ -1,5 +1,7 @@
+import base64
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,18 +9,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from reference import resolvent_termwise
+from reference import array_object, pairs, resolvent_termwise
 from skewext import boundary as bd
 from skewext import extensions as ext
 from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext import relation as rel
 from skewext.cli import build_parser, main
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from expand_report import expand_report  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -146,8 +146,7 @@ def test_extend_mode_A(tmp_path, capsys, zero_relation_file):
     )
     assert code == 0
     # L = [i] selects mult by -i: graph generated by (1, -i)
-    gen = report["payload"]["extension"]["graph_generators"][0]
-    x, xp = complex(*gen[0]), complex(*gen[1])
+    x, xp = fmt.matrix_from_json(report["payload"]["extension"]["graph_generators"])[0]
     assert abs(xp / x + 1j) <= 1e-9
 
 
@@ -281,6 +280,108 @@ def test_relation_commands_refuse_nesting_that_would_overflow_the_parser(
     )
     assert done.returncode == 2 and done.stdout == b""
     assert done.stderr.startswith(b"error: invalid input: arrays and objects nest")
+
+
+# the matrix of each input file role, as an array object: the relation's
+# generator (1, i), the contraction 0.5 and the reference unitary 1
+ARRAY_FILES = {
+    "relation": lambda m: {"n": 1, "graph_generators": m},
+    "param": lambda m: {"kind": "contraction", "matrix": m},
+    "l0": lambda m: {"matrix": m},
+}
+VALID_MATRIX = {"relation": [[1.0, 1j]], "param": [[0.5]], "l0": [[1.0]]}
+
+
+def _flip_a_padding_bit(b64: str) -> str:
+    # the last character before the padding carries bits past the last
+    # byte; flipping its lowest one changes the text, not the bytes
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    data = b64.rstrip("=")
+    flipped = data[:-1] + alphabet[alphabet.index(data[-1]) ^ 1]
+    flipped += b64[len(data):]
+    assert base64.b64decode(flipped) == base64.b64decode(b64)
+    return flipped
+
+
+# each defect of an array object, and the message that names it
+ARRAY_DEFECTS = {
+    "dtype <f8": (lambda o: {**o, "dtype": "<f8"}, 'array "dtype" must be "<c16"'),
+    "dtype >c16": (lambda o: {**o, "dtype": ">c16"}, 'array "dtype" must be "<c16"'),
+    "boolean shape entry": (
+        lambda o: {**o, "shape": [True, o["shape"][1]]}, 'array "shape" must be'
+    ),
+    "negative shape entry": (
+        lambda o: {**o, "shape": [o["shape"][0], -o["shape"][1]]}, 'array "shape"'
+    ),
+    "three shape entries": (lambda o: {**o, "shape": [*o["shape"], 1]}, '"shape"'),
+    "wrong byte count": (
+        lambda o: {**o, "shape": [o["shape"][0], o["shape"][1] + 1]}, "bytes, not 16"
+    ),
+    "character outside the alphabet": (
+        lambda o: {**o, "b64": "*" + o["b64"][1:]}, "not canonical base64"
+    ),
+    "line break": (
+        lambda o: {**o, "b64": o["b64"][:4] + "\n" + o["b64"][4:]}, "not canonical"
+    ),
+    "missing padding": (
+        lambda o: {**o, "b64": o["b64"].rstrip("=")}, "not canonical base64"
+    ),
+    "bits past the last byte": (
+        lambda o: {**o, "b64": _flip_a_padding_bit(o["b64"])}, "not canonical"
+    ),
+    "not a string": (lambda o: {**o, "b64": 5}, "not canonical base64"),
+    "extra key": (lambda o: {**o, "note": ""}, "must hold exactly"),
+    "NaN entry": (lambda o: array_object([[math.nan] * o["shape"][1]]), "finite"),
+    "infinite entry": (lambda o: array_object([[-math.inf] * o["shape"][1]]), "finite"),
+}
+
+
+@pytest.mark.parametrize("role", sorted(INPUT_FILES))
+def test_array_objects_read_as_the_list_form(
+    role, tmp_path, capsys, zero_relation_file
+):
+    reports = []
+    for form in (array_object, pairs):
+        text = json.dumps(ARRAY_FILES[role](form(VALID_MATRIX[role])))
+        assert _run_on_input(role, text.encode(), tmp_path, zero_relation_file) == 0
+        report = json.loads(capsys.readouterr().out)
+        # the digest covers the bytes read, which differ
+        reports.append({**report, "input_digest": None})
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("defect", sorted(ARRAY_DEFECTS))
+@pytest.mark.parametrize("role", sorted(INPUT_FILES))
+def test_relation_commands_refuse_a_malformed_array_object(
+    role, defect, tmp_path, capsys, zero_relation_file
+):
+    change, message = ARRAY_DEFECTS[defect]
+    obj = change(array_object(VALID_MATRIX[role]))
+    text = json.dumps(ARRAY_FILES[role](obj)).encode()
+    code = _run_on_input(role, text, tmp_path, zero_relation_file)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid input: ")
+    assert message in captured.err
+
+
+def test_generated_relation_reads_as_its_list_form(tmp_path, capsys):
+    # generate writes the generators as an array object; canonical on it and
+    # on the list form of the same floats writes the same payload
+    path, listed = tmp_path / "rel.json", tmp_path / "listed.json"
+    argv = ["generate", "--n", "6", "--k", "2", "--seed", "4"]
+    assert main([*argv, "--out-relation", str(path)]) == 0
+    capsys.readouterr()
+    relation = json.loads(path.read_text())
+    assert set(relation["graph_generators"]) == {"b64", "dtype", "shape"}
+    gens = fmt.matrix_from_json(relation["graph_generators"])
+    listed.write_text(json.dumps({**relation, "graph_generators": pairs(gens)}))
+    payloads = []
+    for file in (path, listed):
+        code, report = run_cli(capsys, "canonical", "--input", str(file))
+        assert code == 0
+        payloads.append(report["payload"])
+    assert payloads[0] == payloads[1]
 
 
 def test_relation_file_with_many_brackets_within_the_nesting_cap_is_read(
@@ -658,8 +759,8 @@ def test_report_bytes_pinned(argv, sha256, capsys):
     report = json.loads(out)
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
     # the digests pin the bytes of the report without its "schema" key,
-    # which these payloads share with schema 1
-    assert report.pop("schema") == 2
+    # which these payloads, holding no arrays, share with schemas 1 and 2
+    assert report.pop("schema") == 3
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
@@ -722,7 +823,7 @@ def test_every_report_is_canonical_json(
     assert report["command"] == command
     envelope = {"schema", "command", "args", "input_digest", "tol", "status", "payload"}
     assert set(report) == envelope
-    assert report["schema"] == fmt.REPORT_SCHEMA == 2
+    assert report["schema"] == fmt.REPORT_SCHEMA == 3
 
 
 @pytest.mark.parametrize(
@@ -868,14 +969,30 @@ def test_canonical_report_shares_rows_with_its_extension(n, k, tmp_path, capsys)
     text = capsys.readouterr().out
     report = json.loads(text)
     assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
-    # the extension is written as column ranges of the system's Graph(H0*)
-    # basis; expanded, the report gives the bytes of the full objects
-    payload = expand_report(report)["payload"]
+    # the derived objects, rebuilt from the written keys by the library's
+    # own operations, are bit for bit those the library builds: the
+    # Graph(H0*) basis from its Graph(-H0) block and the g1 and g2 bases, F
+    # from its shape and the extension from its column ranges of the basis
+    written = report["payload"]["system"]
+    g_neg, g1, g2 = (
+        fmt.matrix_from_json(written[key]).T
+        for key in ("graph_neg_base", "g1_basis", "g2_basis")
+    )
+    assert written["block_widths"] == [g_neg.shape[1], g1.shape[1], g2.shape[1]]
+    basis = np.hstack([g_neg, bd._hat_basis(g1, 1.0), bd._hat_basis(g2, -1.0)])
     system = bd.canonical_system(fmt.relation_from_json(json.loads(path.read_text())))
-    extension = ext.canonical_max_dissipative(system)
-    written = fmt.dumps(fmt.relation_to_json(extension))
-    assert fmt.dumps(payload["max_dissipative_extension"]) == written
-    assert fmt.dumps(payload["system"]) == fmt.dumps(fmt.system_to_json(system))
+    assert bits(basis) == bits(system.adjoint_graph.basis)
+    assert bits(g1) == bits(system.g1.basis) and bits(g2) == bits(system.g2.basis)
+    k, d = written["F_shape"]
+    assert bits(np.eye(k, d, d - k)) == bits(system.f_matrix)
+    columns = report["payload"]["max_dissipative_extension"]["graph_columns"]
+    graph = np.hstack([basis[:, start:stop] for start, stop in columns])
+    assert bits(graph) == bits(ext.canonical_max_dissipative(system).graph.basis)
+
+
+def bits(a) -> bytes:
+    """The bytes of ``a`` as a little-endian complex128 array."""
+    return np.ascontiguousarray(a, "<c16").tobytes()
 
 
 @pytest.fixture
@@ -889,12 +1006,12 @@ def tiny_entries_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, several",
-    # no arrays; arrays without an exponent-form entry; several such entries
-    [("halfline", False), ("canonical", False), ("canonical-tiny", True)],
+    "command, arrays",
+    # no arrays; arrays with no rows; arrays with exponent-form entries
+    [("halfline", 0), ("canonical", 3), ("canonical-tiny", 3)],
 )
 def test_emit_writes_the_pieces_of_dumps(
-    command, several, zero_relation_file, tiny_entries_file, tmp_path, capsys,
+    command, arrays, zero_relation_file, tiny_entries_file, tmp_path, capsys,
     monkeypatch,
 ):
     argv = {
@@ -909,8 +1026,10 @@ def test_emit_writes_the_pieces_of_dumps(
     assert main(argv) == 0
     assert main([*argv, "--out", str(out)]) == 0
     text = capsys.readouterr().out
-    # array entries sit alone on their lines, unlike "tol" and the residual
-    entries = re.findall(r"^ +-?[\d.]+e[-+]\d+,?$", text, flags=re.MULTILINE)
-    assert len(entries) >= 2 if several else not entries
+    # every array is an array object, and no array entry is written as
+    # text: the numbers alone on their lines are indices and shapes
+    assert text.count('"dtype": "<c16"') == arrays
+    alone = re.findall(r"^ +-?([\d.]+(?:e[-+]\d+)?),?$", text, flags=re.MULTILINE)
+    assert all(number.isdigit() for number in alone)
     assert text == fmt.dumps(reports[0])
     assert out.read_bytes() == text.encode("utf-8")

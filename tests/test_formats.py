@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import assert_canonical, exppoly_to_json, largest_primes_below
+from reference import (
+    array_object,
+    assert_canonical,
+    exppoly_to_json,
+    largest_primes_below,
+    pairs,
+)
 from skewext import formats as fmt
 from skewext import halfline as hl
 from skewext import relation as rel
@@ -17,10 +23,11 @@ from skewext.errors import InvalidTerm
 
 
 def test_relation_roundtrip():
-    t = rel.random_skew_symmetric(3, 2, seed=4)
-    back = fmt.relation_from_json(json.loads(fmt.dumps(fmt.relation_to_json(t))))
-    assert back.space_dim == 3
-    assert sub.distance_at_most(back.graph, t.graph, 1e-12)
+    for k in (2, 0):
+        t = rel.random_skew_symmetric(3, k, seed=4)
+        back = fmt.relation_from_json(json.loads(fmt.dumps(fmt.relation_to_json(t))))
+        assert back.space_dim == 3 and back.graph_dim == k
+        assert sub.distance_at_most(back.graph, t.graph, 1e-12)
 
 
 def test_relation_from_json_normalizes_generators():
@@ -54,6 +61,10 @@ def test_relation_from_json_normalizes_generators():
         # ragged generators with 24 = 3 * 2n pairs in all
         {"n": 4, "graph_generators": [[[1.0, 0.0]] * size for size in (1, 15, 8)]},
         {"n": 1, "graph_generators": [[[None, 0.0], [0.0, 1.0]]]},
+        # array objects of the wrong width, with and without rows
+        {"n": 1, "graph_generators": array_object([[1.0]])},
+        {"n": 1, "graph_generators": array_object(np.zeros((0, 3)))},
+        {"n": 1, "graph_generators": "AAAA"},
     ],
 )
 def test_relation_from_json_rejects_malformed(obj):
@@ -63,30 +74,27 @@ def test_relation_from_json_rejects_malformed(obj):
 
 def test_matrix_roundtrip():
     m = np.array([[1 + 2j, 0], [3.5j, -1]])
-    assert np.array_equal(
-        fmt.matrix_from_json(json.loads(fmt.dumps(fmt.matrix_to_json(m)))), m
-    )
+    for form in (fmt.matrix_to_json(m), pairs(m)):
+        assert np.array_equal(fmt.matrix_from_json(json.loads(fmt.dumps(form))), m)
 
 
-def test_matrix_and_subspace_encoding_match_entrywise_loop():
-    def pairs(rows):  # the entry-by-entry encoder, kept as the reference
-        return json.dumps([[[complex(z).real, complex(z).imag] for z in r] for r in rows])
-
+def test_matrix_and_subspace_encoding_match_entrywise_encoder():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     m[0, 0] = complex(-0.0, -0.0)
-    for a in (m, m.real, np.zeros((2, 0)), np.zeros((0, 3))):
-        assert json.dumps(fmt.matrix_to_json(a).tolist()) == pairs(a)
+    for a in (m, m.real, m.T, np.zeros((2, 0)), np.zeros((0, 3))):
+        assert json.loads(fmt.dumps(fmt.matrix_to_json(a))) == array_object(a)
     s = sub.span_matrix(np.column_stack([(1, 1j, 0), (0, 2, 1)]))
     cols = [s.basis[:, j] for j in range(s.dim)]
-    assert json.dumps(fmt.subspace_to_json(s).tolist()) == pairs(cols)
-    assert fmt.subspace_to_json(sub.zero(3)).tolist() == []
+    assert json.loads(fmt.dumps(fmt.subspace_to_json(s))) == array_object(cols)
+    assert fmt.subspace_to_json(sub.zero(3)).shape == (0, 3)
 
 
 def plain(x):
-    """``x`` with every array replaced by its ``tolist()``."""
+    """``x`` with every array replaced by its array object, built entry by
+    entry."""
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        return array_object(x)
     if isinstance(x, dict):
         return {k: plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -97,59 +105,57 @@ def plain(x):
 def test_dumps_matches_json():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    a = fmt.matrix_to_json(m)
-    a[0, 0, 0] = -0.0
+    m[0, 0] = complex(-0.0, 0.0)
     # where ``repr`` switches to exponent form, and the extreme doubles
-    a[0, 1] = np.nextafter(1e-4, 0), 1e-4
-    a[0, 2] = np.nextafter(1e16, 0), -1e16
-    a[1, 0] = 5e-324, -1.7976931348623157e308
-    nonfinite = a.copy()
-    nonfinite[1, 1, 1], nonfinite[2, 0, 0] = math.nan, math.inf
-    nonfinite[0, 3, 1] = -math.inf
+    m[0, 1] = complex(np.nextafter(1e-4, 0), 1e-4)
+    m[0, 2] = complex(np.nextafter(1e16, 0), -1e16)
+    m[1, 0] = complex(5e-324, -1.7976931348623157e308)
+    nonfinite = m.copy()
+    nonfinite[1, 1] = complex(0.5, math.nan)
+    nonfinite[2, 0] = complex(math.inf, 0.0)
+    nonfinite[0, 3] = complex(1.0, -math.inf)
     s = sub.span_matrix(np.column_stack([(1, 1j, 0), (0, 2, 1)]))
     obj = {
-        "matrix": a,
+        "matrix": m,
         "nonfinite": nonfinite,
         "scalars": [-0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324, 10**300, 0],
         "flags": [True, False, None],
         "empty": [fmt.matrix_to_json(np.zeros(shape)) for shape in ((0, 3), (3, 0))],
         "subspaces": [fmt.subspace_to_json(sub.zero(3)), fmt.subspace_to_json(s)],
-        "deep": {"a": [{"b": [[a, {"c": nonfinite}]]}]},
+        "deep": {"a": [{"b": [[m, {"c": nonfinite}]]}]},
         "strings": ["plain", "h\u00e9llo \u2200x", "tab\tnl\n\x00\x1f\"q\"\\"],
         "\u00fcber": {},
         "none": [],
         "pair": (1, 2.5),
     }
-    for x in (obj, a, fmt.matrix_to_json(np.zeros((0, 0))), "top", 3, None, {}, []):
+    for x in (obj, m, fmt.matrix_to_json(np.zeros((0, 0))), "top", 3, None, {}, []):
         assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
-    float32 = np.zeros((2, 2, 2), np.float32)
-    for bad in (np.zeros((2, 2)), np.zeros((2, 2, 3)), float32, {1, 2}):
+    # only complex128 matrices: no real array (no report holds one), not the
+    # (rows, cols, 2) pair layout of schema 2, no other precision or rank
+    bad = [
+        np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2), np.complex64),
+        np.zeros(3, complex), np.zeros((1, 2, 2), complex), {1, 2},
+    ]
+    for value in bad:
         with pytest.raises(TypeError):
-            fmt.dumps({"x": [bad]})
+            fmt.dumps({"x": [value]})
 
 
-EXPONENT_EDGES = [
-    np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, 5e-324,
-    np.finfo(float).smallest_normal, 1.7976931348623157e308,
+EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, np.finfo(float).smallest_normal, 1e-05,
+    np.nextafter(1e-4, 0), 1e16, -1e16, 1.7976931348623157e308, math.nan,
+    math.inf, -math.inf,
 ]
-finite_doubles = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
-    st.sampled_from(EXPONENT_EDGES + [-x for x in EXPONENT_EDGES] + [0.0, -0.0]),
+doubles = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(EDGES),
 )
-# magnitudes where ``repr`` writes an exponent: 0 < |x| < 1e-4 or |x| >= 1e16
-_SMALL, _LARGE = (5e-324, np.nextafter(1e-4, 0)), (1e16, 1.7976931348623157e308)
-exponent_doubles = st.one_of(
-    [st.floats(lo, hi) for lo, hi in (_SMALL, _LARGE)]
-    + [st.floats(-hi, -lo) for lo, hi in (_SMALL, _LARGE)]
-)
-array_shapes = st.tuples(st.integers(0, 40), st.integers(0, 40), st.just(2))
+pair_shapes = st.tuples(st.integers(0, 40), st.integers(0, 40), st.just(2))
 VIEWS = {
     "whole": lambda a: a,
-    "transposed": lambda a: a.transpose(1, 0, 2),
+    "transposed": lambda a: a.T,
     "strided": lambda a: a[::2, ::-3],
-    "pairs reversed": lambda a: a[:, :, ::-1],
 }
-EMPTY_SHAPES = [(0, 0, 2), (0, 7, 2), (7, 0, 2)]
 
 
 def nested(a, path):
@@ -160,62 +166,54 @@ def nested(a, path):
     return a
 
 
+def unnested(x, path):
+    """The value ``nested`` put inside the containers of ``path``."""
+    for kind in path:
+        x = x[0] if kind == "list" else x["m"]
+    return x
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, "<c16").tobytes()
+
+
 @settings(deadline=None, max_examples=200)
 @given(
-    a=st.one_of(
-        arrays(np.float64, array_shapes, elements=finite_doubles),
-        arrays(np.float64, array_shapes, elements=exponent_doubles),
-    ),
+    pair_array=arrays(np.float64, pair_shapes, elements=doubles),
     view=st.sampled_from(sorted(VIEWS)),
     path=st.lists(st.sampled_from(["list", "dict"]), max_size=5),
 )
-@example(a=np.full((40, 40, 2), -1e-5), view="transposed", path=["dict"] * 5)
-@example(a=np.full((40, 40, 2), 1e300), view="strided", path=["list"] * 5)
-def test_dumps_writes_finite_arrays_as_json_does(a, view, path):
-    x = nested(VIEWS[view](a), path)
-    assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
-    for shape in EMPTY_SHAPES:
-        x = nested(VIEWS[view](np.zeros(shape)), path)
-        assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
-
-
-def _zero_one_arrays():
-    """[0 | I] with k = 0, 1 and d rows, a permutation matrix, a zero matrix
-    and a 0/1 pattern with full, empty and repeated rows: arrays with no
-    digits but those of 0.0 and 1.0, which ``orjson`` writes as ``repr``
-    does."""
-    d = 5
-    f = {f"F k={k}": np.eye(k, d, d - k) for k in (0, 1, d)}
-    pattern = np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 0]])
-    return {
-        **f,
-        "permutation": np.eye(4)[[2, 0, 3, 1]],
-        "zero": np.zeros((3, 2)),
-        "pattern": pattern.astype(float),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_zero_one_arrays()))
-@pytest.mark.parametrize("path", [[], ["list"], ["dict", "list"], ["list", "dict"] * 2])
-def test_zero_one_arrays_are_written_from_two_pair_texts(name, path):
-    a = fmt.matrix_to_json(_zero_one_arrays()[name])
+@example(pair_array=np.full((40, 40, 2), -1e-5), view="transposed", path=["dict"] * 5)
+@example(pair_array=np.full((40, 40, 2), math.nan), view="strided", path=["list"] * 5)
+def test_every_array_round_trips_bit_for_bit(pair_array, view, path):
+    # NaN and the infinities too: the array object holds the bytes, and the
+    # finite-entry rule is the input reader's, not the decoder's
+    a = VIEWS[view](pair_array.view(complex)[..., 0])
     x = nested(a, path)
-    assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
+    text = fmt.dumps(x)
+    assert text == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
+    back = fmt._array_from_json(unnested(json.loads(text), path))
+    assert back.shape == a.shape and bits(back) == bits(a)
+    if np.isfinite(a).all():
+        assert bits(fmt.matrix_from_json(unnested(json.loads(text), path))) == bits(a)
 
 
-@pytest.mark.parametrize(
-    "entry, value",
-    [((0, 1, 0), -0.0), ((1, 1, 1), -0.0), ((2, 4, 0), 2.0), ((0, 4, 1), 1.0),
-     ((1, 0, 1), 1e-300)],
-)
-@pytest.mark.parametrize("path", [[], ["dict", "list"]])
-def test_arrays_other_than_zero_one_fall_back(entry, value, path):
-    # -0.0 in either part, which json writes with its sign, 2.0, and a
-    # nonzero imaginary part
-    a = fmt.matrix_to_json(np.eye(3, 5, 2))
-    a[entry] = value
-    x = nested(a, path)
-    assert fmt.dumps(x) == json.dumps(plain(x), sort_keys=True, indent=2) + "\n"
+#: arrays of 0.0, -0.0 and 1.0 entries, such as F = [0 | I], and one of
+#: each edge value alone
+NAMED = {
+    **{f"F k={k}": np.eye(k, 5, 5 - k) for k in (0, 1, 5)},
+    "permutation": np.eye(4)[[2, 0, 3, 1]],
+    "negative zeros": np.full((2, 3), complex(-0.0, -0.0)),
+    **{f"edge {x!r}": np.array([[complex(x, -x)]]) for x in EDGES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_arrays_round_trip_bit_for_bit(name):
+    a = fmt.matrix_to_json(NAMED[name])
+    obj = json.loads(fmt.dumps(a))
+    assert obj == array_object(a)
+    assert bits(fmt._array_from_json(obj)) == bits(NAMED[name])
 
 
 def test_extension_param_roundtrip_and_validation():
@@ -326,7 +324,9 @@ def test_exppoly_from_json_orders_rates_beyond_double_range():
 def test_unitary_matrix_from_json_accepts_both_shapes():
     raw = [[[1.0, 0.0]]]
     assert np.array_equal(fmt.unitary_matrix_from_json(raw), np.eye(1))
-    assert np.array_equal(fmt.unitary_matrix_from_json({"matrix": raw}), np.eye(1))
+    for matrix in (raw, array_object(np.eye(1))):
+        wrapped = fmt.unitary_matrix_from_json({"matrix": matrix})
+        assert np.array_equal(wrapped, np.eye(1))
 
 
 def test_exppoly_from_json_rejects_a_repeated_key_with_zero_coefficient():

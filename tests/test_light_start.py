@@ -9,7 +9,8 @@ half-line model imports.  A
 ``halfline`` subcheck adds ``halfline`` and those three, and still no
 numeric module; the numeric modules load when ``main`` dispatches a
 relation command, which loads no ``halfline``, ``fractions`` or
-``decimal``, run through ``main`` or as ``python -m skewext.cli``.
+``decimal``, run through ``main`` or as ``python -m skewext.cli``;
+``canonical`` writes its report arrays without loading ``base64``.
 ``skewext.<module>`` still resolves after a bare ``import skewext``.  The
 import loads no ``dataclasses`` either.  Under ``python -m skewext.cli`` no
 command imports ``skewext.cli`` a second time beside ``__main__``.
@@ -156,6 +157,11 @@ def test_a_relation_command_loads_the_numeric_substrate(command, tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["status"] == "pass"
     assert {"numpy", "skewext.boundary", "skewext.relation_commands"} <= _loaded(result)
     assert HALF_LINE.isdisjoint(result["after"])
+    # report arrays are written by ``binascii``, which numpy has loaded,
+    # and not by ``base64``, which only ``sweep`` loads, by numpy.random
+    # (through ``secrets``)
+    assert "binascii" in result["after"]
+    assert ("base64" in result["after"]) == (command == "sweep")
 
 
 # runs the CLI as ``python -m skewext.cli`` does, then reports whether the

@@ -5,8 +5,8 @@ No call in ``src/skewext`` passes ``indent=`` to a function named ``dump``
 or ``dumps`` (``json``'s, or any alias of them).  The compact
 ``json.dumps(echo, sort_keys=True)`` behind the argument digest stays
 allowed.  Every third-party package the library imports is a declared
-dependency, and ``orjson``, which writes report arrays and reads the
-relation commands' input files, is imported by ``formats`` alone.
+dependency, and ``orjson``, which reads the relation commands' input
+files, is imported by ``formats`` alone.
 """
 
 import ast

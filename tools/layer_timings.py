@@ -23,9 +23,12 @@ for a before/after comparison on the same machine (``layers_baseline``,
 ``halfline_baseline``, ``cli_baseline``).  The two trees take turns, in
 alternating order, at each round of each set of in-process figures and at
 each CLI probe and repeat, so that a slow spell of the machine falls on
-both alike and does not read as a change.  Each positive layer figure also
-gets its local exponent between consecutive sizes (``layer_exponents``),
-so the growth of every layer in n is read off the file.
+both alike and does not read as a change; ``cli_pairs`` holds the ratio
+of the two trees' times in each such pair of CLI runs, with their median
+and range, so a reader sees which CLI figures can resolve a change.  Each
+positive layer figure also gets its local exponent between consecutive
+sizes (``layer_exponents``), so the growth of every layer in n is read
+off the file.
 
 Relations are ``relation.random_skew_symmetric(n, n // 2, seed)``, so the
 deficiency indices are equal and every triplet construction applies.
@@ -46,6 +49,7 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
 import shutil  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -70,6 +74,8 @@ from skewext import subspace as sub  # noqa: E402
 from skewext.sampling import random_unitary  # noqa: E402
 
 SIZES = (4, 16, 64, 128, 256)
+#: the n of the CLI ``canonical`` probes, each on a relation with k = n // 2
+CLI_CANONICAL_SIZES = (64, 256)
 HALFLINE_TERMS = (10, 30, 60)
 SEED = 7
 REPEAT = 7
@@ -210,7 +216,7 @@ def layer_timings(n: int) -> dict:
         "cli.emit_file_s": emit_file_s,
         "formats.relation_file_bytes": len(relation_text),
         "formats.relation_load_s": relation_load_s,
-        "formats.relation_pairs": sum(len(g) for g in gens),
+        "formats.relation_pairs": h.graph.basis.size,
         "formats.decode_matrix_from_json_s": b(fmt.matrix_from_json, gens),
         "formats.relation_from_json_s": b(fmt.relation_from_json, relation_obj),
     }
@@ -483,24 +489,34 @@ def cli_timings(trees: dict) -> dict:
         for count in (20, 200):
             argv = [*cli, "sweep", "--count", str(count)]
             wall(f"sweep_count_{count}_s", argv, tmp)
-        for n in (64, 128):
+        for n in CLI_CANONICAL_SIZES:
+            # the list form, which every tree reads, of the relation
+            # ``generate --n n --k n // 2 --seed SEED`` draws
+            gens = rel.random_skew_symmetric(n, n // 2, SEED).graph.basis.T
             path = f"rel{n}.json"
-            generate = ["generate", "--n", str(n), "--k", str(n // 2)]
-            generate += ["--seed", str(SEED), "--out-relation", path]
-            subprocess.run(
-                [sys.executable, *cli, *generate], cwd=tmp, check=True,
-                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                stdout=subprocess.DEVNULL,
-            )
+            with open(os.path.join(tmp, path), "w", encoding="utf-8") as fh:
+                pairs = np.stack([gens.real, gens.imag], axis=-1).tolist()
+                json.dump({"n": n, "graph_generators": pairs}, fh)
             wall(f"canonical_n{n}_s", [*cli, "canonical", "--input", path], tmp)
         terms = HALFLINE_TERMS[-1]
         for subcheck, path in _halfline_files(tmp, terms).items():
             argv = [*cli, "halfline", "--subcheck", subcheck, "--input", path]
             wall(f"halfline_{subcheck}_terms{terms}_s", argv, tmp)
-    return {
-        label: {name: float(f"{min(ts):.4g}") for name, ts in probes.items()}
-        for label, probes in times.items()
-    }
+    return times
+
+
+def cli_pairs(times: dict) -> dict:
+    """Each CLI probe's ratios of this tree's wall time to the baseline's,
+    one per alternating pair of runs, with their median and range."""
+    out = {}
+    for name, ours in times[""].items():
+        ratios = sorted(a / b for a, b in zip(ours, times["_baseline"][name]))
+        out[name] = {
+            "ratios": [float(f"{r:.4g}") for r in ratios],
+            "median": float(f"{statistics.median(ratios):.4g}"),
+            "range": [float(f"{ratios[0]:.4g}"), float(f"{ratios[-1]:.4g}")],
+        }
+    return out
 
 
 def machine() -> dict:
@@ -542,7 +558,11 @@ def main(argv=None) -> int:
             "order; import_s imports "
             "skewext.cli, import_numeric_s that and the relation-command "
             "module (numpy and the numeric substrate), and "
-            "halfline_deficiency_s reads no input, so it is start-up alone",
+            "halfline_deficiency_s reads no input, so it is start-up alone; "
+            "canonical_n{n}_s runs canonical on the relation file, in the "
+            "list form every tree reads, of random_skew_symmetric(n, n // 2, 7); "
+            "cli_pairs holds this tree's time over the baseline's in each "
+            "alternating pair of runs",
             "relations": "relation.random_skew_symmetric(n, n // 2, 7)",
             "fresh_systems": "canonical_max_dissipative_s and "
             "adjoint_formula_check_s each run on a canonical system built "
@@ -594,10 +614,13 @@ def main(argv=None) -> int:
             "formats._report_parts, the pieces cli._emit writes; cli.emit_file_s is cli._emit writing the "
             "whole report to a file with --out",
             "decode": "decode_matrix_from_json_s is formats.matrix_from_json "
-            "on the generators of the relation file; relation_from_json_s "
+            "on the generators of the relation file each tree's generate "
+            "writes (from schema 3 an array object, before it a list of rows "
+            "of [re, im] pairs); relation_from_json_s "
             "adds the span; relation_load_s is formats._load_numeric_json "
-            "(file read, nesting check, orjson parse, sha256 digest) of the "
-            "relation file generate writes, of relation_file_bytes bytes",
+            "(file read, nesting check, orjson parse, sha256 digest) of that "
+            "file, of relation_file_bytes bytes; relation_pairs is the "
+            "number of complex entries of its generators",
             "halfline_functions": "seeded random terms with distinct (degree, "
             "rate) keys, degrees 0..8, rates p/q with p in 1..12, q in 1..4; "
             "the CLI halfline probes read such a pair (green), its first "
@@ -629,8 +652,13 @@ def main(argv=None) -> int:
     record["layer_exponents"] = local_exponents(record["layers"])
     for label, figures in tree_rounds(trees, len(SIZES), "halfline_figures").items():
         record["halfline" + label] = figures
-    for label, figures in cli_timings(trees).items():
-        record["cli" + label] = figures
+    times = cli_timings(trees)
+    for label, probes in times.items():
+        record["cli" + label] = {
+            name: float(f"{min(ts):.4g}") for name, ts in probes.items()
+        }
+    if args.baseline_src:
+        record["cli_pairs"] = cli_pairs(times)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(fmt.dumps(record))
     return 0
